@@ -58,11 +58,14 @@ def project_simplex(x):
 
     Sort-and-threshold: with u the coordinates sorted in decreasing order,
     find the largest j with u_j - (cumsum(u)_j - 1)/j > 0 and shift by that
-    threshold.
+    threshold.  The projection is invariant under adding a constant to every
+    coordinate, so x is first shifted to max(x) = 0; then j = 1 always
+    qualifies, even for entries too large for ``u_1 - 1`` to differ from u_1.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("expected a nonempty 1-d array")
+    x = x - x.max()
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - 1.0
     j = np.arange(1, x.size + 1)

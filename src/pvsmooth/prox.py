@@ -6,8 +6,9 @@ Three groups live here:
   product space, whose prox reduces to a weight vector on the simplex with a
   closed-form solution;
 * suprema of affine forms minus a quadratic,
-  f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox is computed by a
-  relaxed fixed-point (Krasnoselskii-Mann) iteration on the weights;
+  f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox is computed by
+  restarted FISTA on the concave dual over the weights c, with step 1/L from
+  the exact Gram norm |A A^T|;
 * separable scalar regularizers (MCP, SCAD, Tukey biweight, l1).
 
 All of these are rho-weakly convex; their prox is single-valued whenever the
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProxFunction, matrix_norm_bound, moreau_envelope
+# matrix_norm_bound is unused here but stays a module attribute:
+# benchmarks/tracing.py wraps it in every module that imported it.
+from .core import ProxFunction, matrix_norm_bound, moreau_envelope  # noqa: F401
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 _DENOM_GUARD = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def envelope_sup_identity_check(family, mu, x):
 
 
 # ---------------------------------------------------------------------------
-# supremum of affine forms minus a quadratic: fixed-point iteration
+# supremum of affine forms minus a quadratic: accelerated dual iteration
 # ---------------------------------------------------------------------------
 
 def simplex_support_max(v):
@@ -241,6 +245,14 @@ class SupAffineFamily(ProxFunction):
     support_max : callable, optional
         v -> max_{c in C} <c, v>.  Exact evaluation when available (e.g. the
         simplex); otherwise a projected-ascent fallback is used.
+    km_tol, km_max_iter : float, int
+        Stop tolerance on the weight increment and iteration budget of the
+        dual iteration in :func:`prox_sup_affine`.  The names date from an
+        earlier Krasnoselskii-Mann scheme and are kept for compatibility.
+
+    The family caches the Gram matrix ``gram = A A^T`` used by every dual
+    step, and ``gram_norm = |A A^T|``, the exact top eigenvalue of the
+    smaller of A A^T and A^T A, which fixes the dual step size.
     """
 
     lipschitz = None
@@ -261,7 +273,9 @@ class SupAffineFamily(ProxFunction):
         self.km_tol = float(km_tol)
         self.km_max_iter = int(km_max_iter)
         self.rho = 2.0 * self.sigma
-        self.gram_norm = matrix_norm_bound(a_rows) ** 2  # |A A^T|
+        self.gram = a_rows @ a_rows.T
+        small = self.gram if a_rows.shape[0] <= a_rows.shape[1] else a_rows.T @ a_rows
+        self.gram_norm = max(float(np.linalg.eigvalsh(small)[-1]), 0.0)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -276,24 +290,37 @@ class SupAffineFamily(ProxFunction):
         y, _, _ = self.prox_detailed(mu, x)
         return y
 
-    def prox_detailed(self, mu, x, gamma=None, relax=None, tol=None, max_iter=None):
-        return prox_sup_affine(self, mu, x, gamma=gamma, relax=relax,
-                               tol=tol, max_iter=max_iter)
+    def prox_detailed(self, mu, x, gamma=None, tol=None, max_iter=None):
+        return prox_sup_affine(self, mu, x, gamma=gamma, tol=tol, max_iter=max_iter)
 
 
-def prox_sup_affine(family, mu, x, gamma=None, relax=None, tol=None, max_iter=None):
-    """Prox of a :class:`SupAffineFamily` by the relaxed fixed-point scheme.
+def prox_sup_affine(family, mu, x, gamma=None, tol=None, max_iter=None):
+    """Prox of a :class:`SupAffineFamily` by restarted FISTA on the dual weights.
 
-    Iterates, with s = 1 - 2 sigma mu and steps gamma, relaxations a_k,
+    With s = 1 - 2 sigma mu, the prox point for weights c is
+    y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
 
-        y_k = (x - mu A^T c_k) / s
-        z_k = c_k + gamma (A y_k + b)
-        c_{k+1} = a_k P_C(z_k) + (1 - a_k) c_k,
+        phi(c) = <c, w> - (mu / 2s) c^T G c + const,   w = A x / s + b,
 
-    stopping when |c_{k+1} - c_k| <= tol.  The step must satisfy
-    gamma mu |A A^T| / s < 1 so the inner map is nonexpansive; the default is
-    0.9 of that limit.  Constant relaxations must lie strictly in (0, 1); a
-    callable ``relax`` (iteration -> a_k) is accepted unchecked.
+    over C, with G = A A^T (cached on the family).  Its gradient
+    w - (mu/s) G c = A y(c) + b is Lipschitz with L = mu |A A^T| / s, so
+    each iteration takes one projected gradient step of length gamma = 1/L
+    from an extrapolated point z (Beck-Teboulle):
+
+        c_{k+1} = P_C(z_k + gamma (w - (mu/s) G z_k))
+        z_{k+1} = c_{k+1} + (t_k - 1)/t_{k+1} (c_{k+1} - c_k),
+
+    restarting the momentum (t = 1, z = c_{k+1}) whenever
+    (z_k - c_{k+1}) . (c_{k+1} - c_k) > 0 (O'Donoghue-Candes gradient
+    restart).  The iteration starts from the projected uniform weights on
+    every call and stops when both the increment |c_{k+1} - c_k| and the
+    gradient-mapping residual |c_{k+1} - z_k| are at most tol.  The second
+    test rules out false stops where an extrapolated step projects back onto
+    c_k, and it certifies the result: the projected-gradient map is
+    nonexpansive, so |P_C(c + gamma grad phi(c)) - c| <= tol at the returned
+    c, and on the simplex the dual gap max(v) - <c, v> with v = A y + b is at
+    most 2 sqrt(2) L tol.  ``gamma`` overrides the step and must satisfy
+    0 < gamma mu |A A^T| / s <= 1.
 
     Returns ``(y, c, iterations)`` where y is the prox point and c the
     worst-case weights.  Raises :class:`ConvergenceError` (carrying the last
@@ -304,41 +331,38 @@ def prox_sup_affine(family, mu, x, gamma=None, relax=None, tol=None, max_iter=No
     tol = family.km_tol if tol is None else float(tol)
     max_iter = family.km_max_iter if max_iter is None else int(max_iter)
     s = 1.0 - 2.0 * family.sigma * mu
+    lip = mu * family.gram_norm / s
     if gamma is None:
-        if family.gram_norm > 0.0:
-            gamma = 0.9 * s / (mu * family.gram_norm)
-        else:
-            gamma = 1.0  # A == 0: any step works, the weight map is constant
+        # lip below the smallest normal float: A is numerically zero, and any
+        # step works since the weight map is (nearly) constant
+        gamma = 1.0 / lip if lip >= _TINY else 1.0
     else:
         gamma = float(gamma)
-        if not (gamma > 0) or gamma * mu * family.gram_norm / s >= 1.0:
+        if not (gamma > 0) or gamma * lip > 1.0:
             raise DomainError(
-                "step gamma=%r violates gamma*mu*|AA^T|/(1-2*sigma*mu) < 1" % gamma
+                "step gamma=%r violates gamma*mu*|AA^T|/(1-2*sigma*mu) <= 1" % gamma
             )
-    if relax is None:
-        relax_at = lambda k: 0.5
-    elif callable(relax):
-        relax_at = relax
-    else:
-        relax = float(relax)
-        if not (0.0 < relax < 1.0):
-            raise DomainError("constant relaxation must lie in (0, 1)")
-        relax_at = lambda k: relax
 
-    a_rows, offsets = family.a_rows, family.offsets
+    a_rows, project = family.a_rows, family.project_ambiguity
     n = a_rows.shape[0]
-    c = family.project_ambiguity(np.full(n, 1.0 / n))
+    w = gamma * (a_rows @ x / s + family.offsets)
+    m = (gamma * mu / s) * family.gram
+    c = project(np.full(n, 1.0 / n))
+    z, t = c, 1.0
     delta = np.inf
     for it in range(1, max_iter + 1):
-        y = (x - mu * (a_rows.T @ c)) / s
-        z = c + gamma * (a_rows @ y + offsets)
-        a_k = relax_at(it)
-        c_next = a_k * family.project_ambiguity(z) + (1.0 - a_k) * c
-        delta = float(np.linalg.norm(c_next - c))
-        c = c_next
+        c_next = project(z + w - m @ z)
+        diff = c_next - c
+        delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
         if delta <= tol:
-            y = (x - mu * (a_rows.T @ c)) / s
-            return y, c, it
+            return (x - mu * (a_rows.T @ c_next)) / s, c_next, it
+        if (z - c_next) @ diff > 0.0:
+            z, t = c_next, 1.0
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = c_next + ((t - 1.0) / t_next) * diff
+            t = t_next
+        c = c_next
     y = (x - mu * (a_rows.T @ c)) / s
     raise ConvergenceError(
         "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CallableProx, CallableSmooth, CompositeProblem
-from .errors import ContractError, ConvergenceError, DomainError, NumericalError
+from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
     "SolverConfig",
@@ -168,30 +168,47 @@ def _record_state(problem, cfg, k, x, trace, t0):
     return gamma, grad, pgn, res
 
 
+def _attach_trace(exc, trace, x, steps):
+    """Give an error raised inside a run's loop the partial trace, unless it
+    already carries one (the loop's own failures fill it in themselves)."""
+    if getattr(exc, "trace", None) is None:
+        trace.final_x = x
+        trace.iterations = steps
+        trace.stop_reason = "component_error"
+        exc.trace = trace
+
+
 def run_pvs(problem, cfg, x1):
     """Run the smoothing iteration from x1 (which must lie in V).
 
     Stops after ``cfg.max_iter`` steps or once the step norm
     |x_{k+1} - x_k| drops to ``cfg.stop_step_norm``.  Returns the trace,
     whose ``final_x`` / ``iterations`` / ``stop_reason`` summarize the run.
+    A :class:`PvsError` raised by a component (e.g. an inner prox solver
+    running out of budget) propagates with the partial trace attached, its
+    ``stop_reason`` set to ``"component_error"``.
     """
     cfg.validate_for(problem.g)
     x = np.array(x1, dtype=float)
     _require_in_subspace(problem.subspace, x, "x1")
     t0 = time.perf_counter()
     trace = IterateTrace(cfg.alpha, cfg.C)
-    gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
     reason = "max_iter"
     steps = 0
-    for k in range(1, cfg.max_iter + 1):
-        x_next = problem.subspace.apply(x - gamma * grad)
-        step_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
-        steps = k
-        gamma, grad, _, _ = _record_state(problem, cfg, k + 1, x, trace, t0)
-        if step_norm <= cfg.stop_step_norm:
-            reason = "step_norm"
-            break
+    try:
+        gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
+        for k in range(1, cfg.max_iter + 1):
+            x_next = problem.subspace.apply(x - gamma * grad)
+            step_norm = float(np.linalg.norm(x_next - x))
+            x = x_next
+            steps = k
+            gamma, grad, _, _ = _record_state(problem, cfg, k + 1, x, trace, t0)
+            if step_norm <= cfg.stop_step_norm:
+                reason = "step_norm"
+                break
+    except PvsError as exc:
+        _attach_trace(exc, trace, x, steps)
+        raise
     trace.final_x = x
     trace.iterations = steps
     trace.stop_reason = reason
@@ -209,6 +226,7 @@ def run_pvs_epochs(problem, cfg, x1, epsilon=None):
 
     Returns ``(x_stop, trace)``.  Exhausting ``cfg.max_iter`` steps raises
     :class:`ConvergenceError` carrying the best iterate seen and the trace.
+    Component errors carry the partial trace as in :func:`run_pvs`.
     """
     cfg.validate_for(problem.g)
     eps = cfg.epsilon if epsilon is None else float(epsilon)
@@ -220,43 +238,48 @@ def run_pvs_epochs(problem, cfg, x1, epsilon=None):
     _require_in_subspace(problem.subspace, x, "x1")
     t0 = time.perf_counter()
     trace = IterateTrace(cfg.alpha, cfg.C)
-    gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
     best_x, best_pgn, best_k = x.copy(), np.inf, 1
     steps = 0
     epoch = 0
-    while True:
-        window_best = np.inf
-        for k in range(2**epoch, 2 ** (epoch + 1)):
-            if k > cfg.max_iter:
-                trace.final_x = best_x
-                trace.iterations = steps
-                trace.stop_reason = "budget_exhausted"
-                trace.best_index = best_k
-                trace.best_grad_norm = best_pgn
-                raise ConvergenceError(
-                    "epoch run exhausted %d iterations without meeting "
-                    "epsilon=%g" % (cfg.max_iter, eps),
-                    residual=best_pgn,
-                    iterations=steps,
-                    best=best_x,
-                    trace=trace,
-                )
-            x_next = problem.subspace.apply(x - gamma * grad)
-            x = x_next
-            steps = k
-            gamma, grad, pgn, res = _record_state(problem, cfg, k + 1, x, trace, t0)
-            if pgn < best_pgn:
-                best_x, best_pgn, best_k = x.copy(), pgn, k + 1
-            if pgn <= window_best:
-                window_best = pgn
-                if window_best <= eps and res <= res_threshold:
-                    trace.final_x = x
+    try:
+        gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
+        while True:
+            window_best = np.inf
+            for k in range(2**epoch, 2 ** (epoch + 1)):
+                if k > cfg.max_iter:
+                    trace.final_x = best_x
                     trace.iterations = steps
-                    trace.stop_reason = "epoch_stationarity"
-                    trace.best_index = k + 1
-                    trace.best_grad_norm = window_best
-                    return x, trace
-        epoch += 1
+                    trace.stop_reason = "budget_exhausted"
+                    trace.best_index = best_k
+                    trace.best_grad_norm = best_pgn
+                    raise ConvergenceError(
+                        "epoch run exhausted %d iterations without meeting "
+                        "epsilon=%g" % (cfg.max_iter, eps),
+                        residual=best_pgn,
+                        iterations=steps,
+                        best=best_x,
+                        trace=trace,
+                    )
+                x_next = problem.subspace.apply(x - gamma * grad)
+                x = x_next
+                steps = k
+                gamma, grad, pgn, res = _record_state(
+                    problem, cfg, k + 1, x, trace, t0)
+                if pgn < best_pgn:
+                    best_x, best_pgn, best_k = x.copy(), pgn, k + 1
+                if pgn <= window_best:
+                    window_best = pgn
+                    if window_best <= eps and res <= res_threshold:
+                        trace.final_x = x
+                        trace.iterations = steps
+                        trace.stop_reason = "epoch_stationarity"
+                        trace.best_index = k + 1
+                        trace.best_grad_norm = window_best
+                        return x, trace
+            epoch += 1
+    except PvsError as exc:
+        _attach_trace(exc, trace, x, steps)
+        raise
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,28 @@ def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):
     assert summary["stop_reason"] == "budget_exhausted"
 
 
+def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
+    # an inner prox budget too small for the direct dispersion run: the
+    # weight iteration fails partway and the partial trace is still written
+    def capped(inst):
+        problem = build_direct(inst)
+        problem.g.km_max_iter = 50
+        return problem
+
+    build_direct = cli.build_max_dispersion_direct
+    monkeypatch.setattr(cli, "build_max_dispersion_direct", capped)
+    path = write_config(
+        tmp_path, problem="max-dispersion", formulation="direct", n=3, N=10,
+        R=[[1.0, 1.0, 1.0]], **{"lambda": 100.0}, max_iter=60, seed=47,
+    )
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    data = read_trace(tmp_path / "trace.csv")
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stop_reason"] == "component_error"
+    assert 0 < summary["iterations"] == data.shape[0] < 60
+    assert np.isfinite(summary["final_objective"])
+
+
 # ---------------------------------------------------------------------------
 # verify batteries
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ def test_project_simplex_basic():
                           np.array([1.0, 0.0, 0.0]))
     inside = np.array([0.2, 0.3, 0.5])
     assert np.abs(project_simplex(inside) - inside).max() < 1e-15
+    # entries so large that u - 1 rounds to u (huge dual steps produce these)
+    assert np.array_equal(project_simplex(np.array([4e141, 4e141])),
+                          np.array([0.5, 0.5]))
 
 
 def test_project_simplex_example():

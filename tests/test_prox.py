@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pvsmooth import oracles
+from pvsmooth import core, oracles
 from pvsmooth.core import moreau_envelope
 from pvsmooth.errors import ConvergenceError, DomainError
 from pvsmooth.projections import project_simplex
@@ -179,12 +182,29 @@ def _simplex_family(a_rows, offsets, sigma, **kw):
                            support_max=simplex_support_max, **kw)
 
 
+def test_sup_affine_gram_norm_is_exact():
+    # the top right singular vector is orthogonal to the fixed power-iteration
+    # start in core.matrix_norm_bound, which therefore settles on the second
+    # singular value; the family's |AA^T| must not depend on that start
+    start = np.random.default_rng(core._POWER_SEED).standard_normal(5)
+    basis = np.random.default_rng(3).standard_normal((5, 5))
+    basis[:, 0] -= (basis[:, 0] @ start) / (start @ start) * start
+    v_mat, _ = np.linalg.qr(basis)
+    a_rows = np.diag([2.0, 1.0, 0.5, 0.25, 0.1]) @ v_mat.T
+    fam = _simplex_family(a_rows, np.zeros(5), 1.0)
+    assert abs(fam.gram_norm - 4.0) <= 1e-12
+    assert np.allclose(fam.gram, a_rows @ a_rows.T)
+    wide = _simplex_family(a_rows[:2], np.zeros(2), 1.0)  # A A^T is the smaller
+    assert abs(wide.gram_norm - 4.0) <= 1e-12
+
+
 def test_sup_affine_zero_rows():
-    fam = _simplex_family(np.zeros((3, 2)), np.zeros(3), 1.0)
     x = np.array([0.7, -0.3])
-    y, c, iters = prox_sup_affine(fam, 0.25, x)
-    assert np.abs(y - 2.0 * x).max() < 1e-12
-    assert iters == 1
+    for scale in (0.0, 1e-160):  # |AA^T| zero or subnormal
+        fam = _simplex_family(np.full((3, 2), scale), np.zeros(3), 1.0)
+        y, c, iters = prox_sup_affine(fam, 0.25, x)
+        assert np.abs(y - 2.0 * x).max() < 1e-12
+        assert iters == 1
 
 
 def test_sup_affine_singleton_ambiguity():
@@ -248,25 +268,45 @@ def test_sup_affine_step_condition():
         prox_sup_affine(fam, mu, np.array([0.5]), gamma=-0.3)
 
 
-def test_sup_affine_relaxations():
-    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
-    x = np.array([0.5])
-    y_default, _, _ = prox_sup_affine(fam, 0.2, x)
-    y_const, _, _ = prox_sup_affine(fam, 0.2, x, relax=0.3)
-    y_callable, _, _ = prox_sup_affine(fam, 0.2, x,
-                                       relax=lambda k: 0.5 + 0.4 / (k + 1))
-    assert abs(float(y_const[0]) - float(y_default[0])) < 1e-8
-    assert abs(float(y_callable[0]) - float(y_default[0])) < 1e-8
-    with pytest.raises(DomainError):
-        prox_sup_affine(fam, 0.2, x, relax=1.2)
+_entries = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sup_affine_cases(draw):
+    n_scen = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 4))
+    a_rows = draw(hnp.arrays(float, (n_scen, dim), elements=_entries))
+    offsets = draw(hnp.arrays(float, n_scen, elements=_entries))
+    x = draw(hnp.arrays(float, dim, elements=_entries))
+    sigma = draw(st.floats(0.25, 2.0))
+    mu = draw(st.floats(0.05, 0.9)) / (2.0 * sigma)
+    return a_rows, offsets, sigma, mu, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sup_affine_cases())
+def test_sup_affine_dual_optimality(case):
+    a_rows, offsets, sigma, mu, x = case
+    fam = _simplex_family(a_rows, offsets, sigma)
+    y, c, _ = prox_sup_affine(fam, mu, x)
+    s = 1.0 - 2.0 * sigma * mu
+    assert abs(c.sum() - 1.0) <= 1e-9 and c.min() >= 0.0
+    assert np.array_equal(y, (x - mu * (a_rows.T @ c)) / s)
+    # the stop certifies a dual gap of at most 2 sqrt(2) L tol, L = mu |AA^T| / s
+    v = a_rows @ y + offsets
+    lip = mu * fam.gram_norm / s
+    assert v.max() - c @ v <= 1e-9 * max(1.0, lip)
+    if lip >= np.finfo(float).tiny:  # else A is numerically zero
+        gamma = 0.9 / lip
+        assert np.linalg.norm(c - project_simplex(c + gamma * v)) <= 1e-8
 
 
 def test_sup_affine_budget_exhaustion():
     fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
     with pytest.raises(ConvergenceError) as exc:
-        prox_sup_affine(fam, 0.2, np.array([0.5]), max_iter=2)
+        prox_sup_affine(fam, 0.2, np.array([0.5]), max_iter=1)  # converges at 2
     err = exc.value
-    assert err.iterations == 2
+    assert err.iterations == 1
     assert err.residual > 0
     y_best, c_best = err.best
     assert y_best.shape == (1,)

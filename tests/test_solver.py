@@ -266,6 +266,61 @@ def test_run_pvs_numerical_blowup_carries_trace():
     assert trace.stop_reason == "numerical_error"
 
 
+def seeded_direct_dispersion(km_max_iter=None):
+    # 10 anchors in R^3 on ker(1,1,1), lambda = 100: the direct form runs the
+    # sup-affine prox on every evaluation
+    inst = MaxDispersionInstance(random_anchors(3, 10, 47), radius=1.0, lam=100.0,
+                                 constraint_matrix=np.ones((1, 3)))
+    prob = build_max_dispersion_direct(inst)
+    if km_max_iter is not None:
+        prob.g.km_max_iter = km_max_iter
+    return prob, subspace_start(prob.subspace, 3)
+
+
+def test_run_pvs_inner_failure_carries_partial_trace():
+    prob, x1 = seeded_direct_dispersion(km_max_iter=50)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs(prob, cfg, x1)
+    trace = exc.value.trace
+    assert trace is not None
+    assert trace.stop_reason == "component_error"
+    assert 0 < trace.iterations == len(trace) < 60
+    assert abs(float(trace.final_x.sum())) < 1e-9
+
+
+def test_run_pvs_epochs_inner_failure_carries_partial_trace():
+    prob, x1 = seeded_direct_dispersion(km_max_iter=50)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs_epochs(prob, cfg, x1, epsilon=1e-9)
+    trace = exc.value.trace
+    assert trace is not None
+    assert trace.stop_reason == "component_error"
+    assert 0 < trace.iterations == len(trace) < 60
+    assert trace.final_x.shape == (3,)
+
+
+def test_direct_dispersion_inner_work_per_prox():
+    # work-count guard for the sup-affine prox: the accelerated dual iteration
+    # needs about 75 inner iterations per call on this run
+    prob, x1 = seeded_direct_dispersion()
+    counts = []
+    detailed = prob.g.prox_detailed
+
+    def counted(mu, x):
+        out = detailed(mu, x)
+        counts.append(out[2])
+        return out
+
+    prob.g.prox_detailed = counted
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    trace = run_pvs(prob, cfg, x1)
+    assert trace.iterations == 60
+    assert len(counts) == 61
+    assert np.mean(counts) <= 150
+
+
 # ---------------------------------------------------------------------------
 # epoch variant
 # ---------------------------------------------------------------------------
