@@ -75,10 +75,13 @@ def project_simplex(x):
 
 
 class KernelProjector(SubspaceProjector):
-    """Orthogonal projector onto ker(R), built as P = I - pinv(R) R.
+    """Orthogonal projector onto ker(R), applied as P x = x - Q^T (Q x).
 
-    The pseudoinverse uses an SVD with singular values below
-    1e-12 * sigma_max treated as zero, so rank-deficient R is handled.
+    The rows of ``basis`` (Q) are an orthonormal basis of the row space of
+    R: the right singular vectors of R whose singular values exceed
+    1e-12 * sigma_max, the cutoff ``np.linalg.pinv`` uses, so rank-deficient
+    R is handled.  For R of rank r in R^n, Q is r x n, and both its storage
+    and each apply cost O(n r).
     """
 
     def __init__(self, R):
@@ -86,12 +89,13 @@ class KernelProjector(SubspaceProjector):
         if not np.any(R):
             raise DomainError("constraint matrix R must be nonzero")
         self.R = R
-        n = R.shape[1]
-        self.matrix = np.eye(n) - np.linalg.pinv(R, rcond=_SVD_CUTOFF) @ R
-        self.dim = n
+        _, s, vt = np.linalg.svd(R, full_matrices=False)
+        self.basis = vt[s > _SVD_CUTOFF * s[0]]
+        self.dim = R.shape[1]
 
     def apply(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return x - self.basis.T @ (self.basis @ x)
 
 
 def build_kernel_projector(R):
@@ -143,7 +147,8 @@ class ProductKernelProjector(SubspaceProjector):
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         blocks = x.reshape(self.n_blocks, -1)
-        return (blocks @ self.kernel.matrix.T).ravel()
+        q = self.kernel.basis
+        return (blocks - (blocks @ q.T) @ q).ravel()
 
 
 class ReplicatedKernelProjector(SubspaceProjector):

@@ -103,7 +103,10 @@ def solve_simplex_weights(alpha, mu):
     k = int(np.nonzero(cond)[0][0])
     p = np.zeros(n)
     live = order[k:]
-    p[live] = (1.0 - (n - k - 2.0 * mu) * np.sqrt(alpha[live]) / tails[k]) / (2.0 * mu)
+    if live.size == 1:
+        p[live] = 1.0  # the formula gives 1 only up to rounding
+    else:
+        p[live] = (1.0 - (n - k - 2.0 * mu) * np.sqrt(alpha[live]) / tails[k]) / (2.0 * mu)
     return p
 
 

@@ -4,7 +4,14 @@ Each iteration k uses the smoothed objective F_k(x) = h(x) + g_{mu_k}(A x)
 with mu_k = C k^(-alpha), Lipschitz constant L_k = L_h + |A|^2 / mu_k and
 step gamma_k = 1/L_k:
 
-    x_{k+1} = P_V(x_k - gamma_k grad F_k(x_k)).
+    x_{k+1} = P_V(x_k - gamma_k grad F_k(x_k)) = x_k - gamma_k P_V grad F_k(x_k).
+
+The two forms agree because x_k lies in V and P_V is linear, so
+P_V x_k = x_k.  The loop takes the second form: P_V grad F_k(x_k) is needed
+for the trace anyway, so each step costs one projection, and the step norm
+|x_{k+1} - x_k| is gamma_k |P_V grad F_k(x_k)|.  The start x_1 and the
+returned iterate are checked to lie in V (1e-9 relative drift); a projector
+that is not linear fails the final check.
 
 With 2 rho C <= 1, the running minimum of |P_V grad F_j(x_j)| decays like
 k^((alpha-1)/2) and the prox residual |A x_k - prox_{mu_k g}(A x_k)| like
@@ -143,7 +150,8 @@ def _require_in_subspace(projector, x, what="x"):
 
 
 def pvs_step(problem, cfg, k, x):
-    """One projected step at iteration index k: P_V(x - gamma_k grad F_k(x)).
+    """One projected step at iteration index k: x - gamma_k P_V grad F_k(x),
+    the step the run loop takes, equal to P_V(x - gamma_k grad F_k(x)).
 
     ``x`` must already lie in V (up to 1e-9 relative drift).
     """
@@ -151,7 +159,7 @@ def pvs_step(problem, cfg, k, x):
     _require_in_subspace(problem.subspace, x)
     mu, _, gamma = schedule(cfg, problem, k)
     _, grad, _ = problem.smoothed_parts(mu, x)
-    return problem.subspace.apply(x - gamma * grad)
+    return x - gamma * problem.subspace.apply(grad)
 
 
 def _record_state(problem, cfg, k, x, trace, t0):
@@ -165,7 +173,7 @@ def _record_state(problem, cfg, k, x, trace, t0):
         trace.iterations = k - 1
         trace.stop_reason = "numerical_error"
         raise NumericalError("non-finite state at iteration %d" % k, trace=trace)
-    return gamma, grad, pgn, res
+    return gamma, pg, pgn, res
 
 
 def _attach_trace(exc, trace, x, steps):
@@ -182,11 +190,12 @@ def run_pvs(problem, cfg, x1):
     """Run the smoothing iteration from x1 (which must lie in V).
 
     Stops after ``cfg.max_iter`` steps or once the step norm
-    |x_{k+1} - x_k| drops to ``cfg.stop_step_norm``.  Returns the trace,
-    whose ``final_x`` / ``iterations`` / ``stop_reason`` summarize the run.
-    A :class:`PvsError` raised by a component (e.g. an inner prox solver
-    running out of budget) propagates with the partial trace attached, its
-    ``stop_reason`` set to ``"component_error"``.
+    |x_{k+1} - x_k| = gamma_k |P_V grad F_k(x_k)| drops to
+    ``cfg.stop_step_norm``.  Returns the trace, whose ``final_x`` /
+    ``iterations`` / ``stop_reason`` summarize the run.  A :class:`PvsError`
+    raised by a component (e.g. an inner prox solver running out of budget,
+    or a final iterate that left V) propagates with the partial trace
+    attached, its ``stop_reason`` set to ``"component_error"``.
     """
     cfg.validate_for(problem.g)
     x = np.array(x1, dtype=float)
@@ -196,16 +205,16 @@ def run_pvs(problem, cfg, x1):
     reason = "max_iter"
     steps = 0
     try:
-        gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
+        gamma, pg, pgn, _ = _record_state(problem, cfg, 1, x, trace, t0)
         for k in range(1, cfg.max_iter + 1):
-            x_next = problem.subspace.apply(x - gamma * grad)
-            step_norm = float(np.linalg.norm(x_next - x))
-            x = x_next
+            x = x - gamma * pg
+            step_norm = gamma * pgn
             steps = k
-            gamma, grad, _, _ = _record_state(problem, cfg, k + 1, x, trace, t0)
+            gamma, pg, pgn, _ = _record_state(problem, cfg, k + 1, x, trace, t0)
             if step_norm <= cfg.stop_step_norm:
                 reason = "step_norm"
                 break
+        _require_in_subspace(problem.subspace, x, "final iterate")
     except PvsError as exc:
         _attach_trace(exc, trace, x, steps)
         raise
@@ -226,7 +235,8 @@ def run_pvs_epochs(problem, cfg, x1, epsilon=None):
 
     Returns ``(x_stop, trace)``.  Exhausting ``cfg.max_iter`` steps raises
     :class:`ConvergenceError` carrying the best iterate seen and the trace.
-    Component errors carry the partial trace as in :func:`run_pvs`.
+    The iterate handed out on either exit is checked to lie in V.  Component
+    errors carry the partial trace as in :func:`run_pvs`.
     """
     cfg.validate_for(problem.g)
     eps = cfg.epsilon if epsilon is None else float(epsilon)
@@ -242,11 +252,12 @@ def run_pvs_epochs(problem, cfg, x1, epsilon=None):
     steps = 0
     epoch = 0
     try:
-        gamma, grad, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
+        gamma, pg, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
         while True:
             window_best = np.inf
             for k in range(2**epoch, 2 ** (epoch + 1)):
                 if k > cfg.max_iter:
+                    _require_in_subspace(problem.subspace, best_x, "best iterate")
                     trace.final_x = best_x
                     trace.iterations = steps
                     trace.stop_reason = "budget_exhausted"
@@ -260,16 +271,16 @@ def run_pvs_epochs(problem, cfg, x1, epsilon=None):
                         best=best_x,
                         trace=trace,
                     )
-                x_next = problem.subspace.apply(x - gamma * grad)
-                x = x_next
+                x = x - gamma * pg
                 steps = k
-                gamma, grad, pgn, res = _record_state(
+                gamma, pg, pgn, res = _record_state(
                     problem, cfg, k + 1, x, trace, t0)
                 if pgn < best_pgn:
                     best_x, best_pgn, best_k = x.copy(), pgn, k + 1
                 if pgn <= window_best:
                     window_best = pgn
                     if window_best <= eps and res <= res_threshold:
+                        _require_in_subspace(problem.subspace, x, "final iterate")
                         trace.final_x = x
                         trace.iterations = steps
                         trace.stop_reason = "epoch_stationarity"

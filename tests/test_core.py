@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pvsmooth import oracles, prox
+from pvsmooth import core, oracles, prox
 from pvsmooth.core import (
     CallableProx,
     CallableSmooth,
@@ -27,6 +30,38 @@ def test_matrix_norm_bound_known_matrices():
     b = matrix_norm_bound(d)
     assert 3.0 <= b <= 3.0 * 1.02
     assert matrix_norm_bound(np.zeros((2, 3))) == 0.0
+
+
+def test_matrix_norm_bound_start_orthogonal_to_top_vector():
+    # power iteration from the fixed seeded start settles on the second
+    # singular value (it returned 1.01 here); the exact certificate gives 2
+    start = np.random.default_rng(core._POWER_SEED).standard_normal(5)
+    basis = np.random.default_rng(3).standard_normal((5, 5))
+    basis[:, 0] -= (basis[:, 0] @ start) / (start @ start) * start
+    v_mat, _ = np.linalg.qr(basis)
+    a = np.diag([2.0, 1.0, 0.5, 0.25, 0.1]) @ v_mat.T
+    for mat in (a, a.T, a[:2], a[:, :3] @ np.eye(3, 4)):
+        norm = np.linalg.norm(mat, 2)
+        assert norm * (1.0 - 1e-12) <= matrix_norm_bound(mat) <= 1.01 * norm * (1.0 + 1e-12)
+    assert matrix_norm_bound(a) >= 2.0
+
+
+@st.composite
+def _norm_cases(draw):
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    mat = draw(hnp.arrays(float, shape, elements=entries))
+    if draw(st.booleans()):  # repeat a row: rank deficiency
+        mat[-1] = mat[0]
+    return np.ldexp(mat, draw(st.integers(-400, 400)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_norm_cases())
+def test_matrix_norm_bound_brackets_the_norm(mat):
+    norm = np.linalg.norm(mat, 2)
+    bound = matrix_norm_bound(mat)
+    assert norm * (1.0 - 1e-12) <= bound <= 1.01 * norm * (1.0 + 1e-12)
 
 
 def test_moreau_envelope_zero_function():

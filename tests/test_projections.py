@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvsmooth import oracles
 from pvsmooth.errors import ConvergenceError, DomainError
@@ -103,17 +105,57 @@ def test_kernel_projector_zero_matrix_rejected():
         build_kernel_projector(np.zeros((2, 3)))
 
 
+def _check_kernel_projector(R):
+    # the operator applied to the identity columns is the projector matrix
+    n = R.shape[1]
+    proj = build_kernel_projector(R)
+    P = np.column_stack([proj.apply(e) for e in np.eye(n)])
+    assert np.abs(P @ P - P).max() < 1e-12
+    assert np.abs(P - P.T).max() < 1e-12
+    dense = np.eye(n) - np.linalg.pinv(R, rcond=1e-12) @ R
+    assert np.abs(P - dense).max() < 1e-12
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.linalg.norm(R @ proj.apply(x)) <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
 def test_kernel_projector_matrix_properties():
     rng = np.random.default_rng(23)
     for _ in range(10):
         m, n = rng.integers(1, 4), rng.integers(4, 7)
-        R = rng.standard_normal((m, n))
-        proj = build_kernel_projector(R)
-        P = proj.matrix
-        assert np.abs(P @ P - P).max() < 1e-10
-        assert np.abs(P - P.T).max() < 1e-10
-        x = rng.standard_normal(n)
-        assert np.linalg.norm(R @ proj.apply(x)) <= 1e-9 * max(1.0, np.linalg.norm(x))
+        _check_kernel_projector(rng.standard_normal((m, n)))
+
+
+@st.composite
+def _rank_deficient_constraints(draw):
+    # rows are scaled copies of a few well-conditioned base rows, so R has
+    # repeated directions and may have more rows than columns
+    n = draw(st.integers(2, 8))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ortho, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mix = np.eye(rank) + np.tril(rng.uniform(-0.5, 0.5, (rank, rank)), -1)
+    base = mix @ ortho[:rank]
+    picks = draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=n + 3))
+    scales = draw(st.lists(st.floats(0.1, 3.0), min_size=len(picks),
+                           max_size=len(picks)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(picks),
+                          max_size=len(picks)))
+    return np.array([s * c * base[i] for i, s, c in zip(picks, signs, scales)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_deficient_constraints())
+def test_kernel_projector_rank_deficient_and_tall(R):
+    _check_kernel_projector(R)
+
+
+def test_kernel_projector_memory_is_linear_in_n():
+    # the basis and R are r x n each; no n x n matrix is kept
+    R = np.random.default_rng(26).standard_normal((3, 2000))
+    proj = KernelProjector(R)
+    held = sum(v.nbytes for v in vars(proj).values() if isinstance(v, np.ndarray))
+    assert held <= 8 * 2 * 3 * 2000
+    assert proj.basis.shape == (3, 2000)
 
 
 def test_project_diagonal_examples():

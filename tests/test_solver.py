@@ -5,6 +5,7 @@ from pvsmooth.core import (
     CallableSmooth,
     CompositeProblem,
     IdentityMap,
+    SubspaceProjector,
     ZeroFunction,
 )
 from pvsmooth.errors import (
@@ -145,6 +146,17 @@ def test_pvs_step_requires_subspace_membership():
         pvs_step(prob, cfg, 1, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ContractError):
         run_pvs(prob, cfg, np.array([1.0, 1.0, 1.0]))
+
+
+def test_pvs_step_is_the_run_loop_step():
+    prob = lasso_problem()
+    dispersion, x_disp = seeded_direct_dispersion()
+    for problem, x1 in ((prob, subspace_start(prob.subspace, prob.dim)),
+                        (dispersion, x_disp)):
+        cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=1, stop_step_norm=0.0)
+        trace = run_pvs(problem, cfg, x1)
+        assert trace.iterations == 1
+        assert np.array_equal(pvs_step(problem, cfg, 1, x1), trace.final_x)
 
 
 def test_iteration_converges_to_projected_target():
@@ -319,6 +331,56 @@ def test_direct_dispersion_inner_work_per_prox():
     assert trace.iterations == 60
     assert len(counts) == 61
     assert np.mean(counts) <= 150
+
+
+def test_run_pvs_projects_once_per_step():
+    prob = lasso_problem()
+    calls = []
+    apply = prob.subspace.apply
+
+    def counted(x):
+        calls.append(1)
+        return apply(x)
+
+    prob.subspace.apply = counted
+    x1 = subspace_start(prob.subspace, prob.dim)
+    for steps in (0, 1, 25):
+        calls.clear()
+        cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=steps, stop_step_norm=0.0)
+        trace = run_pvs(prob, cfg, x1)
+        assert trace.iterations == steps
+        # start check, one projected gradient per trace row, end check
+        assert len(calls) == 1 + (steps + 1) + 1
+
+
+class AffineProjector(SubspaceProjector):
+    """Projection onto the affine plane {x : a . x = b}; not linear for b != 0,
+    so x - gamma P(grad) leaves the plane."""
+
+    def __init__(self, a, b):
+        self.a, self.b = np.asarray(a, dtype=float), float(b)
+
+    def apply(self, x):
+        x = np.asarray(x, dtype=float)
+        return x - self.a * ((self.a @ x - self.b) / (self.a @ self.a))
+
+
+def test_final_iterate_membership_is_checked():
+    proj = AffineProjector(np.ones(3), 1.0)
+    prob = quadratic_target_problem(np.array([1.0, 2.0, 4.0]), proj)
+    x1 = np.full(3, 1.0 / 3.0)  # on the plane: the start check passes
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=5, stop_step_norm=0.0)
+    with pytest.raises(ContractError) as exc:
+        run_pvs(prob, cfg, x1)
+    trace = exc.value.trace
+    assert trace.stop_reason == "component_error"
+    assert trace.iterations == 5 and len(trace) == 6
+    # both exits of the epoch variant: the stationarity stop and the budget
+    for eps in (1e6, 1e-12):
+        with pytest.raises(ContractError) as exc:
+            run_pvs_epochs(prob, cfg, x1, epsilon=eps)
+        assert exc.value.trace.stop_reason == "component_error"
+        assert len(exc.value.trace) == exc.value.trace.iterations + 1
 
 
 # ---------------------------------------------------------------------------
