@@ -88,7 +88,6 @@ class KernelProjector(SubspaceProjector):
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if not np.any(R):
             raise DomainError("constraint matrix R must be nonzero")
-        self.R = R
         _, s, vt = np.linalg.svd(R, full_matrices=False)
         self.basis = vt[s > _SVD_CUTOFF * s[0]]
         self.dim = R.shape[1]
@@ -145,10 +144,8 @@ class ProductKernelProjector(SubspaceProjector):
         self.n_blocks = int(n_blocks)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        blocks = x.reshape(self.n_blocks, -1)
-        q = self.kernel.basis
-        return (blocks - (blocks @ q.T) @ q).ravel()
+        blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
+        return self.kernel.apply(blocks.T).T.ravel()
 
 
 class ReplicatedKernelProjector(SubspaceProjector):

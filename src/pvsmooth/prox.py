@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import ProxFunction, moreau_envelope, spectral_norm
 # matrix_norm_bound is unused here but stays a module attribute:
 # benchmarks/tracing.py wraps it in every module that imported it.
-from .core import ProxFunction, matrix_norm_bound, moreau_envelope  # noqa: F401
+from .core import matrix_norm_bound  # noqa: F401
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError
 
 __all__ = [
@@ -254,8 +255,8 @@ class SupAffineFamily(ProxFunction):
         earlier Krasnoselskii-Mann scheme and are kept for compatibility.
 
     The family caches the Gram matrix ``gram = A A^T`` used by every dual
-    step, and ``gram_norm = |A A^T|``, the exact top eigenvalue of the
-    smaller of A A^T and A^T A, which fixes the dual step size.
+    step, and ``gram_norm = |A A^T| = |A|^2`` from
+    :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size.
     """
 
     lipschitz = None
@@ -277,8 +278,7 @@ class SupAffineFamily(ProxFunction):
         self.km_max_iter = int(km_max_iter)
         self.rho = 2.0 * self.sigma
         self.gram = a_rows @ a_rows.T
-        small = self.gram if a_rows.shape[0] <= a_rows.shape[1] else a_rows.T @ a_rows
-        self.gram_norm = max(float(np.linalg.eigvalsh(small)[-1]), 0.0)
+        self.gram_norm = spectral_norm(a_rows) ** 2
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

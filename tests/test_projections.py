@@ -150,11 +150,11 @@ def test_kernel_projector_rank_deficient_and_tall(R):
 
 
 def test_kernel_projector_memory_is_linear_in_n():
-    # the basis and R are r x n each; no n x n matrix is kept
+    # only the r x n basis is kept: no n x n matrix, no copy of R
     R = np.random.default_rng(26).standard_normal((3, 2000))
     proj = KernelProjector(R)
     held = sum(v.nbytes for v in vars(proj).values() if isinstance(v, np.ndarray))
-    assert held <= 8 * 2 * 3 * 2000
+    assert held <= 8 * 3 * 2000
     assert proj.basis.shape == (3, 2000)
 
 
