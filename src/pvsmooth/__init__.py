@@ -31,7 +31,6 @@ from .core import (
     matrix_norm_bound,
     moreau_envelope,
     moreau_gradient,
-    smoothed_objective_grad,
 )
 from .errors import (
     CapabilityError,
@@ -74,11 +73,9 @@ from .projections import (
     KernelProjector,
     ProductKernelProjector,
     ReplicatedKernelProjector,
-    build_kernel_projector,
     dykstra_project,
     project_ball,
     project_diagonal,
-    project_product,
     project_simplex,
 )
 from .prox import (
@@ -92,7 +89,6 @@ from .prox import (
     prox_mcp,
     prox_scad,
     prox_sup_affine,
-    prox_sup_quadratic,
     prox_tukey,
     scad_value,
     simplex_weights_kkt,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NumericalError
+from .errors import ContractError, DomainError
 
 __all__ = [
     "ProxFunction",
@@ -37,7 +37,6 @@ __all__ = [
     "spectral_norm",
     "moreau_envelope",
     "moreau_gradient",
-    "smoothed_objective_grad",
 ]
 
 _POWER_ITERS = 100
@@ -377,17 +376,3 @@ class CompositeProblem:
         grad = self.h.grad(x) + self.a_map.adjoint(d / mu)
         res = float(np.linalg.norm(d))
         return val, grad, res
-
-
-def smoothed_objective_grad(problem, mu, x):
-    """Value and gradient of F_mu(x) = h(x) + g_mu(A x).
-
-    Returns
-    -------
-    (float, ndarray)
-        F_mu(x) and grad F_mu(x) = grad h(x) + A* grad g_mu(A x).
-    """
-    val, grad, _ = problem.smoothed_parts(mu, x)
-    if not np.isfinite(val) or not np.all(np.isfinite(grad)):
-        raise NumericalError("non-finite smoothed objective at mu=%r" % (mu,))
-    return val, grad

@@ -237,8 +237,9 @@ class DroDiscreteInstance:
     """Distributionally robust objective over finitely many scenarios.
 
     kind='affine': scenario costs <a_i, x> + b_i - sigma |x|^2 with weights
-    in an ambiguity set C; the projector onto C is required (use
-    project_simplex for C = the full simplex).
+    in an ambiguity set C; the projector onto C and its support function
+    v -> max_{c in C} <c, v> are required (project_simplex and
+    simplex_support_max for C = the full simplex).
     kind='quadratic': scenario costs -|x_i - c_i|^2 on a product space with
     weights on the full simplex.  Both arrive ball-penalized with weight lam.
     """
@@ -274,6 +275,8 @@ def build_dro_discrete(inst):
             raise ConfigError("affine kind needs a_rows and offsets")
         if inst.ambiguity_projector is None:
             raise ConfigError("affine kind needs an ambiguity projector onto C")
+        if inst.support_max is None:
+            raise ConfigError("affine kind needs the support function of C")
         if not (inst.lam > 2.0 * inst.sigma):
             raise DomainError(
                 "penalty weight must exceed 2*sigma for a coercive objective"

@@ -18,9 +18,7 @@ __all__ = [
     "project_ball",
     "project_simplex",
     "KernelProjector",
-    "build_kernel_projector",
     "project_diagonal",
-    "project_product",
     "dykstra_project",
     "DiagonalProjector",
     "ProductKernelProjector",
@@ -97,11 +95,6 @@ class KernelProjector(SubspaceProjector):
         return x - self.basis.T @ (self.basis @ x)
 
 
-def build_kernel_projector(R):
-    """Projector onto the kernel of the constraint matrix R."""
-    return KernelProjector(R)
-
-
 def project_diagonal(x, n_blocks):
     """Project a stacked vector onto the diagonal {(v, v, ..., v)}.
 
@@ -123,16 +116,6 @@ class DiagonalProjector(SubspaceProjector):
 
     def apply(self, x):
         return project_diagonal(x, self.n_blocks)
-
-
-def project_product(projectors, blocks):
-    """Apply a projector per block row of ``blocks`` (shape (N, d))."""
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 2 or blocks.shape[0] != len(projectors):
-        raise DomainError(
-            "blocks must be (N, d) with one row per projector; got %r" % (blocks.shape,)
-        )
-    return np.stack([proj(row) for proj, row in zip(projectors, blocks)])
 
 
 class ProductKernelProjector(SubspaceProjector):

@@ -30,7 +30,6 @@ __all__ = [
     "solve_simplex_weights",
     "simplex_weights_kkt",
     "SupQuadraticFamily",
-    "prox_sup_quadratic",
     "SupAffineFamily",
     "prox_sup_affine",
     "simplex_support_max",
@@ -193,11 +192,6 @@ class SupQuadraticFamily(ProxFunction):
         return out.ravel()
 
 
-def prox_sup_quadratic(family, mu, x):
-    """Prox of a :class:`SupQuadraticFamily` (closed form)."""
-    return family.prox(mu, x)
-
-
 def envelope_sup_identity_check(family, mu, x):
     """Return (lhs, rhs): the Moreau envelope computed through the prox and
     the same quantity computed as the weight-space maximum.
@@ -220,20 +214,6 @@ def simplex_support_max(v):
     return float(np.max(v))
 
 
-def _ascent_support_max(project, v):
-    # generic fallback: maximize the linear form <c, v> over C by projected
-    # ascent; fine for the small ambiguity sets used here
-    c = project(np.zeros_like(v))
-    step = 1.0 / (1.0 + float(np.linalg.norm(v)))
-    for _ in range(10000):
-        c_next = project(c + step * v)
-        if np.linalg.norm(c_next - c) <= 1e-12:
-            c = c_next
-            break
-        c = c_next
-    return float(c @ v)
-
-
 class SupAffineFamily(ProxFunction):
     """f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2.
 
@@ -246,9 +226,9 @@ class SupAffineFamily(ProxFunction):
         Concavity weight; the family is 2*sigma-weakly convex.
     project_ambiguity : callable
         Projector onto the compact convex set C (subset of R^N).
-    support_max : callable, optional
-        v -> max_{c in C} <c, v>.  Exact evaluation when available (e.g. the
-        simplex); otherwise a projected-ascent fallback is used.
+    support_max : callable
+        v -> max_{c in C} <c, v>, the support function of C, which gives the
+        value (:func:`simplex_support_max` for the simplex).
     km_tol, km_max_iter : float, int
         Stop tolerance on the weight increment and iteration budget of the
         dual iteration in :func:`prox_sup_affine`.  The names date from an
@@ -261,7 +241,7 @@ class SupAffineFamily(ProxFunction):
 
     lipschitz = None
 
-    def __init__(self, a_rows, offsets, sigma, project_ambiguity, support_max=None,
+    def __init__(self, a_rows, offsets, sigma, project_ambiguity, support_max,
                  km_tol=1e-10, km_max_iter=200000):
         a_rows = np.atleast_2d(np.asarray(a_rows, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
@@ -282,22 +262,18 @@ class SupAffineFamily(ProxFunction):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        v = self.a_rows @ x + self.offsets
-        if self.support_max is not None:
-            s = self.support_max(v)
-        else:
-            s = _ascent_support_max(self.project_ambiguity, v)
+        s = self.support_max(self.a_rows @ x + self.offsets)
         return float(s - self.sigma * (x @ x))
 
     def prox(self, mu, x):
         y, _, _ = self.prox_detailed(mu, x)
         return y
 
-    def prox_detailed(self, mu, x, gamma=None, tol=None, max_iter=None):
-        return prox_sup_affine(self, mu, x, gamma=gamma, tol=tol, max_iter=max_iter)
+    def prox_detailed(self, mu, x):
+        return prox_sup_affine(self, mu, x)
 
 
-def prox_sup_affine(family, mu, x, gamma=None, tol=None, max_iter=None):
+def prox_sup_affine(family, mu, x):
     """Prox of a :class:`SupAffineFamily` by restarted FISTA on the dual weights.
 
     With s = 1 - 2 sigma mu, the prox point for weights c is
@@ -317,13 +293,13 @@ def prox_sup_affine(family, mu, x, gamma=None, tol=None, max_iter=None):
     (z_k - c_{k+1}) . (c_{k+1} - c_k) > 0 (O'Donoghue-Candes gradient
     restart).  The iteration starts from the projected uniform weights on
     every call and stops when both the increment |c_{k+1} - c_k| and the
-    gradient-mapping residual |c_{k+1} - z_k| are at most tol.  The second
+    gradient-mapping residual |c_{k+1} - z_k| are at most tol =
+    ``family.km_tol``; ``family.km_max_iter`` caps the iterations.  The second
     test rules out false stops where an extrapolated step projects back onto
     c_k, and it certifies the result: the projected-gradient map is
     nonexpansive, so |P_C(c + gamma grad phi(c)) - c| <= tol at the returned
     c, and on the simplex the dual gap max(v) - <c, v> with v = A y + b is at
-    most 2 sqrt(2) L tol.  ``gamma`` overrides the step and must satisfy
-    0 < gamma mu |A A^T| / s <= 1.
+    most 2 sqrt(2) L tol.
 
     Returns ``(y, c, iterations)`` where y is the prox point and c the
     worst-case weights.  Raises :class:`ConvergenceError` (carrying the last
@@ -331,20 +307,12 @@ def prox_sup_affine(family, mu, x, gamma=None, tol=None, max_iter=None):
     """
     family.check_mu(mu)
     x = np.asarray(x, dtype=float)
-    tol = family.km_tol if tol is None else float(tol)
-    max_iter = family.km_max_iter if max_iter is None else int(max_iter)
+    tol, max_iter = family.km_tol, family.km_max_iter
     s = 1.0 - 2.0 * family.sigma * mu
     lip = mu * family.gram_norm / s
-    if gamma is None:
-        # lip below the smallest normal float: A is numerically zero, and any
-        # step works since the weight map is (nearly) constant
-        gamma = 1.0 / lip if lip >= _TINY else 1.0
-    else:
-        gamma = float(gamma)
-        if not (gamma > 0) or gamma * lip > 1.0:
-            raise DomainError(
-                "step gamma=%r violates gamma*mu*|AA^T|/(1-2*sigma*mu) <= 1" % gamma
-            )
+    # lip below the smallest normal float: A is numerically zero, and any
+    # step works since the weight map is (nearly) constant
+    gamma = 1.0 / lip if lip >= _TINY else 1.0
 
     a_rows, project = family.a_rows, family.project_ambiguity
     n = a_rows.shape[0]

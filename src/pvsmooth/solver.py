@@ -17,14 +17,17 @@ With 2 rho C <= 1, the running minimum of |P_V grad F_j(x_j)| decays like
 k^((alpha-1)/2) and the prox residual |A x_k - prox_{mu_k g}(A x_k)| like
 k^(-alpha) (for Lipschitz g); both bounds are exposed as diagnostics.
 
-The epoch variant groups iterations into doubling windows [2^l, 2^(l+1)),
-tracks the best projected gradient norm per window, and stops once that best
-value drops below epsilon while the prox residual meets a secondary
-threshold epsilon^(2 alpha / (1 - alpha)).
+One loop runs this iteration; :func:`run_pvs` and :func:`run_pvs_epochs`
+differ only in the stop rule they hand it.  ``run_pvs`` stops on the step
+norm.  The epoch variant groups iterations into doubling windows
+[2^l, 2^(l+1)), tracks the best projected gradient norm per window, and
+stops once that best value drops below epsilon while the prox residual
+meets a secondary threshold epsilon^(2 alpha / (1 - alpha)).
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -73,9 +76,9 @@ class SolverConfig:
             raise DomainError("alpha must lie in (0, 1)")
         if not (self.C > 0.0):
             raise DomainError("C must be positive")
-        if self.max_iter < 0:
-            raise DomainError("max_iter must be nonnegative")
-        if self.stop_step_norm < 0.0:
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise DomainError("max_iter must be a nonnegative integer")
+        if not (self.stop_step_norm >= 0.0):
             raise DomainError("stop_step_norm must be nonnegative")
         if self.epsilon is not None and not (self.epsilon > 0.0):
             raise DomainError("epsilon must be positive")
@@ -149,6 +152,15 @@ def _require_in_subspace(projector, x, what="x"):
         )
 
 
+def _state(problem, cfg, k, x):
+    """The iteration at x = x_k: ``(mu_k, gamma_k, F_k(x), |P_V grad F_k(x)|,
+    prox residual, grad F_k(x), step)``, where x - step is x_{k+1}."""
+    mu, _, gamma = schedule(cfg, problem, k)
+    val, grad, res = problem.smoothed_parts(mu, x)
+    pg = problem.subspace.apply(grad)
+    return mu, gamma, val, float(np.linalg.norm(pg)), res, grad, gamma * pg
+
+
 def pvs_step(problem, cfg, k, x):
     """One projected step at iteration index k: x - gamma_k P_V grad F_k(x),
     the step the run loop takes, equal to P_V(x - gamma_k grad F_k(x)).
@@ -157,33 +169,57 @@ def pvs_step(problem, cfg, k, x):
     """
     x = np.asarray(x, dtype=float)
     _require_in_subspace(problem.subspace, x)
-    mu, _, gamma = schedule(cfg, problem, k)
-    _, grad, _ = problem.smoothed_parts(mu, x)
-    return x - gamma * problem.subspace.apply(grad)
+    return x - _state(problem, cfg, k, x)[-1]
 
 
-def _record_state(problem, cfg, k, x, trace, t0):
-    mu, _, gamma = schedule(cfg, problem, k)
-    val, grad, res = problem.smoothed_parts(mu, x)
-    pg = problem.subspace.apply(grad)
-    pgn = float(np.linalg.norm(pg))
-    trace.append(k, mu, gamma, val, pgn, res, time.perf_counter() - t0)
-    if not np.isfinite(val) or not np.isfinite(pgn) or not np.all(np.isfinite(grad)):
-        trace.final_x = x
-        trace.iterations = k - 1
-        trace.stop_reason = "numerical_error"
-        raise NumericalError("non-finite state at iteration %d" % k, trace=trace)
-    return gamma, pg, pgn, res
+def _iterate(problem, cfg, x1, stop, exhausted):
+    """The smoothing iteration from x1, ended by a stop rule.
 
+    Row k of the trace describes x_k.  After the step k that produced
+    x_{k+1} and its row, ``stop(k, x_{k+1}, pgn, res, step_norm)`` returns a
+    stop reason, or None to go on.  Once ``cfg.max_iter`` steps are done,
+    ``exhausted(x)`` returns the reason and the iterate to hand out.  The
+    iterate handed out is checked to lie in V and returned with the trace,
+    as ``(x, trace)``.
 
-def _attach_trace(exc, trace, x, steps):
-    """Give an error raised inside a run's loop the partial trace, unless it
-    already carries one (the loop's own failures fill it in themselves)."""
-    if getattr(exc, "trace", None) is None:
-        trace.final_x = x
-        trace.iterations = steps
-        trace.stop_reason = "component_error"
-        exc.trace = trace
+    A non-finite value, projected gradient or gradient raises
+    :class:`NumericalError` with ``stop_reason`` ``"numerical_error"``, after
+    its row is recorded.  Any other :class:`PvsError` raised on the way
+    propagates with the partial trace attached: the last iterate as
+    ``final_x``, the steps done as ``iterations`` and ``stop_reason``
+    ``"component_error"``.
+    """
+    cfg.validate_for(problem.g)
+    x = np.array(x1, dtype=float)
+    _require_in_subspace(problem.subspace, x, "x1")
+    t0 = time.perf_counter()
+    trace = IterateTrace(cfg.alpha, cfg.C)
+    try:
+        for k in range(1, cfg.max_iter + 2):
+            mu, gamma, val, pgn, res, grad, step = _state(problem, cfg, k, x)
+            trace.append(k, mu, gamma, val, pgn, res, time.perf_counter() - t0)
+            if not (np.isfinite(val) and np.isfinite(pgn) and np.all(np.isfinite(grad))):
+                trace.final_x, trace.iterations, trace.stop_reason = (
+                    x, k - 1, "numerical_error")
+                raise NumericalError("non-finite state at iteration %d" % k, trace=trace)
+            reason = stop(k - 1, x, pgn, res, step_norm) if k > 1 else None
+            if reason is not None:
+                out = x
+                break
+            if k > cfg.max_iter:
+                reason, out = exhausted(x)
+                break
+            x = x - step
+            step_norm = gamma * pgn
+        _require_in_subspace(problem.subspace, out, "returned iterate")
+    except PvsError as exc:
+        if getattr(exc, "trace", None) is None:
+            trace.final_x, trace.iterations, trace.stop_reason = (
+                x, k - 1, "component_error")
+            exc.trace = trace
+        raise
+    trace.final_x, trace.iterations, trace.stop_reason = out, k - 1, reason
+    return out, trace
 
 
 def run_pvs(problem, cfg, x1):
@@ -197,100 +233,74 @@ def run_pvs(problem, cfg, x1):
     or a final iterate that left V) propagates with the partial trace
     attached, its ``stop_reason`` set to ``"component_error"``.
     """
-    cfg.validate_for(problem.g)
-    x = np.array(x1, dtype=float)
-    _require_in_subspace(problem.subspace, x, "x1")
-    t0 = time.perf_counter()
-    trace = IterateTrace(cfg.alpha, cfg.C)
-    reason = "max_iter"
-    steps = 0
-    try:
-        gamma, pg, pgn, _ = _record_state(problem, cfg, 1, x, trace, t0)
-        for k in range(1, cfg.max_iter + 1):
-            x = x - gamma * pg
-            step_norm = gamma * pgn
-            steps = k
-            gamma, pg, pgn, _ = _record_state(problem, cfg, k + 1, x, trace, t0)
-            if step_norm <= cfg.stop_step_norm:
-                reason = "step_norm"
-                break
-        _require_in_subspace(problem.subspace, x, "final iterate")
-    except PvsError as exc:
-        _attach_trace(exc, trace, x, steps)
-        raise
-    trace.final_x = x
-    trace.iterations = steps
-    trace.stop_reason = reason
-    return trace
+
+    def step_norm_stop(k, x, pgn, res, step_norm):
+        return "step_norm" if step_norm <= cfg.stop_step_norm else None
+
+    return _iterate(problem, cfg, x1, step_norm_stop, lambda x: ("max_iter", x))[1]
 
 
-def run_pvs_epochs(problem, cfg, x1, epsilon=None):
+class _EpochWindows:
+    """Stop rule of :func:`run_pvs_epochs`.
+
+    ``best_x`` / ``best_pgn`` / ``best_k`` track the smallest projected
+    gradient norm over the run; at the stationarity stop they become the
+    stopping iterate, so they always describe the iterate handed out.
+    """
+
+    def __init__(self, cfg, x1):
+        self.eps = cfg.epsilon
+        self.res_threshold = cfg.epsilon ** (2.0 * cfg.alpha / (1.0 - cfg.alpha))
+        self.best_x, self.best_pgn, self.best_k = np.array(x1, dtype=float), np.inf, 1
+        self.window_best = np.inf
+
+    def __call__(self, k, x, pgn, res, step_norm):
+        if k & (k - 1) == 0:  # k = 2^l opens window l
+            self.window_best = np.inf
+        if pgn < self.best_pgn:
+            self.best_x, self.best_pgn, self.best_k = x, pgn, k + 1
+        if pgn <= self.window_best:
+            self.window_best = pgn
+            if pgn <= self.eps and res <= self.res_threshold:
+                self.best_x, self.best_pgn, self.best_k = x, pgn, k + 1
+                return "epoch_stationarity"
+        return None
+
+    def exhausted(self, x):
+        return "budget_exhausted", self.best_x
+
+
+def run_pvs_epochs(problem, cfg, x1):
     """Doubling-epoch variant with a two-part stationarity stop.
 
-    Epoch l covers iterations k in [2^l, 2^(l+1)).  Within an epoch the best
-    projected gradient norm of the *arriving* iterates x_{k+1} is tracked;
-    when a new best value S is recorded, the run stops as soon as
+    ``cfg.epsilon`` must be set.  Epoch l covers iterations k in
+    [2^l, 2^(l+1)).  Within an epoch the best projected gradient norm of the
+    *arriving* iterates x_{k+1} is tracked; when a new best value S is
+    recorded, the run stops as soon as
 
         S <= epsilon   and   prox residual <= epsilon^(2 alpha / (1 - alpha)).
 
     Returns ``(x_stop, trace)``.  Exhausting ``cfg.max_iter`` steps raises
     :class:`ConvergenceError` carrying the best iterate seen and the trace.
-    The iterate handed out on either exit is checked to lie in V.  Component
+    The iterate handed out on either exit is checked to lie in V, and
+    ``trace.best_index`` / ``trace.best_grad_norm`` describe it.  Component
     errors carry the partial trace as in :func:`run_pvs`.
     """
-    cfg.validate_for(problem.g)
-    eps = cfg.epsilon if epsilon is None else float(epsilon)
-    if eps is None or not (eps > 0.0):
-        raise DomainError("epoch variant needs a positive epsilon")
-    res_threshold = eps ** (2.0 * cfg.alpha / (1.0 - cfg.alpha))
-
-    x = np.array(x1, dtype=float)
-    _require_in_subspace(problem.subspace, x, "x1")
-    t0 = time.perf_counter()
-    trace = IterateTrace(cfg.alpha, cfg.C)
-    best_x, best_pgn, best_k = x.copy(), np.inf, 1
-    steps = 0
-    epoch = 0
-    try:
-        gamma, pg, _, _ = _record_state(problem, cfg, 1, x, trace, t0)
-        while True:
-            window_best = np.inf
-            for k in range(2**epoch, 2 ** (epoch + 1)):
-                if k > cfg.max_iter:
-                    _require_in_subspace(problem.subspace, best_x, "best iterate")
-                    trace.final_x = best_x
-                    trace.iterations = steps
-                    trace.stop_reason = "budget_exhausted"
-                    trace.best_index = best_k
-                    trace.best_grad_norm = best_pgn
-                    raise ConvergenceError(
-                        "epoch run exhausted %d iterations without meeting "
-                        "epsilon=%g" % (cfg.max_iter, eps),
-                        residual=best_pgn,
-                        iterations=steps,
-                        best=best_x,
-                        trace=trace,
-                    )
-                x = x - gamma * pg
-                steps = k
-                gamma, pg, pgn, res = _record_state(
-                    problem, cfg, k + 1, x, trace, t0)
-                if pgn < best_pgn:
-                    best_x, best_pgn, best_k = x.copy(), pgn, k + 1
-                if pgn <= window_best:
-                    window_best = pgn
-                    if window_best <= eps and res <= res_threshold:
-                        _require_in_subspace(problem.subspace, x, "final iterate")
-                        trace.final_x = x
-                        trace.iterations = steps
-                        trace.stop_reason = "epoch_stationarity"
-                        trace.best_index = k + 1
-                        trace.best_grad_norm = window_best
-                        return x, trace
-            epoch += 1
-    except PvsError as exc:
-        _attach_trace(exc, trace, x, steps)
-        raise
+    if cfg.epsilon is None:
+        raise DomainError("epoch variant needs a positive cfg.epsilon")
+    rule = _EpochWindows(cfg, x1)
+    x, trace = _iterate(problem, cfg, x1, rule, rule.exhausted)
+    trace.best_index, trace.best_grad_norm = rule.best_k, rule.best_pgn
+    if trace.stop_reason == "budget_exhausted":
+        raise ConvergenceError(
+            "epoch run exhausted %d iterations without meeting epsilon=%g"
+            % (cfg.max_iter, cfg.epsilon),
+            residual=rule.best_pgn,
+            iterations=trace.iterations,
+            best=x,
+            trace=trace,
+        )
+    return x, trace
 
 
 @dataclass(frozen=True)

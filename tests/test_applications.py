@@ -32,6 +32,7 @@ from pvsmooth.prox import (
     ScalarRegularizer,
     SupQuadraticFamily,
     mcp_value,
+    simplex_support_max,
     tukey_value,
 )
 from pvsmooth.solver import SolverConfig, pvs_step, run_pvs, schedule
@@ -246,6 +247,11 @@ def test_dro_builder_configuration_errors():
         build_dro_discrete(DroDiscreteInstance(
             kind="affine", lam=5.0, radius=1.0, a_rows=a_rows, offsets=offsets))
     with pytest.raises(ConfigError):
+        # an ambiguity projector but no support function for the value
+        build_dro_discrete(DroDiscreteInstance(
+            kind="affine", lam=5.0, radius=1.0, a_rows=a_rows, offsets=offsets,
+            ambiguity_projector=project_simplex))
+    with pytest.raises(ConfigError):
         build_dro_discrete(DroDiscreteInstance(kind="quadratic", lam=5.0, radius=1.0))
 
 
@@ -254,7 +260,8 @@ def test_dro_coercivity_guards():
     with pytest.raises(DomainError):
         build_dro_discrete(DroDiscreteInstance(
             kind="affine", lam=3.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-            sigma=1.5, ambiguity_projector=project_simplex))
+            sigma=1.5, ambiguity_projector=project_simplex,
+            support_max=simplex_support_max))
     with pytest.raises(DomainError):
         build_dro_discrete(DroDiscreteInstance(
             kind="quadratic", lam=2.0, radius=1.0, centers=np.zeros((2, 3))))
@@ -331,9 +338,15 @@ def test_dro_truncated_simplex_weights_satisfy_fixed_point():
             tol=1e-13, max_iter=20000,
         )
 
+    def support_c(v):
+        # max <c, v> over C: weight 1 on the best of v_2, v_3, or split
+        # 0.5 / 0.5 with v_1 when v_1 is larger
+        best_rest = float(v[1:].max())
+        return max(best_rest, 0.5 * (float(v[0]) + best_rest))
+
     inst = DroDiscreteInstance(
         kind="affine", lam=4.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-        sigma=1.0, ambiguity_projector=project_c,
+        sigma=1.0, ambiguity_projector=project_c, support_max=support_c,
     )
     prob = build_dro_discrete(inst)
     mu = 0.1

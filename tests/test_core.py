@@ -18,7 +18,6 @@ from pvsmooth.core import (
     matrix_norm_bound,
     moreau_envelope,
     moreau_gradient,
-    smoothed_objective_grad,
 )
 from pvsmooth.errors import ContractError, DomainError
 from pvsmooth.projections import KernelProjector
@@ -219,13 +218,13 @@ def test_smoothed_objective_grad_reductions():
     h = squared_norm_smooth()
     problem = CompositeProblem(h, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=2)
     x = np.array([0.3, -0.4])
-    val, grad = smoothed_objective_grad(problem, 0.2, x)
+    val, grad = problem.smoothed_parts(0.2, x)[:2]
     assert abs(val - h.value(x)) < 1e-12
     assert np.abs(grad - h.grad(x)).max() < 1e-12
 
     fam = prox.SupQuadraticFamily(np.array([[0.2], [0.9]]))
     problem2 = CompositeProblem(ZeroSmooth(), fam, IdentityMap(), IdentityProjector(), dim=2)
-    val2, grad2 = smoothed_objective_grad(problem2, 0.2, x)
+    val2, grad2 = problem2.smoothed_parts(0.2, x)[:2]
     assert abs(val2 - moreau_envelope(fam, 0.2, x)) < 1e-12
     assert np.abs(grad2 - moreau_gradient(fam, 0.2, x)).max() < 1e-12
 
@@ -238,8 +237,8 @@ def test_smoothed_gradient_finite_differences_through_map():
                                IdentityProjector(), dim=4)
     for _ in range(5):
         x = rng.uniform(-0.5, 0.5, 4)
-        val, grad = smoothed_objective_grad(problem, 0.3, x)
-        fd = oracles.fd_gradient(lambda y: smoothed_objective_grad(problem, 0.3, y)[0], x)
+        val, grad = problem.smoothed_parts(0.3, x)[:2]
+        fd = oracles.fd_gradient(lambda y: problem.smoothed_parts(0.3, y)[0], x)
         assert np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(grad)) < 1e-4
 
 
@@ -255,8 +254,8 @@ def test_smoothed_gradient_lipschitz_constant():
     lip = h.lip_grad + amap.norm_bound ** 2 / mu
     for _ in range(40):
         x, y = rng.uniform(-1, 1, (2, 3))
-        _, gx = smoothed_objective_grad(problem, mu, x)
-        _, gy = smoothed_objective_grad(problem, mu, y)
+        _, gx = problem.smoothed_parts(mu, x)[:2]
+        _, gy = problem.smoothed_parts(mu, y)[:2]
         assert np.linalg.norm(gx - gy) <= lip * np.linalg.norm(x - y) + 1e-9
 
 

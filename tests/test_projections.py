@@ -11,11 +11,9 @@ from pvsmooth.projections import (
     KernelProjector,
     ProductKernelProjector,
     ReplicatedKernelProjector,
-    build_kernel_projector,
     dykstra_project,
     project_ball,
     project_diagonal,
-    project_product,
     project_simplex,
 )
 
@@ -92,7 +90,7 @@ def test_project_simplex_threshold_structure():
 
 
 def test_kernel_projector_row_sum_examples():
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     assert np.abs(proj.apply(np.array([1.0, 1.0, 1.0]))).max() < 1e-12
     keep = np.array([1.0, -1.0, 0.0])
     assert np.abs(proj.apply(keep) - keep).max() < 1e-12
@@ -102,13 +100,13 @@ def test_kernel_projector_row_sum_examples():
 
 def test_kernel_projector_zero_matrix_rejected():
     with pytest.raises(DomainError):
-        build_kernel_projector(np.zeros((2, 3)))
+        KernelProjector(np.zeros((2, 3)))
 
 
 def _check_kernel_projector(R):
     # the operator applied to the identity columns is the projector matrix
     n = R.shape[1]
-    proj = build_kernel_projector(R)
+    proj = KernelProjector(R)
     P = np.column_stack([proj.apply(e) for e in np.eye(n)])
     assert np.abs(P @ P - P).max() < 1e-12
     assert np.abs(P - P.T).max() < 1e-12
@@ -177,48 +175,22 @@ def test_project_diagonal_orthogonality():
         assert abs((x - out) @ d) < 1e-12
 
 
-def test_project_product_blockwise():
-    kern = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
-    blocks = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = project_product([kern.apply, kern.apply], blocks)
-    assert np.abs(out[0] - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
-    assert np.abs(out[1] - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
-
-    in_sets = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    assert np.abs(project_product([kern.apply, kern.apply], in_sets) -
-                  in_sets).max() < 1e-12
-
-    with pytest.raises(DomainError):
-        project_product([kern.apply], blocks)
-
-
-def test_project_product_matches_individual():
-    rng = np.random.default_rng(25)
-    kern = build_kernel_projector(rng.standard_normal((2, 4)))
-    ball = BallSpec(np.zeros(4), 0.5)
-    projs = [kern.apply, lambda v: project_ball(ball, v)]
-    blocks = rng.normal(0, 2, (2, 4))
-    out = project_product(projs, blocks)
-    assert np.array_equal(out[0], kern.apply(blocks[0]))
-    assert np.array_equal(out[1], project_ball(ball, blocks[1]))
-
-
 def test_product_kernel_projector_flat_vectors():
-    kern = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    kern = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     proj = ProductKernelProjector(kern, 2)
     out = proj.apply(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     assert np.abs(out - np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0])).max() < 1e-12
 
 
 def test_dykstra_fixed_point():
-    kern = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    kern = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     x = np.array([1.0, -1.0, 0.0])  # in the kernel and on the diagonal scale
     out = dykstra_project(kern.apply, kern.apply, x)
     assert np.abs(out - x).max() < 1e-11
 
 
 def test_dykstra_replicated_example():
-    kern = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    kern = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     prod = ProductKernelProjector(kern, 2)
     diag = DiagonalProjector(2)
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -232,8 +204,8 @@ def test_dykstra_replicated_example():
 
 def test_dykstra_orthogonal_subspaces():
     # x-axis and y-axis in the plane: Dykstra agrees with composing the two
-    px = build_kernel_projector(np.array([[0.0, 1.0]]))
-    py = build_kernel_projector(np.array([[1.0, 0.0]]))
+    px = KernelProjector(np.array([[0.0, 1.0]]))
+    py = KernelProjector(np.array([[1.0, 0.0]]))
     x = np.array([1.3, -2.1])
     out = dykstra_project(px.apply, py.apply, x)
     assert np.abs(out - py.apply(px.apply(x))).max() < 1e-10
@@ -243,9 +215,9 @@ def test_dykstra_matches_stacked_pseudoinverse():
     rng = np.random.default_rng(26)
     r1 = rng.standard_normal((1, 4))
     r2 = rng.standard_normal((2, 4))
-    p1 = build_kernel_projector(r1)
-    p2 = build_kernel_projector(r2)
-    direct = build_kernel_projector(np.vstack([r1, r2]))
+    p1 = KernelProjector(r1)
+    p2 = KernelProjector(r2)
+    direct = KernelProjector(np.vstack([r1, r2]))
     for _ in range(5):
         x = rng.normal(0, 2, 4)
         out = dykstra_project(p1.apply, p2.apply, x)
@@ -253,7 +225,7 @@ def test_dykstra_matches_stacked_pseudoinverse():
 
 
 def test_dykstra_distance_to_both_sets():
-    kern = build_kernel_projector(np.array([[1.0, 2.0, -1.0]]))
+    kern = KernelProjector(np.array([[1.0, 2.0, -1.0]]))
     tol = 1e-12
     out = dykstra_project(kern.apply, project_simplex, np.array([2.0, -1.0, 0.5]),
                           tol=tol)
@@ -262,8 +234,8 @@ def test_dykstra_distance_to_both_sets():
 
 
 def test_dykstra_budget_exhaustion():
-    p1 = build_kernel_projector(np.array([[1.0, 1.0]]))
-    p2 = build_kernel_projector(np.array([[1.0, 0.99]]))
+    p1 = KernelProjector(np.array([[1.0, 1.0]]))
+    p2 = KernelProjector(np.array([[1.0, 0.99]]))
     with pytest.raises(ConvergenceError) as exc:
         dykstra_project(p1.apply, p2.apply, np.array([3.0, 4.0]), max_iter=1)
     assert exc.value.residual > 0
@@ -272,7 +244,7 @@ def test_dykstra_budget_exhaustion():
 def test_variational_characterization():
     rng = np.random.default_rng(27)
     ball = BallSpec(np.array([0.5, -0.5, 0.0]), 1.2)
-    kern = build_kernel_projector(np.array([[1.0, -2.0, 0.5]]))
+    kern = KernelProjector(np.array([[1.0, -2.0, 0.5]]))
 
     def sample_ball():
         v = rng.normal(0, 1, 3)
@@ -300,9 +272,9 @@ def test_variational_characterization():
 def test_projection_idempotence():
     rng = np.random.default_rng(28)
     ball = BallSpec(np.zeros(3), 0.9)
-    kern = build_kernel_projector(np.array([[1.0, 1.0, -1.0]]))
+    kern = KernelProjector(np.array([[1.0, 1.0, -1.0]]))
     repl = ReplicatedKernelProjector(
-        build_kernel_projector(np.array([[1.0, 1.0, 1.0]])), 2
+        KernelProjector(np.array([[1.0, 1.0, 1.0]])), 2
     )
     cases = [
         (lambda v: project_ball(ball, v), 3),

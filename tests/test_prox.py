@@ -19,7 +19,6 @@ from pvsmooth.prox import (
     prox_mcp,
     prox_scad,
     prox_sup_affine,
-    prox_sup_quadratic,
     prox_tukey,
     scad_value,
     simplex_support_max,
@@ -89,14 +88,14 @@ def test_simplex_weights_domain_errors():
 
 def test_sup_quadratic_prox_at_center():
     fam = SupQuadraticFamily(np.array([[1.0, 1.0]]))
-    out = prox_sup_quadratic(fam, 0.25, np.array([1.0, 1.0]))
+    out = fam.prox(0.25, np.array([1.0, 1.0]))
     assert np.array_equal(out, np.array([1.0, 1.0]))
 
 
 def test_sup_quadratic_prox_three_blocks():
     fam = SupQuadraticFamily(np.zeros((3, 1)))
     x = np.array([2.0, 1.0, 1.0])
-    out = prox_sup_quadratic(fam, 0.25, x)
+    out = fam.prox(0.25, x)
     assert np.abs(out - np.array([2.0, 4.0 / 3.0, 4.0 / 3.0])).max() < 1e-12
     assert np.abs(fam.weights(0.25, x) - np.array([0.0, 0.5, 0.5])).max() < 1e-12
 
@@ -107,7 +106,7 @@ def test_sup_quadratic_prox_zero_alpha_pins_weight():
     fam = SupQuadraticFamily(np.array([[5.0], [3.0]]))
     x = np.array([5.0, 0.0])
     assert np.array_equal(fam.weights(0.25, x), np.array([1.0, 0.0]))
-    assert np.array_equal(prox_sup_quadratic(fam, 0.25, x), x)
+    assert np.array_equal(fam.prox(0.25, x), x)
 
 
 def test_sup_quadratic_zero_alpha_smallest_index_tie_break():
@@ -231,11 +230,11 @@ def test_sup_affine_matches_ambiguity_scan():
 def test_sup_affine_fixed_point_characterization():
     rng = np.random.default_rng(14)
     a_rows = rng.uniform(-1, 1, (3, 2))
-    fam = _simplex_family(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8)
+    tol = 1e-10
+    fam = _simplex_family(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8, km_tol=tol)
     mu = 0.2
     x = rng.uniform(-1, 1, 2)
-    tol = 1e-10
-    y, c, _ = prox_sup_affine(fam, mu, x, tol=tol)
+    y, c, _ = prox_sup_affine(fam, mu, x)
     s = 1.0 - 2.0 * fam.sigma * mu
     gamma = 0.9 * s / (mu * fam.gram_norm)
     step = c + gamma * (a_rows @ y + fam.offsets)
@@ -256,16 +255,6 @@ def test_sup_affine_prox_beats_perturbations():
     rng = np.random.default_rng(15)
     for _ in range(100):
         assert base <= objective(y + rng.normal(0, 0.2, 2)) + 1e-9
-
-
-def test_sup_affine_step_condition():
-    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
-    mu = 0.2
-    bad = 1.1 * (1.0 - 2.0 * mu) / (mu * fam.gram_norm)
-    with pytest.raises(DomainError):
-        prox_sup_affine(fam, mu, np.array([0.5]), gamma=bad)
-    with pytest.raises(DomainError):
-        prox_sup_affine(fam, mu, np.array([0.5]), gamma=-0.3)
 
 
 _entries = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -302,9 +291,10 @@ def test_sup_affine_dual_optimality(case):
 
 
 def test_sup_affine_budget_exhaustion():
-    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
+    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0,
+                          km_max_iter=1)  # converges at 2
     with pytest.raises(ConvergenceError) as exc:
-        prox_sup_affine(fam, 0.2, np.array([0.5]), max_iter=1)  # converges at 2
+        prox_sup_affine(fam, 0.2, np.array([0.5]))
     err = exc.value
     assert err.iterations == 1
     assert err.residual > 0

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pvsmooth.core import (
+    CallableProx,
     CallableSmooth,
     CompositeProblem,
     IdentityMap,
@@ -24,7 +27,7 @@ from pvsmooth.problems import (
     random_lasso_data,
     subspace_start,
 )
-from pvsmooth.projections import build_kernel_projector, project_ball
+from pvsmooth.projections import KernelProjector, project_ball
 from pvsmooth.prox import ScalarRegularizer, SupQuadraticFamily
 from pvsmooth.solver import (
     SolverConfig,
@@ -79,6 +82,10 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.5, C=0.25, max_iter=10, stop_step_norm=-1.0)
     with pytest.raises(DomainError):
         SolverConfig(alpha=0.5, C=0.25, max_iter=10, epsilon=0.0)
+    with pytest.raises(DomainError):
+        SolverConfig(alpha=0.5, C=0.25, max_iter=10.5)
+    with pytest.raises(DomainError):
+        SolverConfig(alpha=0.5, C=0.25, max_iter=10, stop_step_norm=float("nan"))
 
 
 def test_solver_config_weak_convexity_pairing():
@@ -106,7 +113,7 @@ def test_schedule_values():
 def test_schedule_step_size_example():
     # L_h = 100 and a unit map: gamma_1 = mu_1 / (1 + 100 mu_1) = 0.25/26
     h = CallableSmooth(lambda x: 50.0 * float(x @ x), lambda x: 100.0 * x, 100.0)
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     prob = CompositeProblem(h, ZeroFunction(), IdentityMap(), proj, dim=3)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=1)
     _, lip, gamma = schedule(cfg, prob, 1)
@@ -130,7 +137,7 @@ def test_trace_schedule_exactness():
 # ---------------------------------------------------------------------------
 
 def test_pvs_step_critical_point_fixed():
-    proj = build_kernel_projector(np.array([[0.0, 1.0]]))  # span{e1}
+    proj = KernelProjector(np.array([[0.0, 1.0]]))  # span{e1}
     h = CallableSmooth(lambda x: 0.5 * float(x @ x), lambda x: x, 1.0)
     prob = CompositeProblem(h, ZeroFunction(), IdentityMap(), proj, dim=2)
     cfg = SolverConfig(alpha=0.5, C=0.25, max_iter=1)
@@ -139,7 +146,7 @@ def test_pvs_step_critical_point_fixed():
 
 
 def test_pvs_step_requires_subspace_membership():
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     prob = quadratic_target_problem(np.array([1.0, 2.0, 4.0]), proj)
     cfg = SolverConfig(alpha=0.5, C=0.25, max_iter=1)
     with pytest.raises(ContractError):
@@ -161,7 +168,7 @@ def test_pvs_step_is_the_run_loop_step():
 
 def test_iteration_converges_to_projected_target():
     a = np.array([1.0, 2.0, 4.0])
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     prob = quadratic_target_problem(a, proj)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, np.zeros(3))
@@ -262,7 +269,7 @@ def test_descent_with_smoothing_correction():
 
 
 def test_run_pvs_numerical_blowup_carries_trace():
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     # gradient map declared far smoother than it is: the step is much too
     # long and the iteration diverges to overflow
     h = CallableSmooth(lambda x: -5.0 * float(x @ x), lambda x: -10.0 * x, 0.001)
@@ -276,6 +283,35 @@ def test_run_pvs_numerical_blowup_carries_trace():
     assert trace is not None
     assert len(trace) > 1
     assert trace.stop_reason == "numerical_error"
+    assert trace.iterations == len(trace) - 1
+
+
+def test_component_numerical_error_is_a_component_error():
+    # a NumericalError raised by the prox is not the loop's own finiteness
+    # check: the run ends with component_error and keeps its partial trace
+    calls = []
+
+    def prox_fn(mu, y):
+        calls.append(mu)
+        if len(calls) > 5:
+            raise NumericalError("prox broke down")
+        return np.sign(y) * np.maximum(np.abs(y) - mu, 0.0)
+
+    g = CallableProx(lambda y: float(np.abs(y).sum()), prox_fn)
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
+    h = CallableSmooth(lambda x: 0.5 * float(x @ x), lambda x: x, 1.0)
+    prob = CompositeProblem(h, g, IdentityMap(), proj)
+    x1 = proj.apply(np.array([3.0, -1.0, 0.5]))
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0,
+                       epsilon=1e-12)
+    for run in (run_pvs, run_pvs_epochs):
+        calls.clear()
+        with pytest.raises(NumericalError) as exc:
+            run(prob, cfg, x1)
+        trace = exc.value.trace
+        assert trace.stop_reason == "component_error"
+        assert trace.iterations == len(trace) == 5
+        assert trace.final_x.shape == (3,)
 
 
 def seeded_direct_dispersion(km_max_iter=None):
@@ -303,9 +339,10 @@ def test_run_pvs_inner_failure_carries_partial_trace():
 
 def test_run_pvs_epochs_inner_failure_carries_partial_trace():
     prob, x1 = seeded_direct_dispersion(km_max_iter=50)
-    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0,
+                       epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, cfg, x1, epsilon=1e-9)
+        run_pvs_epochs(prob, cfg, x1)
     trace = exc.value.trace
     assert trace is not None
     assert trace.stop_reason == "component_error"
@@ -378,7 +415,7 @@ def test_final_iterate_membership_is_checked():
     # both exits of the epoch variant: the stationarity stop and the budget
     for eps in (1e6, 1e-12):
         with pytest.raises(ContractError) as exc:
-            run_pvs_epochs(prob, cfg, x1, epsilon=eps)
+            run_pvs_epochs(prob, replace(cfg, epsilon=eps), x1)
         assert exc.value.trace.stop_reason == "component_error"
         assert len(exc.value.trace) == exc.value.trace.iterations + 1
 
@@ -389,41 +426,76 @@ def test_final_iterate_membership_is_checked():
 
 def test_epochs_huge_epsilon_stops_immediately():
     prob = lasso_problem()
-    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=100, stop_step_norm=0.0)
-    x_stop, trace = run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim),
-                                   epsilon=1e6)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=100, stop_step_norm=0.0,
+                       epsilon=1e6)
+    x_stop, trace = run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
     assert trace.iterations == 1
     assert trace.stop_reason == "epoch_stationarity"
     assert np.array_equal(x_stop, trace.final_x)
 
 
 def test_epochs_stop_meets_both_thresholds():
-    # alpha = 1/3 makes the prox-residual threshold equal to epsilon itself
+    # alpha = 1/3 makes the prox-residual threshold equal to epsilon itself.
+    # At eps = 0.145 the projected gradient norm rises for a few steps after
+    # step 25, so no window best meets eps until window [32, 64) opens at
+    # step 32; with no reset at 2^l the run would stop at step 54
     prob = lasso_problem()
-    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10**6, stop_step_norm=0.0)
-    eps = 0.1
-    x_stop, trace = run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim),
-                                   epsilon=eps)
-    assert trace.stop_reason == "epoch_stationarity"
-    assert trace.best_grad_norm <= eps
-    assert trace.prox_residual[-1] <= eps
-    assert trace.iterations == 88  # deterministic run
+    for eps, steps in ((0.1, 88), (0.145, 32)):  # deterministic runs
+        cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10**6,
+                           stop_step_norm=0.0, epsilon=eps)
+        x_stop, trace = run_pvs_epochs(prob, cfg,
+                                       subspace_start(prob.subspace, prob.dim))
+        assert trace.stop_reason == "epoch_stationarity"
+        assert trace.best_grad_norm <= eps
+        assert trace.prox_residual[-1] <= eps
+        assert trace.iterations == steps
 
-    budget = epoch_iteration_budget(prob, cfg, trace.objective[0],
-                                    prob.f_star, eps)
-    assert trace.iterations <= budget
+        budget = epoch_iteration_budget(prob, cfg, trace.objective[0],
+                                        prob.f_star, eps)
+        assert trace.iterations <= budget
 
 
 def test_epochs_budget_exhaustion():
     prob = lasso_problem()
-    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10, stop_step_norm=0.0)
-    with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim),
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10, stop_step_norm=0.0,
                        epsilon=1e-9)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
     err = exc.value
     assert err.trace.stop_reason == "budget_exhausted"
     assert err.best is not None
     assert err.iterations == 10
+    pgn = err.trace.proj_grad_norm
+    assert err.residual == err.trace.best_grad_norm == min(pgn[1:])
+    assert err.trace.best_index == 2 + int(np.argmin(pgn[1:]))
+    assert np.array_equal(err.trace.final_x, err.best)
+
+    # a zero budget ends at once, handing back the start
+    x1 = subspace_start(prob.subspace, prob.dim)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs_epochs(prob, replace(cfg, max_iter=0), x1)
+    err = exc.value
+    assert err.iterations == 0 and len(err.trace) == 1
+    assert err.trace.best_index == 1 and err.trace.best_grad_norm == np.inf
+    assert np.array_equal(err.best, x1)
+
+
+def test_run_pvs_and_epochs_share_the_iteration():
+    # no iterate meets epsilon, so the epoch run takes run_pvs's steps until
+    # its budget runs out
+    prob = lasso_problem()
+    x1 = subspace_start(prob.subspace, prob.dim)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=200, stop_step_norm=0.0,
+                       epsilon=1e-12)
+    plain = run_pvs(prob, cfg, x1)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs_epochs(prob, cfg, x1)
+    epochs = exc.value.trace
+    assert epochs.stop_reason == "budget_exhausted"
+    assert epochs.iterations == plain.iterations == 200
+    for column in ("k", "mu", "gamma", "objective", "proj_grad_norm", "prox_residual"):
+        assert (np.asarray(getattr(epochs, column)).tobytes()
+                == np.asarray(getattr(plain, column)).tobytes())
 
 
 def test_epochs_need_epsilon():
@@ -431,7 +503,6 @@ def test_epochs_need_epsilon():
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10)
     with pytest.raises(DomainError):
         run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
-    # epsilon can also ride on the config
     cfg2 = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=100,
                         stop_step_norm=0.0, epsilon=1e6)
     _, trace = run_pvs_epochs(prob, cfg2, subspace_start(prob.subspace, prob.dim))
@@ -443,7 +514,7 @@ def test_epochs_need_epsilon():
 # ---------------------------------------------------------------------------
 
 def test_stationarity_constants_frozen_values():
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     h = CallableSmooth(lambda x: float(x @ x), lambda x: 2.0 * x, 2.0)
     g = ScalarRegularizer("l1", lam=1.0, lipschitz=3.0)
     prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
@@ -527,7 +598,7 @@ def test_affine_shift_zero_is_identity():
 
 
 def test_affine_shift_soft_threshold_identity():
-    proj = build_kernel_projector(np.array([[1.0, 1.0, 1.0]]))
+    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     h = CallableSmooth(lambda x: 0.0, lambda x: np.zeros_like(x), 0.1)
     g = ScalarRegularizer("l1", lam=1.0)
     prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
@@ -547,7 +618,7 @@ def test_affine_shift_least_squares():
     constraint = rng.standard_normal((2, 5))
     offset = np.array([0.7, -0.3])
     z0 = np.linalg.lstsq(constraint, offset, rcond=None)[0]
-    proj = build_kernel_projector(constraint)
+    proj = KernelProjector(constraint)
     h = CallableSmooth(
         lambda w: 0.5 * float((design @ w - target) @ (design @ w - target)),
         lambda w: design.T @ (design @ w - target),
