@@ -69,7 +69,6 @@ from .problems import (
 )
 from .projections import (
     BallSpec,
-    DiagonalProjector,
     KernelProjector,
     ProductKernelProjector,
     ReplicatedKernelProjector,

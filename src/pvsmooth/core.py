@@ -208,25 +208,30 @@ class CallableProx(ProxFunction):
 
 
 class SmoothFunction:
-    """A differentiable term h with Lipschitz-continuous gradient."""
+    """A differentiable term h with Lipschitz-continuous gradient.
+
+    Subclasses implement ``value_and_grad``, which computes what the value
+    and the gradient share once; ``value`` and ``grad`` derive from it.
+    """
 
     lip_grad = 0.0
 
-    def value(self, x):
+    def value_and_grad(self, x):
+        """Return ``(h(x), grad h(x))``."""
         raise NotImplementedError
 
+    def value(self, x):
+        return self.value_and_grad(x)[0]
+
     def grad(self, x):
-        raise NotImplementedError
+        return self.value_and_grad(x)[1]
 
 
 class ZeroSmooth(SmoothFunction):
     lip_grad = 0.0
 
-    def value(self, x):
-        return 0.0
-
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def value_and_grad(self, x):
+        return 0.0, np.zeros_like(np.asarray(x, dtype=float))
 
 
 class CallableSmooth(SmoothFunction):
@@ -235,11 +240,8 @@ class CallableSmooth(SmoothFunction):
         self._grad = grad_fn
         self.lip_grad = float(lip_grad)
 
-    def value(self, x):
-        return float(self._value(x))
-
-    def grad(self, x):
-        return np.asarray(self._grad(x), dtype=float)
+    def value_and_grad(self, x):
+        return float(self._value(x)), np.asarray(self._grad(x), dtype=float)
 
 
 class LinearMap:
@@ -364,7 +366,7 @@ class CompositeProblem:
         """Return (F_mu(x), grad F_mu(x), |Ax - prox_{mu g}(Ax)|).
 
         One prox evaluation serves the value, the gradient and the prox
-        residual.
+        residual, and one ``h.value_and_grad`` call the smooth part.
         """
         self.g.check_mu(mu)
         x = np.asarray(x, dtype=float)
@@ -372,7 +374,8 @@ class CompositeProblem:
         p = self.g.prox(mu, ax)
         d = ax - p
         env = self.g.value(p) + (d @ d) / (2.0 * mu)
-        val = float(self.h.value(x) + env)
-        grad = self.h.grad(x) + self.a_map.adjoint(d / mu)
+        h_val, h_grad = self.h.value_and_grad(x)
+        val = float(h_val + env)
+        grad = h_grad + self.a_map.adjoint(d / mu)
         res = float(np.linalg.norm(d))
         return val, grad, res

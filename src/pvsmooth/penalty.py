@@ -55,13 +55,9 @@ class BallPenalty(SmoothFunction):
         self.weight = float(weight)
         self.lip_grad = float(weight)
 
-    def value(self, x):
-        val, _ = penalty_distance_sq(self.ball, x)
-        return self.weight * val
-
-    def grad(self, x):
-        _, g = penalty_distance_sq(self.ball, x)
-        return self.weight * g
+    def value_and_grad(self, x):
+        val, d = penalty_distance_sq(self.ball, x)
+        return self.weight * val, self.weight * d
 
 
 class SmoothSum(SmoothFunction):
@@ -71,15 +67,14 @@ class SmoothSum(SmoothFunction):
         self.terms = terms
         self.lip_grad = float(sum(t.lip_grad for t in terms))
 
-    def value(self, x):
-        return float(sum(t.value(x) for t in self.terms))
-
-    def grad(self, x):
+    def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        val, out = 0, np.zeros_like(x)
         for t in self.terms:
-            out = out + t.grad(x)
-        return out
+            t_val, t_grad = t.value_and_grad(x)
+            val = val + t_val
+            out = out + t_grad
+        return float(val), out
 
 
 @dataclass(frozen=True)

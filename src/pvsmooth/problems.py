@@ -28,7 +28,6 @@ from .errors import ConfigError, DomainError
 from .penalty import BallPenalty
 from .projections import (
     BallSpec,
-    DiagonalProjector,
     KernelProjector,
     ReplicatedKernelProjector,
     project_ball,
@@ -65,17 +64,15 @@ class QuadraticLoss(SmoothFunction):
     def __init__(self, design, target):
         self.design = np.atleast_2d(np.asarray(design, dtype=float))
         self.target = np.asarray(target, dtype=float)
+        if self.target.ndim != 1:
+            raise DomainError("target must be a 1-d array of samples")
         if self.design.shape[0] != self.target.size:
             raise DomainError("design and target disagree on the sample count")
         self.lip_grad = 2.0 * matrix_norm_bound(self.design) ** 2
 
-    def value(self, x):
+    def value_and_grad(self, x):
         r = self.design @ np.asarray(x, dtype=float) - self.target
-        return float(r @ r)
-
-    def grad(self, x):
-        r = self.design @ np.asarray(x, dtype=float) - self.target
-        return 2.0 * (self.design.T @ r)
+        return float(r @ r), 2.0 * (self.design.T @ r)
 
 
 class FirstBlockBallPenalty(SmoothFunction):
@@ -93,20 +90,13 @@ class FirstBlockBallPenalty(SmoothFunction):
         self.n_blocks = int(n_blocks)
         self.lip_grad = float(weight)
 
-    def _first(self, x):
+    def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
-        return x, x.reshape(self.n_blocks, -1)[0]
-
-    def value(self, x):
-        _, x1 = self._first(x)
+        x1 = x.reshape(self.n_blocks, -1)[0]
         d = x1 - project_ball(self.ball, x1)
-        return float(0.5 * self.weight * (d @ d))
-
-    def grad(self, x):
-        x, x1 = self._first(x)
         out = np.zeros_like(x).reshape(self.n_blocks, -1)
-        out[0] = self.weight * (x1 - project_ball(self.ball, x1))
-        return out.ravel()
+        out[0] = self.weight * d
+        return float(0.5 * self.weight * (d @ d)), out.ravel()
 
 
 class ProductBallPenalty(SmoothFunction):
@@ -120,17 +110,10 @@ class ProductBallPenalty(SmoothFunction):
         self.n_blocks = int(n_blocks)
         self.lip_grad = float(weight)
 
-    def _residual(self, x):
+    def value_and_grad(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
-        proj = np.stack([project_ball(self.ball, row) for row in blocks])
-        return blocks - proj
-
-    def value(self, x):
-        d = self._residual(x)
-        return float(0.5 * self.weight * (d * d).sum())
-
-    def grad(self, x):
-        return (self.weight * self._residual(x)).ravel()
+        d = blocks - np.stack([project_ball(self.ball, row) for row in blocks])
+        return float(0.5 * self.weight * (d * d).sum()), (self.weight * d).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +156,11 @@ class MaxDispersionInstance:
         return self.anchors.shape[1]
 
 
-def _dispersion_subspace(inst):
-    if inst.constraint_matrix is None:
+def _kernel_subspace(constraint_matrix):
+    """P_V for V = ker R, the whole space when R is None."""
+    if constraint_matrix is None:
         return IdentityProjector()
-    return KernelProjector(inst.constraint_matrix)
+    return KernelProjector(constraint_matrix)
 
 
 def dispersion_objective(anchors, radius, lam, x):
@@ -205,7 +189,7 @@ def build_max_dispersion_direct(inst):
     )
     h = BallPenalty(BallSpec(np.zeros(inst.dim), inst.radius), inst.lam)
     return CompositeProblem(
-        h, g, IdentityMap(), _dispersion_subspace(inst), dim=inst.dim
+        h, g, IdentityMap(), _kernel_subspace(inst.constraint_matrix), dim=inst.dim
     )
 
 
@@ -221,12 +205,9 @@ def build_max_dispersion_product(inst):
         BallSpec(np.zeros(inst.dim), inst.radius), inst.lam, n_blocks
     )
     g = SupQuadraticFamily(inst.anchors)
-    if inst.constraint_matrix is None:
-        subspace = DiagonalProjector(n_blocks)
-    else:
-        subspace = ReplicatedKernelProjector(
-            KernelProjector(inst.constraint_matrix), n_blocks
-        )
+    subspace = ReplicatedKernelProjector(
+        _kernel_subspace(inst.constraint_matrix), n_blocks
+    )
     return CompositeProblem(
         h, g, IdentityMap(), subspace, dim=inst.dim * n_blocks
     )
@@ -288,10 +269,7 @@ def build_dro_discrete(inst):
         )
         dim = g.a_rows.shape[1]
         h = BallPenalty(BallSpec(np.zeros(dim), inst.radius), inst.lam)
-        if inst.constraint_matrix is None:
-            subspace = IdentityProjector()
-        else:
-            subspace = KernelProjector(inst.constraint_matrix)
+        subspace = _kernel_subspace(inst.constraint_matrix)
         return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim)
 
     if inst.centers is None:
@@ -302,12 +280,9 @@ def build_dro_discrete(inst):
     n_blocks, dim = centers.shape
     h = ProductBallPenalty(BallSpec(np.zeros(dim), inst.radius), inst.lam, n_blocks)
     g = SupQuadraticFamily(centers)
-    if inst.constraint_matrix is None:
-        subspace = DiagonalProjector(n_blocks)
-    else:
-        subspace = ReplicatedKernelProjector(
-            KernelProjector(inst.constraint_matrix), n_blocks
-        )
+    subspace = ReplicatedKernelProjector(
+        _kernel_subspace(inst.constraint_matrix), n_blocks
+    )
     return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim * n_blocks)
 
 
@@ -336,10 +311,7 @@ def build_constrained_lasso(inst):
         # record L_g = lam sqrt(n) so the decay-bound diagnostics apply
         g = ScalarRegularizer("l1", lam=g.lam, lipschitz=g.lam * np.sqrt(n))
     a_map = IdentityMap() if inst.inner_matrix is None else MatrixMap(inst.inner_matrix)
-    if inst.constraint_matrix is None:
-        subspace = IdentityProjector()
-    else:
-        subspace = KernelProjector(inst.constraint_matrix)
+    subspace = _kernel_subspace(inst.constraint_matrix)
     return CompositeProblem(h, g, a_map, subspace, f_star=inst.f_star, dim=n)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "KernelProjector",
     "project_diagonal",
     "dykstra_project",
-    "DiagonalProjector",
     "ProductKernelProjector",
     "ReplicatedKernelProjector",
 ]
@@ -106,16 +105,6 @@ def project_diagonal(x, n_blocks):
         raise DomainError("length %d not divisible by %d blocks" % (x.size, n_blocks))
     blocks = x.reshape(n_blocks, -1)
     return np.tile(blocks.mean(axis=0), n_blocks)
-
-
-class DiagonalProjector(SubspaceProjector):
-    """Projector form of :func:`project_diagonal` for a fixed block count."""
-
-    def __init__(self, n_blocks):
-        self.n_blocks = int(n_blocks)
-
-    def apply(self, x):
-        return project_diagonal(x, self.n_blocks)
 
 
 class ProductKernelProjector(SubspaceProjector):

@@ -384,11 +384,7 @@ def prox_mcp(lam, theta, gamma, x):
 
 def scad_value(lam, theta, x):
     x = np.abs(np.asarray(x, dtype=float))
-    mid = (2.0 * theta * lam * x - x * x - lam * lam) / (2.0 * (theta - 1.0))
-    out = np.where(
-        x <= lam, lam * x, np.where(x <= theta * lam, mid, 0.5 * lam * lam * (theta + 1.0))
-    )
-    return float(out.sum())
+    return float(_scad_piece_values(lam, theta, x).sum())
 
 
 def _scad_piece_values(lam, theta, t):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CallableProx, CallableSmooth, CompositeProblem
+from .core import CallableProx, CompositeProblem, SmoothFunction
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
@@ -407,6 +407,18 @@ def stationarity_report(problem, trace, k):
     )
 
 
+class _ShiftedSmooth(SmoothFunction):
+    """x -> h(x + z0), one evaluation of h per call."""
+
+    def __init__(self, h, z0):
+        self.h = h
+        self.z0 = z0
+        self.lip_grad = h.lip_grad
+
+    def value_and_grad(self, x):
+        return self.h.value_and_grad(x + self.z0)
+
+
 def affine_shift_wrap(problem, z0):
     """Recast  min_{x in z0 + W} h(x) + g(A x)  over the subspace W.
 
@@ -418,9 +430,7 @@ def affine_shift_wrap(problem, z0):
     z0 = np.asarray(z0, dtype=float)
     az0 = problem.a_map.apply(z0)
     h, g = problem.h, problem.g
-    shifted_h = CallableSmooth(
-        lambda x: h.value(x + z0), lambda x: h.grad(x + z0), h.lip_grad
-    )
+    shifted_h = _ShiftedSmooth(h, z0)
     shifted_g = CallableProx(
         lambda y: g.value(y + az0),
         lambda mu, y: g.prox(mu, y + az0) - az0,

@@ -60,6 +60,9 @@ def test_quadratic_loss_value_grad_lip():
 def test_quadratic_loss_sample_count_mismatch():
     with pytest.raises(DomainError):
         QuadraticLoss(np.ones((3, 2)), np.ones(4))
+    design, target = random_lasso_data(5, 8, 0)
+    with pytest.raises(DomainError):
+        QuadraticLoss(design, target.reshape(-1, 1))
 
 
 def test_first_block_penalty_only_sees_block_one():

@@ -7,7 +7,6 @@ from pvsmooth import oracles
 from pvsmooth.errors import ConvergenceError, DomainError
 from pvsmooth.projections import (
     BallSpec,
-    DiagonalProjector,
     KernelProjector,
     ProductKernelProjector,
     ReplicatedKernelProjector,
@@ -192,9 +191,8 @@ def test_dykstra_fixed_point():
 def test_dykstra_replicated_example():
     kern = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     prod = ProductKernelProjector(kern, 2)
-    diag = DiagonalProjector(2)
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    out = dykstra_project(prod.apply, diag.apply, x)
+    out = dykstra_project(prod.apply, lambda v: project_diagonal(v, 2), x)
     expect = np.array([-1.0, 0.0, 1.0, -1.0, 0.0, 1.0])
     assert np.abs(out - expect).max() < 1e-9
     closed = ReplicatedKernelProjector(kern, 2).apply(x)
