@@ -370,6 +370,28 @@ def _verify_prox():
         y_ref, _, _ = oracles.affine_scan_prox(a_rows, offsets, sigma, mu, x)
         worst = max(worst, float(np.linalg.norm(y - y_ref)))
     checks.append(("affine-family prox vs weight scan", worst <= 1e-4, worst))
+
+    # the dispersion shape, 10 scenarios in R^3: iterates near the anchors'
+    # centre put weight on up to d + 1 = 4 scenarios, which the exact KKT
+    # finish must certify; v = A y + b is the dual gradient at the prox point
+    gap = spread = 0.0
+    for _ in range(12):
+        anchors = rng.uniform(-1.0, 1.0, (10, 3))
+        fam = prox.SupAffineFamily(
+            2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0,
+            project_ambiguity=projections.project_simplex,
+            support_max=prox.simplex_support_max,
+        )
+        y, c, _ = prox.prox_sup_affine(fam, rng.uniform(0.05, 0.45),
+                                       rng.uniform(-0.3, 0.3, 3))
+        v = fam.a_rows @ y + fam.offsets
+        scale = max(1.0, float(np.abs(v).max()))
+        on = v[c > 0.0]
+        gap = max(gap, float(v.max() - c @ v) / scale)
+        spread = max(spread, float(on.max() - on.min()) / scale)
+    checks.append(("affine dual gap, 10 scenarios in R^3", gap <= 1e-10, gap))
+    checks.append(("affine support spread, 10 scenarios in R^3", spread <= 1e-10,
+                   spread))
     return checks
 
 

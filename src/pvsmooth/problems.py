@@ -175,7 +175,8 @@ def dispersion_objective(anchors, radius, lam, x):
 
 def build_max_dispersion_direct(inst):
     """Single-space formulation: the anchor maximum is a supremum of affine
-    forms minus |x|^2, so the prox runs the fixed-point weight iteration.
+    forms minus |x|^2, so the prox runs the dual weight iteration on the
+    simplex with its exact KKT finish (:func:`~pvsmooth.prox.prox_sup_affine`).
 
     max_i -|x - u_i|^2 = sup_{p in simplex} sum_i p_i (<2 u_i, x> - |u_i|^2) - |x|^2.
     """

@@ -8,7 +8,9 @@ Three groups live here:
 * suprema of affine forms minus a quadratic,
   f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox is computed by
   restarted FISTA on the concave dual over the weights c, with step 1/L from
-  the exact Gram norm |A A^T|;
+  the exact Gram norm |A A^T|; when C is the probability simplex, FISTA only
+  has to identify the support of c, and an equality-constrained KKT solve on
+  that support finishes the prox exactly once the KKT conditions certify it;
 * separable scalar regularizers (MCP, SCAD, Tukey biweight, l1).
 
 All of these are rho-weakly convex; their prox is single-valued whenever the
@@ -17,6 +19,8 @@ smoothing parameter satisfies mu < 1/rho.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .core import ProxFunction, moreau_envelope, spectral_norm
@@ -24,6 +28,7 @@ from .core import ProxFunction, moreau_envelope, spectral_norm
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError
+from .projections import project_simplex
 
 __all__ = [
     "envelope_by_weights",
@@ -225,14 +230,20 @@ class SupAffineFamily(ProxFunction):
     sigma : float > 0
         Concavity weight; the family is 2*sigma-weakly convex.
     project_ambiguity : callable
-        Projector onto the compact convex set C (subset of R^N).
+        Projector onto the compact convex set C (subset of R^N).  Passing
+        :func:`~pvsmooth.projections.project_simplex` itself (as every
+        builder does) turns on the exact KKT finish of
+        :func:`prox_sup_affine`; any other callable, even one that projects
+        onto the simplex too, gets plain FISTA.
     support_max : callable
         v -> max_{c in C} <c, v>, the support function of C, which gives the
         value (:func:`simplex_support_max` for the simplex).
     km_tol, km_max_iter : float, int
-        Stop tolerance on the weight increment and iteration budget of the
-        dual iteration in :func:`prox_sup_affine`.  The names date from an
-        earlier Krasnoselskii-Mann scheme and are kept for compatibility.
+        Stop tolerance (finite, positive) on the weight increment and
+        iteration budget (a positive integer) of the dual iteration in
+        :func:`prox_sup_affine`; other values raise :class:`DomainError`.
+        The names date from an earlier Krasnoselskii-Mann scheme and are
+        kept for compatibility.
 
     The family caches the Gram matrix ``gram = A A^T`` used by every dual
     step, and ``gram_norm = |A A^T| = |A|^2`` from
@@ -249,6 +260,10 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("a_rows and offsets disagree on the scenario count")
         if not (sigma > 0):
             raise DomainError("sigma must be positive")
+        if not (0.0 < km_tol < np.inf):
+            raise DomainError("km_tol must be finite and positive")
+        if not isinstance(km_max_iter, numbers.Integral) or km_max_iter < 1:
+            raise DomainError("km_max_iter must be a positive integer")
         self.a_rows = a_rows
         self.offsets = offsets
         self.sigma = float(sigma)
@@ -301,6 +316,25 @@ def prox_sup_affine(family, mu, x):
     c, and on the simplex the dual gap max(v) - <c, v> with v = A y + b is at
     most 2 sqrt(2) L tol.
 
+    Exact finish on the simplex.  When ``family.project_ambiguity`` is
+    :func:`~pvsmooth.projections.project_simplex`, FISTA only has to find the
+    support S of c: the dual is a QP with a rank-d Gram matrix, so its
+    solution needs at most d + 1 scenarios.  Whenever the support
+    {c_{k+1} > 0} equals that of the previous iterate and has at most
+    min(N, d) + 1 entries (the bound keeps solves out of the early, wide
+    iterates), and once more when the tol stop fires, the iteration solves
+    the equality-constrained KKT system of the gamma-scaled dual on S
+    (:func:`_simplex_kkt_weights`).  It returns that answer if the KKT
+    conditions certify it: c >= 0, |sum c - 1| <= 1e-12, and the scaled dual
+    gradient v = gamma (A y + b) is equal across S and nowhere larger off S,
+    both to 1e-12 max(1, |w|_inf) for the scaled w; c must also pass the tol
+    stop as a fixed point of the projected-gradient map.  Such a point is a
+    global maximizer of the concave dual, however S was found; an
+    uncertified solve changes nothing and the iteration goes on, with the
+    same stop and budget.  The finish depends only on (family, mu, x), never
+    on earlier calls.  Any other C gets plain FISTA, as does a wrapper
+    around :func:`~pvsmooth.projections.project_simplex`.
+
     Returns ``(y, c, iterations)`` where y is the prox point and c the
     worst-case weights.  Raises :class:`ConvergenceError` (carrying the last
     increment and iterate) if the budget runs out.
@@ -318,6 +352,9 @@ def prox_sup_affine(family, mu, x):
     n = a_rows.shape[0]
     w = gamma * (a_rows @ x / s + family.offsets)
     m = (gamma * mu / s) * family.gram
+    exact = project is project_simplex
+    max_support = min(n, a_rows.shape[1]) + 1
+    live = None
     c = project(np.full(n, 1.0 / n))
     z, t = c, 1.0
     delta = np.inf
@@ -325,6 +362,14 @@ def prox_sup_affine(family, mu, x):
         c_next = project(z + w - m @ z)
         diff = c_next - c
         delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
+        if exact:
+            prev, live = live, c_next > 0.0
+            if delta <= tol or (prev is not None
+                                and np.count_nonzero(live) <= max_support
+                                and np.array_equal(prev, live)):
+                c_kkt = _simplex_kkt_weights(m, w, live, tol)
+                if c_kkt is not None:
+                    return (x - mu * (a_rows.T @ c_kkt)) / s, c_kkt, it
         if delta <= tol:
             return (x - mu * (a_rows.T @ c_next)) / s, c_next, it
         if (z - c_next) @ diff > 0.0:
@@ -341,6 +386,55 @@ def prox_sup_affine(family, mu, x):
         iterations=max_iter,
         best=(y, c),
     )
+
+
+def _simplex_kkt_weights(m, w, live, tol):
+    """Maximizer of <c, w> - c^T m c / 2 over the simplex with support in
+    ``live``, or None unless the KKT conditions certify it.
+
+    Solves the bordered system [m_SS 1; 1^T 0] [c_S; t] = [w_S - max w_S; 1]
+    on the support S (least squares when it is singular, as for duplicate
+    scenarios) and drops the indices where c_S < 0 until none is left.  The
+    shift by max w_S moves only t, since sum c_S = 1, and keeps a large
+    common part of w out of the solve.  The result is accepted only if
+    c >= 0, |sum c - 1| <= 1e-12, and v = w - m c has
+    max_S v - min_S v <= eps and max v - max_S v <= eps (nothing off S is
+    larger), eps = 1e-12 max(1, |w|_inf); and if c also passes the stop test
+    of the dual iteration as a fixed point, |P(c + v) - c| <= tol.  The last
+    test matters only where floats absorb c into a much larger w: it then
+    keeps the weights the iteration itself can reach, which rounding cannot
+    tell apart from the exact ones.
+    """
+    idx = np.flatnonzero(live)
+    while True:
+        k = idx.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = m[idx[:, None], idx]
+        kkt[k, k] = 0.0
+        rhs = np.ones(k + 1)
+        rhs[:k] = w[idx]
+        rhs[:k] -= rhs[:k].max()
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        keep = sol[:k] >= 0.0
+        if keep.all():
+            break
+        idx = idx[keep]
+        if not idx.size:
+            return None
+    c = np.zeros(w.size)
+    c[idx] = sol[:k]
+    v = w - m @ c
+    on = v[idx]
+    top = on.max()
+    eps = 1e-12 * max(1.0, float(np.abs(w).max()))
+    if (abs(c.sum() - 1.0) <= 1e-12 and top - on.min() <= eps
+            and v.max() - top <= eps
+            and np.linalg.norm(project_simplex(c + v) - c) <= tol):
+        return c
+    return None
 
 
 # ---------------------------------------------------------------------------

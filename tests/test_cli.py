@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvsmooth import cli
+from pvsmooth.projections import project_simplex
 
 
 def make_config(**overrides):
@@ -177,9 +178,12 @@ def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):
 
 def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
     # an inner prox budget too small for the direct dispersion run: the
-    # weight iteration fails partway and the partial trace is still written
+    # weight iteration fails partway and the partial trace is still written.
+    # A wrapped projector keeps plain FISTA, which needs the budget; the
+    # exact finish on project_simplex itself ends every call within it.
     def capped(inst):
         problem = build_direct(inst)
+        problem.g.project_ambiguity = lambda c: project_simplex(c)
         problem.g.km_max_iter = 50
         return problem
 
@@ -220,6 +224,8 @@ def test_verify_prox_battery_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "sup-quadratic prox vs grid search" in out
+    assert "affine dual gap, 10 scenarios in R^3" in out
+    assert "affine support spread, 10 scenarios in R^3" in out
 
 
 def test_verify_bounds_passes(capsys):

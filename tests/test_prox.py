@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,6 +12,7 @@ from pvsmooth.prox import (
     ScalarRegularizer,
     SupAffineFamily,
     SupQuadraticFamily,
+    _simplex_kkt_weights,
     envelope_by_weights,
     envelope_sup_identity_check,
     mcp_value,
@@ -301,6 +302,114 @@ def test_sup_affine_budget_exhaustion():
     y_best, c_best = err.best
     assert y_best.shape == (1,)
     assert c_best.shape == (2,)
+
+
+def test_sup_affine_budget_and_tolerance_validation():
+    rows, offsets = np.array([[2.0], [-2.0]]), np.zeros(2)
+    for kw in ({"km_max_iter": 10.5}, {"km_max_iter": 0}, {"km_max_iter": -3},
+               {"km_max_iter": None}, {"km_tol": np.nan}, {"km_tol": -1.0},
+               {"km_tol": 0.0}, {"km_tol": np.inf}):
+        with pytest.raises(DomainError):
+            _simplex_family(rows, offsets, 1.0, **kw)
+    fam = _simplex_family(rows, offsets, 1.0, km_max_iter=np.int64(7), km_tol=1e-3)
+    assert fam.km_max_iter == 7 and fam.km_tol == 1e-3
+
+
+def _fista_only(fam, km_tol):
+    """The same family behind a wrapped projector, which runs plain FISTA."""
+    return SupAffineFamily(fam.a_rows, fam.offsets, fam.sigma,
+                           lambda c: project_simplex(c), simplex_support_max,
+                           km_tol=km_tol)
+
+
+def _simplex_kkt_residuals(fam, mu, x, c):
+    """(|sum c - 1|, spread of v over c > 0, excess of v off it, eps) for the
+    gamma-scaled dual gradient v = w - m c of prox_sup_affine."""
+    s = 1.0 - 2.0 * fam.sigma * mu
+    lip = mu * fam.gram_norm / s
+    gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+    w = gamma * (fam.a_rows @ x / s + fam.offsets)
+    v = w - ((gamma * mu / s) * fam.gram) @ c
+    live = c > 0.0
+    top = v[live].max()
+    return (abs(c.sum() - 1.0), top - v[live].min(),
+            v[~live].max(initial=-np.inf) - top, 1e-12 * max(1.0, np.abs(w).max()))
+
+
+@st.composite
+def _degenerate_simplex_cases(draw):
+    n_scen = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    a_rows = draw(hnp.arrays(float, (n_scen, dim), elements=_entries))
+    offsets = draw(hnp.arrays(float, n_scen, elements=_entries))
+    for i in range(1, n_scen):
+        kind = draw(st.sampled_from(["keep", "keep", "duplicate", "zero"]))
+        if kind == "duplicate":
+            j = draw(st.integers(0, i - 1))
+            a_rows[i], offsets[i] = a_rows[j], offsets[j]
+        elif kind == "zero":
+            a_rows[i] = 0.0
+    x = draw(hnp.arrays(float, dim, elements=_entries))
+    sigma = draw(st.floats(0.25, 2.0))
+    mu = draw(st.floats(0.05, 0.9)) / (2.0 * sigma)
+    return a_rows, offsets, sigma, mu, x
+
+
+_rng = np.random.default_rng(21)
+_wide = _rng.uniform(-1.0, 1.0, (9, 2))  # N > d + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_degenerate_simplex_cases())
+@example((np.array([[0.7, -1.2]]), np.array([0.4]), 1.0, 0.3, np.array([0.5, 0.1])))
+@example((np.array([[1.0, 0.5], [1.0, 0.5], [-1.0, 0.2], [-1.0, 0.2]]),
+          np.array([0.1, 0.1, -0.2, -0.2]), 1.0, 0.2, np.array([0.05, -0.3])))
+@example((np.zeros((4, 3)), np.array([0.3, -0.1, 0.3, 0.2]), 0.5, 0.4,
+          np.array([1.0, -1.0, 0.5])))
+@example((np.vstack([np.zeros((2, 2)), _rng.uniform(-1.0, 1.0, (3, 2))]),
+          _rng.uniform(-0.2, 0.2, 5), 1.0, 0.3, np.array([0.2, -0.4])))
+@example((_wide, _rng.uniform(-0.5, 0.5, 9), 0.8, 0.4, _rng.uniform(-1.0, 1.0, 2)))
+def test_sup_affine_exact_finish_matches_fista_and_meets_kkt(case):
+    a_rows, offsets, sigma, mu, x = case
+    fam = _simplex_family(a_rows, offsets, sigma)
+    y, c, _ = prox_sup_affine(fam, mu, x)
+    y_ref, _, _ = prox_sup_affine(_fista_only(fam, 1e-13), mu, x)
+    assert np.abs(y - y_ref).max() <= 1e-9
+    assert c.min() >= 0.0
+    sum_dev, spread, excess, eps = _simplex_kkt_residuals(fam, mu, x, c)
+    assert sum_dev <= 1e-12
+    assert spread <= eps and excess <= eps
+
+
+def test_sup_affine_exact_finish_is_stateless():
+    rng = np.random.default_rng(22)
+    a_rows = rng.uniform(-1.0, 1.0, (10, 3))
+    offsets = rng.uniform(-1.0, 1.0, 10)
+    inputs = [(rng.uniform(0.05, 0.45), rng.uniform(-s, s, 3))
+              for s in (0.1, 0.3, 1.0, 3.0) for _ in range(3)]
+    # each input on a fresh family, then on one family after any history:
+    # forwards, backwards, and the same input twice in a row
+    expected = [prox_sup_affine(_simplex_family(a_rows, offsets, 1.0), mu, x)
+                for mu, x in inputs]
+    fam = _simplex_family(a_rows, offsets, 1.0)
+    order = list(range(len(inputs)))
+    for i in order + order[::-1] + [i for i in order for _ in range(2)]:
+        y, c, it = prox_sup_affine(fam, *inputs[i])
+        y0, c0, it0 = expected[i]
+        assert np.array_equal(y, y0) and np.array_equal(c, c0) and it == it0
+
+
+def test_simplex_kkt_certificate_rejects_small_violations():
+    # v = w - m c is off by 1e-11 > eps = 1e-12: off the support for S = {0},
+    # across it for S = {0, 1}; both pass the 1e-10 fixed-point test alone
+    m, w = np.zeros((2, 2)), np.array([0.0, 1e-11])
+    assert _simplex_kkt_weights(m, w, np.array([True, False]), 1e-10) is None
+    assert _simplex_kkt_weights(m, w, np.array([True, True]), 1e-10) is None
+    c = _simplex_kkt_weights(m, np.zeros(2), np.array([True, True]), 1e-10)
+    assert np.abs(c - 0.5).max() <= 1e-15  # duplicates: least squares split
+    c = _simplex_kkt_weights(np.eye(2), np.array([1.0, -2.0]),
+                             np.array([True, True]), 1e-10)
+    assert np.array_equal(c, [1.0, 0.0])  # c_1 < 0 is dropped, then certified
 
 
 def test_sup_affine_mu_domain():
