@@ -15,6 +15,8 @@ Moreau envelope g_mu, which is differentiable for mu < 1/rho with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DomainError
@@ -119,6 +121,11 @@ def matrix_norm_bound(mat):
 class ProxFunction:
     """A function g with an implementable proximity operator.
 
+    Subclasses implement ``value`` and ``prox``.  The solver asks for both
+    at once through ``prox_and_value``, which derives them from the two; a
+    family whose prox already holds what ``g(prox)`` needs overrides it to
+    evaluate in one pass, and must return the same floats.
+
     Attributes
     ----------
     rho : float
@@ -141,6 +148,11 @@ class ProxFunction:
 
     def prox(self, mu, y):
         raise NotImplementedError
+
+    def prox_and_value(self, mu, y):
+        """Return ``(p, g(p))`` with ``p = prox_{mu g}(y)``."""
+        p = self.prox(mu, y)
+        return p, self.value(p)
 
     def check_mu(self, mu):
         """Raise DomainError unless 0 < mu < mu_max."""
@@ -310,9 +322,9 @@ def moreau_envelope(g, mu, x):
     """
     g.check_mu(mu)
     x = np.asarray(x, dtype=float)
-    p = g.prox(mu, x)
+    p, gp = g.prox_and_value(mu, x)
     d = x - p
-    return float(g.value(p) + (d @ d) / (2.0 * mu))
+    return float(gp + (d @ d) / (2.0 * mu))
 
 
 def moreau_gradient(g, mu, x):
@@ -365,17 +377,17 @@ class CompositeProblem:
     def smoothed_parts(self, mu, x):
         """Return (F_mu(x), grad F_mu(x), |Ax - prox_{mu g}(Ax)|).
 
-        One prox evaluation serves the value, the gradient and the prox
-        residual, and one ``h.value_and_grad`` call the smooth part.
+        One ``g.prox_and_value`` call serves the value, the gradient and the
+        prox residual, and one ``h.value_and_grad`` call the smooth part.
         """
         self.g.check_mu(mu)
         x = np.asarray(x, dtype=float)
         ax = self.a_map.apply(x)
-        p = self.g.prox(mu, ax)
+        p, gp = self.g.prox_and_value(mu, ax)
         d = ax - p
-        env = self.g.value(p) + (d @ d) / (2.0 * mu)
+        dd = float(d @ d)
         h_val, h_grad = self.h.value_and_grad(x)
-        val = float(h_val + env)
+        val = float(h_val + (gp + dd / (2.0 * mu)))
         grad = h_grad + self.a_map.adjoint(d / mu)
-        res = float(np.linalg.norm(d))
-        return val, grad, res
+        # sqrt(d @ d) is what np.linalg.norm computes for a 1-d array
+        return val, grad, math.sqrt(dd)

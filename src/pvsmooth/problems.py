@@ -92,11 +92,11 @@ class FirstBlockBallPenalty(SmoothFunction):
 
     def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
-        x1 = x.reshape(self.n_blocks, -1)[0]
+        x1 = x.reshape(self.n_blocks, -1)[0]  # also rejects a length not N * d
         d = x1 - project_ball(self.ball, x1)
-        out = np.zeros_like(x).reshape(self.n_blocks, -1)
-        out[0] = self.weight * d
-        return float(0.5 * self.weight * (d @ d)), out.ravel()
+        grad = np.zeros(x.size)
+        grad[: d.size] = self.weight * d
+        return float(0.5 * self.weight * (d @ d)), grad
 
 
 class ProductBallPenalty(SmoothFunction):

@@ -126,6 +126,7 @@ class ReplicatedKernelProjector(SubspaceProjector):
     The intersection is {(v, ..., v) : v in V}, so the projection replicates
     P_V applied to the blockwise mean.  Dykstra applied to (V^N, diagonal)
     converges to the same point and is kept around as a cross-check only.
+    The mean is the blockwise sum divided by N, the floats ``mean`` gives.
     """
 
     def __init__(self, kernel_projector, n_blocks):
@@ -133,9 +134,10 @@ class ReplicatedKernelProjector(SubspaceProjector):
         self.n_blocks = int(n_blocks)
 
     def apply(self, x):
-        x = np.asarray(x, dtype=float)
-        mean = x.reshape(self.n_blocks, -1).mean(axis=0)
-        return np.tile(self.kernel.apply(mean), self.n_blocks)
+        blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
+        out = np.empty_like(blocks)
+        out[:] = self.kernel.apply(blocks.sum(axis=0) / self.n_blocks)
+        return out.ravel()
 
 
 def dykstra_project(proj_a, proj_b, x, tol=1e-12, max_iter=10000):

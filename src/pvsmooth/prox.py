@@ -19,6 +19,7 @@ smoothing parameter satisfies mu < 1/rho.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -76,7 +77,7 @@ def solve_simplex_weights(alpha, mu):
 
     Parameters
     ----------
-    alpha : array of positive reals
+    alpha : array of finite positive reals
         Squared distances |x_i - c_i|^2 per block.
     mu : float in (0, 1/2)
 
@@ -90,28 +91,35 @@ def solve_simplex_weights(alpha, mu):
     the k largest blocks vanish; the rest get
 
         p_i = (1 - (N - k - 2 mu) sqrt(alpha_i) / T_k) / (2 mu).
+
+    The arguments are validated here, and a bad one raises
+    :class:`DomainError`; :class:`SupQuadraticFamily` checks its own input
+    and calls the unchecked solver directly.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0:
         raise DomainError("alpha must be a nonempty 1-d array")
-    if not np.all(alpha > 0):
-        raise DomainError("alpha entries must be strictly positive")
+    if not np.all((alpha > 0) & (alpha < np.inf)):
+        raise DomainError("alpha entries must be finite and strictly positive")
     if not (0.0 < mu < 0.5):
         raise DomainError("mu must lie in (0, 1/2)")
+    return _simplex_weights(alpha, mu)
+
+
+def _simplex_weights(alpha, mu):
+    """:func:`solve_simplex_weights` without the argument checks."""
     n = alpha.size
     order = np.argsort(-alpha, kind="stable")
     s = np.sqrt(alpha[order])
-    # T[i] = sum of s[i:], i.e. sqrt(alpha) over blocks outside the i largest
-    tails = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-    idx = np.arange(n)
-    cond = (n - idx - 2.0 * mu) * s < tails[idx]
+    # tails[i] = sum of s[i:], i.e. sqrt(alpha) over blocks outside the i largest
+    tails = np.cumsum(s[::-1])[::-1]
+    cond = (n - np.arange(n) - 2.0 * mu) * s < tails
     k = int(np.nonzero(cond)[0][0])
     p = np.zeros(n)
-    live = order[k:]
-    if live.size == 1:
-        p[live] = 1.0  # the formula gives 1 only up to rounding
+    if k == n - 1:
+        p[order[k]] = 1.0  # the formula gives 1 only up to rounding
     else:
-        p[live] = (1.0 - (n - k - 2.0 * mu) * np.sqrt(alpha[live]) / tails[k]) / (2.0 * mu)
+        p[order[k:]] = (1.0 - (n - k - 2.0 * mu) * s[k:] / tails[k]) / (2.0 * mu)
     return p
 
 
@@ -147,6 +155,11 @@ class SupQuadraticFamily(ProxFunction):
     The function is 2-weakly convex, so the prox is single valued for
     mu < 1/2.  With alpha_i = |x_i - c_i|^2 and maximizing weights p, the
     prox has blocks (x_i - 2 mu p_i c_i) / (1 - 2 mu p_i).
+
+    ``prox_and_value`` forms the block differences once and reads f at the
+    prox point from the prox blocks it has just built, the same floats
+    ``value`` computes; ``prox`` is its first half.  A non-finite squared
+    distance raises :class:`DomainError`.
     """
 
     rho = 2.0
@@ -173,28 +186,40 @@ class SupQuadraticFamily(ProxFunction):
     def value(self, x):
         return float(-self.alphas(x).min())
 
-    def weights(self, mu, x):
-        """Maximizing simplex weights at x (closed form; no iteration)."""
-        self.check_mu(mu)
-        alpha = self.alphas(x)
+    def _weights(self, mu, alpha):
+        """Maximizing simplex weights for squared distances ``alpha``, with
+        mu already checked.  The max is NaN or inf exactly when some entry
+        is, so one reduction rejects a non-finite input."""
+        if not math.isfinite(alpha.max()):
+            raise DomainError("squared block distances |x_i - c_i|^2 must be finite")
         zero = np.nonzero(alpha == 0.0)[0]
         if zero.size:
             p = np.zeros(self.n_blocks)
             p[zero[0]] = 1.0  # a vanishing distance pins the weight there
             return p
-        return solve_simplex_weights(alpha, mu)
+        return _simplex_weights(alpha, mu)
+
+    def weights(self, mu, x):
+        """Maximizing simplex weights at x (closed form; no iteration)."""
+        self.check_mu(mu)
+        return self._weights(mu, self.alphas(x))
 
     def prox(self, mu, x):
+        return self.prox_and_value(mu, x)[0]
+
+    def prox_and_value(self, mu, x):
         self.check_mu(mu)
         blocks = self._blocks(x)
-        p = self.weights(mu, x)
+        diff = blocks - self.centers
+        p = self._weights(mu, (diff * diff).sum(axis=1))
         denom = 1.0 - 2.0 * mu * p
-        if np.any(denom < _DENOM_GUARD):
+        if denom.min() < _DENOM_GUARD:
             raise NumericalError(
                 "prox denominators collapsed (min %g)" % float(denom.min())
             )
         out = (blocks - (2.0 * mu) * p[:, None] * self.centers) / denom[:, None]
-        return out.ravel()
+        d = out - self.centers
+        return out.ravel(), float(-(d * d).sum(axis=1).min())
 
 
 def envelope_sup_identity_check(family, mu, x):

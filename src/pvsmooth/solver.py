@@ -27,6 +27,7 @@ meets a secondary threshold epsilon^(2 alpha / (1 - alpha)).
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -198,7 +199,7 @@ def _iterate(problem, cfg, x1, stop, exhausted):
         for k in range(1, cfg.max_iter + 2):
             mu, gamma, val, pgn, res, grad, step = _state(problem, cfg, k, x)
             trace.append(k, mu, gamma, val, pgn, res, time.perf_counter() - t0)
-            if not (np.isfinite(val) and np.isfinite(pgn) and np.all(np.isfinite(grad))):
+            if not (math.isfinite(val) and math.isfinite(pgn) and np.isfinite(grad).all()):
                 trace.final_x, trace.iterations, trace.stop_reason = (
                     x, k - 1, "numerical_error")
                 raise NumericalError("non-finite state at iteration %d" % k, trace=trace)

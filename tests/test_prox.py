@@ -83,6 +83,19 @@ def test_simplex_weights_domain_errors():
         solve_simplex_weights(np.array([1.0, 2.0]), -0.1)
 
 
+def test_non_finite_input_to_sup_quadratic_prox_raises_domain_error():
+    for alpha in ([np.inf, np.inf], [np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(DomainError, match="finite"):
+            solve_simplex_weights(np.array(alpha), 0.1)
+    fam = SupQuadraticFamily(np.array([[0.0, 1.0], [2.0, -1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        # a block at its center pins the weight; the bad block still counts
+        for x in (np.array([0.3, bad, 2.0, -1.0]), np.array([0.0, 1.0, bad, 0.5])):
+            for call in (fam.prox, fam.prox_and_value, fam.weights):
+                with pytest.raises(DomainError, match="finite"):
+                    call(0.2, x)
+
+
 # ---------------------------------------------------------------------------
 # sup of concave quadratics
 # ---------------------------------------------------------------------------
