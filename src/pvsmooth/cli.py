@@ -372,18 +372,27 @@ def _verify_prox():
     checks.append(("affine-family prox vs weight scan", worst <= 1e-4, worst))
 
     # the dispersion shape, 10 scenarios in R^3: iterates near the anchors'
-    # centre put weight on up to d + 1 = 4 scenarios, which the exact KKT
-    # finish must certify; v = A y + b is the dual gradient at the prox point
-    gap = spread = 0.0
+    # centre put weight on up to d + 1 = 4 scenarios, which the active set
+    # must certify; v = A y + b is the dual gradient at the prox point, and
+    # plain FISTA (behind a wrapped projector) must reach the same y
+    gap = spread = apart = 0.0
     for _ in range(12):
         anchors = rng.uniform(-1.0, 1.0, (10, 3))
+        a_rows, offsets = 2.0 * anchors, -(anchors * anchors).sum(axis=1)
         fam = prox.SupAffineFamily(
-            2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0,
+            a_rows, offsets, 1.0,
             project_ambiguity=projections.project_simplex,
             support_max=prox.simplex_support_max,
         )
-        y, c, _ = prox.prox_sup_affine(fam, rng.uniform(0.05, 0.45),
-                                       rng.uniform(-0.3, 0.3, 3))
+        fista = prox.SupAffineFamily(
+            a_rows, offsets, 1.0,
+            project_ambiguity=lambda c: projections.project_simplex(c),
+            support_max=prox.simplex_support_max, km_tol=1e-13,
+        )
+        mu, x = rng.uniform(0.05, 0.45), rng.uniform(-0.3, 0.3, 3)
+        y, c, _ = prox.prox_sup_affine(fam, mu, x)
+        y_fista, _, _ = prox.prox_sup_affine(fista, mu, x)
+        apart = max(apart, float(np.abs(y - y_fista).max()))
         v = fam.a_rows @ y + fam.offsets
         scale = max(1.0, float(np.abs(v).max()))
         on = v[c > 0.0]
@@ -392,6 +401,7 @@ def _verify_prox():
     checks.append(("affine dual gap, 10 scenarios in R^3", gap <= 1e-10, gap))
     checks.append(("affine support spread, 10 scenarios in R^3", spread <= 1e-10,
                    spread))
+    checks.append(("affine prox vs FISTA, 10 scenarios in R^3", apart <= 1e-9, apart))
     return checks
 
 

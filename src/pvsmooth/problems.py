@@ -175,8 +175,8 @@ def dispersion_objective(anchors, radius, lam, x):
 
 def build_max_dispersion_direct(inst):
     """Single-space formulation: the anchor maximum is a supremum of affine
-    forms minus |x|^2, so the prox runs the dual weight iteration on the
-    simplex with its exact KKT finish (:func:`~pvsmooth.prox.prox_sup_affine`).
+    forms minus |x|^2, so the prox solves the dual over the simplex exactly
+    by its certified active set (:func:`~pvsmooth.prox.prox_sup_affine`).
 
     max_i -|x - u_i|^2 = sup_{p in simplex} sum_i p_i (<2 u_i, x> - |u_i|^2) - |x|^2.
     """

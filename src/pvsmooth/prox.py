@@ -8,9 +8,10 @@ Three groups live here:
 * suprema of affine forms minus a quadratic,
   f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox is computed by
   restarted FISTA on the concave dual over the weights c, with step 1/L from
-  the exact Gram norm |A A^T|; when C is the probability simplex, FISTA only
-  has to identify the support of c, and an equality-constrained KKT solve on
-  that support finishes the prox exactly once the KKT conditions certify it;
+  the exact Gram norm |A A^T|; when C is the probability simplex, an active
+  set grows the support of c from the top scenario by equality-constrained
+  KKT solves and returns the first solve the KKT conditions certify, with
+  FISTA as the fallback;
 * separable scalar regularizers (MCP, SCAD, Tukey biweight, l1).
 
 All of these are rho-weakly convex; their prox is single-valued whenever the
@@ -114,7 +115,8 @@ def _simplex_weights(alpha, mu):
     # tails[i] = sum of s[i:], i.e. sqrt(alpha) over blocks outside the i largest
     tails = np.cumsum(s[::-1])[::-1]
     cond = (n - np.arange(n) - 2.0 * mu) * s < tails
-    k = int(np.nonzero(cond)[0][0])
+    cond[-1] = True  # (1 - 2 mu) s < s, which rounding loses for mu below ~6e-17
+    k = int(np.argmax(cond))
     p = np.zeros(n)
     if k == n - 1:
         p[order[k]] = 1.0  # the formula gives 1 only up to rounding
@@ -257,18 +259,19 @@ class SupAffineFamily(ProxFunction):
     project_ambiguity : callable
         Projector onto the compact convex set C (subset of R^N).  Passing
         :func:`~pvsmooth.projections.project_simplex` itself (as every
-        builder does) turns on the exact KKT finish of
+        builder does) turns on the exact active-set solve of
         :func:`prox_sup_affine`; any other callable, even one that projects
         onto the simplex too, gets plain FISTA.
     support_max : callable
         v -> max_{c in C} <c, v>, the support function of C, which gives the
         value (:func:`simplex_support_max` for the simplex).
     km_tol, km_max_iter : float, int
-        Stop tolerance (finite, positive) on the weight increment and
-        iteration budget (a positive integer) of the dual iteration in
-        :func:`prox_sup_affine`; other values raise :class:`DomainError`.
-        The names date from an earlier Krasnoselskii-Mann scheme and are
-        kept for compatibility.
+        Stop tolerance (finite, positive) on the weight increment, which the
+        KKT certificate also applies as a fixed-point test, and iteration
+        budget (a positive integer) of :func:`prox_sup_affine`, shared by
+        its active-set steps and FISTA iterations; other values raise
+        :class:`DomainError`.  The names date from an earlier
+        Krasnoselskii-Mann scheme and are kept for compatibility.
 
     The family caches the Gram matrix ``gram = A A^T`` used by every dual
     step, and ``gram_norm = |A A^T| = |A|^2`` from
@@ -341,24 +344,33 @@ def prox_sup_affine(family, mu, x):
     c, and on the simplex the dual gap max(v) - <c, v> with v = A y + b is at
     most 2 sqrt(2) L tol.
 
-    Exact finish on the simplex.  When ``family.project_ambiguity`` is
-    :func:`~pvsmooth.projections.project_simplex`, FISTA only has to find the
-    support S of c: the dual is a QP with a rank-d Gram matrix, so its
-    solution needs at most d + 1 scenarios.  Whenever the support
-    {c_{k+1} > 0} equals that of the previous iterate and has at most
-    min(N, d) + 1 entries (the bound keeps solves out of the early, wide
-    iterates), and once more when the tol stop fires, the iteration solves
-    the equality-constrained KKT system of the gamma-scaled dual on S
-    (:func:`_simplex_kkt_weights`).  It returns that answer if the KKT
-    conditions certify it: c >= 0, |sum c - 1| <= 1e-12, and the scaled dual
-    gradient v = gamma (A y + b) is equal across S and nowhere larger off S,
-    both to 1e-12 max(1, |w|_inf) for the scaled w; c must also pass the tol
+    Active set on the simplex.  When ``family.project_ambiguity`` is
+    :func:`~pvsmooth.projections.project_simplex`, the dual is a QP with a
+    rank-d Gram matrix, whose solution needs at most d + 1 scenarios, and a
+    primal active set (Wolfe 1976; Nocedal-Wright section 16.5) runs before
+    FISTA.  It starts from the support S = {argmax w}, solves the
+    equality-constrained KKT system of the gamma-scaled dual on S, dropping
+    negative weights (:func:`_simplex_kkt_solve`), and returns the solution
+    once the KKT conditions certify it (:func:`_simplex_kkt_certified`):
+    c >= 0, |sum c - 1| <= 1e-12, and the scaled dual gradient
+    v = gamma (A y + b) is equal across S and nowhere larger off S, both to
+    eps = 1e-12 max(1, |w|_inf) for the scaled w; c must also pass the tol
     stop as a fixed point of the projected-gradient map.  Such a point is a
-    global maximizer of the concave dual, however S was found; an
-    uncertified solve changes nothing and the iteration goes on, with the
-    same stop and budget.  The finish depends only on (family, mu, x), never
-    on earlier calls.  Any other C gets plain FISTA, as does a wrapper
-    around :func:`~pvsmooth.projections.project_simplex`.
+    global maximizer of the concave dual, however S was found.  Otherwise
+    the index with the largest v, if it exceeds max_S v by more than eps,
+    joins S and the system is solved again.  With no such index left, once
+    the solve drops the index just added (the steps would repeat), or after
+    min(``km_max_iter``, 2N) steps, FISTA runs as above on the remaining
+    budget: the fallback for supports the solve-and-drop cannot reach, as
+    with duplicate, zero or collinear rows.  Within FISTA, whenever the
+    support {c_{k+1} > 0} equals that of the previous iterate and has at
+    most min(N, d) + 1 entries, and once more when the tol stop fires, the
+    same solve and certificate are tried on that support; an uncertified
+    solve changes nothing.  ``family.km_max_iter`` caps active-set steps
+    and FISTA iterations together, and ``iterations`` counts both.  The
+    result depends only on (family, mu, x), never on earlier calls.  Any
+    other C gets plain FISTA, as does a wrapper around
+    :func:`~pvsmooth.projections.project_simplex`.
 
     Returns ``(y, c, iterations)`` where y is the prox point and c the
     worst-case weights.  Raises :class:`ConvergenceError` (carrying the last
@@ -378,12 +390,27 @@ def prox_sup_affine(family, mu, x):
     w = gamma * (a_rows @ x / s + family.offsets)
     m = (gamma * mu / s) * family.gram
     exact = project is project_simplex
+    steps = 0
+    if exact:
+        eps = _kkt_eps(w)
+        idx, prev = np.argmax(w)[None], None
+        for steps in range(1, min(max_iter, 2 * n) + 1):
+            c, idx = _simplex_kkt_solve(m, w, idx)
+            if prev is not None and np.array_equal(idx, prev):
+                break  # the added index was dropped: every next step repeats
+            v = w - m @ c
+            if _simplex_kkt_certified(c, v, idx, eps, tol):
+                return (x - mu * (a_rows.T @ c)) / s, c, steps
+            j = int(np.argmax(v))
+            if v[j] - v[idx].max() <= eps:
+                break  # no violator left, yet the solve is not certified
+            prev, idx = idx, np.sort(np.append(idx, j))
     max_support = min(n, a_rows.shape[1]) + 1
     live = None
     c = project(np.full(n, 1.0 / n))
     z, t = c, 1.0
     delta = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(steps + 1, max_iter + 1):
         c_next = project(z + w - m @ z)
         diff = c_next - c
         delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
@@ -415,22 +442,30 @@ def prox_sup_affine(family, mu, x):
 
 def _simplex_kkt_weights(m, w, live, tol):
     """Maximizer of <c, w> - c^T m c / 2 over the simplex with support in
-    ``live``, or None unless the KKT conditions certify it.
+    ``live``, or None unless the KKT conditions certify it: the composition
+    of :func:`_simplex_kkt_solve` and :func:`_simplex_kkt_certified`."""
+    c, idx = _simplex_kkt_solve(m, w, np.flatnonzero(live))
+    if _simplex_kkt_certified(c, w - m @ c, idx, _kkt_eps(w), tol):
+        return c
+    return None
 
-    Solves the bordered system [m_SS 1; 1^T 0] [c_S; t] = [w_S - max w_S; 1]
-    on the support S (least squares when it is singular, as for duplicate
-    scenarios) and drops the indices where c_S < 0 until none is left.  The
+
+def _kkt_eps(w):
+    """Tolerance of the KKT certificate, 1e-12 max(1, |w|_inf)."""
+    return 1e-12 * max(1.0, float(np.abs(w).max()))
+
+
+def _simplex_kkt_solve(m, w, idx):
+    """Weights c with support in the sorted indices ``idx`` that solve the
+    bordered system [m_SS 1; 1^T 0] [c_S; t] = [w_S - max w_S; 1], and the
+    support they keep.
+
+    The system is solved by least squares when it is singular, as for
+    duplicate scenarios, and the indices where c_S < 0 are dropped until
+    none is left (or all are, which the certificate then rejects).  The
     shift by max w_S moves only t, since sum c_S = 1, and keeps a large
-    common part of w out of the solve.  The result is accepted only if
-    c >= 0, |sum c - 1| <= 1e-12, and v = w - m c has
-    max_S v - min_S v <= eps and max v - max_S v <= eps (nothing off S is
-    larger), eps = 1e-12 max(1, |w|_inf); and if c also passes the stop test
-    of the dual iteration as a fixed point, |P(c + v) - c| <= tol.  The last
-    test matters only where floats absorb c into a much larger w: it then
-    keeps the weights the iteration itself can reach, which rounding cannot
-    tell apart from the exact ones.
+    common part of w out of the solve.
     """
-    idx = np.flatnonzero(live)
     while True:
         k = idx.size
         kkt = np.ones((k + 1, k + 1))
@@ -444,22 +479,28 @@ def _simplex_kkt_weights(m, w, live, tol):
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         keep = sol[:k] >= 0.0
-        if keep.all():
+        if keep.all() or not keep.any():
             break
         idx = idx[keep]
-        if not idx.size:
-            return None
     c = np.zeros(w.size)
     c[idx] = sol[:k]
-    v = w - m @ c
+    return c, idx
+
+
+def _simplex_kkt_certified(c, v, idx, eps, tol):
+    """Whether ``c`` with support ``idx`` and dual gradient v = w - m c is
+    the maximizer: c >= 0, |sum c - 1| <= 1e-12, v spreads at most eps over
+    the support and exceeds its maximum nowhere by more than eps, and c
+    passes the stop test of the dual iteration as a fixed point,
+    |P(c + v) - c| <= tol.  The last test matters only where floats absorb
+    c into a much larger w: it then keeps the weights the iteration itself
+    can reach, which rounding cannot tell apart from the exact ones.
+    """
     on = v[idx]
     top = on.max()
-    eps = 1e-12 * max(1.0, float(np.abs(w).max()))
-    if (abs(c.sum() - 1.0) <= 1e-12 and top - on.min() <= eps
-            and v.max() - top <= eps
-            and np.linalg.norm(project_simplex(c + v) - c) <= tol):
-        return c
-    return None
+    return bool(c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
+                and top - on.min() <= eps and v.max() - top <= eps
+                and np.linalg.norm(project_simplex(c + v) - c) <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,7 @@ def test_verify_prox_battery_passes(capsys):
     assert "sup-quadratic prox vs grid search" in out
     assert "affine dual gap, 10 scenarios in R^3" in out
     assert "affine support spread, 10 scenarios in R^3" in out
+    assert "affine prox vs FISTA, 10 scenarios in R^3" in out
 
 
 def test_verify_bounds_passes(capsys):

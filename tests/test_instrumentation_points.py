@@ -75,6 +75,15 @@ def test_builder_problems_expose_traced_attributes(name, R):
         assert callable(getattr(obj, attr, None)), (type(obj).__name__, attr)
 
 
+@pytest.mark.parametrize("R", [None, R_SUM], ids=["whole-space", "ker-R"])
+def test_direct_dispersion_prox_detailed_counts_inner_work(R):
+    # the tracer sums the last entry of prox_detailed as prox.inner_iters
+    problem = build_max_dispersion_direct(_dispersion(R))
+    out = problem.g.prox_detailed(0.25, np.full(3, 0.1))
+    assert isinstance(out, tuple) and len(out) == 3
+    assert isinstance(out[2], int) and out[2] >= 0
+
+
 def test_modules_expose_traced_attributes():
     assert pvsmooth.problems.KernelProjector is pvsmooth.projections.KernelProjector
     for module in (pvsmooth.core, pvsmooth.problems, pvsmooth.prox):
