@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import oracles, projections, prox
-from .core import CallableSmooth, IdentityMap, ZeroFunction
+from .core import CallableSmooth, IdentityMap, ZeroFunction, matrix_norm_bound
 from .errors import ConfigError, DomainError, PvsError
 from .penalty import PenaltySchedule, run_penalty
 from .problems import (
@@ -463,7 +463,21 @@ def _verify_bounds():
     slack = 1e-9 * (1.0 + max(abs(v) for v in trace.objective))
     ok = (not heuristic) and bool(np.all(gm >= -slack) and np.all(pm >= -slack))
     detail = float(min(gm.min(), pm.min()))
-    return [("stationarity decay bounds on seeded lasso", ok, detail)]
+    checks = [("stationarity decay bounds on seeded lasso", ok, detail)]
+
+    # |A| <= matrix_norm_bound(A) <= 1.01 |A|, with |A| from the SVD, which
+    # shares nothing with the Gram matrix the bound is read from
+    rng = np.random.default_rng(20240822)
+    low_rank = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 40))
+    worst, ok = 0.0, True
+    for mat in (rng.standard_normal((20, 60)), rng.standard_normal((60, 20)),
+                low_rank, low_rank.T):
+        norm = float(np.linalg.norm(mat, 2))
+        ratio = matrix_norm_bound(mat) / norm
+        ok &= 1.0 <= ratio <= 1.01 * (1.0 + 1e-12)
+        worst = max(worst, ratio - 1.0)
+    checks.append(("norm bound brackets |A|", ok, worst))
+    return checks
 
 
 def _verify_penalty():

@@ -6,6 +6,7 @@ Dykstra's alternating scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +59,16 @@ def project_simplex(x):
     threshold.  The projection is invariant under adding a constant to every
     coordinate, so x is first shifted to max(x) = 0; then j = 1 always
     qualifies, even for entries too large for ``u_1 - 1`` to differ from u_1.
+    A maximum that is not finite (a NaN or +inf entry, or every entry -inf)
+    raises :class:`DomainError`; a -inf entry otherwise gets weight 0.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("expected a nonempty 1-d array")
-    x = x - x.max()
+    top = float(x.max())
+    if not math.isfinite(top):
+        raise DomainError("simplex projection needs a finite maximum, got %r" % top)
+    x = x - top
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - 1.0
     j = np.arange(1, x.size + 1)
@@ -78,11 +84,14 @@ class KernelProjector(SubspaceProjector):
     R: the right singular vectors of R whose singular values exceed
     1e-12 * sigma_max, the cutoff ``np.linalg.pinv`` uses, so rank-deficient
     R is handled.  For R of rank r in R^n, Q is r x n, and both its storage
-    and each apply cost O(n r).
+    and each apply cost O(n r).  A NaN or infinite entry of R raises
+    :class:`DomainError`.
     """
 
     def __init__(self, R):
         R = np.atleast_2d(np.asarray(R, dtype=float))
+        if not np.isfinite(R).all():
+            raise DomainError("constraint matrix R must be finite")
         if not np.any(R):
             raise DomainError("constraint matrix R must be nonzero")
         _, s, vt = np.linalg.svd(R, full_matrices=False)

@@ -300,8 +300,8 @@ class SupAffineFamily(ProxFunction):
         self.km_tol = float(km_tol)
         self.km_max_iter = int(km_max_iter)
         self.rho = 2.0 * self.sigma
+        self.gram_norm = spectral_norm(a_rows) ** 2  # rejects NaN and inf
         self.gram = a_rows @ a_rows.T
-        self.gram_norm = spectral_norm(a_rows) ** 2
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -373,8 +373,10 @@ def prox_sup_affine(family, mu, x):
     :func:`~pvsmooth.projections.project_simplex`.
 
     Returns ``(y, c, iterations)`` where y is the prox point and c the
-    worst-case weights.  Raises :class:`ConvergenceError` (carrying the last
-    increment and iterate) if the budget runs out.
+    worst-case weights.  Raises :class:`ConvergenceError` if the budget runs
+    out, carrying the last iterate and FISTA's last stop residual, or, when
+    the active set used the whole budget and c is the projected uniform
+    start, its fixed-point residual |P(c + v) - c| with v = w - m c.
     """
     family.check_mu(mu)
     x = np.asarray(x, dtype=float)
@@ -431,6 +433,8 @@ def prox_sup_affine(family, mu, x):
             z = c_next + ((t - 1.0) / t_next) * diff
             t = t_next
         c = c_next
+    if steps == max_iter:  # the active set used the whole budget
+        delta = float(np.linalg.norm(project(c + w - m @ c) - c))
     y = (x - mu * (a_rows.T @ c)) / s
     raise ConvergenceError(
         "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),

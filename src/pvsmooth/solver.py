@@ -147,7 +147,7 @@ def schedule(cfg, problem, k):
 
 def _require_in_subspace(projector, x, what="x"):
     drift = np.linalg.norm(x - projector.apply(x))
-    if drift > _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x)):
+    if not drift <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x)):  # NaN fails too
         raise ContractError(
             "%s is not in the constraint subspace (drift %.3e)" % (what, drift)
         )

@@ -233,6 +233,7 @@ def test_verify_bounds_passes(capsys):
     assert cli.main(["verify", "bounds"]) == 0
     out = capsys.readouterr().out
     assert "stationarity decay bounds" in out and "PASS" in out
+    assert "norm bound brackets |A|" in out
 
 
 # ---------------------------------------------------------------------------

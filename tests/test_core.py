@@ -20,7 +20,8 @@ from pvsmooth.core import (
     moreau_gradient,
 )
 from pvsmooth.errors import ContractError, DomainError
-from pvsmooth.projections import KernelProjector
+from pvsmooth.problems import QuadraticLoss, random_lasso_data
+from pvsmooth.projections import KernelProjector, project_simplex
 
 
 def test_matrix_norm_bound_known_matrices():
@@ -61,6 +62,109 @@ def test_matrix_norm_bound_brackets_the_norm(mat):
     norm = np.linalg.norm(mat, 2)
     bound = matrix_norm_bound(mat)
     assert norm * (1.0 - 1e-12) <= bound <= 1.01 * norm * (1.0 + 1e-12)
+
+
+def _matvec_norm_bound(mat):
+    """matrix_norm_bound as power iteration by matvecs with ``mat`` and
+    ``mat.T``, maxed with spectral_norm: the reference the Gram-matrix
+    iteration must reproduce to roundoff."""
+    mat, exp = core._scaled_to_safe_range(mat)
+    if not mat.any():
+        return 0.0
+    rng = np.random.default_rng(core._POWER_SEED)
+    v = rng.standard_normal(mat.shape[1])
+    v /= np.linalg.norm(v)
+    av = mat @ v
+    lam = 0.0
+    for _ in range(core._POWER_ITERS):
+        w = mat.T @ av
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            break
+        v = w / nw
+        av = mat @ v
+        lam_next = float(av @ av)
+        converged = abs(lam_next - lam) <= core._POWER_TOL * max(1.0, abs(lam_next))
+        lam = lam_next
+        if converged:
+            break
+    estimate = np.sqrt(max(lam, 0.0)) * core._POWER_INFLATE
+    return float(np.ldexp(max(estimate, core.spectral_norm(mat)), exp))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_norm_cases())
+def test_matrix_norm_bound_matches_the_matvec_iteration(mat):
+    ref = _matvec_norm_bound(mat)
+    assert abs(matrix_norm_bound(mat) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("variant", [0, 11])
+def test_matrix_norm_bound_on_lasso_designs(variant):
+    # the benchmark's 500 x 2000 designs, where 100 power steps stop below
+    # the norm and the inflated estimate, not the certificate, is returned
+    design, _ = random_lasso_data(2000, 500, variant)
+    ref = _matvec_norm_bound(design)
+    assert ref > core.spectral_norm(design)
+    assert abs(matrix_norm_bound(design) - ref) <= 1e-14 * ref
+
+
+def test_matrix_norm_bound_row_orthogonal_to_the_start():
+    # a row orthogonal to the seeded start up to the roundoff of A v (about
+    # 1e-17 here), and its transpose, whose start in R^1 is never
+    # orthogonal: the leftover roundoff points along the row, so one power
+    # step finds the norm, as the matvec iteration does
+    start = np.random.default_rng(core._POWER_SEED).standard_normal(6)
+    start /= np.linalg.norm(start)
+    row = np.zeros((1, 6))
+    row[0, 1], row[0, 4] = start[4], -start[1]
+    assert abs(float((row @ start)[0])) <= 1e-15
+    norm = float(np.linalg.norm(row))
+    for mat in (row, row.T):
+        bound = matrix_norm_bound(mat)
+        assert norm * (1.0 - 1e-15) <= bound <= 1.01 * norm * (1.0 + 1e-12)
+        assert abs(bound - _matvec_norm_bound(mat)) <= 1e-15 * norm
+
+
+class _FirstAxisStart:
+    """Stands in for the seeded generator: the power start becomes e_0."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, n):
+        start = np.zeros(n)
+        start[0] = 1.0
+        return start
+
+
+def test_matrix_norm_bound_start_in_the_null_space(monkeypatch):
+    # with the start e_0, A e_0 = 0 exactly when column 0 of A is zero and
+    # A^T e_0 = 0 when row 0 is: both the wide loop (u = A v = 0) and the
+    # tall one (G v = 0) end at once, and the exact norm 5 comes back, not
+    # 1.01 times a smaller singular value
+    monkeypatch.setattr(np.random, "default_rng", _FirstAxisStart)
+    mat = np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 4.0]])
+    for m in (mat, mat.T):
+        assert matrix_norm_bound(m) == core.spectral_norm(m) == _matvec_norm_bound(m)
+        assert abs(matrix_norm_bound(m) - 5.0) <= 1e-15 * 5.0
+
+
+@pytest.mark.parametrize("mat", [
+    np.random.default_rng(5).standard_normal((4, 7)),
+    np.random.default_rng(6).standard_normal((7, 4)),
+    np.random.default_rng(7).standard_normal((5, 5)),
+    np.ldexp(np.random.default_rng(8).standard_normal((2, 3)), 600),
+])
+def test_spectral_norm_is_the_smaller_gram_eigenvalue(mat):
+    # bit for bit: spectral_norm sets SupAffineFamily.gram_norm, and so the
+    # dual step sizes of the dispersion runs
+    exp = int(np.frexp(np.abs(mat).max())[1])  # scaled only outside 2^(+-200)
+    exp = exp if abs(exp) > 200 else 0
+    scaled = np.ldexp(mat, -exp)
+    gram = scaled @ scaled.T if mat.shape[0] <= mat.shape[1] else scaled.T @ scaled
+    expected = np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), exp)
+    assert core.spectral_norm(mat) == expected
 
 
 def test_moreau_envelope_zero_function():
@@ -176,6 +280,29 @@ def test_linear_map_adjoint_and_norm():
 def test_matrix_map_rejects_zero():
     with pytest.raises(DomainError):
         MatrixMap(np.zeros((2, 2)))
+
+
+_NON_FINITE_BUILDS = {
+    "MatrixMap": MatrixMap,
+    "QuadraticLoss": lambda mat: QuadraticLoss(mat, np.ones(mat.shape[0])),
+    "SupAffineFamily": lambda mat: prox.SupAffineFamily(
+        mat, np.zeros(mat.shape[0]), 1.0, project_simplex, prox.simplex_support_max),
+    "KernelProjector": KernelProjector,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", sorted(_NON_FINITE_BUILDS))
+def test_non_finite_matrices_are_rejected(build, bad):
+    # one row (where MatrixMap took NaN as its norm bound and
+    # KernelProjector an inf as an empty basis) and a 5 x 3 matrix (where
+    # eigvalsh or the SVD raised a bare LinAlgError)
+    row = np.array([[1.0, bad, 1.0]])
+    mat = np.random.default_rng(9).standard_normal((5, 3))
+    mat[2, 1] = bad
+    for m in (row, mat):
+        with pytest.raises(DomainError):
+            _NON_FINITE_BUILDS[build](m)
 
 
 def test_identity_map_roundtrip():

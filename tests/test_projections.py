@@ -59,6 +59,16 @@ def test_project_simplex_basic():
                           np.array([0.5, 0.5]))
 
 
+def test_project_simplex_rejects_nan_and_plus_inf():
+    # the shift by max(x) made these a bare IndexError
+    for x in ([np.nan, 1.0], [np.inf, 0.0], [0.0, np.nan, np.inf], [-np.inf, -np.inf]):
+        with pytest.raises(DomainError):
+            project_simplex(np.array(x))
+    # a -inf entry still gets weight 0
+    assert np.array_equal(project_simplex(np.array([-np.inf, 0.0, 0.0])),
+                          np.array([0.0, 0.5, 0.5]))
+
+
 def test_project_simplex_example():
     out = project_simplex(np.array([0.5, 0.5, 1.0]))
     assert np.abs(out - np.array([1 / 6, 1 / 6, 2 / 3])).max() < 1e-12

@@ -155,6 +155,20 @@ def test_pvs_step_requires_subspace_membership():
         run_pvs(prob, cfg, np.array([1.0, 1.0, 1.0]))
 
 
+def test_nan_start_is_not_in_the_subspace():
+    # a NaN drift passed the old `drift > tol` test, and the run died in
+    # project_simplex with a bare IndexError and no trace
+    prob, _ = seeded_direct_dispersion()
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=5, stop_step_norm=0.0,
+                       epsilon=1e-9)
+    x = np.array([np.nan, 0.0, 0.0])
+    for run in (run_pvs, run_pvs_epochs):
+        with pytest.raises(ContractError, match="not in the constraint subspace"):
+            run(prob, cfg, x)
+    with pytest.raises(ContractError, match="not in the constraint subspace"):
+        pvs_step(prob, cfg, 1, x)
+
+
 def test_pvs_step_is_the_run_loop_step():
     prob = lasso_problem()
     dispersion, x_disp = seeded_direct_dispersion()
