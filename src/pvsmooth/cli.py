@@ -373,11 +373,14 @@ def _verify_prox():
 
     # the dispersion shape, 10 scenarios in R^3: iterates near the anchors'
     # centre put weight on up to d + 1 = 4 scenarios, which the active set
-    # must certify; v = A y + b is the dual gradient at the prox point, and
-    # plain FISTA (behind a wrapped projector) must reach the same y
+    # must certify, also when the anchors are collinear (a singular KKT
+    # system) or repeat; v = A y + b is the dual gradient at the prox point,
+    # and plain FISTA (behind a wrapped projector) must reach the same y
     gap = spread = apart = 0.0
-    for _ in range(12):
+    for i in range(24):
         anchors = rng.uniform(-1.0, 1.0, (10, 3))
+        if i >= 12:  # collinear, on a half-integer grid
+            anchors = np.outer(rng.integers(-4, 5, 10) / 2, anchors[0])
         a_rows, offsets = 2.0 * anchors, -(anchors * anchors).sum(axis=1)
         fam = prox.SupAffineFamily(
             a_rows, offsets, 1.0,

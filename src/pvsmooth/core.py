@@ -387,7 +387,7 @@ class CompositeProblem:
             try:
                 out = self.a_map.apply(probe)
                 self.subspace.apply(probe)
-                self.g.prox(min(1.0, 0.5 * g.mu_max), np.asarray(out, dtype=float))
+                self.g.value(np.asarray(out, dtype=float))
             except (ValueError, IndexError) as exc:  # re-raise with context
                 raise ContractError(
                     "problem components disagree on dimension %d: %s" % (dim, exc)

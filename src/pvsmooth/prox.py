@@ -6,12 +6,9 @@ Three groups live here:
   product space, whose prox reduces to a weight vector on the simplex with a
   closed-form solution;
 * suprema of affine forms minus a quadratic,
-  f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox is computed by
-  restarted FISTA on the concave dual over the weights c, with step 1/L from
-  the exact Gram norm |A A^T|; when C is the probability simplex, an active
-  set grows the support of c from the top scenario by equality-constrained
-  KKT solves and returns the first solve the KKT conditions certify, with
-  FISTA as the fallback;
+  f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox maximizes a
+  concave dual over the weights c: exactly by an active set when C is the
+  probability simplex, else by restarted FISTA;
 * separable scalar regularizers (MCP, SCAD, Tukey biweight, l1).
 
 All of these are rho-weakly convex; their prox is single-valued whenever the
@@ -257,25 +254,21 @@ class SupAffineFamily(ProxFunction):
     sigma : float > 0
         Concavity weight; the family is 2*sigma-weakly convex.
     project_ambiguity : callable
-        Projector onto the compact convex set C (subset of R^N).  Passing
-        :func:`~pvsmooth.projections.project_simplex` itself (as every
-        builder does) turns on the exact active-set solve of
-        :func:`prox_sup_affine`; any other callable, even one that projects
-        onto the simplex too, gets plain FISTA.
+        Projector onto the compact convex set C (subset of R^N).
+        :func:`~pvsmooth.projections.project_simplex` itself turns on the
+        exact active set of :func:`prox_sup_affine`.
     support_max : callable
         v -> max_{c in C} <c, v>, the support function of C, which gives the
         value (:func:`simplex_support_max` for the simplex).
     km_tol, km_max_iter : float, int
-        Stop tolerance (finite, positive) on the weight increment, which the
-        KKT certificate also applies as a fixed-point test, and iteration
-        budget (a positive integer) of :func:`prox_sup_affine`, shared by
-        its active-set steps and FISTA iterations; other values raise
-        :class:`DomainError`.  The names date from an earlier
-        Krasnoselskii-Mann scheme and are kept for compatibility.
+        Stop tolerance (finite, positive) and iteration budget (a positive
+        integer) of :func:`prox_sup_affine`.  The names date from an earlier
+        Krasnoselskii-Mann scheme.
 
-    The family caches the Gram matrix ``gram = A A^T`` used by every dual
-    step, and ``gram_norm = |A A^T| = |A|^2`` from
-    :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size.
+    Non-finite rows or offsets and out-of-range values raise
+    :class:`DomainError`.  The family caches ``gram = A A^T`` and
+    ``gram_norm = |A|^2`` from :func:`~pvsmooth.core.spectral_norm`, which
+    fixes the dual step size.
     """
 
     lipschitz = None
@@ -286,6 +279,8 @@ class SupAffineFamily(ProxFunction):
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a_rows.shape[0] != offsets.size:
             raise DomainError("a_rows and offsets disagree on the scenario count")
+        if not np.isfinite(offsets).all():
+            raise DomainError("offsets must be finite")
         if not (sigma > 0):
             raise DomainError("sigma must be positive")
         if not (0.0 < km_tol < np.inf):
@@ -317,66 +312,31 @@ class SupAffineFamily(ProxFunction):
 
 
 def prox_sup_affine(family, mu, x):
-    """Prox of a :class:`SupAffineFamily` by restarted FISTA on the dual weights.
+    """Prox of a :class:`SupAffineFamily` through the dual weights.
 
     With s = 1 - 2 sigma mu, the prox point for weights c is
     y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
+    phi(c) = <c, w> - (mu / 2s) c^T A A^T c over C, w = A x / s + b, whose
+    gradient A y(c) + b is Lipschitz with L = mu |A A^T| / s.
 
-        phi(c) = <c, w> - (mu / 2s) c^T G c + const,   w = A x / s + b,
+    When ``family.project_ambiguity`` is
+    :func:`~pvsmooth.projections.project_simplex` itself, a primal active
+    set (:func:`_simplex_active_set`) solves this QP exactly and returns the
+    first weights the KKT conditions certify.  Otherwise, or when it does
+    not certify within min(``family.km_max_iter``, 2N) steps, restarted FISTA
+    (Beck-Teboulle, with O'Donoghue-Candes gradient restart) runs from the
+    projected uniform weights with step 1/L until both the increment
+    |c_{k+1} - c_k| and the gradient-mapping residual |c_{k+1} - z_k| are at
+    most ``family.km_tol``.  The projected-gradient map is nonexpansive, so
+    the returned c then moves by at most tol under it, and on the simplex
+    the dual gap max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
+    ``family.km_max_iter`` caps active-set steps and FISTA iterations
+    together.  The result depends only on (family, mu, x).
 
-    over C, with G = A A^T (cached on the family).  Its gradient
-    w - (mu/s) G c = A y(c) + b is Lipschitz with L = mu |A A^T| / s, so
-    each iteration takes one projected gradient step of length gamma = 1/L
-    from an extrapolated point z (Beck-Teboulle):
-
-        c_{k+1} = P_C(z_k + gamma (w - (mu/s) G z_k))
-        z_{k+1} = c_{k+1} + (t_k - 1)/t_{k+1} (c_{k+1} - c_k),
-
-    restarting the momentum (t = 1, z = c_{k+1}) whenever
-    (z_k - c_{k+1}) . (c_{k+1} - c_k) > 0 (O'Donoghue-Candes gradient
-    restart).  The iteration starts from the projected uniform weights on
-    every call and stops when both the increment |c_{k+1} - c_k| and the
-    gradient-mapping residual |c_{k+1} - z_k| are at most tol =
-    ``family.km_tol``; ``family.km_max_iter`` caps the iterations.  The second
-    test rules out false stops where an extrapolated step projects back onto
-    c_k, and it certifies the result: the projected-gradient map is
-    nonexpansive, so |P_C(c + gamma grad phi(c)) - c| <= tol at the returned
-    c, and on the simplex the dual gap max(v) - <c, v> with v = A y + b is at
-    most 2 sqrt(2) L tol.
-
-    Active set on the simplex.  When ``family.project_ambiguity`` is
-    :func:`~pvsmooth.projections.project_simplex`, the dual is a QP with a
-    rank-d Gram matrix, whose solution needs at most d + 1 scenarios, and a
-    primal active set (Wolfe 1976; Nocedal-Wright section 16.5) runs before
-    FISTA.  It starts from the support S = {argmax w}, solves the
-    equality-constrained KKT system of the gamma-scaled dual on S, dropping
-    negative weights (:func:`_simplex_kkt_solve`), and returns the solution
-    once the KKT conditions certify it (:func:`_simplex_kkt_certified`):
-    c >= 0, |sum c - 1| <= 1e-12, and the scaled dual gradient
-    v = gamma (A y + b) is equal across S and nowhere larger off S, both to
-    eps = 1e-12 max(1, |w|_inf) for the scaled w; c must also pass the tol
-    stop as a fixed point of the projected-gradient map.  Such a point is a
-    global maximizer of the concave dual, however S was found.  Otherwise
-    the index with the largest v, if it exceeds max_S v by more than eps,
-    joins S and the system is solved again.  With no such index left, once
-    the solve drops the index just added (the steps would repeat), or after
-    min(``km_max_iter``, 2N) steps, FISTA runs as above on the remaining
-    budget: the fallback for supports the solve-and-drop cannot reach, as
-    with duplicate, zero or collinear rows.  Within FISTA, whenever the
-    support {c_{k+1} > 0} equals that of the previous iterate and has at
-    most min(N, d) + 1 entries, and once more when the tol stop fires, the
-    same solve and certificate are tried on that support; an uncertified
-    solve changes nothing.  ``family.km_max_iter`` caps active-set steps
-    and FISTA iterations together, and ``iterations`` counts both.  The
-    result depends only on (family, mu, x), never on earlier calls.  Any
-    other C gets plain FISTA, as does a wrapper around
-    :func:`~pvsmooth.projections.project_simplex`.
-
-    Returns ``(y, c, iterations)`` where y is the prox point and c the
-    worst-case weights.  Raises :class:`ConvergenceError` if the budget runs
-    out, carrying the last iterate and FISTA's last stop residual, or, when
-    the active set used the whole budget and c is the projected uniform
-    start, its fixed-point residual |P(c + v) - c| with v = w - m c.
+    Returns ``(y, c, iterations)``.  Raises :class:`ConvergenceError` when
+    the budget runs out, carrying the last (y, c) and FISTA's last stop
+    residual, or, when FISTA got no iteration, the fixed-point residual
+    |P(c + v) - c| of its projected uniform start.
     """
     family.check_mu(mu)
     x = np.asarray(x, dtype=float)
@@ -391,24 +351,11 @@ def prox_sup_affine(family, mu, x):
     n = a_rows.shape[0]
     w = gamma * (a_rows @ x / s + family.offsets)
     m = (gamma * mu / s) * family.gram
-    exact = project is project_simplex
     steps = 0
-    if exact:
-        eps = _kkt_eps(w)
-        idx, prev = np.argmax(w)[None], None
-        for steps in range(1, min(max_iter, 2 * n) + 1):
-            c, idx = _simplex_kkt_solve(m, w, idx)
-            if prev is not None and np.array_equal(idx, prev):
-                break  # the added index was dropped: every next step repeats
-            v = w - m @ c
-            if _simplex_kkt_certified(c, v, idx, eps, tol):
-                return (x - mu * (a_rows.T @ c)) / s, c, steps
-            j = int(np.argmax(v))
-            if v[j] - v[idx].max() <= eps:
-                break  # no violator left, yet the solve is not certified
-            prev, idx = idx, np.sort(np.append(idx, j))
-    max_support = min(n, a_rows.shape[1]) + 1
-    live = None
+    if project is project_simplex:
+        c, steps = _simplex_active_set(m, w, tol, min(max_iter, 2 * n))
+        if c is not None:
+            return (x - mu * (a_rows.T @ c)) / s, c, steps
     c = project(np.full(n, 1.0 / n))
     z, t = c, 1.0
     delta = np.inf
@@ -416,14 +363,6 @@ def prox_sup_affine(family, mu, x):
         c_next = project(z + w - m @ z)
         diff = c_next - c
         delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
-        if exact:
-            prev, live = live, c_next > 0.0
-            if delta <= tol or (prev is not None
-                                and np.count_nonzero(live) <= max_support
-                                and np.array_equal(prev, live)):
-                c_kkt = _simplex_kkt_weights(m, w, live, tol)
-                if c_kkt is not None:
-                    return (x - mu * (a_rows.T @ c_kkt)) / s, c_kkt, it
         if delta <= tol:
             return (x - mu * (a_rows.T @ c_next)) / s, c_next, it
         if (z - c_next) @ diff > 0.0:
@@ -444,51 +383,77 @@ def prox_sup_affine(family, mu, x):
     )
 
 
-def _simplex_kkt_weights(m, w, live, tol):
-    """Maximizer of <c, w> - c^T m c / 2 over the simplex with support in
-    ``live``, or None unless the KKT conditions certify it: the composition
-    of :func:`_simplex_kkt_solve` and :func:`_simplex_kkt_certified`."""
-    c, idx = _simplex_kkt_solve(m, w, np.flatnonzero(live))
-    if _simplex_kkt_certified(c, w - m @ c, idx, _kkt_eps(w), tol):
-        return c
-    return None
+def _simplex_active_set(m, w, tol, max_steps):
+    """Maximize <c, w> - c^T m c / 2 over the simplex by a primal active set
+    (Wolfe, Math. Prog. 1976; Nocedal-Wright section 16.5).
 
+    The weights c start at the top scenario of w.  Each step solves the
+    bordered system [m_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1] for the
+    maximizer u on the affine hull of the support S, and then:
 
-def _kkt_eps(w):
-    """Tolerance of the KKT certificate, 1e-12 max(1, |w|_inf)."""
-    return 1e-12 * max(1.0, float(np.abs(w).max()))
+    * if u >= 0, c = u; c is returned once :func:`_simplex_kkt_certified`
+      certifies it, else the scenario with the largest dual gradient
+      v = w - m c joins S; with no scenario above S by more than eps, the
+      active set gives up;
+    * else c moves along u - c_S until its first weight reaches 0, and
+      only that scenario leaves S; when the system is singular
+      (``LinAlgError``, or u - c_S does not ascend), c moves instead along
+      a direction d with sum d = 0 and m_SS d = 0, signed to ascend.
 
-
-def _simplex_kkt_solve(m, w, idx):
-    """Weights c with support in the sorted indices ``idx`` that solve the
-    bordered system [m_SS 1; 1^T 0] [c_S; t] = [w_S - max w_S; 1], and the
-    support they keep.
-
-    The system is solved by least squares when it is singular, as for
-    duplicate scenarios, and the indices where c_S < 0 are dropped until
-    none is left (or all are, which the certificate then rejects).  The
-    shift by max w_S moves only t, since sum c_S = 1, and keeps a large
-    common part of w out of the solve.
+    Returns ``(c, steps)`` with c None when no step in ``max_steps``
+    certified.  A non-finite w raises :class:`DomainError`.
     """
-    while True:
+    scale = float(np.abs(w).max())
+    if not scale < np.inf:  # NaN or inf, as from a non-finite prox argument
+        raise DomainError("the dual gradient w = A x / s + b must be finite")
+    eps = 1e-12 * max(1.0, scale)
+    idx = np.argmax(w)[None]
+    c = np.zeros(w.size)
+    c[idx] = 1.0
+    steps = 0
+    for steps in range(1, max_steps + 1):
         k = idx.size
         kkt = np.ones((k + 1, k + 1))
         kkt[:k, :k] = m[idx[:, None], idx]
         kkt[k, k] = 0.0
         rhs = np.ones(k + 1)
         rhs[:k] = w[idx]
-        rhs[:k] -= rhs[:k].max()
+        rhs[:k] -= rhs[:k].max()  # moves only t, since sum u = 1
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            u = np.linalg.solve(kkt, rhs)[:k]
         except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        keep = sol[:k] >= 0.0
-        if keep.all() or not keep.any():
-            break
+            u = None
+        if u is not None and u.min() >= 0.0:
+            c = np.zeros(w.size)
+            c[idx] = u
+            v = w - m @ c
+            if _simplex_kkt_certified(c, v, idx, eps, tol):
+                return c, steps
+            j = int(np.argmax(v))
+            if v[j] - v[idx].max() <= eps:
+                break  # no violator left, yet c is not certified
+            idx = np.sort(np.append(idx, j))
+            continue
+        c_s = c[idx]
+        g = rhs[:k] - kkt[:k, :k] @ c_s  # the dual gradient on S, less max w_S
+        if u is None or (u - c_s) @ (g - g.mean()) < 0.0:
+            # d = (y, -sum y) spans {sum d = 0}; the least singular
+            # vector y of m_SS [I; -1^T] makes m_SS d vanish
+            mz = kkt[:k, :k - 1] - kkt[:k, k - 1:k]
+            y = np.linalg.svd(mz)[2][-1]
+            direction = np.append(y, -y.sum())
+            if direction @ g < 0.0:
+                direction = -direction
+        else:
+            direction = u - c_s
+        down = np.flatnonzero(direction < 0.0)
+        ratio = c_s[down] / -direction[down]
+        r = int(np.argmin(ratio))
+        keep = np.arange(k) != down[r]
+        c = np.zeros(w.size)
+        c[idx[keep]] = np.maximum(c_s + ratio[r] * direction, 0.0)[keep]
         idx = idx[keep]
-    c = np.zeros(w.size)
-    c[idx] = sol[:k]
-    return c, idx
+    return None, steps
 
 
 def _simplex_kkt_certified(c, v, idx, eps, tol):

@@ -146,8 +146,9 @@ def schedule(cfg, problem, k):
 
 
 def _require_in_subspace(projector, x, what="x"):
-    drift = np.linalg.norm(x - projector.apply(x))
-    if not drift <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x)):  # NaN fails too
+    # a non-finite x would warn in x - P x; its drift reads as NaN
+    drift = np.linalg.norm(x - projector.apply(x)) if np.isfinite(x).all() else np.nan
+    if not drift <= _MEMBERSHIP_TOL * (1.0 + np.linalg.norm(x)):
         raise ContractError(
             "%s is not in the constraint subspace (drift %.3e)" % (what, drift)
         )

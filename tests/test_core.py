@@ -339,6 +339,12 @@ def test_composite_problem_objective_and_dim_check():
 
     with pytest.raises(ContractError):
         CompositeProblem(h, g, MatrixMap(np.eye(3)), IdentityProjector(), dim=2)
+    # g of the wrong size, probed through its value
+    affine = prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, project_simplex,
+                                  prox.simplex_support_max)
+    for wrong in (g, affine):
+        with pytest.raises(ContractError):
+            CompositeProblem(h, wrong, IdentityMap(), IdentityProjector(), dim=3)
 
 
 def test_smoothed_objective_grad_reductions():

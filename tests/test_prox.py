@@ -12,7 +12,7 @@ from pvsmooth.prox import (
     ScalarRegularizer,
     SupAffineFamily,
     SupQuadraticFamily,
-    _simplex_kkt_weights,
+    _simplex_kkt_certified,
     envelope_by_weights,
     envelope_sup_identity_check,
     mcp_value,
@@ -448,8 +448,7 @@ def test_sup_affine_exact_finish_is_stateless():
 def test_sup_affine_active_set_steps_near_the_anchors_centre():
     # points near the centre of ten scenarios in R^3 put weight on up to
     # d + 1 = 4 of them; the active set reaches that support in a few
-    # steps, where FISTA with the KKT finish takes 5.6 iterations per call
-    # and up to 37
+    # steps, where plain FISTA takes 40 iterations per call and up to 160
     rng = np.random.default_rng(20240821)
     steps = []
     for _ in range(40):
@@ -462,33 +461,72 @@ def test_sup_affine_active_set_steps_near_the_anchors_centre():
     assert max(steps) <= 10
 
 
-def test_sup_affine_active_set_falls_back_to_fista():
-    # collinear rows: the solve-and-drop on {0, 1, 2} drops the added index
-    # 2 again, so the active set stops after three steps and FISTA finds
-    # c = (0, 0, 1, 0); its answer is the wrapped-projector run's, bit for bit
-    a_rows = np.array([[1.5], [-1.0], [1.0], [1.0]])
-    offsets = np.array([-0.5, 0.5, 0.5, -0.75])
-    fam = _simplex_family(a_rows, offsets, 1.0)
+def test_sup_affine_active_set_certifies_collinear_scenarios():
+    # rows (1.5, -1, 1, 1): once the support outgrows d + 1 = 2 the bordered
+    # system is singular; a solve that dropped every negative weight at once
+    # lost the added index 2 again and left the answer to FISTA (10
+    # iterations), where stepping to the first zero certifies it
+    fam = _simplex_family(np.array([[1.5], [-1.0], [1.0], [1.0]]),
+                          np.array([-0.5, 0.5, 0.5, -0.75]), 1.0)
     x = np.array([0.5])
     y, c, iterations = prox_sup_affine(fam, 0.4, x)
-    wrapped = _fista_only(fam, fam.km_tol)
-    y_ref, c_ref, iterations_ref = prox_sup_affine(wrapped, 0.4, x)
-    assert np.array_equal(y, y_ref) and np.array_equal(c, c_ref)
     assert np.array_equal(c, [0.0, 0.0, 1.0, 0.0])
-    assert iterations > 3 and iterations - 3 <= iterations_ref
+    assert iterations <= 8  # 2N: the active set's share of the budget
+    # seeded collinear draws in R^1 on a half-integer grid, where duplicate
+    # and parallel rows are common
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(2, 5))
+        rows = rng.integers(-4, 5, (n, 1)) / 2
+        offsets = rng.integers(-4, 5, n) / 4
+        x = rng.integers(-4, 5, 1) / 2
+        mu = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
+        fam = _simplex_family(rows, offsets, 1.0)
+        y, c, iterations = prox_sup_affine(fam, mu, x)
+        assert iterations <= 2 * n and c.min() >= 0.0
+        sum_dev, spread, excess, eps = _simplex_kkt_residuals(fam, mu, x, c)
+        assert sum_dev <= 1e-12 and spread <= eps and excess <= eps
+
+
+def test_sup_affine_active_set_falls_back_to_fista():
+    # gamma = 1/L scales w to about -1e40, which absorbs m c: c = (1, 0)
+    # fails the fixed-point test, and no scenario violates, so the active
+    # set gives up after one step and FISTA's answer is the wrapped
+    # projector's, bit for bit
+    fam = _simplex_family(np.array([[-7.2e-40], [0.0]]),
+                          np.array([-7.2e-40, -7.2e-40]), 0.25)
+    x = np.zeros(1)
+    y, c, iterations = prox_sup_affine(fam, 0.1, x)
+    y_ref, c_ref, iterations_ref = prox_sup_affine(_fista_only(fam, fam.km_tol), 0.1, x)
+    assert np.array_equal(y, y_ref) and np.array_equal(c, c_ref)
+    assert iterations == iterations_ref + 1
 
 
 def test_simplex_kkt_certificate_rejects_small_violations():
-    # v = w - m c is off by 1e-11 > eps = 1e-12: off the support for S = {0},
-    # across it for S = {0, 1}; both pass the 1e-10 fixed-point test alone
-    m, w = np.zeros((2, 2)), np.array([0.0, 1e-11])
-    assert _simplex_kkt_weights(m, w, np.array([True, False]), 1e-10) is None
-    assert _simplex_kkt_weights(m, w, np.array([True, True]), 1e-10) is None
-    c = _simplex_kkt_weights(m, np.zeros(2), np.array([True, True]), 1e-10)
-    assert np.abs(c - 0.5).max() <= 1e-15  # duplicates: least squares split
-    c = _simplex_kkt_weights(np.eye(2), np.array([1.0, -2.0]),
-                             np.array([True, True]), 1e-10)
-    assert np.array_equal(c, [1.0, 0.0])  # c_1 < 0 is dropped, then certified
+    # v is off by 1e-11 > eps = 1e-12: off the support for S = {0}, across
+    # it for S = {0, 1}; c = (1 + 1e-13, -1e-13) is off the simplex by
+    # 1e-13; each passes the 1e-10 fixed-point test alone
+    eps, tol = 1e-12, 1e-10
+    v = np.array([0.0, 1e-11])
+    assert not _simplex_kkt_certified(np.array([1.0, 0.0]), v, np.array([0]), eps, tol)
+    assert not _simplex_kkt_certified(np.full(2, 0.5), v, np.arange(2), eps, tol)
+    outside = np.array([1.0 + 1e-13, -1e-13])
+    assert not _simplex_kkt_certified(outside, np.zeros(2), np.arange(2), eps, tol)
+    assert _simplex_kkt_certified(np.full(2, 0.5), np.zeros(2), np.arange(2), eps, tol)
+    assert _simplex_kkt_certified(np.array([1.0, 0.0]), np.array([0.0, -2.0]),
+                                  np.array([0]), eps, tol)
+
+
+def test_sup_affine_rejects_non_finite_input():
+    # a NaN offset surfaced only at the first prox, inside project_simplex;
+    # a non-finite prox argument is rejected before the active set steps
+    fam = _simplex_family(np.eye(3), np.zeros(3), 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="offsets"):
+            _simplex_family(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
+        with np.errstate(invalid="ignore"):  # inf * 0 in A x
+            with pytest.raises(DomainError, match="finite"):
+                prox_sup_affine(fam, 0.2, np.array([0.0, bad, 1.0]))
 
 
 def test_sup_affine_mu_domain():

@@ -157,16 +157,18 @@ def test_pvs_step_requires_subspace_membership():
 
 def test_nan_start_is_not_in_the_subspace():
     # a NaN drift passed the old `drift > tol` test, and the run died in
-    # project_simplex with a bare IndexError and no trace
+    # project_simplex with a bare IndexError and no trace; an infinite start
+    # warned in x - P x before it was rejected
     prob, _ = seeded_direct_dispersion()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=5, stop_step_norm=0.0,
                        epsilon=1e-9)
-    x = np.array([np.nan, 0.0, 0.0])
-    for run in (run_pvs, run_pvs_epochs):
+    for bad in (np.nan, np.inf):
+        x = np.array([bad, 0.0, 0.0])
+        for run in (run_pvs, run_pvs_epochs):
+            with pytest.raises(ContractError, match="not in the constraint subspace"):
+                run(prob, cfg, x)
         with pytest.raises(ContractError, match="not in the constraint subspace"):
-            run(prob, cfg, x)
-    with pytest.raises(ContractError, match="not in the constraint subspace"):
-        pvs_step(prob, cfg, 1, x)
+            pvs_step(prob, cfg, 1, x)
 
 
 def test_pvs_step_is_the_run_loop_step():
@@ -370,8 +372,8 @@ def test_run_pvs_epochs_inner_failure_carries_partial_trace():
 
 def test_direct_dispersion_inner_work_per_prox():
     # work-count guard for the sup-affine prox: the active set certifies the
-    # KKT solve after 1.74 steps per call on this run (FISTA with the KKT
-    # finish takes about 3.6 iterations, plain FISTA about 75)
+    # KKT solve after 1.74 steps per call on this run (plain FISTA takes
+    # about 75 iterations)
     prob, x1 = seeded_direct_dispersion()
     counts = []
     detailed = prob.g.prox_detailed
