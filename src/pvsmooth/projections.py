@@ -42,10 +42,12 @@ class BallSpec:
 
 
 def project_ball(spec, x):
-    """Project x onto the ball; interior points are returned unchanged."""
+    """Project the vector x onto the ball; interior points are returned
+    unchanged.  The distance is sqrt(d @ d), what ``np.linalg.norm``
+    computes for a 1-d array."""
     x = np.asarray(x, dtype=float)
     d = x - spec.center
-    nd = np.linalg.norm(d)
+    nd = math.sqrt(d @ d)
     if nd <= spec.radius:
         return x.copy()
     return spec.center + d * (spec.radius / nd)
@@ -68,7 +70,13 @@ def project_simplex(x):
     top = float(x.max())
     if not math.isfinite(top):
         raise DomainError("simplex projection needs a finite maximum, got %r" % top)
-    x = x - top
+    return _project_simplex(x)
+
+
+def _project_simplex(x):
+    """:func:`project_simplex` without the argument checks: ``x`` must be a
+    nonempty 1-d float array with a finite maximum."""
+    x = x - x.max()
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - 1.0
     j = np.arange(1, x.size + 1)

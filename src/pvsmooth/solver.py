@@ -160,7 +160,8 @@ def _state(problem, cfg, k, x):
     mu, _, gamma = schedule(cfg, problem, k)
     val, grad, res = problem.smoothed_parts(mu, x)
     pg = problem.subspace.apply(grad)
-    return mu, gamma, val, float(np.linalg.norm(pg)), res, grad, gamma * pg
+    # sqrt(pg @ pg) is what np.linalg.norm computes for a 1-d array
+    return mu, gamma, val, math.sqrt(pg @ pg), res, grad, gamma * pg
 
 
 def pvs_step(problem, cfg, k, x):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pvsmooth import oracles
 from pvsmooth.errors import ConvergenceError, DomainError
@@ -10,6 +13,7 @@ from pvsmooth.projections import (
     KernelProjector,
     ProductKernelProjector,
     ReplicatedKernelProjector,
+    _project_simplex,
     dykstra_project,
     project_ball,
     project_diagonal,
@@ -96,6 +100,26 @@ def test_project_simplex_threshold_structure():
         # inactive coordinates sit below the shift
         if active.sum() < n:
             assert x[~active].max() <= tau.mean() + 1e-10
+
+
+def test_sqrt_of_dot_is_the_vector_norm():
+    # project_ball, the solver's projected-gradient norm and the prox
+    # residual take sqrt(v @ v) for np.linalg.norm(v) on 1-d arrays
+    rng = np.random.default_rng(4096)
+    for n in range(1, 4097):
+        v = (1e-150, 1.0, 1e150)[n % 3] * rng.standard_normal(n)
+        assert math.sqrt(v @ v) == np.linalg.norm(v)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(float, st.integers(1, 12), elements=_finite),
+       st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False))
+def test_project_simplex_matches_its_unchecked_core(x, shift):
+    x = x + shift
+    assert np.array_equal(project_simplex(x), _project_simplex(x))
 
 
 def test_kernel_projector_row_sum_examples():

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pvsmooth as pvs
 from pvsmooth import core, oracles
 from pvsmooth.core import moreau_envelope
 from pvsmooth.errors import ConvergenceError, DomainError
@@ -461,6 +462,53 @@ def test_sup_affine_active_set_steps_near_the_anchors_centre():
     assert max(steps) <= 10
 
 
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_sup_affine_active_set_takes_the_top_vertex_without_a_solve(monkeypatch):
+    # scenario 0 tops w = gamma (A x / s + b) by far, so c = e_0 is the
+    # maximizer, certified in one step with no bordered solve
+    solves = _counting_solves(monkeypatch)
+    fam = _simplex_family(np.eye(2), np.array([5.0, 0.0]), 1.0)
+    mu, x = 0.2, np.zeros(2)
+    y, c, iterations = prox_sup_affine(fam, mu, x)
+    assert iterations == 1 and not solves
+    assert np.array_equal(c, [1.0, 0.0])
+    assert np.array_equal(y, (x - mu * np.array([1.0, 0.0])) / (1.0 - 2.0 * mu))
+
+
+def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
+    # the seeded direct max-dispersion run: every prox starts at a vertex
+    # without a solve, so at most steps - proxes bordered systems are solved
+    inst = pvs.MaxDispersionInstance(pvs.random_anchors(3, 10, 47), radius=1.0,
+                                     lam=100.0, constraint_matrix=np.ones((1, 3)))
+    prob = pvs.build_max_dispersion_direct(inst)
+    proxes = []
+    prox_detailed = prob.g.prox_detailed
+
+    def counted(mu, x):
+        out = prox_detailed(mu, x)
+        proxes.append(out[2])
+        return out
+
+    monkeypatch.setattr(prob.g, "prox_detailed", counted)
+    solves = _counting_solves(monkeypatch)
+    cfg = pvs.SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    pvs.run_pvs(prob, cfg, pvs.subspace_start(prob.subspace, 3))
+    assert len(proxes) == 61
+    assert sum(proxes) == 106  # the vertex start saves solves, not steps
+    assert len(solves) <= sum(proxes) - len(proxes)
+
+
 def test_sup_affine_active_set_certifies_collinear_scenarios():
     # rows (1.5, -1, 1, 1): once the support outgrows d + 1 = 2 the bordered
     # system is singular; a solve that dropped every negative weight at once
@@ -524,9 +572,13 @@ def test_sup_affine_rejects_non_finite_input():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="offsets"):
             _simplex_family(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
-        with np.errstate(invalid="ignore"):  # inf * 0 in A x
-            with pytest.raises(DomainError, match="finite"):
-                prox_sup_affine(fam, 0.2, np.array([0.0, bad, 1.0]))
+        with pytest.raises(DomainError, match="finite"):
+            prox_sup_affine(fam, 0.2, np.array([0.0, bad, 1.0]))
+    # x is finite, but A x overflows
+    big = _simplex_family(np.array([[1e150], [0.0]]), np.zeros(2), 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="finite"):
+            prox_sup_affine(big, 0.2, np.array([1e200]))
 
 
 def test_sup_affine_mu_domain():
