@@ -97,7 +97,6 @@ from .prox import (
 from .solver import (
     IterateTrace,
     SolverConfig,
-    StationarityReport,
     affine_shift_wrap,
     epoch_iteration_budget,
     epoch_stationarity_constant,
@@ -106,7 +105,6 @@ from .solver import (
     run_pvs_epochs,
     schedule,
     stationarity_constant,
-    stationarity_report,
     theorem_bound_margins,
 )
 

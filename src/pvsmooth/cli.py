@@ -390,7 +390,7 @@ def _verify_prox():
         fista = prox.SupAffineFamily(
             a_rows, offsets, 1.0,
             project_ambiguity=lambda c: projections.project_simplex(c),
-            support_max=prox.simplex_support_max, km_tol=1e-13,
+            support_max=prox.simplex_support_max, tol=1e-13,
         )
         mu, x = rng.uniform(0.05, 0.45), rng.uniform(-0.3, 0.3, 3)
         y, c, _ = prox.prox_sup_affine(fam, mu, x)

@@ -260,21 +260,20 @@ class SupAffineFamily(ProxFunction):
     support_max : callable
         v -> max_{c in C} <c, v>, the support function of C, which gives the
         value (:func:`simplex_support_max` for the simplex).
-    km_tol, km_max_iter : float, int
+    tol, max_iter : float, int
         Stop tolerance (finite, positive) and iteration budget (a positive
-        integer) of :func:`prox_sup_affine`.  The names date from an earlier
-        Krasnoselskii-Mann scheme.
+        integer) of :func:`prox_sup_affine`.
 
-    Non-finite rows or offsets and out-of-range values raise
-    :class:`DomainError`.  The family caches ``gram = A A^T`` and
-    ``gram_norm = |A|^2`` from :func:`~pvsmooth.core.spectral_norm`, which
-    fixes the dual step size.
+    The family keeps its inputs and ``gram_norm = |A|^2`` from
+    :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
+    O(N d) memory, and nothing of size N^2.  Non-finite rows or offsets, a
+    non-finite |A|^2 and out-of-range values raise :class:`DomainError`.
     """
 
     lipschitz = None
 
     def __init__(self, a_rows, offsets, sigma, project_ambiguity, support_max,
-                 km_tol=1e-10, km_max_iter=200000):
+                 tol=1e-10, max_iter=200000):
         a_rows = np.atleast_2d(np.asarray(a_rows, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a_rows.shape[0] != offsets.size:
@@ -283,20 +282,22 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("offsets must be finite")
         if not (sigma > 0):
             raise DomainError("sigma must be positive")
-        if not (0.0 < km_tol < np.inf):
-            raise DomainError("km_tol must be finite and positive")
-        if not isinstance(km_max_iter, numbers.Integral) or km_max_iter < 1:
-            raise DomainError("km_max_iter must be a positive integer")
+        if not (0.0 < tol < np.inf):
+            raise DomainError("tol must be finite and positive")
+        if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise DomainError("max_iter must be a positive integer")
+        norm = spectral_norm(a_rows)  # rejects NaN and inf
+        if not norm * norm < np.inf:
+            raise DomainError("|A|^2 must be finite")
         self.a_rows = a_rows
         self.offsets = offsets
         self.sigma = float(sigma)
         self.project_ambiguity = project_ambiguity
         self.support_max = support_max
-        self.km_tol = float(km_tol)
-        self.km_max_iter = int(km_max_iter)
+        self.tol = float(tol)
+        self.max_iter = int(max_iter)
         self.rho = 2.0 * self.sigma
-        self.gram_norm = spectral_norm(a_rows) ** 2  # rejects NaN and inf
-        self.gram = a_rows @ a_rows.T
+        self.gram_norm = norm * norm
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -316,34 +317,39 @@ def prox_sup_affine(family, mu, x):
 
     With s = 1 - 2 sigma mu, the prox point for weights c is
     y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
-    phi(c) = <c, w> - (mu / 2s) c^T A A^T c over C, w = A x / s + b, whose
-    gradient A y(c) + b is Lipschitz with L = mu |A A^T| / s.
+    phi(c) = <c, w> - (mu / 2s) |A^T c|^2 over C, w = A x / s + b, whose
+    gradient A y(c) + b is Lipschitz with L = mu |A|^2 / s.  Scaled by
+    gamma = 1/L, the dual is <c, w> - (coef / 2) |A^T c|^2 with
+    coef = gamma mu / s, and every product with its Hessian coef A A^T is
+    taken through the rows of A, never through the N x N matrix: memory is
+    O(N d).
 
     When ``family.project_ambiguity`` is
     :func:`~pvsmooth.projections.project_simplex` itself, a primal active
     set (:func:`_simplex_active_set`) solves this QP exactly and returns the
     first weights the KKT conditions certify.  Otherwise, or when it does
-    not certify within min(``family.km_max_iter``, 2N) steps, restarted FISTA
+    not certify within min(``family.max_iter``, 2N) steps, restarted FISTA
     (Beck-Teboulle, with O'Donoghue-Candes gradient restart) runs from the
     projected uniform weights with step 1/L until both the increment
     |c_{k+1} - c_k| and the gradient-mapping residual |c_{k+1} - z_k| are at
-    most ``family.km_tol``.  The projected-gradient map is nonexpansive, so
-    the returned c then moves by at most tol under it, and on the simplex
-    the dual gap max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
-    ``family.km_max_iter`` caps active-set steps and FISTA iterations
+    most ``family.tol``; each iteration costs O(N d) plus one projection.
+    The projected-gradient map is nonexpansive, so the returned c then
+    moves by at most tol under it, and on the simplex the dual gap
+    max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
+    ``family.max_iter`` caps active-set steps and FISTA iterations
     together.  The result depends only on (family, mu, x).
 
-    Returns ``(y, c, iterations)``.  A non-finite ``x`` raises
-    :class:`DomainError`.  Raises :class:`ConvergenceError` when
-    the budget runs out, carrying the last (y, c) and FISTA's last stop
-    residual, or, when FISTA got no iteration, the fixed-point residual
-    |P(c + v) - c| of its projected uniform start.
+    Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
+    whose w overflows, raises :class:`DomainError`.  Raises
+    :class:`ConvergenceError` when the budget runs out, carrying the last
+    (y, c) and FISTA's last stop residual, or, when FISTA got no iteration,
+    the fixed-point residual |P(c + v) - c| of its projected uniform start.
     """
     family.check_mu(mu)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("the prox argument x must be finite")
-    tol, max_iter = family.km_tol, family.km_max_iter
+    tol, max_iter = family.tol, family.max_iter
     s = 1.0 - 2.0 * family.sigma * mu
     lip = mu * family.gram_norm / s
     # lip below the smallest normal float: A is numerically zero, and any
@@ -352,18 +358,23 @@ def prox_sup_affine(family, mu, x):
 
     a_rows, project = family.a_rows, family.project_ambiguity
     n = a_rows.shape[0]
-    w = gamma * (a_rows @ x / s + family.offsets)
-    m = (gamma * mu / s) * family.gram
+    with np.errstate(over="ignore", invalid="ignore"):  # A x may overflow
+        w = gamma * (a_rows @ x / s + family.offsets)
+    scale = float(np.abs(w).max())
+    if not scale < np.inf:  # NaN or inf
+        raise DomainError("the dual gradient w = A x / s + b must be finite")
+    coef = gamma * mu / s
     steps = 0
     if project is project_simplex:
-        c, steps = _simplex_active_set(m, w, tol, min(max_iter, 2 * n))
+        c, steps = _simplex_active_set(a_rows, coef, w, 1e-12 * max(1.0, scale),
+                                       tol, min(max_iter, 2 * n))
         if c is not None:
             return (x - mu * (a_rows.T @ c)) / s, c, steps
     c = project(np.full(n, 1.0 / n))
     z, t = c, 1.0
     delta = np.inf
     for it in range(steps + 1, max_iter + 1):
-        c_next = project(z + w - m @ z)
+        c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
         diff = c_next - c
         delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
         if delta <= tol:
@@ -376,7 +387,8 @@ def prox_sup_affine(family, mu, x):
             t = t_next
         c = c_next
     if steps == max_iter:  # the active set used the whole budget
-        delta = float(np.linalg.norm(project(c + w - m @ c) - c))
+        r = project(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
+        delta = float(np.linalg.norm(r))
     y = (x - mu * (a_rows.T @ c)) / s
     raise ConvergenceError(
         "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),
@@ -386,46 +398,46 @@ def prox_sup_affine(family, mu, x):
     )
 
 
-def _simplex_active_set(m, w, tol, max_steps):
-    """Maximize <c, w> - c^T m c / 2 over the simplex by a primal active set
-    (Wolfe, Math. Prog. 1976; Nocedal-Wright section 16.5).
+def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
+    """Maximize <c, w> - (coef / 2) |A^T c|^2 over the simplex by a primal
+    active set (Wolfe, Math. Prog. 1976; Nocedal-Wright section 16.5).
 
-    The support S starts at the top scenario of w.  Each step takes the
-    maximizer u on the affine hull of S, which on one scenario j is the
-    vertex c = e_j, taken without a solve, and otherwise solves the
-    bordered system [m_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1].  Then:
+    A is ``a_rows`` (N x d).  The support S starts at the top scenario of w.
+    Each step takes the maximizer u on the affine hull of S, which on one
+    scenario j is the vertex c = e_j, taken without a solve, and otherwise
+    solves the bordered system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1],
+    M_SS = coef A_S A_S^T with A_S the rows in S.  Then:
 
     * if u >= 0, c = u.  The scenario with the largest dual gradient
-      v = w - m c joins S when it exceeds max v_S by more than eps.  With
-      no such violator, c is returned if :func:`_simplex_kkt_certified`
-      certifies it, and otherwise the active set gives up;
+      v = w - coef A (A_S^T u) joins S when it exceeds max v_S by more than
+      eps, the KKT tolerance 1e-12 max(1, max |w|) that
+      :func:`prox_sup_affine` passes.  With no such violator, c is
+      returned if :func:`_simplex_kkt_certified` certifies it, and
+      otherwise the active set gives up;
     * else c moves along u - c_S until its first weight reaches 0, and
       only that scenario leaves S; when the system is singular
       (``LinAlgError``, or u - c_S does not ascend), c moves instead along
-      a direction d with sum d = 0 and m_SS d = 0, signed to ascend.
+      a direction d with sum d = 0 and M_SS d = 0, signed to ascend.
 
-    On the ``dispersion-direct`` benchmark a prox takes about 1.7 steps, of
-    which about 0.75 solve a system.  Returns ``(c, steps)`` with c None
-    when no step in ``max_steps`` certified.  A non-finite w raises
-    :class:`DomainError`.
+    A step costs O(N d) plus the k x k bordered solve, k = |S|.  On the
+    ``dispersion-direct`` benchmark a prox takes about 1.7 steps, of which
+    about 0.75 solve a system.  Returns ``(c, steps)`` with c None when no
+    step in ``max_steps`` certified.
     """
-    scale = float(np.abs(w).max())
-    if not scale < np.inf:  # NaN or inf, from a finite x whose A x overflows
-        raise DomainError("the dual gradient w = A x / s + b must be finite")
-    eps = 1e-12 * max(1.0, scale)
     idx = np.argmax(w)[None]
     steps = 0
     for steps in range(1, max_steps + 1):
         k = idx.size
         if k == 1:
-            # the vertex: the bordered system's exact answer is u = 1, and
-            # m @ e_j is column j of m bit for bit
+            # the vertex: the bordered system's exact answer is u = 1, so
+            # v = w - coef A a_j with a_j the row of scenario j
             c = np.zeros(w.size)
             c[idx] = 1.0
-            v = w - m[:, idx[0]]
+            v = w - coef * (a_rows @ a_rows[idx[0]])
         else:
+            a_s = a_rows[idx]
             kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = m[idx[:, None], idx]
+            kkt[:k, :k] = coef * (a_s @ a_s.T)
             kkt[k, k] = 0.0
             rhs = np.ones(k + 1)
             rhs[:k] = w[idx]
@@ -440,7 +452,7 @@ def _simplex_active_set(m, w, tol, max_steps):
                 g = rhs[:k] - kkt[:k, :k] @ c_s
                 if u is None or (u - c_s) @ (g - g.mean()) < 0.0:
                     # d = (y, -sum y) spans {sum d = 0}; the least singular
-                    # vector y of m_SS [I; -1^T] makes m_SS d vanish
+                    # vector y of M_SS [I; -1^T] makes M_SS d vanish
                     mz = kkt[:k, :k - 1] - kkt[:k, k - 1:k]
                     y = np.linalg.svd(mz)[2][-1]
                     direction = np.append(y, -y.sum())
@@ -458,7 +470,7 @@ def _simplex_active_set(m, w, tol, max_steps):
                 continue
             c = np.zeros(w.size)
             c[idx] = u
-            v = w - m @ c
+            v = w - coef * (a_rows @ (a_s.T @ u))
         j = int(np.argmax(v))
         if v[j] - v[idx].max() > eps:
             idx = np.sort(np.append(idx, j))
@@ -470,13 +482,14 @@ def _simplex_active_set(m, w, tol, max_steps):
 
 
 def _simplex_kkt_certified(c, v, idx, eps, tol):
-    """Whether ``c`` with support ``idx`` and dual gradient v = w - m c is
-    the maximizer: c >= 0, |sum c - 1| <= 1e-12, v spreads at most eps over
-    the support and exceeds its maximum nowhere by more than eps, and c
-    passes the stop test of the dual iteration as a fixed point,
-    |P(c + v) - c| <= tol.  The last test matters only where floats absorb
-    c into a much larger w: it then keeps the weights the iteration itself
-    can reach, which rounding cannot tell apart from the exact ones.
+    """Whether ``c`` with support ``idx`` and dual gradient
+    v = w - coef A A^T c is the maximizer: c >= 0, |sum c - 1| <= 1e-12, v
+    spreads at most eps over the support and exceeds its maximum nowhere by
+    more than eps, and c passes the stop test of the dual iteration as a
+    fixed point, |P(c + v) - c| <= tol.  The last test matters only where
+    floats absorb c into a much larger w: it then keeps the weights the
+    iteration itself can reach, which rounding cannot tell apart from the
+    exact ones.
     """
     on = v[idx]
     top = on.max()

@@ -44,8 +44,6 @@ __all__ = [
     "pvs_step",
     "run_pvs",
     "run_pvs_epochs",
-    "StationarityReport",
-    "stationarity_report",
     "stationarity_constant",
     "epoch_stationarity_constant",
     "epoch_iteration_budget",
@@ -306,24 +304,6 @@ def run_pvs_epochs(problem, cfg, x1):
     return x, trace
 
 
-@dataclass(frozen=True)
-class StationarityReport:
-    """Observed stationarity measures at an index k, with their bounds.
-
-    ``grad_bound`` / ``prox_bound`` are None when g has no recorded Lipschitz
-    constant.  ``heuristic`` flags that no reference value was available and
-    the observed minimum objective stood in for it, so the gradient bound is
-    indicative rather than certified.
-    """
-
-    k: int
-    grad_norm_min: float
-    prox_residual: float
-    grad_bound: float | None
-    prox_bound: float | None
-    heuristic: bool
-
-
 def stationarity_constant(problem, cfg, first_objective, reference):
     """Constant in the k^((alpha-1)/2) gradient-norm bound.
 
@@ -387,27 +367,6 @@ def theorem_bound_margins(problem, trace):
     grad_margin = grad_bound - trace.running_min_grad()
     prox_margin = prox_bound - np.asarray(trace.prox_residual)
     return grad_margin, prox_margin, heuristic
-
-
-def stationarity_report(problem, trace, k):
-    """Stationarity measures and bounds at iteration index k of a trace."""
-    if not (1 <= k <= len(trace)):
-        raise DomainError("k=%r outside the recorded range 1..%d" % (k, len(trace)))
-    i = k - 1
-    grad_min = float(np.min(trace.proj_grad_norm[: i + 1]))
-    res = trace.prox_residual[i]
-    grad_margin, prox_margin, heuristic = theorem_bound_margins(problem, trace)
-    if grad_margin is None:
-        return StationarityReport(k, grad_min, res, None, None, True)
-    gmin_running = trace.running_min_grad()
-    return StationarityReport(
-        k,
-        grad_min,
-        res,
-        float(grad_margin[i] + gmin_running[i]),
-        float(prox_margin[i] + res),
-        heuristic,
-    )
 
 
 class _ShiftedSmooth(SmoothFunction):

@@ -184,7 +184,7 @@ def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
     def capped(inst):
         problem = build_direct(inst)
         problem.g.project_ambiguity = lambda c: project_simplex(c)
-        problem.g.km_max_iter = 50
+        problem.g.max_iter = 50
         return problem
 
     build_direct = cli.build_max_dispersion_direct

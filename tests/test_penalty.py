@@ -155,7 +155,7 @@ def test_run_penalty_stage_failure_carries_progress():
     rng = np.random.default_rng(52)
     g = SupAffineFamily(rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 3), 1.0,
                         project_simplex,
-                        support_max=simplex_support_max, km_max_iter=1)
+                        support_max=simplex_support_max, max_iter=1)
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0)
     with pytest.raises(StageError) as exc:

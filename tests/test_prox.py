@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import pvsmooth as pvs
 from pvsmooth import core, oracles
+from pvsmooth import prox as prox_module
 from pvsmooth.core import moreau_envelope
 from pvsmooth.errors import ConvergenceError, DomainError
 from pvsmooth.projections import project_simplex
@@ -218,7 +221,8 @@ def test_sup_affine_gram_norm_is_exact():
     a_rows = np.diag([2.0, 1.0, 0.5, 0.25, 0.1]) @ v_mat.T
     fam = _simplex_family(a_rows, np.zeros(5), 1.0)
     assert abs(fam.gram_norm - 4.0) <= 1e-12
-    assert np.allclose(fam.gram, a_rows @ a_rows.T)
+    # the top eigenvalue of the dense A A^T, which the family does not keep
+    assert abs(fam.gram_norm - np.linalg.eigvalsh(a_rows @ a_rows.T)[-1]) <= 1e-12
     wide = _simplex_family(a_rows[:2], np.zeros(2), 1.0)  # A A^T is the smaller
     assert abs(wide.gram_norm - 4.0) <= 1e-12
 
@@ -257,7 +261,7 @@ def test_sup_affine_fixed_point_characterization():
     rng = np.random.default_rng(14)
     a_rows = rng.uniform(-1, 1, (3, 2))
     tol = 1e-10
-    fam = _simplex_family(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8, km_tol=tol)
+    fam = _simplex_family(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8, tol=tol)
     mu = 0.2
     x = rng.uniform(-1, 1, 2)
     y, c, _ = prox_sup_affine(fam, mu, x)
@@ -321,7 +325,7 @@ def test_sup_affine_budget_exhaustion():
     # set on project_simplex certifies this case in one step
     fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0,
                           lambda c: project_simplex(c), simplex_support_max,
-                          km_max_iter=1)
+                          max_iter=1)
     with pytest.raises(ConvergenceError) as exc:
         prox_sup_affine(fam, 0.2, np.array([0.5]))
     err = exc.value
@@ -338,7 +342,7 @@ def test_sup_affine_active_set_shares_the_budget():
     fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
     y, c, iterations = prox_sup_affine(fam, 0.2, np.zeros(1))
     assert iterations == 2 and np.array_equal(c, [0.5, 0.5])
-    fam.km_max_iter = 1
+    fam.max_iter = 1
     with pytest.raises(ConvergenceError) as exc:
         prox_sup_affine(fam, 0.2, np.zeros(1))
     err = exc.value
@@ -348,35 +352,35 @@ def test_sup_affine_active_set_shares_the_budget():
     # FISTA got no iteration; the carried projected uniform weights are
     # optimal here, and the residual is their fixed-point residual, not inf
     assert np.array_equal(c_best, [0.5, 0.5])
-    assert 0.0 <= err.residual <= fam.km_tol
+    assert 0.0 <= err.residual <= fam.tol
 
 
 def test_sup_affine_budget_and_tolerance_validation():
     rows, offsets = np.array([[2.0], [-2.0]]), np.zeros(2)
-    for kw in ({"km_max_iter": 10.5}, {"km_max_iter": 0}, {"km_max_iter": -3},
-               {"km_max_iter": None}, {"km_tol": np.nan}, {"km_tol": -1.0},
-               {"km_tol": 0.0}, {"km_tol": np.inf}):
+    for kw in ({"max_iter": 10.5}, {"max_iter": 0}, {"max_iter": -3},
+               {"max_iter": None}, {"tol": np.nan}, {"tol": -1.0},
+               {"tol": 0.0}, {"tol": np.inf}):
         with pytest.raises(DomainError):
             _simplex_family(rows, offsets, 1.0, **kw)
-    fam = _simplex_family(rows, offsets, 1.0, km_max_iter=np.int64(7), km_tol=1e-3)
-    assert fam.km_max_iter == 7 and fam.km_tol == 1e-3
+    fam = _simplex_family(rows, offsets, 1.0, max_iter=np.int64(7), tol=1e-3)
+    assert fam.max_iter == 7 and fam.tol == 1e-3
 
 
-def _fista_only(fam, km_tol):
+def _fista_only(fam, tol):
     """The same family behind a wrapped projector, which runs plain FISTA."""
     return SupAffineFamily(fam.a_rows, fam.offsets, fam.sigma,
                            lambda c: project_simplex(c), simplex_support_max,
-                           km_tol=km_tol)
+                           tol=tol)
 
 
 def _simplex_kkt_residuals(fam, mu, x, c):
     """(|sum c - 1|, spread of v over c > 0, excess of v off it, eps) for the
-    gamma-scaled dual gradient v = w - m c of prox_sup_affine."""
+    gamma-scaled dual gradient v = w - coef A A^T c of prox_sup_affine."""
     s = 1.0 - 2.0 * fam.sigma * mu
     lip = mu * fam.gram_norm / s
     gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
     w = gamma * (fam.a_rows @ x / s + fam.offsets)
-    v = w - ((gamma * mu / s) * fam.gram) @ c
+    v = w - (gamma * mu / s) * (fam.a_rows @ (fam.a_rows.T @ c))
     live = c > 0.0
     top = v[live].max()
     return (abs(c.sum() - 1.0), top - v[live].min(),
@@ -536,6 +540,52 @@ def test_sup_affine_active_set_certifies_collinear_scenarios():
         assert sum_dev <= 1e-12 and spread <= eps and excess <= eps
 
 
+def test_sup_affine_family_holds_nothing_of_size_n_squared():
+    # N = 3000 scenarios in R^2: a dense A A^T would take 72 MB; the family
+    # keeps O(N d) arrays, and a prox allocates a small multiple of N d
+    n = 3000
+    fam = _simplex_family(np.random.default_rng(23).uniform(-1.0, 1.0, (n, 2)),
+                          np.zeros(n), 1.0)
+    arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= 2 * n
+    tracemalloc.start()
+    try:
+        prox_sup_affine(fam, 0.2, np.zeros(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # bytes: an eighth of one N x N float matrix
+
+
+def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
+    # 2000 anchors in R^10, x near their centre: the active set certifies
+    # a support of up to d + 1 = 11 scenarios within its 2N steps, checked
+    # here against a dense Gram matrix
+    anchors = pvs.random_anchors(10, 2000, 47)
+    fam = _simplex_family(2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0)
+    certified = []
+    certify = prox_module._simplex_kkt_certified
+
+    def recorded(*args):
+        certified.append(certify(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(prox_module, "_simplex_kkt_certified", recorded)
+    rng = np.random.default_rng(24)
+    mu, x = 0.4, anchors.mean(axis=0) + rng.uniform(-0.01, 0.01, 10)
+    _, c, iterations = prox_sup_affine(fam, mu, x)
+    assert certified[-1] and iterations <= 2 * anchors.shape[0]
+    assert 1 < np.count_nonzero(c) <= 11 and c.min() >= 0.0
+    s = 1.0 - 2.0 * mu
+    gamma = s / (mu * fam.gram_norm)
+    w = gamma * (fam.a_rows @ x / s + fam.offsets)
+    v = w - (gamma * mu / s) * ((fam.a_rows @ fam.a_rows.T) @ c)
+    live = c > 0.0
+    top, eps = v[live].max(), 1e-12 * max(1.0, np.abs(w).max())
+    assert abs(c.sum() - 1.0) <= 1e-12
+    assert top - v[live].min() <= eps and v[~live].max() - top <= eps
+
+
 def test_sup_affine_active_set_falls_back_to_fista():
     # gamma = 1/L scales w to about -1e40, which absorbs m c: c = (1, 0)
     # fails the fixed-point test, and no scenario violates, so the active
@@ -545,7 +595,7 @@ def test_sup_affine_active_set_falls_back_to_fista():
                           np.array([-7.2e-40, -7.2e-40]), 0.25)
     x = np.zeros(1)
     y, c, iterations = prox_sup_affine(fam, 0.1, x)
-    y_ref, c_ref, iterations_ref = prox_sup_affine(_fista_only(fam, fam.km_tol), 0.1, x)
+    y_ref, c_ref, iterations_ref = prox_sup_affine(_fista_only(fam, fam.tol), 0.1, x)
     assert np.array_equal(y, y_ref) and np.array_equal(c, c_ref)
     assert iterations == iterations_ref + 1
 
@@ -574,11 +624,17 @@ def test_sup_affine_rejects_non_finite_input():
             _simplex_family(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
         with pytest.raises(DomainError, match="finite"):
             prox_sup_affine(fam, 0.2, np.array([0.0, bad, 1.0]))
-    # x is finite, but A x overflows
-    big = _simplex_family(np.array([[1e150], [0.0]]), np.zeros(2), 1.0)
-    with np.errstate(over="ignore"):
+    # |A|^2 overflows, though every row is finite
+    with pytest.raises(DomainError, match="finite"):
+        _simplex_family(np.array([[1e300], [0.0]]), np.zeros(2), 1.0)
+    # x is finite, but A x overflows: rejected without a warning before
+    # either path, the active set or FISTA behind a box projector
+    rows, x = np.array([[1e150], [0.0]]), np.array([1e200])
+    box = SupAffineFamily(rows, np.zeros(2), 1.0, lambda c: np.clip(c, 0.0, 1.0),
+                          support_max=lambda v: float(np.maximum(v, 0.0).sum()))
+    for big in (_simplex_family(rows, np.zeros(2), 1.0), box):
         with pytest.raises(DomainError, match="finite"):
-            prox_sup_affine(big, 0.2, np.array([1e200]))
+            prox_sup_affine(big, 0.2, x)
 
 
 def test_sup_affine_mu_domain():

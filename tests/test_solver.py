@@ -39,7 +39,6 @@ from pvsmooth.solver import (
     run_pvs_epochs,
     schedule,
     stationarity_constant,
-    stationarity_report,
     theorem_bound_margins,
 )
 
@@ -330,23 +329,23 @@ def test_component_numerical_error_is_a_component_error():
         assert trace.final_x.shape == (3,)
 
 
-def seeded_direct_dispersion(km_max_iter=None):
+def seeded_direct_dispersion(max_iter=None):
     # 10 anchors in R^3 on ker(1,1,1), lambda = 100: the direct form runs the
     # sup-affine prox on every evaluation
     inst = MaxDispersionInstance(random_anchors(3, 10, 47), radius=1.0, lam=100.0,
                                  constraint_matrix=np.ones((1, 3)))
     prob = build_max_dispersion_direct(inst)
-    if km_max_iter is not None:
+    if max_iter is not None:
         # the active set needs at most 2 steps per prox on this run; a
         # wrapped projector keeps plain FISTA, whose 50-step budget runs out
         # partway through
         prob.g.project_ambiguity = lambda c: project_simplex(c)
-        prob.g.km_max_iter = km_max_iter
+        prob.g.max_iter = max_iter
     return prob, subspace_start(prob.subspace, 3)
 
 
 def test_run_pvs_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(km_max_iter=50)
+    prob, x1 = seeded_direct_dispersion(max_iter=50)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
     with pytest.raises(ConvergenceError) as exc:
         run_pvs(prob, cfg, x1)
@@ -358,7 +357,7 @@ def test_run_pvs_inner_failure_carries_partial_trace():
 
 
 def test_run_pvs_epochs_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(km_max_iter=50)
+    prob, x1 = seeded_direct_dispersion(max_iter=50)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0,
                        epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
@@ -554,39 +553,42 @@ def test_stationarity_constants_frozen_values():
         stationarity_constant(nolip, cfg, 10.0, 0.0)
 
 
-def test_stationarity_report_fields():
+def test_theorem_bound_margins_hold_over_the_trace():
     prob = lasso_problem()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=500, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
+    grad_margin, prox_margin, heuristic = theorem_bound_margins(prob, trace)
+    assert not heuristic
+    assert grad_margin.shape == prox_margin.shape == (len(trace),)
 
-    first = stationarity_report(prob, trace, 1)
-    assert first.k == 1
-    assert first.grad_norm_min == trace.proj_grad_norm[0]
-    assert not first.heuristic
-
-    last = stationarity_report(prob, trace, len(trace))
-    assert last.grad_norm_min == min(trace.proj_grad_norm)
-    assert last.grad_norm_min <= last.grad_bound
-    assert last.prox_residual <= last.prox_bound
-
-    # the residual bound k^(-alpha) C L_g holds at every recorded index
+    # the gradient bound k^((alpha-1)/2) Cbar over the running minimum of the
+    # observed projected gradient norms, with Cbar from f_star
     ks = np.asarray(trace.k, dtype=float)
-    bound = ks ** (-cfg.alpha) * cfg.C * prob.g.lipschitz
-    assert np.all(np.asarray(trace.prox_residual) <= bound + 1e-12)
+    cbar = stationarity_constant(prob, cfg, trace.objective[0], prob.f_star)
+    grad_bound = ks ** ((cfg.alpha - 1.0) / 2.0) * cbar
+    assert np.array_equal(grad_margin, grad_bound - trace.running_min_grad())
+    assert trace.running_min_grad()[-1] == min(trace.proj_grad_norm)
+    # the residual bound k^(-alpha) C L_g over the observed prox residuals
+    prox_bound = ks ** (-cfg.alpha) * cfg.C * prob.g.lipschitz
+    assert np.array_equal(prox_margin, prox_bound - np.asarray(trace.prox_residual))
+    # both bounds hold at every recorded index
+    assert grad_margin.min() >= 0.0 and prox_margin.min() >= 0.0
 
-    with pytest.raises(DomainError):
-        stationarity_report(prob, trace, 0)
-    with pytest.raises(DomainError):
-        stationarity_report(prob, trace, len(trace) + 1)
 
-
-def test_stationarity_report_heuristic_without_reference():
+def test_theorem_bound_margins_heuristic_without_reference():
     prob = lasso_problem(f_star=None)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=200, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
-    rep = stationarity_report(prob, trace, len(trace))
-    assert rep.heuristic
-    assert rep.grad_bound is not None  # L_g known, reference substituted
+    grad_margin, prox_margin, heuristic = theorem_bound_margins(prob, trace)
+    assert heuristic
+    # L_g is known, so both margins exist; the observed minimum objective
+    # stands in for the missing reference
+    assert grad_margin.shape == prox_margin.shape == (len(trace),)
+    ks = np.asarray(trace.k, dtype=float)
+    cbar = stationarity_constant(prob, cfg, trace.objective[0], min(trace.objective))
+    grad_bound = ks ** ((cfg.alpha - 1.0) / 2.0) * cbar
+    assert np.array_equal(grad_margin, grad_bound - trace.running_min_grad())
+    assert grad_margin.min() >= 0.0 and prox_margin.min() >= 0.0
 
 
 def test_non_lipschitz_residual_over_mu_bounded():
