@@ -63,26 +63,22 @@ _FORMULATIONS = ("direct", "product")
 _ALGORITHMS = ("pvs", "pvs-epochs")
 
 
-def _fail_config(msg):
-    raise ConfigError(msg)
-
-
 def _as_number(cfg, key, required=False, default=None, positive=False, integer=False):
     if key not in cfg:
         if required:
-            _fail_config("missing required field %r" % key)
+            raise ConfigError("missing required field %r" % key)
         return default
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail_config("field %r must be a number" % key)
+        raise ConfigError("field %r must be a number" % key)
     if not math.isfinite(v):
-        _fail_config("field %r must be finite" % key)
+        raise ConfigError("field %r must be finite" % key)
     if integer:
         if int(v) != v:
-            _fail_config("field %r must be an integer" % key)
+            raise ConfigError("field %r must be an integer" % key)
         v = int(v)
     if positive and not (v > 0):
-        _fail_config("field %r must be positive" % key)
+        raise ConfigError("field %r must be positive" % key)
     return v
 
 
@@ -92,63 +88,57 @@ def load_config(path):
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        _fail_config("cannot read config %s: %s" % (path, exc))
+        raise ConfigError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
-        _fail_config("config %s is not valid JSON: %s" % (path, exc))
+        raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
-        _fail_config("config root must be an object")
+        raise ConfigError("config root must be an object")
     unknown = sorted(set(cfg) - _KNOWN_KEYS)
     if unknown:
-        _fail_config("unknown config fields: %s" % ", ".join(unknown))
+        raise ConfigError("unknown config fields: %s" % ", ".join(unknown))
 
     out = {}
     out["problem"] = cfg.get("problem")
     if out["problem"] not in _PROBLEMS:
-        _fail_config("field 'problem' must be one of %s" % (_PROBLEMS,))
+        raise ConfigError("field 'problem' must be one of %s" % (_PROBLEMS,))
     out["formulation"] = cfg.get("formulation", "direct")
     if out["formulation"] not in _FORMULATIONS:
-        _fail_config("field 'formulation' must be one of %s" % (_FORMULATIONS,))
+        raise ConfigError("field 'formulation' must be one of %s" % (_FORMULATIONS,))
     out["algorithm"] = cfg.get("algorithm", "pvs")
     if out["algorithm"] not in _ALGORITHMS:
-        _fail_config("field 'algorithm' must be one of %s" % (_ALGORITHMS,))
+        raise ConfigError("field 'algorithm' must be one of %s" % (_ALGORITHMS,))
     out["n"] = _as_number(cfg, "n", required=True, positive=True, integer=True)
     out["N"] = _as_number(cfg, "N", required=True, positive=True, integer=True)
     out["alpha"] = _as_number(cfg, "alpha", required=True)
-    if not (0.0 < out["alpha"] < 1.0):
-        _fail_config("field 'alpha' must lie in (0, 1)")
-    out["C"] = _as_number(cfg, "C", required=True, positive=True)
-    out["lambda"] = _as_number(cfg, "lambda", positive=True, default=None)
+    out["C"] = _as_number(cfg, "C", required=True)
+    out["lambda"] = _as_number(cfg, "lambda", default=None)
     out["radius"] = _as_number(cfg, "radius", positive=True, default=1.0)
-    out["epsilon"] = _as_number(cfg, "epsilon", positive=True, default=None)
+    out["epsilon"] = _as_number(cfg, "epsilon", default=None)
     out["stop_step_norm"] = _as_number(cfg, "stop_step_norm", default=1e-5)
-    if out["stop_step_norm"] < 0:
-        _fail_config("field 'stop_step_norm' must be nonnegative")
     out["max_iter"] = _as_number(cfg, "max_iter", required=True, integer=True)
-    if out["max_iter"] < 0:
-        _fail_config("field 'max_iter' must be nonnegative")
     out["seed"] = _as_number(cfg, "seed", required=True, integer=True)
     if out["algorithm"] == "pvs-epochs" and out["epsilon"] is None:
-        _fail_config("algorithm 'pvs-epochs' needs field 'epsilon'")
+        raise ConfigError("algorithm 'pvs-epochs' needs field 'epsilon'")
+    if out["problem"] != "lasso" and out["lambda"] is None:
+        raise ConfigError("%s needs field 'lambda'" % out["problem"])
 
     R = cfg.get("R")
     if R is not None:
         if (not isinstance(R, list) or not R
                 or not all(isinstance(row, list) for row in R)):
-            _fail_config("field 'R' must be a nonempty list of rows")
+            raise ConfigError("field 'R' must be a nonempty list of rows")
         widths = {len(row) for row in R}
         if len(widths) != 1 or widths.pop() != out["n"]:
-            _fail_config("rows of 'R' must all have length n")
+            raise ConfigError("rows of 'R' must all have length n")
         try:
             R = np.asarray(R, dtype=float)
         except (TypeError, ValueError):
-            _fail_config("field 'R' must contain numbers")
-        if not np.all(np.isfinite(R)):
-            _fail_config("field 'R' must contain finite numbers")
+            raise ConfigError("field 'R' must contain numbers")
     out["R"] = R
     out["trace_file"] = cfg.get("trace_file", "trace.csv")
     out["summary_file"] = cfg.get("summary_file", "summary.json")
     if not isinstance(out["trace_file"], str) or not isinstance(out["summary_file"], str):
-        _fail_config("output file names must be strings")
+        raise ConfigError("output file names must be strings")
     return out
 
 
@@ -157,22 +147,14 @@ def build_from_config(cfg):
     n, N, seed = cfg["n"], cfg["N"], cfg["seed"]
     lam = cfg["lambda"]
     if cfg["problem"] == "max-dispersion":
-        if lam is None:
-            _fail_config("max-dispersion needs field 'lambda'")
         inst = MaxDispersionInstance(
             anchors=random_anchors(n, N, seed), radius=cfg["radius"], lam=lam,
             constraint_matrix=cfg["R"],
         )
         build = (build_max_dispersion_direct if cfg["formulation"] == "direct"
                  else build_max_dispersion_product)
-        try:
-            problem = build(inst)
-        except DomainError as exc:
-            _fail_config(str(exc))
-        dim = n if cfg["formulation"] == "direct" else n * N
+        problem = build(inst)
     elif cfg["problem"] == "dro":
-        if lam is None:
-            _fail_config("dro needs field 'lambda'")
         if cfg["formulation"] == "direct":
             a_rows, offsets = random_affine_scenarios(n, N, seed)
             inst = DroDiscreteInstance(
@@ -181,17 +163,12 @@ def build_from_config(cfg):
                 ambiguity_projector=projections.project_simplex,
                 support_max=prox.simplex_support_max,
             )
-            dim = n
         else:
             inst = DroDiscreteInstance(
                 kind="quadratic", lam=lam, radius=cfg["radius"],
                 centers=random_anchors(n, N, seed), constraint_matrix=cfg["R"],
             )
-            dim = n * N
-        try:
-            problem = build_dro_discrete(inst)
-        except DomainError as exc:
-            _fail_config(str(exc))
+        problem = build_dro_discrete(inst)
     else:  # lasso; N is the sample count, lambda the regularizer weight
         design, target = random_lasso_data(n, N, seed)
         inst = LassoInstance(
@@ -200,8 +177,7 @@ def build_from_config(cfg):
             constraint_matrix=cfg["R"],
         )
         problem = build_constrained_lasso(inst)
-        dim = n
-    x1 = subspace_start(problem.subspace, dim)
+    x1 = subspace_start(problem.subspace, problem.dim)
     return problem, x1
 
 
@@ -229,6 +205,12 @@ def write_trace_csv(trace, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _margins_hold(trace, gm, pm):
+    """Both decay-bound margins >= -slack, slack = 1e-9 (1 + max_k |F_k|)."""
+    slack = 1e-9 * (1.0 + np.abs(np.asarray(trace.objective)).max())
+    return bool(np.all(gm >= -slack) and np.all(pm >= -slack))
+
+
 def write_summary_json(problem, trace, path):
     if trace.final_x is None:
         final_objective = None
@@ -236,11 +218,7 @@ def write_summary_json(problem, trace, path):
     else:
         final_objective = problem.objective(trace.final_x)
         gm, pm, _ = theorem_bound_margins(problem, trace)
-        if gm is None:
-            bounds_ok = None
-        else:
-            slack = 1e-9 * (1.0 + np.abs(np.asarray(trace.objective)).max())
-            bounds_ok = bool(np.all(gm >= -slack) and np.all(pm >= -slack))
+        bounds_ok = None if gm is None else _margins_hold(trace, gm, pm)
     summary = {
         "final_objective": final_objective,
         "iterations": trace.iterations,
@@ -255,15 +233,15 @@ def write_summary_json(problem, trace, path):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    problem, x1 = build_from_config(cfg)
-    solver_cfg = SolverConfig(
-        alpha=cfg["alpha"], C=cfg["C"], max_iter=cfg["max_iter"],
-        stop_step_norm=cfg["stop_step_norm"], epsilon=cfg["epsilon"],
-    )
     try:
+        problem, x1 = build_from_config(cfg)
+        solver_cfg = SolverConfig(
+            alpha=cfg["alpha"], C=cfg["C"], max_iter=cfg["max_iter"],
+            stop_step_norm=cfg["stop_step_norm"], epsilon=cfg["epsilon"],
+        )
         solver_cfg.validate_for(problem.g)
     except DomainError as exc:
-        _fail_config(str(exc))
+        raise ConfigError(str(exc)) from exc
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, cfg["trace_file"])
@@ -448,10 +426,6 @@ def _verify_projections():
 def _verify_bounds():
     design, target = random_lasso_data(5, 8, 20240819)
     R = np.random.default_rng(20240820).standard_normal((2, 5))
-    inst = LassoInstance(
-        design=design, target=target,
-        regularizer=ScalarRegularizer("l1", lam=1.0), constraint_matrix=R,
-    )
     _, f_star = oracles.reference_constrained_lasso(
         design, target, 1.0, R, total_iters=100_000
     )
@@ -463,8 +437,7 @@ def _verify_bounds():
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=0.0)
     trace = run_pvs(problem, cfg, np.zeros(5))
     gm, pm, heuristic = theorem_bound_margins(problem, trace)
-    slack = 1e-9 * (1.0 + max(abs(v) for v in trace.objective))
-    ok = (not heuristic) and bool(np.all(gm >= -slack) and np.all(pm >= -slack))
+    ok = (not heuristic) and _margins_hold(trace, gm, pm)
     detail = float(min(gm.min(), pm.min()))
     checks = [("stationarity decay bounds on seeded lasso", ok, detail)]
 

@@ -178,7 +178,7 @@ class ProxFunction:
         return p, self.value(p)
 
     def check_mu(self, mu):
-        """Raise DomainError unless 0 < mu < mu_max."""
+        """Raise DomainError unless 0 < mu < mu_max; every prox calls it first."""
         if not (0.0 < mu < self.mu_max):
             raise DomainError(
                 "smoothing parameter mu=%r outside (0, %r)" % (mu, self.mu_max)
@@ -221,18 +221,11 @@ class ScaledSquaredNorm(ProxFunction):
 class CallableProx(ProxFunction):
     """Wrap plain callables (value, prox) as a ProxFunction."""
 
-    def __init__(self, value_fn, prox_fn, rho=0.0, lipschitz=None, mu_max=None):
+    def __init__(self, value_fn, prox_fn, rho=0.0, lipschitz=None):
         self._value = value_fn
         self._prox = prox_fn
         self.rho = float(rho)
         self.lipschitz = lipschitz
-        self._mu_max = mu_max
-
-    @property
-    def mu_max(self):
-        if self._mu_max is not None:
-            return self._mu_max
-        return np.inf if self.rho == 0.0 else 1.0 / self.rho
 
     def value(self, y):
         return float(self._value(y))
@@ -342,9 +335,8 @@ def moreau_envelope(g, mu, x):
     """Moreau envelope g_mu(x) = g(p) + |x - p|^2 / (2 mu), p = prox_{mu g}(x).
 
     Requires 0 < mu < g.mu_max so the inner problem is strongly convex and
-    the prox point is unique.
+    the prox point is unique; the prox raises :class:`DomainError` otherwise.
     """
-    g.check_mu(mu)
     x = np.asarray(x, dtype=float)
     p, gp = g.prox_and_value(mu, x)
     d = x - p
@@ -353,7 +345,6 @@ def moreau_envelope(g, mu, x):
 
 def moreau_gradient(g, mu, x):
     """Gradient of the Moreau envelope: (x - prox_{mu g}(x)) / mu."""
-    g.check_mu(mu)
     x = np.asarray(x, dtype=float)
     return (x - g.prox(mu, x)) / mu
 
@@ -404,7 +395,6 @@ class CompositeProblem:
         One ``g.prox_and_value`` call serves the value, the gradient and the
         prox residual, and one ``h.value_and_grad`` call the smooth part.
         """
-        self.g.check_mu(mu)
         x = np.asarray(x, dtype=float)
         ax = self.a_map.apply(x)
         p, gp = self.g.prox_and_value(mu, ax)

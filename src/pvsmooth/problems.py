@@ -75,7 +75,7 @@ class QuadraticLoss(SmoothFunction):
         return float(r @ r), 2.0 * (self.design.T @ r)
 
 
-class FirstBlockBallPenalty(SmoothFunction):
+class FirstBlockBallPenalty(BallPenalty):
     """(weight/2) d(x_1, B)^2 on a product space; only block 1 is penalized.
 
     Used with the replicated-diagonal subspace, where all blocks agree and
@@ -83,12 +83,8 @@ class FirstBlockBallPenalty(SmoothFunction):
     """
 
     def __init__(self, ball, weight, n_blocks):
-        if not (weight > 0):
-            raise DomainError("penalty weight must be positive")
-        self.ball = ball
-        self.weight = float(weight)
+        super().__init__(ball, weight)
         self.n_blocks = int(n_blocks)
-        self.lip_grad = float(weight)
 
     def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -99,16 +95,12 @@ class FirstBlockBallPenalty(SmoothFunction):
         return float(0.5 * self.weight * (d @ d)), grad
 
 
-class ProductBallPenalty(SmoothFunction):
+class ProductBallPenalty(BallPenalty):
     """(weight/2) sum_i d(x_i, B)^2 over all blocks of a product space."""
 
     def __init__(self, ball, weight, n_blocks):
-        if not (weight > 0):
-            raise DomainError("penalty weight must be positive")
-        self.ball = ball
-        self.weight = float(weight)
+        super().__init__(ball, weight)
         self.n_blocks = int(n_blocks)
-        self.lip_grad = float(weight)
 
     def value_and_grad(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
@@ -138,12 +130,6 @@ class MaxDispersionInstance:
         object.__setattr__(
             self, "anchors", np.atleast_2d(np.asarray(self.anchors, dtype=float))
         )
-        if self.constraint_matrix is not None:
-            object.__setattr__(
-                self,
-                "constraint_matrix",
-                np.atleast_2d(np.asarray(self.constraint_matrix, dtype=float)),
-            )
         if not (self.radius > 0):
             raise DomainError("radius must be positive")
 
@@ -180,18 +166,12 @@ def build_max_dispersion_direct(inst):
 
     max_i -|x - u_i|^2 = sup_{p in simplex} sum_i p_i (<2 u_i, x> - |u_i|^2) - |x|^2.
     """
-    if not (inst.lam > 2.0):
-        raise DomainError("penalty weight must exceed 2 for a coercive objective")
-    a_rows = 2.0 * inst.anchors
-    offsets = -(inst.anchors * inst.anchors).sum(axis=1)
-    g = SupAffineFamily(
-        a_rows, offsets, sigma=1.0,
-        project_ambiguity=project_simplex, support_max=simplex_support_max,
-    )
-    h = BallPenalty(BallSpec(np.zeros(inst.dim), inst.radius), inst.lam)
-    return CompositeProblem(
-        h, g, IdentityMap(), _kernel_subspace(inst.constraint_matrix), dim=inst.dim
-    )
+    return build_dro_discrete(DroDiscreteInstance(
+        kind="affine", lam=inst.lam, radius=inst.radius, a_rows=2.0 * inst.anchors,
+        offsets=-(inst.anchors * inst.anchors).sum(axis=1), sigma=1.0,
+        constraint_matrix=inst.constraint_matrix,
+        ambiguity_projector=project_simplex, support_max=simplex_support_max,
+    ))
 
 
 def build_max_dispersion_product(inst):
@@ -260,9 +240,8 @@ def build_dro_discrete(inst):
         if inst.support_max is None:
             raise ConfigError("affine kind needs the support function of C")
         if not (inst.lam > 2.0 * inst.sigma):
-            raise DomainError(
-                "penalty weight must exceed 2*sigma for a coercive objective"
-            )
+            raise DomainError("penalty weight must exceed %g for a coercive objective"
+                              % (2.0 * inst.sigma))
         g = SupAffineFamily(
             inst.a_rows, inst.offsets, sigma=inst.sigma,
             project_ambiguity=inst.ambiguity_projector,
@@ -320,17 +299,17 @@ def build_constrained_lasso(inst):
 # seeded data and starts
 # ---------------------------------------------------------------------------
 
-def subspace_start(projector, dim, scale=0.5):
+def subspace_start(projector, dim):
     """A deterministic nonzero point of the subspace, when one exists.
 
-    Projects scaled standard basis vectors until the image is nonzero; a
+    Projects halved standard basis vectors until the image is nonzero; a
     zero start would sit at a stationary point of some model objectives.
     """
     for i in range(int(dim)):
         e = np.zeros(int(dim))
-        e[i] = scale
+        e[i] = 0.5
         p = projector.apply(e)
-        if np.linalg.norm(p) > 1e-8 * scale:
+        if np.linalg.norm(p) > 1e-8 * 0.5:
             return p
     return np.zeros(int(dim))
 

@@ -22,7 +22,7 @@ import numbers
 
 import numpy as np
 
-from .core import ProxFunction, moreau_envelope, spectral_norm
+from .core import ProxFunction, spectral_norm
 # matrix_norm_bound is unused here but stays a module attribute:
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
@@ -46,7 +46,6 @@ __all__ = [
     "mcp_value",
     "scad_value",
     "tukey_value",
-    "envelope_sup_identity_check",
 ]
 
 _DENOM_GUARD = 1e-12
@@ -221,19 +220,6 @@ class SupQuadraticFamily(ProxFunction):
         return out.ravel(), float(-(d * d).sum(axis=1).min())
 
 
-def envelope_sup_identity_check(family, mu, x):
-    """Return (lhs, rhs): the Moreau envelope computed through the prox and
-    the same quantity computed as the weight-space maximum.
-
-    The two agree because the envelope of a supremum of concave quadratics
-    is the supremum of the weighted envelopes; the caller compares them.
-    """
-    lhs = moreau_envelope(family, mu, x)
-    weights = family.weights(mu, x)
-    rhs = envelope_by_weights(family.alphas(x), mu, weights)
-    return lhs, float(rhs)
-
-
 # ---------------------------------------------------------------------------
 # supremum of affine forms minus a quadratic: accelerated dual iteration
 # ---------------------------------------------------------------------------
@@ -340,7 +326,7 @@ def prox_sup_affine(family, mu, x):
     together.  The result depends only on (family, mu, x).
 
     Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
-    whose w overflows, raises :class:`DomainError`.  Raises
+    whose w or y overflows, raises :class:`DomainError`.  Raises
     :class:`ConvergenceError` when the budget runs out, carrying the last
     (y, c) and FISTA's last stop residual, or, when FISTA got no iteration,
     the fixed-point residual |P(c + v) - c| of its projected uniform start.
@@ -369,7 +355,7 @@ def prox_sup_affine(family, mu, x):
         c, steps = _simplex_active_set(a_rows, coef, w, 1e-12 * max(1.0, scale),
                                        tol, min(max_iter, 2 * n))
         if c is not None:
-            return (x - mu * (a_rows.T @ c)) / s, c, steps
+            return _prox_point(x, mu, a_rows, c, s), c, steps
     c = project(np.full(n, 1.0 / n))
     z, t = c, 1.0
     delta = np.inf
@@ -378,7 +364,7 @@ def prox_sup_affine(family, mu, x):
         diff = c_next - c
         delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
         if delta <= tol:
-            return (x - mu * (a_rows.T @ c_next)) / s, c_next, it
+            return _prox_point(x, mu, a_rows, c_next, s), c_next, it
         if (z - c_next) @ diff > 0.0:
             z, t = c_next, 1.0
         else:
@@ -389,13 +375,21 @@ def prox_sup_affine(family, mu, x):
     if steps == max_iter:  # the active set used the whole budget
         r = project(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
         delta = float(np.linalg.norm(r))
-    y = (x - mu * (a_rows.T @ c)) / s
     raise ConvergenceError(
         "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),
         residual=delta,
         iterations=max_iter,
-        best=(y, c),
+        best=(_prox_point(x, mu, a_rows, c, s), c),
     )
+
+
+def _prox_point(x, mu, a_rows, c, s):
+    """y(c) = (x - mu A^T c) / s; an overflow raises :class:`DomainError`."""
+    with np.errstate(over="ignore"):
+        y = (x - mu * (a_rows.T @ c)) / s
+    if not np.isfinite(y).all():
+        raise DomainError("the prox point y = (x - mu A^T c) / s must be finite")
+    return y
 
 
 def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
@@ -419,10 +413,8 @@ def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
       (``LinAlgError``, or u - c_S does not ascend), c moves instead along
       a direction d with sum d = 0 and M_SS d = 0, signed to ascend.
 
-    A step costs O(N d) plus the k x k bordered solve, k = |S|.  On the
-    ``dispersion-direct`` benchmark a prox takes about 1.7 steps, of which
-    about 0.75 solve a system.  Returns ``(c, steps)`` with c None when no
-    step in ``max_steps`` certified.
+    A step costs O(N d) plus the k x k bordered solve, k = |S|.  Returns
+    ``(c, steps)`` with c None when no step in ``max_steps`` certified.
     """
     idx = np.argmax(w)[None]
     steps = 0
@@ -585,7 +577,7 @@ def tukey_value(shift, x):
     return float((q / (1.0 + q)).sum())
 
 
-def prox_tukey(shift, mu, x, residual_tol=1e-12):
+def prox_tukey(shift, mu, x):
     """Prox of the Tukey biweight penalty t -> (t-b)^2 / (1 + (t-b)^2).
 
     The penalty is treated as 6-weakly convex, so mu must lie in (0, 1/6);
@@ -599,7 +591,7 @@ def prox_tukey(shift, mu, x, residual_tol=1e-12):
     bisection.  Convergence is measured on the mu-scaled form
     t - x + 2 mu (t-b)/(1+(t-b)^2)^2, which stays O(1); the raw equation
     scales like 1/mu and cannot be driven to a fixed tolerance in double
-    precision when mu is tiny.
+    precision when mu is tiny; it stops at 1e-12.
     """
     if not (0.0 < mu < 1.0 / 6.0):
         raise DomainError("mu must lie in (0, 1/6)")
@@ -615,7 +607,7 @@ def prox_tukey(shift, mu, x, residual_tol=1e-12):
     t = x.astype(float).copy()
     for _ in range(200):
         f = psi(t)
-        if np.max(mu * np.abs(f)) <= residual_tol:
+        if np.max(mu * np.abs(f)) <= 1e-12:
             break
         lo = np.where(f < 0.0, t, lo)
         hi = np.where(f > 0.0, t, hi)

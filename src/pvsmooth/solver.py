@@ -398,7 +398,6 @@ def affine_shift_wrap(problem, z0):
         lambda mu, y: g.prox(mu, y + az0) - az0,
         rho=g.rho,
         lipschitz=g.lipschitz,
-        mu_max=g.mu_max,
     )
     return CompositeProblem(
         shifted_h, shifted_g, problem.a_map, problem.subspace, f_star=problem.f_star

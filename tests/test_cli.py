@@ -79,6 +79,28 @@ def test_load_config_rejects_bad_enum_and_range(tmp_path):
                      write_config(tmp_path, max_iter=2.5)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"C": 0}, {"C": -1}, {"alpha": 0}, {"stop_step_norm": -1}, {"max_iter": -1},
+    {"algorithm": "pvs-epochs", "epsilon": -1},
+    {"problem": "lasso", "lambda": 0},
+    {"problem": "dro", "n": 3, "N": 2, "lambda": 0},
+    {"problem": "max-dispersion", "n": 3, "N": 2, "lambda": 0},
+])
+def test_solve_rejects_values_out_of_range_for_solver_or_builder(tmp_path, overrides):
+    # the solver config and the builders own these ranges; the CLI still
+    # exits 2 on them
+    assert cli.main(["solve", "--config", write_config(tmp_path, **overrides),
+                     "--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_solve_rejects_non_finite_constraint_matrix(tmp_path):
+    # KernelProjector owns the finiteness of R; json.dumps writes NaN
+    path = write_config(tmp_path, R=[[1.0, float("nan"), 0.0, 0.0, 0.0]])
+    assert "NaN" in (tmp_path / "cfg.json").read_text()
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+
 def test_load_config_rejects_bad_constraint_rows(tmp_path):
     assert cli.main(["solve", "--config",
                      write_config(tmp_path, R=[[1.0, 1.0]])]) == 2

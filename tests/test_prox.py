@@ -18,7 +18,6 @@ from pvsmooth.prox import (
     SupQuadraticFamily,
     _simplex_kkt_certified,
     envelope_by_weights,
-    envelope_sup_identity_check,
     mcp_value,
     prox_l1,
     prox_mcp,
@@ -150,6 +149,14 @@ def test_sup_quadratic_mu_domain():
     for mu in (0.0, 0.5, 0.7, -1.0):
         with pytest.raises(DomainError):
             fam.prox(mu, np.array([1.0, 2.0]))
+
+
+def envelope_sup_identity_check(family, mu, x):
+    """(lhs, rhs): the Moreau envelope through the prox, and the same value as
+    the weight-space maximum; the envelope of a supremum of concave
+    quadratics is the supremum of the weighted envelopes."""
+    rhs = envelope_by_weights(family.alphas(x), mu, family.weights(mu, x))
+    return moreau_envelope(family, mu, x), float(rhs)
 
 
 def test_sup_quadratic_envelope_identity():
@@ -635,6 +642,17 @@ def test_sup_affine_rejects_non_finite_input():
     for big in (_simplex_family(rows, np.zeros(2), 1.0), box):
         with pytest.raises(DomainError, match="finite"):
             prox_sup_affine(big, 0.2, x)
+
+
+def test_sup_affine_rejects_an_overflowing_prox_point():
+    # w stays finite (A = 0), but y = (x - mu A^T c) / s overflows: a
+    # DomainError from both the active set and FISTA, not a RuntimeWarning
+    rows, x = np.zeros((2, 1)), np.array([1e308])
+    box = SupAffineFamily(rows, np.zeros(2), 1.0, lambda c: np.clip(c, 0.0, 1.0),
+                          support_max=lambda v: float(np.maximum(v, 0.0).sum()))
+    for fam in (_simplex_family(rows, np.zeros(2), 1.0), box):
+        with pytest.raises(DomainError, match="prox point"):
+            fam.prox(0.25, x)
 
 
 def test_sup_affine_mu_domain():

@@ -22,6 +22,7 @@ from pvsmooth.core import (
     ZeroSmooth,
     moreau_envelope,
 )
+from pvsmooth.errors import DomainError
 from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
     ScalarRegularizer,
@@ -95,6 +96,19 @@ def test_prox_and_value_is_prox_then_value_bit_for_bit(name, y, frac):
     assert _same_bits(p, ref)
     assert isinstance(gp, float)
     assert _same_bits(gp, g.value(ref))
+
+
+@pytest.mark.parametrize("name", sorted(PROX_TERMS))
+def test_every_prox_owns_its_mu_check(name):
+    # the callers (smoothed_parts, moreau_envelope, moreau_gradient) leave
+    # the check of 0 < mu < mu_max to the prox
+    g = PROX_TERMS[name]()
+    bad = [0.0, -0.1] + ([g.mu_max] if np.isfinite(g.mu_max) else [])
+    y = np.linspace(-0.8, 1.1, DIM)
+    for mu in bad:
+        for call in (g.prox, g.prox_and_value):
+            with pytest.raises(DomainError):
+                call(mu, y)
 
 
 class CountingProx(ProxFunction):
