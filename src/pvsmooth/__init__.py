@@ -51,14 +51,14 @@ from .penalty import (
     run_penalty,
 )
 from .problems import (
-    DroDiscreteInstance,
     FirstBlockBallPenalty,
     LassoInstance,
     MaxDispersionInstance,
     ProductBallPenalty,
     QuadraticLoss,
     build_constrained_lasso,
-    build_dro_discrete,
+    build_dro_affine,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
     dispersion_objective,

@@ -36,11 +36,11 @@ from .core import CallableSmooth, IdentityMap, ZeroFunction, matrix_norm_bound
 from .errors import ConfigError, DomainError, PvsError
 from .penalty import PenaltySchedule, run_penalty
 from .problems import (
-    DroDiscreteInstance,
     LassoInstance,
     MaxDispersionInstance,
     build_constrained_lasso,
-    build_dro_discrete,
+    build_dro_affine,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
     random_affine_scenarios,
@@ -142,41 +142,45 @@ def load_config(path):
     return out
 
 
+def _instance_data(kind, n, count, seed):
+    """The seeded arrays of a ``gen`` kind, keyed by their JSON field names,
+    which are also the builders' argument names; ``solve`` builds from the
+    same arrays."""
+    if kind == "dro-affine":
+        a_rows, offsets = random_affine_scenarios(n, count, seed)
+        return {"a_rows": a_rows, "offsets": offsets}
+    if kind == "lasso":  # count is the sample count
+        design, target = random_lasso_data(n, count, seed)
+        return {"design": design, "target": target}
+    name = "centers" if kind == "dro-quadratic" else "anchors"
+    return {name: random_anchors(n, count, seed)}
+
+
 def build_from_config(cfg):
     """Instantiate the composite problem and starting point for a config."""
-    n, N, seed = cfg["n"], cfg["N"], cfg["seed"]
-    lam = cfg["lambda"]
-    if cfg["problem"] == "max-dispersion":
-        inst = MaxDispersionInstance(
-            anchors=random_anchors(n, N, seed), radius=cfg["radius"], lam=lam,
-            constraint_matrix=cfg["R"],
-        )
+    lam, radius, R = cfg["lambda"], cfg["radius"], cfg["R"]
+    kind = cfg["problem"]
+    if kind == "dro":
+        kind = "dro-affine" if cfg["formulation"] == "direct" else "dro-quadratic"
+    data = _instance_data(kind, cfg["n"], cfg["N"], cfg["seed"])
+    if kind == "max-dispersion":
         build = (build_max_dispersion_direct if cfg["formulation"] == "direct"
                  else build_max_dispersion_product)
-        problem = build(inst)
-    elif cfg["problem"] == "dro":
-        if cfg["formulation"] == "direct":
-            a_rows, offsets = random_affine_scenarios(n, N, seed)
-            inst = DroDiscreteInstance(
-                kind="affine", lam=lam, radius=cfg["radius"], a_rows=a_rows,
-                offsets=offsets, sigma=1.0, constraint_matrix=cfg["R"],
-                ambiguity_projector=projections.project_simplex,
-                support_max=prox.simplex_support_max,
-            )
-        else:
-            inst = DroDiscreteInstance(
-                kind="quadratic", lam=lam, radius=cfg["radius"],
-                centers=random_anchors(n, N, seed), constraint_matrix=cfg["R"],
-            )
-        problem = build_dro_discrete(inst)
-    else:  # lasso; N is the sample count, lambda the regularizer weight
-        design, target = random_lasso_data(n, N, seed)
-        inst = LassoInstance(
-            design=design, target=target,
-            regularizer=ScalarRegularizer("l1", lam=1.0 if lam is None else lam),
-            constraint_matrix=cfg["R"],
+        problem = build(MaxDispersionInstance(**data, radius=radius, lam=lam,
+                                              constraint_matrix=R))
+    elif kind == "dro-affine":
+        problem = build_dro_affine(
+            **data, lam=lam, radius=radius,
+            ambiguity_projector=projections.project_simplex,
+            support_max=prox.simplex_support_max, constraint_matrix=R,
         )
-        problem = build_constrained_lasso(inst)
+    elif kind == "dro-quadratic":
+        problem = build_dro_quadratic(**data, lam=lam, radius=radius, constraint_matrix=R)
+    else:  # lasso; lambda is the regularizer weight
+        problem = build_constrained_lasso(LassoInstance(
+            **data, regularizer=ScalarRegularizer("l1", lam=1.0 if lam is None else lam),
+            constraint_matrix=R,
+        ))
     x1 = subspace_start(problem.subspace, problem.dim)
     return problem, x1
 
@@ -470,7 +474,7 @@ def _verify_penalty():
 
     xs, diag = run_penalty(
         h0, ZeroFunction(), IdentityMap(), IdentityProjector(), ball, sched,
-        np.zeros(1), f_star=-1.0,
+        np.zeros(1),
     )
     worst = 0.0
     for x, lam in zip(xs, lambdas):
@@ -506,20 +510,9 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    n, count, seed = args.n, args.N, args.seed
-    payload = {"kind": args.kind, "n": n, "N": count, "seed": seed}
-    if args.kind == "max-dispersion":
-        payload["anchors"] = random_anchors(n, count, seed).tolist()
-    elif args.kind == "dro-affine":
-        a_rows, offsets = random_affine_scenarios(n, count, seed)
-        payload["a_rows"] = a_rows.tolist()
-        payload["offsets"] = offsets.tolist()
-    elif args.kind == "dro-quadratic":
-        payload["centers"] = random_anchors(n, count, seed).tolist()
-    else:  # lasso: N is the sample count
-        design, target = random_lasso_data(n, count, seed)
-        payload["design"] = design.tolist()
-        payload["target"] = target.tolist()
+    payload = {"kind": args.kind, "n": args.n, "N": args.N, "seed": args.seed}
+    for name, array in _instance_data(args.kind, args.n, args.N, args.seed).items():
+        payload[name] = array.tolist()
     with open(args.out, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

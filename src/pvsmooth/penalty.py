@@ -114,7 +114,7 @@ class PenaltyDiagnostics:
     stop_reasons: list
 
 
-def run_penalty(h0, g, a_map, subspace, ball, schedule, x1, f_star=None):
+def run_penalty(h0, g, a_map, subspace, ball, schedule, x1):
     """Solve the penalized stages in order, warm-starting each from the last.
 
     Parameters
@@ -125,9 +125,6 @@ def run_penalty(h0, g, a_map, subspace, ball, schedule, x1, f_star=None):
         The constraint set being penalized.
     schedule : PenaltySchedule
     x1 : initial point in the subspace.
-    f_star : float, optional
-        Known constrained optimal value; recorded into the diagnostics
-        consumers via the returned values (no effect on the run).
 
     Returns ``(solutions, diagnostics)`` with one entry per stage.  If an
     inner run fails, a :class:`StageError` carries the completed stages.
@@ -137,7 +134,7 @@ def run_penalty(h0, g, a_map, subspace, ball, schedule, x1, f_star=None):
     x = np.asarray(x1, dtype=float)
     for lam, cfg in zip(schedule.lambdas, schedule.configs):
         problem = CompositeProblem(
-            SmoothSum(h0, BallPenalty(ball, lam)), g, a_map, subspace, f_star=f_star
+            SmoothSum(h0, BallPenalty(ball, lam)), g, a_map, subspace
         )
         try:
             trace = run_pvs(problem, cfg, x)

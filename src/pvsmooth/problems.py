@@ -24,7 +24,7 @@ from .core import (
     SmoothFunction,
     matrix_norm_bound,
 )
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .penalty import BallPenalty
 from .projections import (
     BallSpec,
@@ -37,14 +37,14 @@ from .prox import ScalarRegularizer, SupAffineFamily, SupQuadraticFamily, simple
 
 __all__ = [
     "MaxDispersionInstance",
-    "DroDiscreteInstance",
     "LassoInstance",
     "QuadraticLoss",
     "FirstBlockBallPenalty",
     "ProductBallPenalty",
     "build_max_dispersion_direct",
     "build_max_dispersion_product",
-    "build_dro_discrete",
+    "build_dro_affine",
+    "build_dro_quadratic",
     "build_constrained_lasso",
     "dispersion_objective",
     "subspace_start",
@@ -130,16 +130,6 @@ class MaxDispersionInstance:
         object.__setattr__(
             self, "anchors", np.atleast_2d(np.asarray(self.anchors, dtype=float))
         )
-        if not (self.radius > 0):
-            raise DomainError("radius must be positive")
-
-    @property
-    def n_anchors(self):
-        return self.anchors.shape[0]
-
-    @property
-    def dim(self):
-        return self.anchors.shape[1]
 
 
 def _kernel_subspace(constraint_matrix):
@@ -159,6 +149,49 @@ def dispersion_objective(anchors, radius, lam, x):
     return float(0.5 * lam * excess * excess - (d * d).sum(axis=1).min())
 
 
+def build_dro_affine(a_rows, offsets, lam, radius, ambiguity_projector, support_max,
+                     sigma=1.0, constraint_matrix=None):
+    """Scenario costs <a_i, x> + b_i - sigma |x|^2 with weights in an
+    ambiguity set C, ball-penalized with weight lam (which must exceed 2 sigma).
+
+    ``ambiguity_projector`` projects onto C and ``support_max`` is its support
+    function v -> max_{c in C} <c, v> (project_simplex and simplex_support_max
+    for the full simplex); the weight prox is :func:`~pvsmooth.prox.prox_sup_affine`.
+    """
+    if not (lam > 2.0 * sigma):
+        raise DomainError("penalty weight must exceed %g for a coercive objective"
+                          % (2.0 * sigma))
+    g = SupAffineFamily(
+        a_rows, offsets, sigma=sigma,
+        project_ambiguity=ambiguity_projector, support_max=support_max,
+    )
+    dim = g.a_rows.shape[1]
+    h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)
+    subspace = _kernel_subspace(constraint_matrix)
+    return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim)
+
+
+def _sup_quadratic_problem(centers, lam, radius, constraint_matrix, penalty):
+    """max_i -|x_i - c_i|^2 on the product space, its copies coupled through
+    the replicated-diagonal subspace, plus the ball penalty class
+    ``penalty(ball, lam, n_blocks)``; the prox is closed-form."""
+    if not (lam > 2.0):
+        raise DomainError("penalty weight must exceed 2 for a coercive objective")
+    g = SupQuadraticFamily(centers)
+    n_blocks, dim = g.centers.shape
+    h = penalty(BallSpec(np.zeros(dim), radius), lam, n_blocks)
+    subspace = ReplicatedKernelProjector(_kernel_subspace(constraint_matrix), n_blocks)
+    return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim * n_blocks)
+
+
+def build_dro_quadratic(centers, lam, radius, constraint_matrix=None):
+    """Scenario costs -|x_i - c_i|^2 on a product space with weights on the
+    full simplex, every block ball-penalized with weight lam (which must
+    exceed 2)."""
+    return _sup_quadratic_problem(centers, lam, radius, constraint_matrix,
+                                  ProductBallPenalty)
+
+
 def build_max_dispersion_direct(inst):
     """Single-space formulation: the anchor maximum is a supremum of affine
     forms minus |x|^2, so the prox solves the dual over the simplex exactly
@@ -166,12 +199,11 @@ def build_max_dispersion_direct(inst):
 
     max_i -|x - u_i|^2 = sup_{p in simplex} sum_i p_i (<2 u_i, x> - |u_i|^2) - |x|^2.
     """
-    return build_dro_discrete(DroDiscreteInstance(
-        kind="affine", lam=inst.lam, radius=inst.radius, a_rows=2.0 * inst.anchors,
-        offsets=-(inst.anchors * inst.anchors).sum(axis=1), sigma=1.0,
-        constraint_matrix=inst.constraint_matrix,
-        ambiguity_projector=project_simplex, support_max=simplex_support_max,
-    ))
+    anchors = inst.anchors
+    return build_dro_affine(
+        2.0 * anchors, -(anchors * anchors).sum(axis=1), inst.lam, inst.radius,
+        project_simplex, simplex_support_max, constraint_matrix=inst.constraint_matrix,
+    )
 
 
 def build_max_dispersion_product(inst):
@@ -179,91 +211,8 @@ def build_max_dispersion_product(inst):
     replicated-diagonal subspace; the anchor maximum becomes a supremum of
     concave quadratics with a closed-form prox, and only the first block
     carries the ball penalty."""
-    if not (inst.lam > 2.0):
-        raise DomainError("penalty weight must exceed 2 for a coercive objective")
-    n_blocks = inst.n_anchors
-    h = FirstBlockBallPenalty(
-        BallSpec(np.zeros(inst.dim), inst.radius), inst.lam, n_blocks
-    )
-    g = SupQuadraticFamily(inst.anchors)
-    subspace = ReplicatedKernelProjector(
-        _kernel_subspace(inst.constraint_matrix), n_blocks
-    )
-    return CompositeProblem(
-        h, g, IdentityMap(), subspace, dim=inst.dim * n_blocks
-    )
-
-
-@dataclass(frozen=True)
-class DroDiscreteInstance:
-    """Distributionally robust objective over finitely many scenarios.
-
-    kind='affine': scenario costs <a_i, x> + b_i - sigma |x|^2 with weights
-    in an ambiguity set C; the projector onto C and its support function
-    v -> max_{c in C} <c, v> are required (project_simplex and
-    simplex_support_max for C = the full simplex).
-    kind='quadratic': scenario costs -|x_i - c_i|^2 on a product space with
-    weights on the full simplex.  Both arrive ball-penalized with weight lam.
-    """
-
-    kind: str
-    lam: float
-    radius: float
-    a_rows: Optional[np.ndarray] = None
-    offsets: Optional[np.ndarray] = None
-    sigma: float = 1.0
-    centers: Optional[np.ndarray] = None
-    constraint_matrix: Optional[np.ndarray] = None
-    ambiguity_projector: object = None
-    support_max: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("affine", "quadratic"):
-            raise ConfigError("kind must be 'affine' or 'quadratic'")
-        if not (self.radius > 0):
-            raise DomainError("radius must be positive")
-
-
-def build_dro_discrete(inst):
-    """Wire a DRO instance into a composite problem.
-
-    The affine kind keeps the ambient space and pays for its generality with
-    the iterative weight prox; the quadratic kind moves to the product space
-    where the prox is closed-form and couples the copies through the
-    replicated-diagonal subspace.
-    """
-    if inst.kind == "affine":
-        if inst.a_rows is None or inst.offsets is None:
-            raise ConfigError("affine kind needs a_rows and offsets")
-        if inst.ambiguity_projector is None:
-            raise ConfigError("affine kind needs an ambiguity projector onto C")
-        if inst.support_max is None:
-            raise ConfigError("affine kind needs the support function of C")
-        if not (inst.lam > 2.0 * inst.sigma):
-            raise DomainError("penalty weight must exceed %g for a coercive objective"
-                              % (2.0 * inst.sigma))
-        g = SupAffineFamily(
-            inst.a_rows, inst.offsets, sigma=inst.sigma,
-            project_ambiguity=inst.ambiguity_projector,
-            support_max=inst.support_max,
-        )
-        dim = g.a_rows.shape[1]
-        h = BallPenalty(BallSpec(np.zeros(dim), inst.radius), inst.lam)
-        subspace = _kernel_subspace(inst.constraint_matrix)
-        return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim)
-
-    if inst.centers is None:
-        raise ConfigError("quadratic kind needs scenario centers")
-    if not (inst.lam > 2.0):
-        raise DomainError("penalty weight must exceed 2 for a coercive objective")
-    centers = np.atleast_2d(np.asarray(inst.centers, dtype=float))
-    n_blocks, dim = centers.shape
-    h = ProductBallPenalty(BallSpec(np.zeros(dim), inst.radius), inst.lam, n_blocks)
-    g = SupQuadraticFamily(centers)
-    subspace = ReplicatedKernelProjector(
-        _kernel_subspace(inst.constraint_matrix), n_blocks
-    )
-    return CompositeProblem(h, g, IdentityMap(), subspace, dim=dim * n_blocks)
+    return _sup_quadratic_problem(inst.anchors, inst.lam, inst.radius,
+                                  inst.constraint_matrix, FirstBlockBallPenalty)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ class KernelProjector(SubspaceProjector):
             raise DomainError("constraint matrix R must be nonzero")
         _, s, vt = np.linalg.svd(R, full_matrices=False)
         self.basis = vt[s > _SVD_CUTOFF * s[0]]
-        self.dim = R.shape[1]
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from pvsmooth.errors import ConfigError, ContractError, DomainError
+from pvsmooth.errors import ContractError, DomainError
 from pvsmooth.oracles import fd_gradient, reference_constrained_lasso
 from pvsmooth.problems import (
-    DroDiscreteInstance,
     FirstBlockBallPenalty,
     LassoInstance,
     MaxDispersionInstance,
     ProductBallPenalty,
     QuadraticLoss,
     build_constrained_lasso,
-    build_dro_discrete,
+    build_dro_affine,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
     dispersion_objective,
@@ -117,8 +117,11 @@ def test_dispersion_coercivity_guards():
         build_max_dispersion_direct(inst)
     with pytest.raises(DomainError):
         build_max_dispersion_product(inst)
+    inst = MaxDispersionInstance(np.zeros((1, 3)), -1.0, 5.0)
     with pytest.raises(DomainError):
-        MaxDispersionInstance(np.zeros((1, 3)), -1.0, 5.0)
+        build_max_dispersion_direct(inst)
+    with pytest.raises(DomainError):
+        build_max_dispersion_product(inst)
 
 
 def test_single_anchor_analytic_optimum():
@@ -234,40 +237,21 @@ def test_product_iterates_stay_in_replicated_subspace():
 # discrete DRO
 # ---------------------------------------------------------------------------
 
-def test_dro_instance_validation():
-    with pytest.raises(ConfigError):
-        DroDiscreteInstance(kind="wasserstein", lam=5.0, radius=1.0)
-    with pytest.raises(DomainError):
-        DroDiscreteInstance(kind="affine", lam=5.0, radius=0.0)
-
-
-def test_dro_builder_configuration_errors():
+def test_dro_builders_reject_nonpositive_radius():
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
-    with pytest.raises(ConfigError):
-        build_dro_discrete(DroDiscreteInstance(kind="affine", lam=5.0, radius=1.0))
-    with pytest.raises(ConfigError):
-        # scenario data present but no ambiguity projector
-        build_dro_discrete(DroDiscreteInstance(
-            kind="affine", lam=5.0, radius=1.0, a_rows=a_rows, offsets=offsets))
-    with pytest.raises(ConfigError):
-        # an ambiguity projector but no support function for the value
-        build_dro_discrete(DroDiscreteInstance(
-            kind="affine", lam=5.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-            ambiguity_projector=project_simplex))
-    with pytest.raises(ConfigError):
-        build_dro_discrete(DroDiscreteInstance(kind="quadratic", lam=5.0, radius=1.0))
+    with pytest.raises(DomainError):
+        build_dro_affine(a_rows, offsets, 5.0, 0.0, project_simplex, simplex_support_max)
+    with pytest.raises(DomainError):
+        build_dro_quadratic(np.zeros((2, 3)), 5.0, 0.0)
 
 
 def test_dro_coercivity_guards():
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
     with pytest.raises(DomainError):
-        build_dro_discrete(DroDiscreteInstance(
-            kind="affine", lam=3.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-            sigma=1.5, ambiguity_projector=project_simplex,
-            support_max=simplex_support_max))
+        build_dro_affine(a_rows, offsets, 3.0, 1.0, project_simplex, simplex_support_max,
+                         sigma=1.5)
     with pytest.raises(DomainError):
-        build_dro_discrete(DroDiscreteInstance(
-            kind="quadratic", lam=2.0, radius=1.0, centers=np.zeros((2, 3))))
+        build_dro_quadratic(np.zeros((2, 3)), 2.0, 1.0)
 
 
 def test_dro_singleton_ambiguity_collapses_to_smooth_problem():
@@ -276,12 +260,10 @@ def test_dro_singleton_ambiguity_collapses_to_smooth_problem():
     # gradient descent on that function lands.
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
     p0 = np.array([0.1, 0.2, 0.3, 0.4])
-    inst = DroDiscreteInstance(
-        kind="affine", lam=8.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-        sigma=1.0, ambiguity_projector=lambda c: p0.copy(),
+    prob = build_dro_affine(
+        a_rows, offsets, 8.0, 1.0, ambiguity_projector=lambda c: p0.copy(),
         support_max=lambda v: float(p0 @ v),
     )
-    prob = build_dro_discrete(inst)
     cfg = SolverConfig(alpha=2.0 / 3.0, C=0.25, max_iter=30000, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, subspace_start(prob.subspace, 3))
 
@@ -310,9 +292,7 @@ def test_dro_quadratic_simplex_is_max_dispersion_product():
     # ball penalty widens from the first block to every block (factor N on
     # the diagonal).
     anchors = random_anchors(3, 10, 1)
-    dro = build_dro_discrete(DroDiscreteInstance(
-        kind="quadratic", lam=50.0, radius=1.0, centers=anchors,
-        constraint_matrix=R_SUM))
+    dro = build_dro_quadratic(anchors, 50.0, 1.0, R_SUM)
     disp = build_max_dispersion_product(MaxDispersionInstance(anchors, 1.0, 50.0, R_SUM))
 
     assert isinstance(dro.g, SupQuadraticFamily)
@@ -347,11 +327,9 @@ def test_dro_truncated_simplex_weights_satisfy_fixed_point():
         best_rest = float(v[1:].max())
         return max(best_rest, 0.5 * (float(v[0]) + best_rest))
 
-    inst = DroDiscreteInstance(
-        kind="affine", lam=4.0, radius=1.0, a_rows=a_rows, offsets=offsets,
-        sigma=1.0, ambiguity_projector=project_c, support_max=support_c,
+    prob = build_dro_affine(
+        a_rows, offsets, 4.0, 1.0, ambiguity_projector=project_c, support_max=support_c,
     )
-    prob = build_dro_discrete(inst)
     mu = 0.1
     x = np.array([0.3, -0.7])
     y, c, _ = prob.g.prox_detailed(mu, x)

@@ -296,3 +296,33 @@ def test_gen_other_kinds(tmp_path):
     payload = json.loads(out.read_text())
     assert np.asarray(payload["design"]).shape == (6, 4)
     assert len(payload["target"]) == 6
+
+
+# (problem, formulation) -> (gen kind, pairs of (built array, gen array))
+GEN_READS = {
+    ("max-dispersion", "direct"): (
+        "max-dispersion", lambda p, d: [(p.g.a_rows, 2.0 * d["anchors"])]),
+    ("max-dispersion", "product"): (
+        "max-dispersion", lambda p, d: [(p.g.centers, d["anchors"])]),
+    ("dro", "direct"): (
+        "dro-affine", lambda p, d: [(p.g.a_rows, d["a_rows"]), (p.g.offsets, d["offsets"])]),
+    ("dro", "product"): (
+        "dro-quadratic", lambda p, d: [(p.g.centers, d["centers"])]),
+    ("lasso", "direct"): (
+        "lasso", lambda p, d: [(p.h.design, d["design"]), (p.h.target, d["target"])]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GEN_READS), ids="-".join)
+def test_gen_writes_the_data_solve_builds_from(tmp_path, shape):
+    kind, read = GEN_READS[shape]
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", "--kind", kind, "--n", "3", "--N", "4", "--seed", "11",
+                     "--out", str(out)]) == 0
+    data = {k: np.asarray(v) for k, v in json.loads(out.read_text()).items()}
+    cfg = cli.load_config(write_config(
+        tmp_path, problem=shape[0], formulation=shape[1], n=3, N=4, seed=11,
+        **{"lambda": 10.0}))
+    problem, _ = cli.build_from_config(cfg)
+    for built, written in read(problem, data):
+        assert np.array_equal(built, written)

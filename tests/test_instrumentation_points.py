@@ -8,11 +8,11 @@ import pytest
 
 import pvsmooth
 from pvsmooth.problems import (
-    DroDiscreteInstance,
     LassoInstance,
     MaxDispersionInstance,
     build_constrained_lasso,
-    build_dro_discrete,
+    build_dro_affine,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
     random_affine_scenarios,
@@ -31,38 +31,33 @@ def _dispersion(R):
 
 def _dro_affine(R):
     a_rows, offsets = random_affine_scenarios(3, 4, 0)
-    return DroDiscreteInstance(
-        "affine", 10.0, 1.0, a_rows=a_rows, offsets=offsets, constraint_matrix=R,
-        ambiguity_projector=project_simplex, support_max=simplex_support_max,
-    )
+    return build_dro_affine(a_rows, offsets, 10.0, 1.0, project_simplex,
+                            simplex_support_max, constraint_matrix=R)
 
 
 def _dro_quadratic(R):
-    return DroDiscreteInstance(
-        "quadratic", 10.0, 1.0, centers=random_anchors(3, 4, 1), constraint_matrix=R
-    )
+    return build_dro_quadratic(random_anchors(3, 4, 1), 10.0, 1.0, R)
 
 
 def _lasso(R):
     design, target = random_lasso_data(3, 5, 0)
-    return LassoInstance(design, target, ScalarRegularizer("l1", lam=0.1),
-                         constraint_matrix=R)
+    return build_constrained_lasso(LassoInstance(
+        design, target, ScalarRegularizer("l1", lam=0.1), constraint_matrix=R))
 
 
 BUILDS = {
-    "dispersion-direct": (build_max_dispersion_direct, _dispersion),
-    "dispersion-product": (build_max_dispersion_product, _dispersion),
-    "dro-affine": (build_dro_discrete, _dro_affine),
-    "dro-quadratic": (build_dro_discrete, _dro_quadratic),
-    "lasso": (build_constrained_lasso, _lasso),
+    "dispersion-direct": lambda R: build_max_dispersion_direct(_dispersion(R)),
+    "dispersion-product": lambda R: build_max_dispersion_product(_dispersion(R)),
+    "dro-affine": _dro_affine,
+    "dro-quadratic": _dro_quadratic,
+    "lasso": _lasso,
 }
 
 
 @pytest.mark.parametrize("R", [None, R_SUM], ids=["whole-space", "ker-R"])
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_builder_problems_expose_traced_attributes(name, R):
-    build, instance = BUILDS[name]
-    problem = build(instance(R))
+    problem = BUILDS[name](R)
     for obj, attr in [
         (problem.h, "value"),
         (problem.h, "grad"),
