@@ -8,7 +8,7 @@ parameter; see :mod:`pvsmooth.solver`.
 
 Building blocks live in :mod:`pvsmooth.core` (function/operator interfaces,
 envelopes), :mod:`pvsmooth.prox` (pointwise-supremum families and scalar
-regularizers), :mod:`pvsmooth.projections` (subspace and convex-set
+penalties), :mod:`pvsmooth.projections` (subspace and convex-set
 projections), :mod:`pvsmooth.penalty` (the outer penalty continuation
 loop), :mod:`pvsmooth.problems` (ready-made application instances), and
 :mod:`pvsmooth.oracles` (slow independent references used for testing).
@@ -31,6 +31,7 @@ from .core import (
     matrix_norm_bound,
     moreau_envelope,
     moreau_gradient,
+    spectral_norm,
 )
 from .errors import (
     CapabilityError,
@@ -78,21 +79,18 @@ from .projections import (
     project_simplex,
 )
 from .prox import (
+    L1Penalty,
+    MCPPenalty,
+    SCADPenalty,
     ScalarRegularizer,
     SupAffineFamily,
     SupQuadraticFamily,
+    TukeyPenalty,
     envelope_by_weights,
-    l1_value,
-    mcp_value,
-    prox_l1,
-    prox_mcp,
-    prox_scad,
     prox_sup_affine,
-    prox_tukey,
-    scad_value,
+    simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
-    tukey_value,
 )
 from .solver import (
     IterateTrace,

@@ -48,7 +48,7 @@ from .problems import (
     random_lasso_data,
     subspace_start,
 )
-from .prox import ScalarRegularizer
+from .prox import L1Penalty
 from .solver import SolverConfig, run_pvs, run_pvs_epochs, theorem_bound_margins
 
 TRACE_HEADER = "k,mu,gamma,objective,proj_grad_norm,prox_residual,elapsed_s"
@@ -63,7 +63,7 @@ _FORMULATIONS = ("direct", "product")
 _ALGORITHMS = ("pvs", "pvs-epochs")
 
 
-def _as_number(cfg, key, required=False, default=None, positive=False, integer=False):
+def _as_number(cfg, key, required=False, default=None, integer=False):
     if key not in cfg:
         if required:
             raise ConfigError("missing required field %r" % key)
@@ -77,8 +77,6 @@ def _as_number(cfg, key, required=False, default=None, positive=False, integer=F
         if int(v) != v:
             raise ConfigError("field %r must be an integer" % key)
         v = int(v)
-    if positive and not (v > 0):
-        raise ConfigError("field %r must be positive" % key)
     return v
 
 
@@ -107,12 +105,12 @@ def load_config(path):
     out["algorithm"] = cfg.get("algorithm", "pvs")
     if out["algorithm"] not in _ALGORITHMS:
         raise ConfigError("field 'algorithm' must be one of %s" % (_ALGORITHMS,))
-    out["n"] = _as_number(cfg, "n", required=True, positive=True, integer=True)
-    out["N"] = _as_number(cfg, "N", required=True, positive=True, integer=True)
+    out["n"] = _as_number(cfg, "n", required=True, integer=True)
+    out["N"] = _as_number(cfg, "N", required=True, integer=True)
     out["alpha"] = _as_number(cfg, "alpha", required=True)
     out["C"] = _as_number(cfg, "C", required=True)
     out["lambda"] = _as_number(cfg, "lambda", default=None)
-    out["radius"] = _as_number(cfg, "radius", positive=True, default=1.0)
+    out["radius"] = _as_number(cfg, "radius", default=1.0)
     out["epsilon"] = _as_number(cfg, "epsilon", default=None)
     out["stop_step_norm"] = _as_number(cfg, "stop_step_norm", default=1e-5)
     out["max_iter"] = _as_number(cfg, "max_iter", required=True, integer=True)
@@ -176,9 +174,9 @@ def build_from_config(cfg):
         )
     elif kind == "dro-quadratic":
         problem = build_dro_quadratic(**data, lam=lam, radius=radius, constraint_matrix=R)
-    else:  # lasso; lambda is the regularizer weight
+    else:  # lasso; lambda is the l1 weight
         problem = build_constrained_lasso(LassoInstance(
-            **data, regularizer=ScalarRegularizer("l1", lam=1.0 if lam is None else lam),
+            **data, regularizer=L1Penalty(1.0 if lam is None else lam),
             constraint_matrix=R,
         ))
     x1 = subspace_start(problem.subspace, problem.dim)
@@ -304,14 +302,12 @@ def _verify_prox():
         theta = rng.uniform(2.5, 4.0)
         x = rng.uniform(-3.0, 3.0, 1)
         gamma = rng.uniform(0.1, 0.9)
-        for kind, fn, ref_fn in (
-            ("mcp", lambda: prox.prox_mcp(lam, theta, gamma, x),
-             lambda pts: np.array([prox.mcp_value(lam, theta, p) for p in pts])),
-            ("scad", lambda: prox.prox_scad(lam, theta, gamma, x),
-             lambda pts: np.array([prox.scad_value(lam, theta, p) for p in pts])),
-        ):
-            ref = oracles.brute_force_prox(None, gamma, x, fine, batch_value=ref_fn)
-            worst = max(worst, float(np.abs(np.asarray(fn()) - ref).max()))
+        for g in (prox.MCPPenalty(lam, theta), prox.SCADPenalty(lam, theta)):
+            ref = oracles.brute_force_prox(
+                None, gamma, x, fine,
+                batch_value=lambda pts: np.array([g.value(p) for p in pts]),
+            )
+            worst = max(worst, float(np.abs(np.asarray(g.prox(gamma, x)) - ref).max()))
     checks.append(("MCP/SCAD prox vs grid search", worst <= 1e-3, worst))
 
     worst = 0.0
@@ -323,7 +319,8 @@ def _verify_prox():
             None, mu, x, fine,
             batch_value=lambda pts: ((pts - b) ** 2 / (1 + (pts - b) ** 2)).sum(axis=1),
         )
-        worst = max(worst, float(np.abs(np.asarray(prox.prox_tukey(b, mu, x)) - ref).max()))
+        g = prox.TukeyPenalty(b)
+        worst = max(worst, float(np.abs(np.asarray(g.prox(mu, x)) - ref).max()))
     checks.append(("Tukey prox vs grid search", worst <= 1e-3, worst))
 
     worst = 0.0
@@ -435,7 +432,7 @@ def _verify_bounds():
     )
     problem = build_constrained_lasso(
         LassoInstance(design=design, target=target,
-                      regularizer=ScalarRegularizer("l1", lam=1.0),
+                      regularizer=L1Penalty(1.0),
                       constraint_matrix=R, f_star=f_star)
     )
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=0.0)
@@ -511,7 +508,11 @@ def cmd_verify(args):
 
 def cmd_gen(args):
     payload = {"kind": args.kind, "n": args.n, "N": args.N, "seed": args.seed}
-    for name, array in _instance_data(args.kind, args.n, args.N, args.seed).items():
+    try:
+        data = _instance_data(args.kind, args.n, args.N, args.seed)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    for name, array in data.items():
         payload[name] = array.tolist()
     with open(args.out, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)

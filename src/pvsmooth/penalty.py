@@ -79,14 +79,11 @@ class SmoothSum(SmoothFunction):
 
 @dataclass(frozen=True)
 class PenaltySchedule:
-    """Strictly increasing penalty weights plus inner-solver configs.
-
-    ``configs`` may be a single :class:`SolverConfig` (reused for every
-    stage) or one config per weight.
-    """
+    """Strictly increasing penalty weights and the inner-solver config every
+    stage runs with."""
 
     lambdas: tuple
-    configs: object
+    config: SolverConfig
 
     def __post_init__(self):
         lambdas = tuple(float(l) for l in self.lambdas)
@@ -95,13 +92,6 @@ class PenaltySchedule:
             raise DomainError("penalty weights must be positive")
         if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("penalty weights must be strictly increasing")
-        if isinstance(self.configs, SolverConfig):
-            object.__setattr__(self, "configs", (self.configs,) * len(lambdas))
-        else:
-            configs = tuple(self.configs)
-            if len(configs) != len(lambdas):
-                raise DomainError("need one solver config per penalty weight")
-            object.__setattr__(self, "configs", configs)
 
 
 @dataclass
@@ -132,12 +122,12 @@ def run_penalty(h0, g, a_map, subspace, ball, schedule, x1):
     solutions = []
     diag = PenaltyDiagnostics([], [], [], [], [], [])
     x = np.asarray(x1, dtype=float)
-    for lam, cfg in zip(schedule.lambdas, schedule.configs):
+    for lam in schedule.lambdas:
         problem = CompositeProblem(
             SmoothSum(h0, BallPenalty(ball, lam)), g, a_map, subspace
         )
         try:
-            trace = run_pvs(problem, cfg, x)
+            trace = run_pvs(problem, schedule.config, x)
         except PvsError as exc:
             raise StageError(
                 "penalty stage lam=%g failed: %s" % (lam, exc),

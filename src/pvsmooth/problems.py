@@ -21,6 +21,7 @@ from .core import (
     IdentityMap,
     IdentityProjector,
     MatrixMap,
+    ProxFunction,
     SmoothFunction,
     matrix_norm_bound,
 )
@@ -33,7 +34,7 @@ from .projections import (
     project_ball,
     project_simplex,
 )
-from .prox import ScalarRegularizer, SupAffineFamily, SupQuadraticFamily, simplex_support_max
+from .prox import L1Penalty, SupAffineFamily, SupQuadraticFamily, simplex_support_max
 
 __all__ = [
     "MaxDispersionInstance",
@@ -217,16 +218,16 @@ def build_max_dispersion_product(inst):
 
 @dataclass(frozen=True)
 class LassoInstance:
-    """Least squares |B x - b|^2 plus a separable regularizer on a subspace.
+    """Least squares |B x - b|^2 plus a separable penalty on a subspace.
 
-    With a Tukey regularizer an optional inner matrix/offset pair replaces
-    the identity composition, matching robust-regression losses of the form
-    sum_i tukey(<t_i, x> - s_i).
+    An optional inner matrix T replaces the identity composition; with a
+    :class:`~pvsmooth.prox.TukeyPenalty` whose shifts are s this gives
+    robust-regression losses of the form sum_i tukey(<t_i, x> - s_i).
     """
 
     design: np.ndarray
     target: np.ndarray
-    regularizer: ScalarRegularizer
+    regularizer: ProxFunction
     constraint_matrix: Optional[np.ndarray] = None
     inner_matrix: Optional[np.ndarray] = None
     f_star: Optional[float] = None
@@ -236,9 +237,9 @@ def build_constrained_lasso(inst):
     h = QuadraticLoss(inst.design, inst.target)
     n = np.atleast_2d(np.asarray(inst.design, dtype=float)).shape[1]
     g = inst.regularizer
-    if g.kind == "l1" and g.lipschitz is None:
+    if isinstance(g, L1Penalty) and g.lipschitz is None:
         # record L_g = lam sqrt(n) so the decay-bound diagnostics apply
-        g = ScalarRegularizer("l1", lam=g.lam, lipschitz=g.lam * np.sqrt(n))
+        g = L1Penalty(g.lam, lipschitz=g.lam * np.sqrt(n))
     a_map = IdentityMap() if inst.inner_matrix is None else MatrixMap(inst.inner_matrix)
     subspace = _kernel_subspace(inst.constraint_matrix)
     return CompositeProblem(h, g, a_map, subspace, f_star=inst.f_star, dim=n)
@@ -263,21 +264,30 @@ def subspace_start(projector, dim):
     return np.zeros(int(dim))
 
 
+def _seeded_rng(dim, count, seed):
+    """numpy's default generator for ``seed``, once the shape and seed pass:
+    :class:`DomainError` unless dim >= 1, count >= 1 and seed >= 0."""
+    if not (dim >= 1 and count >= 1 and seed >= 0):
+        raise DomainError("seeded data needs dim >= 1, count >= 1 and seed >= 0, "
+                          "got dim=%r, count=%r, seed=%r" % (dim, count, seed))
+    return np.random.default_rng(seed)
+
+
 def random_anchors(dim, count, seed):
     """Anchors drawn coordinatewise uniformly from [0, 2]."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(dim, count, seed)
     return 2.0 * rng.random((count, dim))
 
 
 def random_affine_scenarios(dim, count, seed):
     """Scenario slopes/offsets drawn uniformly from [-1, 1]."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(dim, count, seed)
     return rng.uniform(-1.0, 1.0, (count, dim)), rng.uniform(-1.0, 1.0, count)
 
 
 def random_lasso_data(dim, samples, seed):
     """Gaussian design scaled by 1/sqrt(samples) and a Gaussian target."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(dim, samples, seed)
     design = rng.standard_normal((samples, dim)) / np.sqrt(samples)
     target = rng.standard_normal(samples)
     return design, target

@@ -9,7 +9,8 @@ Three groups live here:
   f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox maximizes a
   concave dual over the weights c: exactly by an active set when C is the
   probability simplex, else by restarted FISTA;
-* separable scalar regularizers (MCP, SCAD, Tukey biweight, l1).
+* separable scalar penalties (l1, MCP, SCAD, Tukey biweight), one class
+  each.
 
 All of these are rho-weakly convex; their prox is single-valued whenever the
 smoothing parameter satisfies mu < 1/rho.
@@ -37,15 +38,11 @@ __all__ = [
     "SupAffineFamily",
     "prox_sup_affine",
     "simplex_support_max",
+    "L1Penalty",
+    "MCPPenalty",
+    "SCADPenalty",
+    "TukeyPenalty",
     "ScalarRegularizer",
-    "prox_l1",
-    "prox_mcp",
-    "prox_scad",
-    "prox_tukey",
-    "l1_value",
-    "mcp_value",
-    "scad_value",
-    "tukey_value",
 ]
 
 _DENOM_GUARD = 1e-12
@@ -493,190 +490,178 @@ def _simplex_kkt_certified(c, v, idx, eps, tol):
 
 
 # ---------------------------------------------------------------------------
-# scalar separable regularizers
+# scalar separable penalties
 # ---------------------------------------------------------------------------
 
-def l1_value(lam, x):
-    return float(lam * np.abs(np.asarray(x, dtype=float)).sum())
-
-
-def prox_l1(lam, gamma, x):
-    """Soft threshold at level gamma*lam (componentwise)."""
-    if not (lam > 0 and gamma > 0):
-        raise DomainError("lam and gamma must be positive")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - gamma * lam, 0.0)
-
-
-def mcp_value(lam, theta, x):
-    x = np.abs(np.asarray(x, dtype=float))
-    inner = lam * x - x * x / (2.0 * theta)
-    return float(np.where(x <= theta * lam, inner, 0.5 * theta * lam * lam).sum())
-
-
-def prox_mcp(lam, theta, gamma, x):
-    """Firm-threshold prox of the minimax concave penalty.
-
-    Valid for gamma < theta (= 1/rho); zero inside |x| < gamma*lam, identity
-    beyond theta*lam, linear interpolation in between.
-    """
-    if not (lam > 0 and theta > 0):
-        raise DomainError("lam and theta must be positive")
-    if not (0.0 < gamma < theta):
-        raise DomainError("prox step gamma must lie in (0, theta)")
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    mid = np.sign(x) * (ax - gamma * lam) / (1.0 - gamma / theta)
-    out = np.where(ax <= gamma * lam, 0.0, np.where(ax <= theta * lam, mid, x))
-    return out if out.ndim else float(out)
-
-
-def scad_value(lam, theta, x):
-    x = np.abs(np.asarray(x, dtype=float))
-    return float(_scad_piece_values(lam, theta, x).sum())
-
-
-def _scad_piece_values(lam, theta, t):
-    mid = (2.0 * theta * lam * t - t * t - lam * lam) / (2.0 * (theta - 1.0))
-    return np.where(
-        t <= lam, lam * t, np.where(t <= theta * lam, mid, 0.5 * lam * lam * (theta + 1.0))
-    )
-
-
-def prox_scad(lam, theta, gamma, x):
-    """Prox of the smoothly clipped absolute deviation penalty.
-
-    The penalty has three analytic pieces; each contributes one candidate
-    minimizer (clamped into its piece), and the best full objective wins.
-    Requires theta > 2 and gamma < theta - 1 (= 1/rho) for a strongly convex
-    prox subproblem.
-    """
-    if not (lam > 0):
-        raise DomainError("lam must be positive")
-    if not (theta > 2.0):
-        raise DomainError("SCAD requires theta > 2")
-    if not (0.0 < gamma < theta - 1.0):
-        raise DomainError("prox step gamma must lie in (0, theta - 1)")
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    c1 = np.clip(ax - gamma * lam, 0.0, lam)
-    c2 = np.clip(((theta - 1.0) * ax - gamma * theta * lam) / (theta - 1.0 - gamma),
-                 lam, theta * lam)
-    c3 = np.maximum(ax, theta * lam)
-    cands = np.stack([c1, c2, c3])
-    objs = _scad_piece_values(lam, theta, cands) + (cands - ax) ** 2 / (2.0 * gamma)
-    best = cands[objs.argmin(axis=0), np.arange(cands.shape[1])] if x.ndim else \
-        cands[objs.argmin(axis=0)]
-    out = np.sign(x) * best
-    return out if out.ndim else float(out)
-
-
-def tukey_value(shift, x):
-    s = np.asarray(x, dtype=float) - shift
-    q = s * s
-    return float((q / (1.0 + q)).sum())
-
-
-def prox_tukey(shift, mu, x):
-    """Prox of the Tukey biweight penalty t -> (t-b)^2 / (1 + (t-b)^2).
-
-    The penalty is treated as 6-weakly convex, so mu must lie in (0, 1/6);
-    the prox subproblem is then strongly convex and its stationarity equation
-
-        (t - x)/mu + 2 (t-b) / (1 + (t-b)^2)^2 = 0
-
-    has a single root, bracketed in [min(x,b)-1, max(x,b)+1] because the
-    penalty slope never exceeds 1 in absolute value while the quadratic term
-    exceeds 6 at the bracket ends.  Solved by Newton steps safeguarded with
-    bisection.  Convergence is measured on the mu-scaled form
-    t - x + 2 mu (t-b)/(1+(t-b)^2)^2, which stays O(1); the raw equation
-    scales like 1/mu and cannot be driven to a fixed tolerance in double
-    precision when mu is tiny; it stops at 1e-12.
-    """
-    if not (0.0 < mu < 1.0 / 6.0):
-        raise DomainError("mu must lie in (0, 1/6)")
-    x = np.asarray(x, dtype=float)
-    b = np.broadcast_to(np.asarray(shift, dtype=float), x.shape).astype(float)
-
-    def psi(t):
-        s = t - b
-        return (t - x) / mu + 2.0 * s / (1.0 + s * s) ** 2
-
-    lo = np.minimum(x, b) - 1.0
-    hi = np.maximum(x, b) + 1.0
-    t = x.astype(float).copy()
-    for _ in range(200):
-        f = psi(t)
-        if np.max(mu * np.abs(f)) <= 1e-12:
-            break
-        lo = np.where(f < 0.0, t, lo)
-        hi = np.where(f > 0.0, t, hi)
-        s = t - b
-        q = s * s
-        fp = 1.0 / mu + (2.0 - 6.0 * q) / (1.0 + q) ** 3
-        step = t - f / fp
-        bad = (step <= lo) | (step >= hi) | ~np.isfinite(step)
-        t = np.where(bad, 0.5 * (lo + hi), step)
-    else:
-        raise ConvergenceError(
-            "Tukey prox root-finding stalled",
-            residual=float(np.max(mu * np.abs(psi(t)))),
-        )
-    return t if t.ndim else float(t)
-
-
-class ScalarRegularizer(ProxFunction):
-    """Separable scalar regularizer: one of 'l1', 'mcp', 'scad', 'tukey'.
-
-    * l1: lam * |t|, convex (rho = 0).
-    * mcp: minimax concave penalty with shape theta > 0, rho = 1/theta.
-    * scad: smoothly clipped absolute deviation, theta > 2, rho = 1/(theta-1).
-    * tukey: biweight (t-b)^2/(1+(t-b)^2) with optional per-coordinate shifts
-      b; carries no weight, and is treated as 6-weakly convex.
+class L1Penalty(ProxFunction):
+    """lam * sum_i |t_i|: convex (rho = 0); the prox soft-thresholds at mu lam.
 
     ``lipschitz`` may be supplied when a global Lipschitz constant of the sum
-    is known for the dimension at hand (e.g. lam * sqrt(n) for l1 on R^n).
+    is known for the dimension at hand (lam * sqrt(n) on R^n).
     """
 
-    def __init__(self, kind, lam=1.0, theta=None, shifts=0.0, lipschitz=None):
-        if kind not in ("l1", "mcp", "scad", "tukey"):
-            raise DomainError("unknown regularizer kind %r" % (kind,))
-        if kind != "tukey" and not (lam > 0):
+    def __init__(self, lam, lipschitz=None):
+        if not (lam > 0):
             raise DomainError("lam must be positive")
-        if kind == "mcp":
-            if theta is None or not (theta > 0):
-                raise DomainError("MCP requires theta > 0")
-            self.rho = 1.0 / theta
-        elif kind == "scad":
-            if theta is None or not (theta > 2.0):
-                raise DomainError("SCAD requires theta > 2")
-            self.rho = 1.0 / (theta - 1.0)
-        elif kind == "tukey":
-            self.rho = 6.0
-        else:
-            self.rho = 0.0
-        self.kind = kind
         self.lam = float(lam)
-        self.theta = None if theta is None else float(theta)
-        self.shifts = np.asarray(shifts, dtype=float)
         self.lipschitz = lipschitz
 
     def value(self, y):
-        if self.kind == "l1":
-            return l1_value(self.lam, y)
-        if self.kind == "mcp":
-            return mcp_value(self.lam, self.theta, y)
-        if self.kind == "scad":
-            return scad_value(self.lam, self.theta, y)
-        return tukey_value(self.shifts, y)
+        return float(self.lam * np.abs(np.asarray(y, dtype=float)).sum())
 
     def prox(self, mu, y):
         self.check_mu(mu)
         y = np.asarray(y, dtype=float)
-        if self.kind == "l1":
-            return prox_l1(self.lam, mu, y)
-        if self.kind == "mcp":
-            return prox_mcp(self.lam, self.theta, mu, y)
-        if self.kind == "scad":
-            return prox_scad(self.lam, self.theta, mu, y)
-        return prox_tukey(self.shifts, mu, y)
+        return np.sign(y) * np.maximum(np.abs(y) - mu * self.lam, 0.0)
+
+
+class MCPPenalty(ProxFunction):
+    """Minimax concave penalty (Zhang 2010) with weight lam and shape theta.
+
+    It is 1/theta-weakly convex.  The prox is the firm threshold: zero
+    inside |y| <= mu lam, the identity beyond theta lam, linear in between.
+    """
+
+    def __init__(self, lam, theta):
+        if not (lam > 0 and theta > 0):
+            raise DomainError("MCP requires lam > 0 and theta > 0")
+        self.lam = float(lam)
+        self.theta = float(theta)
+        self.rho = 1.0 / self.theta
+
+    @property
+    def mu_max(self):
+        return self.theta  # 1 / rho may round above theta
+
+    def value(self, y):
+        lam, theta = self.lam, self.theta
+        t = np.abs(np.asarray(y, dtype=float))
+        inner = lam * t - t * t / (2.0 * theta)
+        return float(np.where(t <= theta * lam, inner, 0.5 * theta * lam * lam).sum())
+
+    def prox(self, mu, y):
+        self.check_mu(mu)
+        lam, theta = self.lam, self.theta
+        y = np.asarray(y, dtype=float)
+        ay = np.abs(y)
+        mid = np.sign(y) * (ay - mu * lam) / (1.0 - mu / theta)
+        out = np.where(ay <= mu * lam, 0.0, np.where(ay <= theta * lam, mid, y))
+        return out if out.ndim else float(out)
+
+
+class SCADPenalty(ProxFunction):
+    """Smoothly clipped absolute deviation (Fan-Li 2001) with weight lam and
+    shape theta > 2.
+
+    It is 1/(theta - 1)-weakly convex.  The penalty has three analytic
+    pieces; each contributes one candidate minimizer of the prox subproblem
+    (clamped into its piece), and the best full objective wins.
+    """
+
+    def __init__(self, lam, theta):
+        if not (lam > 0 and theta > 2.0):
+            raise DomainError("SCAD requires lam > 0 and theta > 2")
+        self.lam = float(lam)
+        self.theta = float(theta)
+        self.rho = 1.0 / (self.theta - 1.0)
+
+    @property
+    def mu_max(self):
+        return self.theta - 1.0  # 1 / rho may round above theta - 1
+
+    def _pieces(self, t):
+        lam, theta = self.lam, self.theta
+        mid = (2.0 * theta * lam * t - t * t - lam * lam) / (2.0 * (theta - 1.0))
+        return np.where(
+            t <= lam, lam * t, np.where(t <= theta * lam, mid, 0.5 * lam * lam * (theta + 1.0))
+        )
+
+    def value(self, y):
+        return float(self._pieces(np.abs(np.asarray(y, dtype=float))).sum())
+
+    def prox(self, mu, y):
+        self.check_mu(mu)
+        lam, theta = self.lam, self.theta
+        y = np.asarray(y, dtype=float)
+        ay = np.abs(y)
+        c1 = np.clip(ay - mu * lam, 0.0, lam)
+        c2 = np.clip(((theta - 1.0) * ay - mu * theta * lam) / (theta - 1.0 - mu),
+                     lam, theta * lam)
+        c3 = np.maximum(ay, theta * lam)
+        cands = np.stack([c1, c2, c3])
+        objs = self._pieces(cands) + (cands - ay) ** 2 / (2.0 * mu)
+        best = cands[objs.argmin(axis=0), np.arange(cands.shape[1])] if y.ndim else \
+            cands[objs.argmin(axis=0)]
+        out = np.sign(y) * best
+        return out if out.ndim else float(out)
+
+
+class TukeyPenalty(ProxFunction):
+    """Tukey biweight sum_i (t_i - b_i)^2 / (1 + (t_i - b_i)^2) with shifts b.
+
+    It carries no weight and is treated as 6-weakly convex, so mu lies in
+    (0, 1/6); the prox subproblem is then strongly convex and its
+    stationarity equation
+
+        (t - y)/mu + 2 (t-b) / (1 + (t-b)^2)^2 = 0
+
+    has a single root, bracketed in [min(y,b)-1, max(y,b)+1] because the
+    penalty slope never exceeds 1 in absolute value while the quadratic term
+    exceeds 6 at the bracket ends.  Solved by Newton steps safeguarded with
+    bisection.  Convergence is measured on the mu-scaled form
+    t - y + 2 mu (t-b)/(1+(t-b)^2)^2, which stays O(1); the raw equation
+    scales like 1/mu and cannot be driven to a fixed tolerance in double
+    precision when mu is tiny; it stops at 1e-12.
+    """
+
+    rho = 6.0
+
+    def __init__(self, shifts=0.0):
+        self.shifts = np.asarray(shifts, dtype=float)
+
+    def value(self, y):
+        s = np.asarray(y, dtype=float) - self.shifts
+        q = s * s
+        return float((q / (1.0 + q)).sum())
+
+    def prox(self, mu, y):
+        self.check_mu(mu)
+        y = np.asarray(y, dtype=float)
+        b = np.broadcast_to(self.shifts, y.shape).astype(float)
+
+        def psi(t):
+            s = t - b
+            return (t - y) / mu + 2.0 * s / (1.0 + s * s) ** 2
+
+        lo = np.minimum(y, b) - 1.0
+        hi = np.maximum(y, b) + 1.0
+        t = y.astype(float).copy()
+        for _ in range(200):
+            f = psi(t)
+            if np.max(mu * np.abs(f)) <= 1e-12:
+                break
+            lo = np.where(f < 0.0, t, lo)
+            hi = np.where(f > 0.0, t, hi)
+            s = t - b
+            q = s * s
+            fp = 1.0 / mu + (2.0 - 6.0 * q) / (1.0 + q) ** 3
+            step = t - f / fp
+            bad = (step <= lo) | (step >= hi) | ~np.isfinite(step)
+            t = np.where(bad, 0.5 * (lo + hi), step)
+        else:
+            raise ConvergenceError(
+                "Tukey prox root-finding stalled",
+                residual=float(np.max(mu * np.abs(psi(t)))),
+            )
+        return t if t.ndim else float(t)
+
+
+_PENALTIES = {"l1": L1Penalty, "mcp": MCPPenalty, "scad": SCADPenalty, "tukey": TukeyPenalty}
+
+
+def ScalarRegularizer(kind, **params):
+    """The penalty a config names: ``kind`` is 'l1', 'mcp', 'scad' or 'tukey',
+    and ``params`` are that class's arguments."""
+    if kind not in _PENALTIES:
+        raise DomainError("unknown regularizer kind %r" % (kind,))
+    return _PENALTIES[kind](**params)

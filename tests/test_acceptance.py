@@ -42,21 +42,17 @@ from pvsmooth.problems import (
 )
 from pvsmooth.projections import BallSpec, project_simplex
 from pvsmooth.prox import (
-    ScalarRegularizer,
+    L1Penalty,
+    MCPPenalty,
+    SCADPenalty,
     SupAffineFamily,
     SupQuadraticFamily,
+    TukeyPenalty,
     envelope_by_weights,
-    prox_l1,
-    prox_mcp,
-    prox_scad,
     prox_sup_affine,
-    prox_tukey,
     simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
-    mcp_value,
-    scad_value,
-    tukey_value,
 )
 from pvsmooth.solver import (
     SolverConfig,
@@ -93,7 +89,7 @@ def lasso_reference():
         design, target, 1.0, constraint, total_iters=1_000_000
     )
     problem = build_constrained_lasso(LassoInstance(
-        design, target, ScalarRegularizer("l1", lam=1.0),
+        design, target, L1Penalty(1.0),
         constraint_matrix=constraint, f_star=f_star,
     ))
     return problem, f_star
@@ -133,17 +129,15 @@ def test_criterion_1_prox_oracle_equivalence(report):
         gamma = rng.uniform(0.1, 0.9)
         shift = rng.uniform(-1.0, 1.0)
         mu_t = rng.uniform(0.02, 0.16)
+        mcp, scad, tukey = MCPPenalty(lam, theta), SCADPenalty(lam, theta), TukeyPenalty(shift)
         cases = (
-            (prox_mcp(lam, theta, gamma, x), gamma,
-             lambda p, lam=lam, theta=theta: np.array(
-                 [mcp_value(lam, theta, t) for t in p])),
-            (prox_scad(lam, theta, gamma, x), gamma,
-             lambda p, lam=lam, theta=theta: np.array(
-                 [scad_value(lam, theta, t) for t in p])),
-            (prox_tukey(shift, mu_t, x), mu_t,
-             lambda p, shift=shift: np.array(
-                 [tukey_value(shift, t) for t in p])),
-            (prox_l1(lam, gamma, x), gamma,
+            (mcp.prox(gamma, x), gamma,
+             lambda p, g=mcp: np.array([g.value(t) for t in p])),
+            (scad.prox(gamma, x), gamma,
+             lambda p, g=scad: np.array([g.value(t) for t in p])),
+            (tukey.prox(mu_t, x), mu_t,
+             lambda p, g=tukey: np.array([g.value(t) for t in p])),
+            (L1Penalty(lam).prox(gamma, x), gamma,
              lambda p, lam=lam: lam * np.abs(p[:, 0])),
         )
         for got, step_mu, batch in cases:

@@ -29,11 +29,12 @@ from pvsmooth.projections import (
     project_simplex,
 )
 from pvsmooth.prox import (
-    ScalarRegularizer,
+    L1Penalty,
+    MCPPenalty,
+    SCADPenalty,
     SupQuadraticFamily,
-    mcp_value,
+    TukeyPenalty,
     simplex_support_max,
-    tukey_value,
 )
 from pvsmooth.solver import SolverConfig, pvs_step, run_pvs, schedule
 
@@ -350,18 +351,18 @@ def test_dro_truncated_simplex_weights_satisfy_fixed_point():
 
 def test_lasso_builder_wires_l1_lipschitz_and_f_star():
     design, target = random_lasso_data(5, 8, 31)
-    inst = LassoInstance(design, target, ScalarRegularizer("l1", lam=0.01), f_star=3.5)
+    inst = LassoInstance(design, target, L1Penalty(0.01), f_star=3.5)
     prob = build_constrained_lasso(inst)
     assert abs(prob.g.lipschitz - 0.01 * np.sqrt(5.0)) < 1e-12
     assert prob.f_star == 3.5
     # an explicitly supplied constant is kept
-    reg = ScalarRegularizer("l1", lam=0.01, lipschitz=7.0)
+    reg = L1Penalty(0.01, lipschitz=7.0)
     assert build_constrained_lasso(LassoInstance(design, target, reg)).g.lipschitz == 7.0
 
 
 def test_lasso_builder_dimension_mismatch():
     design, target = random_lasso_data(5, 8, 31)
-    inst = LassoInstance(design, target, ScalarRegularizer("l1", lam=0.1),
+    inst = LassoInstance(design, target, L1Penalty(0.1),
                          inner_matrix=np.ones((3, 4)))
     with pytest.raises(ContractError):
         build_constrained_lasso(inst)
@@ -369,12 +370,12 @@ def test_lasso_builder_dimension_mismatch():
 
 def test_lasso_scad_shape_parameter_error():
     with pytest.raises(DomainError):
-        ScalarRegularizer("scad", lam=1.0, theta=2.0)
+        SCADPenalty(1.0, 2.0)
 
 
 def test_lasso_vanishing_regularization_hits_normal_equations():
     design, target = random_lasso_data(5, 8, 31)
-    inst = LassoInstance(design, target, ScalarRegularizer("l1", lam=1e-8))
+    inst = LassoInstance(design, target, L1Penalty(1e-8))
     prob = build_constrained_lasso(inst)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=20000, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, np.zeros(5))
@@ -385,7 +386,7 @@ def test_lasso_vanishing_regularization_hits_normal_equations():
 def test_lasso_l1_matches_long_reference_run():
     design, target = random_lasso_data(5, 8, 31)
     constraint = default_rng(32).standard_normal((2, 5))
-    inst = LassoInstance(design, target, ScalarRegularizer("l1", lam=0.01),
+    inst = LassoInstance(design, target, L1Penalty(0.01),
                          constraint_matrix=constraint)
     prob = build_constrained_lasso(inst)
     cfg = SolverConfig(alpha=2.0 / 3.0, C=0.25, max_iter=100000, stop_step_norm=0.0)
@@ -404,15 +405,15 @@ def test_lasso_mcp_beats_l1_solution_under_mcp_objective():
     constraint = default_rng(32).standard_normal((2, 5))
     cfg = SolverConfig(alpha=2.0 / 3.0, C=0.25, max_iter=30000, stop_step_norm=0.0)
     x_l1 = run_pvs(build_constrained_lasso(LassoInstance(
-        design, target, ScalarRegularizer("l1", lam=1.0), constraint_matrix=constraint,
+        design, target, L1Penalty(1.0), constraint_matrix=constraint,
     )), cfg, np.zeros(5)).final_x
     x_mcp = run_pvs(build_constrained_lasso(LassoInstance(
-        design, target, ScalarRegularizer("mcp", lam=1.0, theta=2.0),
+        design, target, MCPPenalty(1.0, 2.0),
         constraint_matrix=constraint,
     )), cfg, np.zeros(5)).final_x
 
     def mcp_objective(x):
-        return float(np.sum((design @ x - target) ** 2)) + mcp_value(1.0, 2.0, x)
+        return float(np.sum((design @ x - target) ** 2)) + MCPPenalty(1.0, 2.0).value(x)
 
     assert mcp_objective(x_mcp) < mcp_objective(x_l1)
 
@@ -423,13 +424,13 @@ def test_lasso_tukey_composition_runs():
     inner = rng.standard_normal((5, 4))
     shifts = rng.standard_normal(5)
     inst = LassoInstance(design, target,
-                         ScalarRegularizer("tukey", shifts=shifts),
+                         TukeyPenalty(shifts),
                          inner_matrix=inner)
     prob = build_constrained_lasso(inst)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=1.0 / 12.0, max_iter=200, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, np.zeros(4))
     x = trace.final_x
-    expected = float(np.sum((design @ x - target) ** 2)) + tukey_value(shifts, inner @ x)
+    expected = float(np.sum((design @ x - target) ** 2)) + TukeyPenalty(shifts).value(inner @ x)
     assert abs(prob.objective(x) - expected) < 1e-12
     assert trace.objective[-1] < trace.objective[0]
 

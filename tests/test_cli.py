@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -273,6 +274,28 @@ def test_gen_is_deterministic_and_bounded(tmp_path):
     anchors = np.asarray(payload["anchors"])
     assert anchors.shape == (10, 3)
     assert anchors.min() >= 0.0 and anchors.max() <= 2.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--N", "-2"), ("--N", "0"), ("--n", "0"),
+])
+@pytest.mark.parametrize("kind", ["max-dispersion", "lasso"])
+def test_gen_rejects_a_bad_shape_or_seed_and_writes_nothing(tmp_path, capsys, kind, flag,
+                                                            value):
+    # the seeded generators own n >= 1, N >= 1 and seed >= 0
+    args = {"--kind": kind, "--n": "3", "--N": "4", "--seed": "5", flag: value}
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", *itertools.chain(*args.items()), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [{"seed": -1}, {"n": 0}, {"N": 0}, {"N": -2}])
+def test_solve_rejects_a_bad_shape_or_seed(tmp_path, capsys, overrides):
+    assert cli.main(["solve", "--config", write_config(tmp_path, **overrides),
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_gen_single_anchor(tmp_path):

@@ -20,7 +20,7 @@ from pvsmooth.problems import (
     random_lasso_data,
 )
 from pvsmooth.projections import project_simplex
-from pvsmooth.prox import ScalarRegularizer, simplex_support_max
+from pvsmooth.prox import L1Penalty, simplex_support_max
 
 R_SUM = np.array([[1.0, 1.0, 1.0]])
 
@@ -42,7 +42,7 @@ def _dro_quadratic(R):
 def _lasso(R):
     design, target = random_lasso_data(3, 5, 0)
     return build_constrained_lasso(LassoInstance(
-        design, target, ScalarRegularizer("l1", lam=0.1), constraint_matrix=R))
+        design, target, L1Penalty(0.1), constraint_matrix=R))
 
 
 BUILDS = {

@@ -79,11 +79,9 @@ def test_penalty_schedule_validation():
         PenaltySchedule((8.0, 4.0), cfg)
     with pytest.raises(DomainError):
         PenaltySchedule((-1.0, 4.0), cfg)
-    with pytest.raises(DomainError):
-        PenaltySchedule((4.0, 8.0), (cfg,))  # one config for two weights
 
     sched = PenaltySchedule((4.0, 8.0), cfg)
-    assert len(sched.configs) == 2
+    assert sched.lambdas == (4.0, 8.0) and sched.config is cfg
 
 
 def test_run_penalty_feasible_start_is_fixed():

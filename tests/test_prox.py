@@ -13,22 +13,19 @@ from pvsmooth.core import moreau_envelope
 from pvsmooth.errors import ConvergenceError, DomainError
 from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
+    L1Penalty,
+    MCPPenalty,
+    SCADPenalty,
     ScalarRegularizer,
     SupAffineFamily,
     SupQuadraticFamily,
+    TukeyPenalty,
     _simplex_kkt_certified,
     envelope_by_weights,
-    mcp_value,
-    prox_l1,
-    prox_mcp,
-    prox_scad,
     prox_sup_affine,
-    prox_tukey,
-    scad_value,
     simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
-    tukey_value,
 )
 
 
@@ -665,61 +662,59 @@ def test_sup_affine_mu_domain():
 # scalar regularizers
 # ---------------------------------------------------------------------------
 
+MCP = MCPPenalty(1.0, 2.0)
+SCAD = SCADPenalty(1.0, 3.0)
+
+
 def test_prox_mcp_pieces():
-    assert prox_mcp(1.0, 2.0, 0.5, 0.3) == 0.0
-    assert prox_mcp(1.0, 2.0, 0.5, 3.0) == 3.0
-    assert abs(prox_mcp(1.0, 2.0, 0.5, 1.5) - 4.0 / 3.0) < 1e-12
-    assert abs(prox_mcp(1.0, 2.0, 0.5, -1.5) + 4.0 / 3.0) < 1e-12
-    out = prox_mcp(1.0, 2.0, 0.5, np.array([0.3, 3.0, 1.5]))
+    assert MCP.prox(0.5, 0.3) == 0.0
+    assert MCP.prox(0.5, 3.0) == 3.0
+    assert abs(MCP.prox(0.5, 1.5) - 4.0 / 3.0) < 1e-12
+    assert abs(MCP.prox(0.5, -1.5) + 4.0 / 3.0) < 1e-12
+    out = MCP.prox(0.5, np.array([0.3, 3.0, 1.5]))
     assert np.abs(out - np.array([0.0, 3.0, 4.0 / 3.0])).max() < 1e-12
 
 
 def test_prox_mcp_gamma_domain():
     with pytest.raises(DomainError):
-        prox_mcp(1.0, 2.0, 2.0, 0.5)
+        MCP.prox(2.0, 0.5)
     with pytest.raises(DomainError):
-        prox_mcp(1.0, 2.0, -0.1, 0.5)
+        MCP.prox(-0.1, 0.5)
 
 
 def test_prox_mcp_matches_scalar_oracle():
     spec = oracles.GridSpec(-4.0, 4.0, 0.01, refine_passes=30)
     for x in (-2.4, -0.9, 0.2, 1.5, 2.7):
-        ref = oracles.brute_force_prox(
-            lambda t: mcp_value(1.0, 2.0, t), 0.5, np.array([x]), spec
-        )
-        assert abs(prox_mcp(1.0, 2.0, 0.5, x) - ref[0]) < 1e-8
+        ref = oracles.brute_force_prox(MCP.value, 0.5, np.array([x]), spec)
+        assert abs(MCP.prox(0.5, x) - ref[0]) < 1e-8
 
 
 def test_prox_scad_pieces():
-    assert prox_scad(1.0, 3.0, 0.5, 0.0) == 0.0
-    assert prox_scad(1.0, 3.0, 0.5, 10.0) == 10.0
-    assert prox_scad(1.0, 3.0, 0.5, -10.0) == -10.0
+    assert SCAD.prox(0.5, 0.0) == 0.0
+    assert SCAD.prox(0.5, 10.0) == 10.0
+    assert SCAD.prox(0.5, -10.0) == -10.0
     # soft-threshold region
-    assert abs(prox_scad(1.0, 3.7, 0.3, 1.0) - 0.7) < 1e-12
+    assert abs(SCADPenalty(1.0, 3.7).prox(0.3, 1.0) - 0.7) < 1e-12
 
 
 def test_prox_scad_matches_scalar_oracle():
     spec = oracles.GridSpec(-5.0, 5.0, 0.01, refine_passes=30)
-    value = prox_scad(1.0, 3.0, 0.5, 1.2)
-    ref = oracles.brute_force_prox(
-        lambda t: scad_value(1.0, 3.0, t), 0.5, np.array([1.2]), spec
-    )
+    value = SCAD.prox(0.5, 1.2)
+    ref = oracles.brute_force_prox(SCAD.value, 0.5, np.array([1.2]), spec)
     assert abs(value - ref[0]) < 1e-8
     for x in (-3.1, -1.6, 0.4, 2.2, 3.5):
-        ref = oracles.brute_force_prox(
-            lambda t: scad_value(1.0, 3.0, t), 0.5, np.array([x]), spec
-        )
-        assert abs(prox_scad(1.0, 3.0, 0.5, x) - ref[0]) < 1e-8
+        ref = oracles.brute_force_prox(SCAD.value, 0.5, np.array([x]), spec)
+        assert abs(SCAD.prox(0.5, x) - ref[0]) < 1e-8
 
 
 def test_prox_scad_domain():
     with pytest.raises(DomainError):
-        prox_scad(1.0, 3.0, 2.5, 1.0)  # gamma >= theta - 1
+        SCAD.prox(2.5, 1.0)  # gamma >= theta - 1
 
 
 def test_prox_tukey_fixed_points():
-    assert prox_tukey(0.7, 0.1, 0.7) == 0.7
-    assert abs(prox_tukey(0.0, 1e-6, 0.5) - 0.5) < 1e-4
+    assert TukeyPenalty(0.7).prox(0.1, 0.7) == 0.7
+    assert abs(TukeyPenalty().prox(1e-6, 0.5) - 0.5) < 1e-4
 
 
 def test_prox_tukey_against_bisection():
@@ -736,25 +731,26 @@ def test_prox_tukey_against_bisection():
         else:
             lo = mid
     root = 0.5 * (lo + hi)
-    value = prox_tukey(0.0, mu, x)
+    value = TukeyPenalty().prox(mu, x)
     assert abs(value - root) < 1e-10
     assert abs(value - 0.4383154351506258) < 1e-12
     assert abs(slope(value)) <= 1e-12 / mu + 1e-9
 
 
 def test_prox_tukey_residual_and_domain():
-    out = prox_tukey(0.3, 0.12, 1.1)
+    out = TukeyPenalty(0.3).prox(0.12, 1.1)
     resid = (out - 1.1) / 0.12 + 2.0 * (out - 0.3) / (1.0 + (out - 0.3) ** 2) ** 2
     assert abs(resid) <= 1e-9
     with pytest.raises(DomainError):
-        prox_tukey(0.0, 1.0 / 6.0, 0.5)
+        TukeyPenalty().prox(1.0 / 6.0, 0.5)
     with pytest.raises(DomainError):
-        prox_tukey(0.0, 0.3, 0.5)
+        TukeyPenalty().prox(0.3, 0.5)
 
 
 def test_prox_l1_examples():
-    assert np.array_equal(prox_l1(1.0, 0.5, np.zeros(2)), np.zeros(2))
-    out = prox_l1(1.0, 0.5, np.array([2.0, -0.2]))
+    l1 = L1Penalty(1.0)
+    assert np.array_equal(l1.prox(0.5, np.zeros(2)), np.zeros(2))
+    out = l1.prox(0.5, np.array([2.0, -0.2]))
     assert np.array_equal(out, np.array([1.5, 0.0]))
 
 
@@ -783,7 +779,7 @@ def test_prox_l1_matches_scalar_oracle():
 
     rng = np.random.default_rng(16)
     x = rng.uniform(-3, 3, 6)
-    out = prox_l1(lam, gamma, x)
+    out = L1Penalty(lam).prox(gamma, x)
     for i in range(x.size):
         assert abs(out[i] - scalar_argmin(x[i])) < 1e-10
 
@@ -797,63 +793,62 @@ def test_prox_l1_matches_scalar_oracle():
 
 def test_scalar_prox_monotone_in_x():
     xs = np.linspace(-4, 4, 161)
-    for fn in (
-        lambda x: prox_mcp(1.0, 2.0, 0.5, x),
-        lambda x: prox_scad(1.0, 3.0, 0.5, x),
-        lambda x: prox_tukey(0.0, 0.1, x),
-        lambda x: prox_l1(1.0, 0.5, x),
-    ):
-        vals = np.array([float(np.asarray(fn(x))) for x in xs])
+    for g, mu in ((MCP, 0.5), (SCAD, 0.5), (TukeyPenalty(), 0.1), (L1Penalty(1.0), 0.5)):
+        vals = np.array([float(np.asarray(g.prox(mu, x))) for x in xs])
         assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_scalar_regularizer_validation():
+    with pytest.raises(TypeError):
+        MCPPenalty(1.0)  # theta missing
     with pytest.raises(DomainError):
-        ScalarRegularizer("huber")
+        MCPPenalty(1.0, 0.0)
     with pytest.raises(DomainError):
-        ScalarRegularizer("mcp", lam=1.0)  # theta missing
+        MCPPenalty(0.0, 2.0)
     with pytest.raises(DomainError):
-        ScalarRegularizer("scad", lam=1.0, theta=2.0)
+        SCADPenalty(1.0, 2.0)
     with pytest.raises(DomainError):
-        ScalarRegularizer("l1", lam=0.0)
+        SCADPenalty(-1.0, 3.0)
+    with pytest.raises(DomainError):
+        L1Penalty(0.0)
 
 
 def test_scalar_regularizer_moduli():
-    assert ScalarRegularizer("mcp", theta=2.0).rho == 0.5
-    assert ScalarRegularizer("scad", theta=3.0).rho == 0.5
-    assert ScalarRegularizer("tukey").rho == 6.0
-    assert ScalarRegularizer("l1").rho == 0.0
-    assert ScalarRegularizer("l1").mu_max == np.inf
-    assert abs(ScalarRegularizer("tukey").mu_max - 1.0 / 6.0) < 1e-15
+    assert MCPPenalty(1.0, 2.0).rho == 0.5
+    assert SCADPenalty(1.0, 3.0).rho == 0.5
+    assert TukeyPenalty().rho == 6.0
+    assert L1Penalty(1.0).rho == 0.0
+    assert L1Penalty(1.0).mu_max == np.inf
+    assert TukeyPenalty().mu_max == 1.0 / 6.0
 
 
 def test_scalar_regularizer_dispatch():
     x = np.array([0.3, 3.0, 1.5, -0.7])
-    mcp = ScalarRegularizer("mcp", lam=1.0, theta=2.0)
-    assert np.array_equal(mcp.prox(0.5, x), prox_mcp(1.0, 2.0, 0.5, x))
-    assert mcp.value(x) == mcp_value(1.0, 2.0, x)
-
-    scad = ScalarRegularizer("scad", lam=1.0, theta=3.0)
-    assert np.array_equal(scad.prox(0.5, x), prox_scad(1.0, 3.0, 0.5, x))
-    assert scad.value(x) == scad_value(1.0, 3.0, x)
-
     shifts = np.array([0.0, 1.0, -1.0, 2.0])
-    tk = ScalarRegularizer("tukey", shifts=shifts)
-    assert np.array_equal(tk.prox(0.1, x), prox_tukey(shifts, 0.1, x))
-    assert tk.value(x) == tukey_value(shifts, x)
-
-    l1 = ScalarRegularizer("l1", lam=0.8)
-    assert np.array_equal(l1.prox(0.6, x), prox_l1(0.8, 0.6, x))
-    assert l1.value(x) == 0.8 * np.abs(x).sum()
+    for kind, params, direct, mu in (
+        ("mcp", {"lam": 1.0, "theta": 2.0}, MCPPenalty(1.0, 2.0), 0.5),
+        ("scad", {"lam": 1.0, "theta": 3.0}, SCADPenalty(1.0, 3.0), 0.5),
+        ("tukey", {"shifts": shifts}, TukeyPenalty(shifts), 0.1),
+        ("l1", {"lam": 0.8}, L1Penalty(0.8), 0.6),
+    ):
+        g = ScalarRegularizer(kind, **params)
+        assert type(g) is type(direct)
+        assert np.array_equal(g.prox(mu, x), direct.prox(mu, x))
+        assert g.value(x) == direct.value(x)
+    assert L1Penalty(0.8).value(x) == 0.8 * np.abs(x).sum()
+    with pytest.raises(DomainError):
+        ScalarRegularizer("huber")
+    with pytest.raises(TypeError):
+        ScalarRegularizer("tukey", lam=1.0)  # Tukey carries no weight
 
 
 def test_scalar_prox_optimality_sampling():
     rng = np.random.default_rng(17)
     cases = [
-        (ScalarRegularizer("mcp", lam=1.0, theta=2.0), 0.5),
-        (ScalarRegularizer("scad", lam=1.0, theta=3.0), 0.5),
-        (ScalarRegularizer("tukey", shifts=0.2), 0.12),
-        (ScalarRegularizer("l1", lam=0.8), 0.6),
+        (MCPPenalty(1.0, 2.0), 0.5),
+        (SCADPenalty(1.0, 3.0), 0.5),
+        (TukeyPenalty(0.2), 0.12),
+        (L1Penalty(0.8), 0.6),
     ]
     x = np.array([1.3])
     for reg, mu in cases:

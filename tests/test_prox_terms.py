@@ -2,6 +2,7 @@
 point and its value in one ``prox_and_value`` call, which must return the
 same floats as ``prox`` followed by ``value``."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,9 +26,12 @@ from pvsmooth.core import (
 from pvsmooth.errors import DomainError
 from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
-    ScalarRegularizer,
+    L1Penalty,
+    MCPPenalty,
+    SCADPenalty,
     SupAffineFamily,
     SupQuadraticFamily,
+    TukeyPenalty,
     simplex_support_max,
 )
 
@@ -55,10 +59,10 @@ PROX_TERMS = {
         np.linspace(-0.5, 1.5, DIM).reshape(DIM, 1)),
     "sup_affine_simplex": lambda: _sup_affine(project_simplex),
     "sup_affine_wrapped": lambda: _sup_affine(lambda c: project_simplex(c)),
-    "l1": lambda: ScalarRegularizer("l1", lam=0.4),
-    "mcp": lambda: ScalarRegularizer("mcp", lam=0.5, theta=2.0),
-    "scad": lambda: ScalarRegularizer("scad", lam=0.5, theta=3.7),
-    "tukey": lambda: ScalarRegularizer("tukey", shifts=np.linspace(-1.0, 1.0, DIM)),
+    "l1": lambda: L1Penalty(0.4),
+    "mcp": lambda: MCPPenalty(0.5, 2.0),
+    "scad": lambda: SCADPenalty(0.5, 3.7),
+    "tukey": lambda: TukeyPenalty(np.linspace(-1.0, 1.0, DIM)),
 }
 
 
@@ -109,6 +113,26 @@ def test_every_prox_owns_its_mu_check(name):
         for call in (g.prox, g.prox_and_value):
             with pytest.raises(DomainError):
                 call(mu, y)
+
+
+@pytest.mark.parametrize("g, bound", [
+    (MCPPenalty(1.0, 7.297670644230144), 7.297670644230144),
+    (SCADPenalty(1.0, 4.1960616870352885), 4.1960616870352885 - 1.0),
+], ids=["mcp", "scad"])
+def test_scalar_penalty_mu_bound_is_exact(g, bound):
+    # 1 / rho misses the bound by an ulp for these theta (above it for MCP,
+    # below it for SCAD), so mu_max must be the bound itself for the one mu
+    # check to reject exactly mu >= bound
+    assert 1.0 / (1.0 / bound) != bound
+    assert g.mu_max == bound
+    y = np.linspace(-12.0, 12.0, 49)
+    for call in (g.prox, g.prox_and_value):
+        with pytest.raises(DomainError):
+            call(g.mu_max, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.prox(np.nextafter(g.mu_max, 0.0), y)
+    assert np.isfinite(out).all()
 
 
 class CountingProx(ProxFunction):

@@ -28,7 +28,7 @@ from pvsmooth.problems import (
     subspace_start,
 )
 from pvsmooth.projections import KernelProjector, project_ball, project_simplex
-from pvsmooth.prox import ScalarRegularizer, SupQuadraticFamily
+from pvsmooth.prox import L1Penalty, SupQuadraticFamily
 from pvsmooth.solver import (
     SolverConfig,
     affine_shift_wrap,
@@ -49,7 +49,7 @@ def lasso_problem(f_star=8.624940891969):
     inst = LassoInstance(
         design,
         target,
-        ScalarRegularizer("l1", lam=1.0, lipschitz=np.sqrt(5.0)),
+        L1Penalty(1.0, lipschitz=np.sqrt(5.0)),
         constraint_matrix=constraint,
         f_star=f_star,
     )
@@ -94,7 +94,7 @@ def test_solver_config_weak_convexity_pairing():
         SolverConfig(alpha=0.5, C=0.3, max_iter=1).validate_for(sup)
     # convex g puts no restriction on C
     SolverConfig(alpha=0.5, C=100.0, max_iter=1).validate_for(
-        ScalarRegularizer("l1")
+        L1Penalty(1.0)
     )
 
 
@@ -536,7 +536,7 @@ def test_epochs_need_epsilon():
 def test_stationarity_constants_frozen_values():
     proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     h = CallableSmooth(lambda x: float(x @ x), lambda x: 2.0 * x, 2.0)
-    g = ScalarRegularizer("l1", lam=1.0, lipschitz=3.0)
+    g = L1Penalty(1.0, lipschitz=3.0)
     prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
     cfg = SolverConfig(alpha=0.5, C=0.25, max_iter=0)
     c = stationarity_constant(prob, cfg, 10.0, 0.0)
@@ -623,7 +623,7 @@ def test_affine_shift_zero_is_identity():
 def test_affine_shift_soft_threshold_identity():
     proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     h = CallableSmooth(lambda x: 0.0, lambda x: np.zeros_like(x), 0.1)
-    g = ScalarRegularizer("l1", lam=1.0)
+    g = L1Penalty(1.0)
     prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
     e1 = np.array([1.0, 0.0, 0.0])
     wrapped = affine_shift_wrap(prob, e1)
