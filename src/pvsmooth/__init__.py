@@ -87,8 +87,6 @@ from .prox import (
     SupQuadraticFamily,
     TukeyPenalty,
     envelope_by_weights,
-    prox_sup_affine,
-    simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
 )

@@ -167,11 +167,7 @@ def build_from_config(cfg):
         problem = build(MaxDispersionInstance(**data, radius=radius, lam=lam,
                                               constraint_matrix=R))
     elif kind == "dro-affine":
-        problem = build_dro_affine(
-            **data, lam=lam, radius=radius,
-            ambiguity_projector=projections.project_simplex,
-            support_max=prox.simplex_support_max, constraint_matrix=R,
-        )
+        problem = build_dro_affine(**data, lam=lam, radius=radius, constraint_matrix=R)
     elif kind == "dro-quadratic":
         problem = build_dro_quadratic(**data, lam=lam, radius=radius, constraint_matrix=R)
     else:  # lasso; lambda is the l1 weight
@@ -245,9 +241,16 @@ def cmd_solve(args):
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create %s: %s" % (out_dir, exc)) from exc
     trace_path = os.path.join(out_dir, cfg["trace_file"])
     summary_path = os.path.join(out_dir, cfg["summary_file"])
+    for path in (trace_path, summary_path):  # fail now, not after the solve
+        folder = os.path.dirname(path)
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError("cannot write %s: not a file in a writable directory" % path)
 
     failed = None
     try:
@@ -260,8 +263,11 @@ def cmd_solve(args):
             raise
         trace = exc.trace
         failed = exc
-    write_trace_csv(trace, trace_path)
-    write_summary_json(problem, trace, summary_path)
+    try:
+        write_trace_csv(trace, trace_path)
+        write_summary_json(problem, trace, summary_path)
+    except OSError as exc:  # e.g. a read-only file in a writable directory
+        raise ConfigError("cannot write %s: %s" % (exc.filename, exc.strerror)) from exc
     if failed is not None:
         print("solver failed: %s" % failed, file=sys.stderr)
         return 3
@@ -338,14 +344,10 @@ def _verify_prox():
         a_rows = rng.uniform(-1.5, 1.5, (2, 2))
         offsets = rng.uniform(-1.0, 1.0, 2)
         sigma = rng.uniform(0.5, 1.5)
-        fam = prox.SupAffineFamily(
-            a_rows, offsets, sigma,
-            project_ambiguity=projections.project_simplex,
-            support_max=prox.simplex_support_max,
-        )
+        fam = prox.SupAffineFamily(a_rows, offsets, sigma)
         mu = rng.uniform(0.05, 0.9) / (2.0 * sigma)
         x = rng.uniform(-1.0, 1.0, 2)
-        y, _, _ = prox.prox_sup_affine(fam, mu, x)
+        y, _, _ = fam.prox_detailed(mu, x)
         y_ref, _, _ = oracles.affine_scan_prox(a_rows, offsets, sigma, mu, x)
         worst = max(worst, float(np.linalg.norm(y - y_ref)))
     checks.append(("affine-family prox vs weight scan", worst <= 1e-4, worst))
@@ -354,26 +356,19 @@ def _verify_prox():
     # centre put weight on up to d + 1 = 4 scenarios, which the active set
     # must certify, also when the anchors are collinear (a singular KKT
     # system) or repeat; v = A y + b is the dual gradient at the prox point,
-    # and plain FISTA (behind a wrapped projector) must reach the same y
+    # and plain FISTA (on the simplex given as a pair) must reach the same y
     gap = spread = apart = 0.0
     for i in range(24):
         anchors = rng.uniform(-1.0, 1.0, (10, 3))
         if i >= 12:  # collinear, on a half-integer grid
             anchors = np.outer(rng.integers(-4, 5, 10) / 2, anchors[0])
         a_rows, offsets = 2.0 * anchors, -(anchors * anchors).sum(axis=1)
-        fam = prox.SupAffineFamily(
-            a_rows, offsets, 1.0,
-            project_ambiguity=projections.project_simplex,
-            support_max=prox.simplex_support_max,
-        )
-        fista = prox.SupAffineFamily(
-            a_rows, offsets, 1.0,
-            project_ambiguity=lambda c: projections.project_simplex(c),
-            support_max=prox.simplex_support_max, tol=1e-13,
-        )
+        fam = prox.SupAffineFamily(a_rows, offsets, 1.0)
+        fista = prox.SupAffineFamily(a_rows, offsets, 1.0,
+                                     (projections.project_simplex, np.max), tol=1e-13)
         mu, x = rng.uniform(0.05, 0.45), rng.uniform(-0.3, 0.3, 3)
-        y, c, _ = prox.prox_sup_affine(fam, mu, x)
-        y_fista, _, _ = prox.prox_sup_affine(fista, mu, x)
+        y, c, _ = fam.prox_detailed(mu, x)
+        y_fista, _, _ = fista.prox_detailed(mu, x)
         apart = max(apart, float(np.abs(y - y_fista).max()))
         v = fam.a_rows @ y + fam.offsets
         scale = max(1.0, float(np.abs(v).max()))
@@ -510,13 +505,15 @@ def cmd_gen(args):
     payload = {"kind": args.kind, "n": args.n, "N": args.N, "seed": args.seed}
     try:
         data = _instance_data(args.kind, args.n, args.N, args.seed)
+        for name, array in data.items():
+            payload[name] = array.tolist()
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    for name, array in data.items():
-        payload[name] = array.tolist()
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (args.out, exc.strerror)) from exc
     print("wrote %s" % args.out)
     return 0
 

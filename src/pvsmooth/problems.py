@@ -32,9 +32,8 @@ from .projections import (
     KernelProjector,
     ReplicatedKernelProjector,
     project_ball,
-    project_simplex,
 )
-from .prox import L1Penalty, SupAffineFamily, SupQuadraticFamily, simplex_support_max
+from .prox import L1Penalty, SupAffineFamily, SupQuadraticFamily
 
 __all__ = [
     "MaxDispersionInstance",
@@ -150,22 +149,18 @@ def dispersion_objective(anchors, radius, lam, x):
     return float(0.5 * lam * excess * excess - (d * d).sum(axis=1).min())
 
 
-def build_dro_affine(a_rows, offsets, lam, radius, ambiguity_projector, support_max,
-                     sigma=1.0, constraint_matrix=None):
+def build_dro_affine(a_rows, offsets, lam, radius, ambiguity=None, sigma=1.0,
+                     constraint_matrix=None):
     """Scenario costs <a_i, x> + b_i - sigma |x|^2 with weights in an
     ambiguity set C, ball-penalized with weight lam (which must exceed 2 sigma).
 
-    ``ambiguity_projector`` projects onto C and ``support_max`` is its support
-    function v -> max_{c in C} <c, v> (project_simplex and simplex_support_max
-    for the full simplex); the weight prox is :func:`~pvsmooth.prox.prox_sup_affine`.
+    ``ambiguity`` is the :class:`~pvsmooth.prox.SupAffineFamily` argument:
+    None for the probability simplex, else a ``(project, support)`` pair.
     """
     if not (lam > 2.0 * sigma):
         raise DomainError("penalty weight must exceed %g for a coercive objective"
                           % (2.0 * sigma))
-    g = SupAffineFamily(
-        a_rows, offsets, sigma=sigma,
-        project_ambiguity=ambiguity_projector, support_max=support_max,
-    )
+    g = SupAffineFamily(a_rows, offsets, sigma, ambiguity)
     dim = g.a_rows.shape[1]
     h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)
     subspace = _kernel_subspace(constraint_matrix)
@@ -195,16 +190,14 @@ def build_dro_quadratic(centers, lam, radius, constraint_matrix=None):
 
 def build_max_dispersion_direct(inst):
     """Single-space formulation: the anchor maximum is a supremum of affine
-    forms minus |x|^2, so the prox solves the dual over the simplex exactly
-    by its certified active set (:func:`~pvsmooth.prox.prox_sup_affine`).
+    forms minus |x|^2, so the prox (:meth:`~pvsmooth.prox.SupAffineFamily.prox_detailed`)
+    solves the dual over the simplex exactly by its certified active set.
 
     max_i -|x - u_i|^2 = sup_{p in simplex} sum_i p_i (<2 u_i, x> - |u_i|^2) - |x|^2.
     """
     anchors = inst.anchors
-    return build_dro_affine(
-        2.0 * anchors, -(anchors * anchors).sum(axis=1), inst.lam, inst.radius,
-        project_simplex, simplex_support_max, constraint_matrix=inst.constraint_matrix,
-    )
+    return build_dro_affine(2.0 * anchors, -(anchors * anchors).sum(axis=1), inst.lam,
+                            inst.radius, constraint_matrix=inst.constraint_matrix)
 
 
 def build_max_dispersion_product(inst):

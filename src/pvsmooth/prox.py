@@ -36,8 +36,6 @@ __all__ = [
     "simplex_weights_kkt",
     "SupQuadraticFamily",
     "SupAffineFamily",
-    "prox_sup_affine",
-    "simplex_support_max",
     "L1Penalty",
     "MCPPenalty",
     "SCADPenalty",
@@ -221,11 +219,6 @@ class SupQuadraticFamily(ProxFunction):
 # supremum of affine forms minus a quadratic: accelerated dual iteration
 # ---------------------------------------------------------------------------
 
-def simplex_support_max(v):
-    """max_{c in simplex} <c, v> = max(v)."""
-    return float(v.max())
-
-
 class SupAffineFamily(ProxFunction):
     """f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2.
 
@@ -236,27 +229,25 @@ class SupAffineFamily(ProxFunction):
     offsets : (N,) array
     sigma : float > 0
         Concavity weight; the family is 2*sigma-weakly convex.
-    project_ambiguity : callable
-        Projector onto the compact convex set C (subset of R^N).
-        :func:`~pvsmooth.projections.project_simplex` itself turns on the
-        exact active set of :func:`prox_sup_affine`.
-    support_max : callable
-        v -> max_{c in C} <c, v>, the support function of C, which gives the
-        value (:func:`simplex_support_max` for the simplex).
+    ambiguity : None or (project, support)
+        The compact convex set C (subset of R^N): None, the default, for the
+        probability simplex, else a tuple of two callables, the projector
+        onto C and its support function v -> max_{c in C} <c, v>.
     tol, max_iter : float, int
         Stop tolerance (finite, positive) and iteration budget (a positive
-        integer) of :func:`prox_sup_affine`.
+        integer) of :meth:`prox_detailed`.
 
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
     O(N d) memory, and nothing of size N^2.  Non-finite rows or offsets, a
-    non-finite |A|^2 and out-of-range values raise :class:`DomainError`.
+    non-finite |A|^2, an ``ambiguity`` that is not None or a pair of
+    callables, and out-of-range values raise :class:`DomainError`.
     """
 
     lipschitz = None
 
-    def __init__(self, a_rows, offsets, sigma, project_ambiguity, support_max,
-                 tol=1e-10, max_iter=200000):
+    def __init__(self, a_rows, offsets, sigma, ambiguity=None, tol=1e-10,
+                 max_iter=200000):
         a_rows = np.atleast_2d(np.asarray(a_rows, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         if a_rows.shape[0] != offsets.size:
@@ -265,6 +256,11 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("offsets must be finite")
         if not (sigma > 0):
             raise DomainError("sigma must be positive")
+        if ambiguity is not None and not (
+                isinstance(ambiguity, tuple) and len(ambiguity) == 2
+                and all(map(callable, ambiguity))):
+            raise DomainError("ambiguity must be None (the simplex) or a "
+                              "(project, support) pair of callables")
         if not (0.0 < tol < np.inf):
             raise DomainError("tol must be finite and positive")
         if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
@@ -275,8 +271,7 @@ class SupAffineFamily(ProxFunction):
         self.a_rows = a_rows
         self.offsets = offsets
         self.sigma = float(sigma)
-        self.project_ambiguity = project_ambiguity
-        self.support_max = support_max
+        self.ambiguity = ambiguity
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.rho = 2.0 * self.sigma
@@ -284,100 +279,99 @@ class SupAffineFamily(ProxFunction):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        s = self.support_max(self.a_rows @ x + self.offsets)
+        v = self.a_rows @ x + self.offsets
+        s = v.max() if self.ambiguity is None else self.ambiguity[1](v)
         return float(s - self.sigma * (x @ x))
 
     def prox(self, mu, x):
-        y, _, _ = self.prox_detailed(mu, x)
-        return y
+        return self.prox_detailed(mu, x)[0]
 
     def prox_detailed(self, mu, x):
-        return prox_sup_affine(self, mu, x)
+        """The prox through the dual weights.
 
+        With s = 1 - 2 sigma mu, the prox point for weights c is
+        y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
+        phi(c) = <c, w> - (mu / 2s) |A^T c|^2 over C, w = A x / s + b,
+        whose gradient A y(c) + b is Lipschitz with L = mu |A|^2 / s.
+        Scaled by gamma = 1/L, the dual is <c, w> - (coef / 2) |A^T c|^2
+        with coef = gamma mu / s, and every product with its Hessian
+        coef A A^T is taken through the rows of A, never through the N x N
+        matrix: memory is O(N d).
 
-def prox_sup_affine(family, mu, x):
-    """Prox of a :class:`SupAffineFamily` through the dual weights.
+        On the default simplex, a primal active set
+        (:func:`_simplex_active_set`) solves this QP exactly and returns the
+        first weights the KKT conditions certify.  For any other
+        ``ambiguity``, the simplex's own pair ``(project_simplex, np.max)``
+        too, or when the active set does not certify within
+        min(``max_iter``, 2N) steps, restarted FISTA (Beck-Teboulle, with
+        O'Donoghue-Candes gradient restart) runs from the projected uniform
+        weights with step 1/L until both the increment |c_{k+1} - c_k| and
+        the gradient-mapping residual |c_{k+1} - z_k| are at most ``tol``;
+        each iteration costs O(N d) plus one projection.  The
+        projected-gradient map is nonexpansive, so the returned c then
+        moves by at most tol under it, and on the simplex the dual gap
+        max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
+        ``max_iter`` caps active-set steps and FISTA iterations together.
+        The result depends only on (family, mu, x).
 
-    With s = 1 - 2 sigma mu, the prox point for weights c is
-    y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
-    phi(c) = <c, w> - (mu / 2s) |A^T c|^2 over C, w = A x / s + b, whose
-    gradient A y(c) + b is Lipschitz with L = mu |A|^2 / s.  Scaled by
-    gamma = 1/L, the dual is <c, w> - (coef / 2) |A^T c|^2 with
-    coef = gamma mu / s, and every product with its Hessian coef A A^T is
-    taken through the rows of A, never through the N x N matrix: memory is
-    O(N d).
+        Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
+        whose w or y overflows, raises :class:`DomainError`.  Raises
+        :class:`ConvergenceError` when the budget runs out, carrying the
+        last (y, c) and FISTA's last stop residual, or, when FISTA got no
+        iteration, the fixed-point residual |P(c + v) - c| of its projected
+        uniform start.
+        """
+        self.check_mu(mu)
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise DomainError("the prox argument x must be finite")
+        tol, max_iter = self.tol, self.max_iter
+        s = 1.0 - 2.0 * self.sigma * mu
+        lip = mu * self.gram_norm / s
+        # lip below the smallest normal float: A is numerically zero, and any
+        # step works since the weight map is (nearly) constant
+        gamma = 1.0 / lip if lip >= _TINY else 1.0
 
-    When ``family.project_ambiguity`` is
-    :func:`~pvsmooth.projections.project_simplex` itself, a primal active
-    set (:func:`_simplex_active_set`) solves this QP exactly and returns the
-    first weights the KKT conditions certify.  Otherwise, or when it does
-    not certify within min(``family.max_iter``, 2N) steps, restarted FISTA
-    (Beck-Teboulle, with O'Donoghue-Candes gradient restart) runs from the
-    projected uniform weights with step 1/L until both the increment
-    |c_{k+1} - c_k| and the gradient-mapping residual |c_{k+1} - z_k| are at
-    most ``family.tol``; each iteration costs O(N d) plus one projection.
-    The projected-gradient map is nonexpansive, so the returned c then
-    moves by at most tol under it, and on the simplex the dual gap
-    max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
-    ``family.max_iter`` caps active-set steps and FISTA iterations
-    together.  The result depends only on (family, mu, x).
-
-    Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
-    whose w or y overflows, raises :class:`DomainError`.  Raises
-    :class:`ConvergenceError` when the budget runs out, carrying the last
-    (y, c) and FISTA's last stop residual, or, when FISTA got no iteration,
-    the fixed-point residual |P(c + v) - c| of its projected uniform start.
-    """
-    family.check_mu(mu)
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError("the prox argument x must be finite")
-    tol, max_iter = family.tol, family.max_iter
-    s = 1.0 - 2.0 * family.sigma * mu
-    lip = mu * family.gram_norm / s
-    # lip below the smallest normal float: A is numerically zero, and any
-    # step works since the weight map is (nearly) constant
-    gamma = 1.0 / lip if lip >= _TINY else 1.0
-
-    a_rows, project = family.a_rows, family.project_ambiguity
-    n = a_rows.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # A x may overflow
-        w = gamma * (a_rows @ x / s + family.offsets)
-    scale = float(np.abs(w).max())
-    if not scale < np.inf:  # NaN or inf
-        raise DomainError("the dual gradient w = A x / s + b must be finite")
-    coef = gamma * mu / s
-    steps = 0
-    if project is project_simplex:
-        c, steps = _simplex_active_set(a_rows, coef, w, 1e-12 * max(1.0, scale),
-                                       tol, min(max_iter, 2 * n))
-        if c is not None:
-            return _prox_point(x, mu, a_rows, c, s), c, steps
-    c = project(np.full(n, 1.0 / n))
-    z, t = c, 1.0
-    delta = np.inf
-    for it in range(steps + 1, max_iter + 1):
-        c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
-        diff = c_next - c
-        delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
-        if delta <= tol:
-            return _prox_point(x, mu, a_rows, c_next, s), c_next, it
-        if (z - c_next) @ diff > 0.0:
-            z, t = c_next, 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = c_next + ((t - 1.0) / t_next) * diff
-            t = t_next
-        c = c_next
-    if steps == max_iter:  # the active set used the whole budget
-        r = project(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
-        delta = float(np.linalg.norm(r))
-    raise ConvergenceError(
-        "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),
-        residual=delta,
-        iterations=max_iter,
-        best=(_prox_point(x, mu, a_rows, c, s), c),
-    )
+        a_rows = self.a_rows
+        n = a_rows.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # A x may overflow
+            w = gamma * (a_rows @ x / s + self.offsets)
+        scale = float(np.abs(w).max())
+        if not scale < np.inf:  # NaN or inf
+            raise DomainError("the dual gradient w = A x / s + b must be finite")
+        coef = gamma * mu / s
+        steps = 0
+        if self.ambiguity is None:
+            c, steps = _simplex_active_set(a_rows, coef, w, 1e-12 * max(1.0, scale),
+                                           tol, min(max_iter, 2 * n))
+            if c is not None:
+                return _prox_point(x, mu, a_rows, c, s), c, steps
+        project = project_simplex if self.ambiguity is None else self.ambiguity[0]
+        c = project(np.full(n, 1.0 / n))
+        z, t = c, 1.0
+        delta = np.inf
+        for it in range(steps + 1, max_iter + 1):
+            c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
+            diff = c_next - c
+            delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
+            if delta <= tol:
+                return _prox_point(x, mu, a_rows, c_next, s), c_next, it
+            if (z - c_next) @ diff > 0.0:
+                z, t = c_next, 1.0
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                z = c_next + ((t - 1.0) / t_next) * diff
+                t = t_next
+            c = c_next
+        if steps == max_iter:  # the active set used the whole budget
+            r = project(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
+            delta = float(np.linalg.norm(r))
+        raise ConvergenceError(
+            "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),
+            residual=delta,
+            iterations=max_iter,
+            best=(_prox_point(x, mu, a_rows, c, s), c),
+        )
 
 
 def _prox_point(x, mu, a_rows, c, s):
@@ -402,7 +396,7 @@ def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
     * if u >= 0, c = u.  The scenario with the largest dual gradient
       v = w - coef A (A_S^T u) joins S when it exceeds max v_S by more than
       eps, the KKT tolerance 1e-12 max(1, max |w|) that
-      :func:`prox_sup_affine` passes.  With no such violator, c is
+      :meth:`SupAffineFamily.prox_detailed` passes.  With no such violator, c is
       returned if :func:`_simplex_kkt_certified` certifies it, and
       otherwise the active set gives up;
     * else c moves along u - c_S until its first weight reaches 0, and
@@ -590,8 +584,7 @@ class SCADPenalty(ProxFunction):
         c3 = np.maximum(ay, theta * lam)
         cands = np.stack([c1, c2, c3])
         objs = self._pieces(cands) + (cands - ay) ** 2 / (2.0 * mu)
-        best = cands[objs.argmin(axis=0), np.arange(cands.shape[1])] if y.ndim else \
-            cands[objs.argmin(axis=0)]
+        best = np.take_along_axis(cands, objs.argmin(axis=0)[None], axis=0)[0]
         out = np.sign(y) * best
         return out if out.ndim else float(out)
 

@@ -49,8 +49,6 @@ from pvsmooth.prox import (
     SupQuadraticFamily,
     TukeyPenalty,
     envelope_by_weights,
-    prox_sup_affine,
-    simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
 )
@@ -178,12 +176,10 @@ def test_criterion_3_km_prox_fixed_point_and_scan(report):
         a_rows = rng.uniform(-1.5, 1.5, (n_scen, dim))
         offsets = rng.uniform(-1.0, 1.0, n_scen)
         sigma = rng.uniform(0.5, 1.5)
-        fam = SupAffineFamily(a_rows, offsets, sigma,
-                              project_ambiguity=project_simplex,
-                              support_max=simplex_support_max)
+        fam = SupAffineFamily(a_rows, offsets, sigma)
         mu = rng.uniform(0.05, 0.9) / (2.0 * sigma)
         x = rng.uniform(-1.0, 1.0, dim)
-        y, c, iterations = prox_sup_affine(fam, mu, x)
+        y, c, iterations = fam.prox_detailed(mu, x)
         assert iterations <= 200_000
         s = 1.0 - 2.0 * sigma * mu
         gamma = 0.9 * s / (mu * fam.gram_norm) if fam.gram_norm > 0 else 1.0

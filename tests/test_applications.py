@@ -34,7 +34,6 @@ from pvsmooth.prox import (
     SCADPenalty,
     SupQuadraticFamily,
     TukeyPenalty,
-    simplex_support_max,
 )
 from pvsmooth.solver import SolverConfig, pvs_step, run_pvs, schedule
 
@@ -241,7 +240,7 @@ def test_product_iterates_stay_in_replicated_subspace():
 def test_dro_builders_reject_nonpositive_radius():
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
     with pytest.raises(DomainError):
-        build_dro_affine(a_rows, offsets, 5.0, 0.0, project_simplex, simplex_support_max)
+        build_dro_affine(a_rows, offsets, 5.0, 0.0)
     with pytest.raises(DomainError):
         build_dro_quadratic(np.zeros((2, 3)), 5.0, 0.0)
 
@@ -249,8 +248,7 @@ def test_dro_builders_reject_nonpositive_radius():
 def test_dro_coercivity_guards():
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
     with pytest.raises(DomainError):
-        build_dro_affine(a_rows, offsets, 3.0, 1.0, project_simplex, simplex_support_max,
-                         sigma=1.5)
+        build_dro_affine(a_rows, offsets, 3.0, 1.0, sigma=1.5)
     with pytest.raises(DomainError):
         build_dro_quadratic(np.zeros((2, 3)), 2.0, 1.0)
 
@@ -261,10 +259,8 @@ def test_dro_singleton_ambiguity_collapses_to_smooth_problem():
     # gradient descent on that function lands.
     a_rows, offsets = random_affine_scenarios(3, 4, 5)
     p0 = np.array([0.1, 0.2, 0.3, 0.4])
-    prob = build_dro_affine(
-        a_rows, offsets, 8.0, 1.0, ambiguity_projector=lambda c: p0.copy(),
-        support_max=lambda v: float(p0 @ v),
-    )
+    prob = build_dro_affine(a_rows, offsets, 8.0, 1.0,
+                            ambiguity=(lambda c: p0.copy(), lambda v: float(p0 @ v)))
     cfg = SolverConfig(alpha=2.0 / 3.0, C=0.25, max_iter=30000, stop_step_norm=0.0)
     trace = run_pvs(prob, cfg, subspace_start(prob.subspace, 3))
 
@@ -328,9 +324,7 @@ def test_dro_truncated_simplex_weights_satisfy_fixed_point():
         best_rest = float(v[1:].max())
         return max(best_rest, 0.5 * (float(v[0]) + best_rest))
 
-    prob = build_dro_affine(
-        a_rows, offsets, 4.0, 1.0, ambiguity_projector=project_c, support_max=support_c,
-    )
+    prob = build_dro_affine(a_rows, offsets, 4.0, 1.0, ambiguity=(project_c, support_c))
     mu = 0.1
     x = np.array([0.3, -0.7])
     y, c, _ = prob.g.prox_detailed(mu, x)

@@ -202,11 +202,11 @@ def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):
 def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
     # an inner prox budget too small for the direct dispersion run: the
     # weight iteration fails partway and the partial trace is still written.
-    # A wrapped projector keeps plain FISTA, which needs the budget; the
-    # exact finish on project_simplex itself ends every call within it.
+    # The simplex given as a pair runs plain FISTA, which needs the budget;
+    # the default simplex's exact finish ends every call within it.
     def capped(inst):
         problem = build_direct(inst)
-        problem.g.project_ambiguity = lambda c: project_simplex(c)
+        problem.g.ambiguity = (project_simplex, np.max)
         problem.g.max_iter = 50
         return problem
 
@@ -296,6 +296,45 @@ def test_solve_rejects_a_bad_shape_or_seed(tmp_path, capsys, overrides):
                      "--out-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_gen_to_a_missing_directory_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json"
+    assert cli.main(["gen", "--kind", "lasso", "--n", "3", "--N", "4", "--seed", "5",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot write")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("overrides, out_dir", [
+    ({"trace_file": "sub/t.csv"}, "."),
+    ({"summary_file": "sub/s.json"}, "."),
+    ({}, "cfg.json"),  # --out-dir names a file
+])
+def test_solve_to_an_unwritable_path_fails_before_the_solver(tmp_path, capsys, monkeypatch,
+                                                             overrides, out_dir):
+    def never(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "run_pvs", never)
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot ")
+    assert not (tmp_path / "sub").exists() and not (tmp_path / "trace.csv").exists()
+
+
+def test_solve_write_failure_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # e.g. a read-only trace file in a writable directory, which the check
+    # before the solve lets through
+    def denied(trace, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_trace_csv", denied)
+    path = write_config(tmp_path)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write %s" % (tmp_path / "trace.csv"))
+    assert "Traceback" not in err
 
 
 def test_gen_single_anchor(tmp_path):

@@ -21,7 +21,7 @@ from pvsmooth.core import (
 )
 from pvsmooth.errors import ContractError, DomainError
 from pvsmooth.problems import QuadraticLoss, random_lasso_data
-from pvsmooth.projections import KernelProjector, project_simplex
+from pvsmooth.projections import KernelProjector
 
 
 def test_matrix_norm_bound_known_matrices():
@@ -286,7 +286,7 @@ _NON_FINITE_BUILDS = {
     "MatrixMap": MatrixMap,
     "QuadraticLoss": lambda mat: QuadraticLoss(mat, np.ones(mat.shape[0])),
     "SupAffineFamily": lambda mat: prox.SupAffineFamily(
-        mat, np.zeros(mat.shape[0]), 1.0, project_simplex, prox.simplex_support_max),
+        mat, np.zeros(mat.shape[0]), 1.0),
     "KernelProjector": KernelProjector,
 }
 
@@ -340,8 +340,7 @@ def test_composite_problem_objective_and_dim_check():
     with pytest.raises(ContractError):
         CompositeProblem(h, g, MatrixMap(np.eye(3)), IdentityProjector(), dim=2)
     # g of the wrong size, probed through its value
-    affine = prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, project_simplex,
-                                  prox.simplex_support_max)
+    affine = prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0)
     for wrong in (g, affine):
         with pytest.raises(ContractError):
             CompositeProblem(h, wrong, IdentityMap(), IdentityProjector(), dim=3)

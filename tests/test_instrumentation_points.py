@@ -19,8 +19,7 @@ from pvsmooth.problems import (
     random_anchors,
     random_lasso_data,
 )
-from pvsmooth.projections import project_simplex
-from pvsmooth.prox import L1Penalty, simplex_support_max
+from pvsmooth.prox import L1Penalty
 
 R_SUM = np.array([[1.0, 1.0, 1.0]])
 
@@ -31,8 +30,7 @@ def _dispersion(R):
 
 def _dro_affine(R):
     a_rows, offsets = random_affine_scenarios(3, 4, 0)
-    return build_dro_affine(a_rows, offsets, 10.0, 1.0, project_simplex,
-                            simplex_support_max, constraint_matrix=R)
+    return build_dro_affine(a_rows, offsets, 10.0, 1.0, constraint_matrix=R)
 
 
 def _dro_quadratic(R):

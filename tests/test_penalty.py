@@ -17,8 +17,8 @@ from pvsmooth.penalty import (
     penalty_distance_sq,
     run_penalty,
 )
-from pvsmooth.projections import BallSpec, project_simplex
-from pvsmooth.prox import SupAffineFamily, simplex_support_max
+from pvsmooth.projections import BallSpec
+from pvsmooth.prox import SupAffineFamily
 from pvsmooth.solver import SolverConfig
 
 
@@ -132,8 +132,8 @@ def test_run_penalty_linear_objective_toy():
 def test_run_penalty_single_anchor_dispersion():
     # one anchor at the origin: pushing away from it against the ball penalty
     # settles at |x| = lam/(lam-2) with penalized value -lam/(lam-2)
-    g = SupAffineFamily(np.zeros((1, 3)), np.zeros(1), 1.0, lambda c: np.ones(1),
-                        support_max=lambda v: float(v[0]))
+    g = SupAffineFamily(np.zeros((1, 3)), np.zeros(1), 1.0,
+                        (lambda c: np.ones(1), lambda v: float(v[0])))
     ball = BallSpec(np.zeros(3), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=3e-7)
@@ -152,8 +152,7 @@ def test_run_penalty_stage_failure_carries_progress():
     # stage fails and the error carries the (empty) completed prefix
     rng = np.random.default_rng(52)
     g = SupAffineFamily(rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 3), 1.0,
-                        project_simplex,
-                        support_max=simplex_support_max, max_iter=1)
+                        max_iter=1)
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0)
     with pytest.raises(StageError) as exc:

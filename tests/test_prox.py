@@ -22,8 +22,6 @@ from pvsmooth.prox import (
     TukeyPenalty,
     _simplex_kkt_certified,
     envelope_by_weights,
-    prox_sup_affine,
-    simplex_support_max,
     simplex_weights_kkt,
     solve_simplex_weights,
 )
@@ -209,11 +207,6 @@ def test_sup_quadratic_prox_beats_perturbations():
 # sup of affine forms minus a quadratic
 # ---------------------------------------------------------------------------
 
-def _simplex_family(a_rows, offsets, sigma, **kw):
-    return SupAffineFamily(a_rows, offsets, sigma, project_simplex,
-                           support_max=simplex_support_max, **kw)
-
-
 def test_sup_affine_gram_norm_is_exact():
     # the top right singular vector is orthogonal to the fixed power-iteration
     # start in core.matrix_norm_bound, which therefore settles on the second
@@ -223,38 +216,38 @@ def test_sup_affine_gram_norm_is_exact():
     basis[:, 0] -= (basis[:, 0] @ start) / (start @ start) * start
     v_mat, _ = np.linalg.qr(basis)
     a_rows = np.diag([2.0, 1.0, 0.5, 0.25, 0.1]) @ v_mat.T
-    fam = _simplex_family(a_rows, np.zeros(5), 1.0)
+    fam = SupAffineFamily(a_rows, np.zeros(5), 1.0)
     assert abs(fam.gram_norm - 4.0) <= 1e-12
     # the top eigenvalue of the dense A A^T, which the family does not keep
     assert abs(fam.gram_norm - np.linalg.eigvalsh(a_rows @ a_rows.T)[-1]) <= 1e-12
-    wide = _simplex_family(a_rows[:2], np.zeros(2), 1.0)  # A A^T is the smaller
+    wide = SupAffineFamily(a_rows[:2], np.zeros(2), 1.0)  # A A^T is the smaller
     assert abs(wide.gram_norm - 4.0) <= 1e-12
 
 
 def test_sup_affine_zero_rows():
     x = np.array([0.7, -0.3])
     for scale in (0.0, 1e-160):  # |AA^T| zero or subnormal
-        fam = _simplex_family(np.full((3, 2), scale), np.zeros(3), 1.0)
-        y, c, iters = prox_sup_affine(fam, 0.25, x)
+        fam = SupAffineFamily(np.full((3, 2), scale), np.zeros(3), 1.0)
+        y, c, iters = fam.prox_detailed(0.25, x)
         assert np.abs(y - 2.0 * x).max() < 1e-12
         assert iters == 1
 
 
 def test_sup_affine_singleton_ambiguity():
     a = np.array([[1.5, -0.5]])
-    fam = SupAffineFamily(a, np.array([0.3]), 1.0, lambda c: np.ones(1),
-                          support_max=lambda v: float(v[0]))
+    fam = SupAffineFamily(a, np.array([0.3]), 1.0,
+                          (lambda c: np.ones(1), lambda v: float(v[0])))
     mu = 0.2
     x = np.array([0.4, 0.9])
-    y, c, _ = prox_sup_affine(fam, mu, x)
+    y, c, _ = fam.prox_detailed(mu, x)
     expect = (x - mu * a[0]) / (1.0 - 2.0 * mu)
     assert np.abs(y - expect).max() < 1e-9
     assert abs(c[0] - 1.0) < 1e-12
 
 
 def test_sup_affine_matches_ambiguity_scan():
-    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
-    y, _, _ = prox_sup_affine(fam, 0.2, np.array([0.5]))
+    fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
+    y, _, _ = fam.prox_detailed(0.2, np.array([0.5]))
     y_scan, _, _ = oracles.affine_scan_prox(
         np.array([[2.0], [-2.0]]), np.zeros(2), 1.0, 0.2, np.array([0.5])
     )
@@ -265,10 +258,10 @@ def test_sup_affine_fixed_point_characterization():
     rng = np.random.default_rng(14)
     a_rows = rng.uniform(-1, 1, (3, 2))
     tol = 1e-10
-    fam = _simplex_family(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8, tol=tol)
+    fam = SupAffineFamily(a_rows, rng.uniform(-0.5, 0.5, 3), 0.8, tol=tol)
     mu = 0.2
     x = rng.uniform(-1, 1, 2)
-    y, c, _ = prox_sup_affine(fam, mu, x)
+    y, c, _ = fam.prox_detailed(mu, x)
     s = 1.0 - 2.0 * fam.sigma * mu
     gamma = 0.9 * s / (mu * fam.gram_norm)
     step = c + gamma * (a_rows @ y + fam.offsets)
@@ -276,11 +269,11 @@ def test_sup_affine_fixed_point_characterization():
 
 
 def test_sup_affine_prox_beats_perturbations():
-    fam = _simplex_family(np.array([[1.0, 0.0], [0.0, -1.0]]),
+    fam = SupAffineFamily(np.array([[1.0, 0.0], [0.0, -1.0]]),
                           np.array([0.1, -0.2]), 0.9)
     mu = 0.25
     x = np.array([0.3, 0.8])
-    y, _, _ = prox_sup_affine(fam, mu, x)
+    y, _, _ = fam.prox_detailed(mu, x)
 
     def objective(z):
         return fam.value(z) + float((z - x) @ (z - x)) / (2 * mu)
@@ -310,8 +303,8 @@ def _sup_affine_cases(draw):
 @given(_sup_affine_cases())
 def test_sup_affine_dual_optimality(case):
     a_rows, offsets, sigma, mu, x = case
-    fam = _simplex_family(a_rows, offsets, sigma)
-    y, c, _ = prox_sup_affine(fam, mu, x)
+    fam = SupAffineFamily(a_rows, offsets, sigma)
+    y, c, _ = fam.prox_detailed(mu, x)
     s = 1.0 - 2.0 * sigma * mu
     assert abs(c.sum() - 1.0) <= 1e-9 and c.min() >= 0.0
     assert np.array_equal(y, (x - mu * (a_rows.T @ c)) / s)
@@ -325,13 +318,12 @@ def test_sup_affine_dual_optimality(case):
 
 
 def test_sup_affine_budget_exhaustion():
-    # a wrapped projector keeps plain FISTA, which converges at 2; the active
-    # set on project_simplex certifies this case in one step
+    # the simplex given as a pair runs plain FISTA, which converges at 2;
+    # the default simplex's active set certifies this case in one step
     fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0,
-                          lambda c: project_simplex(c), simplex_support_max,
-                          max_iter=1)
+                          (project_simplex, np.max), max_iter=1)
     with pytest.raises(ConvergenceError) as exc:
-        prox_sup_affine(fam, 0.2, np.array([0.5]))
+        fam.prox_detailed(0.2, np.array([0.5]))
     err = exc.value
     assert err.iterations == 1
     assert err.residual > 0
@@ -343,12 +335,12 @@ def test_sup_affine_budget_exhaustion():
 def test_sup_affine_active_set_shares_the_budget():
     # w = 0: the active set starts from {0}, adds scenario 1 and certifies
     # c = (1/2, 1/2) at its second step, which a budget of one step forbids
-    fam = _simplex_family(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
-    y, c, iterations = prox_sup_affine(fam, 0.2, np.zeros(1))
+    fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
+    y, c, iterations = fam.prox_detailed(0.2, np.zeros(1))
     assert iterations == 2 and np.array_equal(c, [0.5, 0.5])
     fam.max_iter = 1
     with pytest.raises(ConvergenceError) as exc:
-        prox_sup_affine(fam, 0.2, np.zeros(1))
+        fam.prox_detailed(0.2, np.zeros(1))
     err = exc.value
     assert err.iterations == 1
     y_best, c_best = err.best
@@ -365,21 +357,24 @@ def test_sup_affine_budget_and_tolerance_validation():
                {"max_iter": None}, {"tol": np.nan}, {"tol": -1.0},
                {"tol": 0.0}, {"tol": np.inf}):
         with pytest.raises(DomainError):
-            _simplex_family(rows, offsets, 1.0, **kw)
-    fam = _simplex_family(rows, offsets, 1.0, max_iter=np.int64(7), tol=1e-3)
+            SupAffineFamily(rows, offsets, 1.0, **kw)
+    fam = SupAffineFamily(rows, offsets, 1.0, max_iter=np.int64(7), tol=1e-3)
     assert fam.max_iter == 7 and fam.tol == 1e-3
 
 
 def _fista_only(fam, tol):
-    """The same family behind a wrapped projector, which runs plain FISTA."""
+    """The same family with the simplex given as a pair, which runs plain
+    FISTA, with ten times the default budget.  A reference must converge:
+    where equal slopes carry offsets 6.4e-11 apart, or near-zero slopes
+    offsets 3.7e-13 apart, FISTA drains weight along a flat dual face and
+    needs up to 1.3 million iterations to meet tol = 1e-13."""
     return SupAffineFamily(fam.a_rows, fam.offsets, fam.sigma,
-                           lambda c: project_simplex(c), simplex_support_max,
-                           tol=tol)
+                           (project_simplex, np.max), tol=tol, max_iter=2000000)
 
 
 def _simplex_kkt_residuals(fam, mu, x, c):
     """(|sum c - 1|, spread of v over c > 0, excess of v off it, eps) for the
-    gamma-scaled dual gradient v = w - coef A A^T c of prox_sup_affine."""
+    gamma-scaled dual gradient v = w - coef A A^T c of the prox."""
     s = 1.0 - 2.0 * fam.sigma * mu
     lip = mu * fam.gram_norm / s
     gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
@@ -426,9 +421,9 @@ _wide = _rng.uniform(-1.0, 1.0, (9, 2))  # N > d + 1
 @example((_wide, _rng.uniform(-0.5, 0.5, 9), 0.8, 0.4, _rng.uniform(-1.0, 1.0, 2)))
 def test_sup_affine_exact_finish_matches_fista_and_meets_kkt(case):
     a_rows, offsets, sigma, mu, x = case
-    fam = _simplex_family(a_rows, offsets, sigma)
-    y, c, _ = prox_sup_affine(fam, mu, x)
-    y_ref, _, _ = prox_sup_affine(_fista_only(fam, 1e-13), mu, x)
+    fam = SupAffineFamily(a_rows, offsets, sigma)
+    y, c, _ = fam.prox_detailed(mu, x)
+    y_ref, _, _ = _fista_only(fam, 1e-13).prox_detailed(mu, x)
     assert np.abs(y - y_ref).max() <= 1e-9
     assert c.min() >= 0.0
     sum_dev, spread, excess, eps = _simplex_kkt_residuals(fam, mu, x, c)
@@ -444,12 +439,12 @@ def test_sup_affine_exact_finish_is_stateless():
               for s in (0.1, 0.3, 1.0, 3.0) for _ in range(3)]
     # each input on a fresh family, then on one family after any history:
     # forwards, backwards, and the same input twice in a row
-    expected = [prox_sup_affine(_simplex_family(a_rows, offsets, 1.0), mu, x)
+    expected = [SupAffineFamily(a_rows, offsets, 1.0).prox_detailed(mu, x)
                 for mu, x in inputs]
-    fam = _simplex_family(a_rows, offsets, 1.0)
+    fam = SupAffineFamily(a_rows, offsets, 1.0)
     order = list(range(len(inputs)))
     for i in order + order[::-1] + [i for i in order for _ in range(2)]:
-        y, c, it = prox_sup_affine(fam, *inputs[i])
+        y, c, it = fam.prox_detailed(*inputs[i])
         y0, c0, it0 = expected[i]
         assert np.array_equal(y, y0) and np.array_equal(c, c0) and it == it0
 
@@ -461,11 +456,11 @@ def test_sup_affine_active_set_steps_near_the_anchors_centre():
     rng = np.random.default_rng(20240821)
     steps = []
     for _ in range(40):
-        fam = _simplex_family(rng.uniform(-1.0, 1.0, (10, 3)),
+        fam = SupAffineFamily(rng.uniform(-1.0, 1.0, (10, 3)),
                               rng.uniform(-1.0, 1.0, 10), 1.0)
         for _ in range(5):
             mu = rng.uniform(0.05, 0.45)
-            steps.append(prox_sup_affine(fam, mu, rng.uniform(-0.3, 0.3, 3))[2])
+            steps.append(fam.prox_detailed(mu, rng.uniform(-0.3, 0.3, 3))[2])
     assert np.mean(steps) <= 3
     assert max(steps) <= 10
 
@@ -486,9 +481,9 @@ def test_sup_affine_active_set_takes_the_top_vertex_without_a_solve(monkeypatch)
     # scenario 0 tops w = gamma (A x / s + b) by far, so c = e_0 is the
     # maximizer, certified in one step with no bordered solve
     solves = _counting_solves(monkeypatch)
-    fam = _simplex_family(np.eye(2), np.array([5.0, 0.0]), 1.0)
+    fam = SupAffineFamily(np.eye(2), np.array([5.0, 0.0]), 1.0)
     mu, x = 0.2, np.zeros(2)
-    y, c, iterations = prox_sup_affine(fam, mu, x)
+    y, c, iterations = fam.prox_detailed(mu, x)
     assert iterations == 1 and not solves
     assert np.array_equal(c, [1.0, 0.0])
     assert np.array_equal(y, (x - mu * np.array([1.0, 0.0])) / (1.0 - 2.0 * mu))
@@ -522,10 +517,10 @@ def test_sup_affine_active_set_certifies_collinear_scenarios():
     # system is singular; a solve that dropped every negative weight at once
     # lost the added index 2 again and left the answer to FISTA (10
     # iterations), where stepping to the first zero certifies it
-    fam = _simplex_family(np.array([[1.5], [-1.0], [1.0], [1.0]]),
+    fam = SupAffineFamily(np.array([[1.5], [-1.0], [1.0], [1.0]]),
                           np.array([-0.5, 0.5, 0.5, -0.75]), 1.0)
     x = np.array([0.5])
-    y, c, iterations = prox_sup_affine(fam, 0.4, x)
+    y, c, iterations = fam.prox_detailed(0.4, x)
     assert np.array_equal(c, [0.0, 0.0, 1.0, 0.0])
     assert iterations <= 8  # 2N: the active set's share of the budget
     # seeded collinear draws in R^1 on a half-integer grid, where duplicate
@@ -537,8 +532,8 @@ def test_sup_affine_active_set_certifies_collinear_scenarios():
         offsets = rng.integers(-4, 5, n) / 4
         x = rng.integers(-4, 5, 1) / 2
         mu = float(rng.choice([0.1, 0.2, 0.3, 0.4]))
-        fam = _simplex_family(rows, offsets, 1.0)
-        y, c, iterations = prox_sup_affine(fam, mu, x)
+        fam = SupAffineFamily(rows, offsets, 1.0)
+        y, c, iterations = fam.prox_detailed(mu, x)
         assert iterations <= 2 * n and c.min() >= 0.0
         sum_dev, spread, excess, eps = _simplex_kkt_residuals(fam, mu, x, c)
         assert sum_dev <= 1e-12 and spread <= eps and excess <= eps
@@ -548,13 +543,13 @@ def test_sup_affine_family_holds_nothing_of_size_n_squared():
     # N = 3000 scenarios in R^2: a dense A A^T would take 72 MB; the family
     # keeps O(N d) arrays, and a prox allocates a small multiple of N d
     n = 3000
-    fam = _simplex_family(np.random.default_rng(23).uniform(-1.0, 1.0, (n, 2)),
+    fam = SupAffineFamily(np.random.default_rng(23).uniform(-1.0, 1.0, (n, 2)),
                           np.zeros(n), 1.0)
     arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
     assert arrays and max(a.size for a in arrays) <= 2 * n
     tracemalloc.start()
     try:
-        prox_sup_affine(fam, 0.2, np.zeros(2))
+        fam.prox_detailed(0.2, np.zeros(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -566,7 +561,7 @@ def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
     # a support of up to d + 1 = 11 scenarios within its 2N steps, checked
     # here against a dense Gram matrix
     anchors = pvs.random_anchors(10, 2000, 47)
-    fam = _simplex_family(2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0)
+    fam = SupAffineFamily(2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0)
     certified = []
     certify = prox_module._simplex_kkt_certified
 
@@ -577,7 +572,7 @@ def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
     monkeypatch.setattr(prox_module, "_simplex_kkt_certified", recorded)
     rng = np.random.default_rng(24)
     mu, x = 0.4, anchors.mean(axis=0) + rng.uniform(-0.01, 0.01, 10)
-    _, c, iterations = prox_sup_affine(fam, mu, x)
+    _, c, iterations = fam.prox_detailed(mu, x)
     assert certified[-1] and iterations <= 2 * anchors.shape[0]
     assert 1 < np.count_nonzero(c) <= 11 and c.min() >= 0.0
     s = 1.0 - 2.0 * mu
@@ -593,13 +588,13 @@ def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
 def test_sup_affine_active_set_falls_back_to_fista():
     # gamma = 1/L scales w to about -1e40, which absorbs m c: c = (1, 0)
     # fails the fixed-point test, and no scenario violates, so the active
-    # set gives up after one step and FISTA's answer is the wrapped
-    # projector's, bit for bit
-    fam = _simplex_family(np.array([[-7.2e-40], [0.0]]),
+    # set gives up after one step and FISTA's answer is the simplex pair's,
+    # bit for bit
+    fam = SupAffineFamily(np.array([[-7.2e-40], [0.0]]),
                           np.array([-7.2e-40, -7.2e-40]), 0.25)
     x = np.zeros(1)
-    y, c, iterations = prox_sup_affine(fam, 0.1, x)
-    y_ref, c_ref, iterations_ref = prox_sup_affine(_fista_only(fam, fam.tol), 0.1, x)
+    y, c, iterations = fam.prox_detailed(0.1, x)
+    y_ref, c_ref, iterations_ref = _fista_only(fam, fam.tol).prox_detailed(0.1, x)
     assert np.array_equal(y, y_ref) and np.array_equal(c, c_ref)
     assert iterations == iterations_ref + 1
 
@@ -622,40 +617,68 @@ def test_simplex_kkt_certificate_rejects_small_violations():
 def test_sup_affine_rejects_non_finite_input():
     # a NaN offset surfaced only at the first prox, inside project_simplex;
     # a non-finite prox argument is rejected before the active set steps
-    fam = _simplex_family(np.eye(3), np.zeros(3), 1.0)
+    fam = SupAffineFamily(np.eye(3), np.zeros(3), 1.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="offsets"):
-            _simplex_family(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
+            SupAffineFamily(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
         with pytest.raises(DomainError, match="finite"):
-            prox_sup_affine(fam, 0.2, np.array([0.0, bad, 1.0]))
+            fam.prox_detailed(0.2, np.array([0.0, bad, 1.0]))
     # |A|^2 overflows, though every row is finite
     with pytest.raises(DomainError, match="finite"):
-        _simplex_family(np.array([[1e300], [0.0]]), np.zeros(2), 1.0)
+        SupAffineFamily(np.array([[1e300], [0.0]]), np.zeros(2), 1.0)
     # x is finite, but A x overflows: rejected without a warning before
     # either path, the active set or FISTA behind a box projector
     rows, x = np.array([[1e150], [0.0]]), np.array([1e200])
-    box = SupAffineFamily(rows, np.zeros(2), 1.0, lambda c: np.clip(c, 0.0, 1.0),
-                          support_max=lambda v: float(np.maximum(v, 0.0).sum()))
-    for big in (_simplex_family(rows, np.zeros(2), 1.0), box):
+    box = SupAffineFamily(rows, np.zeros(2), 1.0,
+                          (lambda c: np.clip(c, 0.0, 1.0),
+                           lambda v: float(np.maximum(v, 0.0).sum())))
+    for big in (SupAffineFamily(rows, np.zeros(2), 1.0), box):
         with pytest.raises(DomainError, match="finite"):
-            prox_sup_affine(big, 0.2, x)
+            big.prox_detailed(0.2, x)
 
 
 def test_sup_affine_rejects_an_overflowing_prox_point():
     # w stays finite (A = 0), but y = (x - mu A^T c) / s overflows: a
     # DomainError from both the active set and FISTA, not a RuntimeWarning
     rows, x = np.zeros((2, 1)), np.array([1e308])
-    box = SupAffineFamily(rows, np.zeros(2), 1.0, lambda c: np.clip(c, 0.0, 1.0),
-                          support_max=lambda v: float(np.maximum(v, 0.0).sum()))
-    for fam in (_simplex_family(rows, np.zeros(2), 1.0), box):
+    box = SupAffineFamily(rows, np.zeros(2), 1.0,
+                          (lambda c: np.clip(c, 0.0, 1.0),
+                           lambda v: float(np.maximum(v, 0.0).sum())))
+    for fam in (SupAffineFamily(rows, np.zeros(2), 1.0), box):
         with pytest.raises(DomainError, match="prox point"):
             fam.prox(0.25, x)
 
 
 def test_sup_affine_mu_domain():
-    fam = _simplex_family(np.array([[1.0]]), np.zeros(1), 2.0)  # rho = 4
+    fam = SupAffineFamily(np.array([[1.0]]), np.zeros(1), 2.0)  # rho = 4
     with pytest.raises(DomainError):
-        prox_sup_affine(fam, 0.25, np.array([0.0]))
+        fam.prox_detailed(0.25, np.array([0.0]))
+
+
+def test_sup_affine_default_ambiguity_is_the_simplex():
+    # the dispersion shape, 10 anchors in R^3: the default and the
+    # simplex's own pair agree on the value bit for bit and on the prox
+    # point, but only the default takes the active set (at most 2N steps);
+    # the pair runs FISTA, which takes more
+    anchors = pvs.random_anchors(3, 10, 47)
+    a_rows, offsets = 2.0 * anchors, -(anchors * anchors).sum(axis=1)
+    simplex = SupAffineFamily(a_rows, offsets, 1.0)
+    pair = SupAffineFamily(a_rows, offsets, 1.0, (project_simplex, np.max), tol=1e-13)
+    rng = np.random.default_rng(25)
+    for _ in range(12):
+        mu, x = rng.uniform(0.05, 0.45), anchors.mean(axis=0) + rng.uniform(-0.5, 0.5, 3)
+        assert simplex.value(x) == pair.value(x)
+        y, _, steps = simplex.prox_detailed(mu, x)
+        y_pair, _, iterations = pair.prox_detailed(mu, x)
+        assert np.abs(y - y_pair).max() <= 1e-9
+        assert steps <= 2 * 10 < iterations
+
+
+def test_sup_affine_rejects_a_malformed_ambiguity_when_built():
+    for bad in (project_simplex, (project_simplex,), [project_simplex, np.max],
+                (project_simplex, np.max, np.max), (project_simplex, "max"), "simplex"):
+        with pytest.raises(DomainError, match="ambiguity"):
+            SupAffineFamily(np.eye(2), np.zeros(2), 1.0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +728,19 @@ def test_prox_scad_matches_scalar_oracle():
     for x in (-3.1, -1.6, 0.4, 2.2, 3.5):
         ref = oracles.brute_force_prox(SCAD.value, 0.5, np.array([x]), spec)
         assert abs(SCAD.prox(0.5, x) - ref[0]) < 1e-8
+
+
+def test_prox_scad_on_any_shape():
+    # entrywise, as the other scalar penalties: each entry as its own scalar
+    # call, bit for bit, where a (2, 3) input raised IndexError and a (2, 2)
+    # one came back with shape (2, 2, 2)
+    rng = np.random.default_rng(26)
+    for shape in ((), (5,), (2, 2), (2, 3)):
+        y = rng.uniform(-4.0, 4.0, shape)
+        out = SCAD.prox(0.5, y)
+        assert np.shape(out) == shape
+        expect = [SCAD.prox(0.5, float(t)) for t in np.ravel(y)]
+        assert np.array_equal(np.reshape(out, -1), expect)
 
 
 def test_prox_scad_domain():

@@ -32,17 +32,16 @@ from pvsmooth.prox import (
     SupAffineFamily,
     SupQuadraticFamily,
     TukeyPenalty,
-    simplex_support_max,
 )
 
 DIM = 6
 
 
-def _sup_affine(projector):
+def _sup_affine(ambiguity=None):
     rng = np.random.default_rng(5)
     return SupAffineFamily(
         rng.uniform(-1.0, 1.0, (4, DIM)), rng.uniform(-1.0, 1.0, 4), sigma=1.0,
-        project_ambiguity=projector, support_max=simplex_support_max,
+        ambiguity=ambiguity,
     )
 
 
@@ -57,8 +56,8 @@ PROX_TERMS = {
         np.linspace(-1.0, 1.0, DIM).reshape(3, 2)),
     "sup_quadratic_scalar_blocks": lambda: SupQuadraticFamily(
         np.linspace(-0.5, 1.5, DIM).reshape(DIM, 1)),
-    "sup_affine_simplex": lambda: _sup_affine(project_simplex),
-    "sup_affine_wrapped": lambda: _sup_affine(lambda c: project_simplex(c)),
+    "sup_affine_simplex": _sup_affine,
+    "sup_affine_pair": lambda: _sup_affine((project_simplex, np.max)),
     "l1": lambda: L1Penalty(0.4),
     "mcp": lambda: MCPPenalty(0.5, 2.0),
     "scad": lambda: SCADPenalty(0.5, 3.7),

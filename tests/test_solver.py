@@ -336,10 +336,10 @@ def seeded_direct_dispersion(max_iter=None):
                                  constraint_matrix=np.ones((1, 3)))
     prob = build_max_dispersion_direct(inst)
     if max_iter is not None:
-        # the active set needs at most 2 steps per prox on this run; a
-        # wrapped projector keeps plain FISTA, whose 50-step budget runs out
-        # partway through
-        prob.g.project_ambiguity = lambda c: project_simplex(c)
+        # the active set needs at most 2 steps per prox on this run; the
+        # simplex given as a pair runs plain FISTA, whose 50-step budget
+        # runs out partway through
+        prob.g.ambiguity = (project_simplex, np.max)
         prob.g.max_iter = max_iter
     return prob, subspace_start(prob.subspace, 3)
 
