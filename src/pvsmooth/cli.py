@@ -51,33 +51,63 @@ from .problems import (
 from .prox import L1Penalty
 from .solver import SolverConfig, run_pvs, run_pvs_epochs, theorem_bound_margins
 
-TRACE_HEADER = "k,mu,gamma,objective,proj_grad_norm,prox_residual,elapsed_s"
+# the trace's columns, as attributes of IterateTrace; the CSV adds elapsed_s
+_TRACE_COLUMNS = ("k", "mu", "gamma", "objective", "proj_grad_norm", "prox_residual")
+TRACE_HEADER = ",".join(_TRACE_COLUMNS + ("elapsed_s",))
 
-_KNOWN_KEYS = {
-    "problem", "formulation", "algorithm", "n", "N", "alpha", "C", "lambda",
-    "radius", "epsilon", "stop_step_norm", "max_iter", "seed", "R",
-    "trace_file", "summary_file",
+_REQUIRED = object()  # the default of a field that has none
+# field -> (kind, default).  A kind is "int", "number", "str", "rows" (the
+# constraint matrix R) or a tuple of the allowed values.
+_FIELDS = {
+    "problem": (("max-dispersion", "dro", "lasso"), _REQUIRED),
+    "formulation": (("direct", "product"), "direct"),
+    "algorithm": (("pvs", "pvs-epochs"), "pvs"),
+    "n": ("int", _REQUIRED),
+    "N": ("int", _REQUIRED),
+    "alpha": ("number", _REQUIRED),
+    "C": ("number", _REQUIRED),
+    "lambda": ("number", None),
+    "radius": ("number", 1.0),
+    "epsilon": ("number", None),
+    "stop_step_norm": ("number", 1e-5),
+    "max_iter": ("int", _REQUIRED),
+    "seed": ("int", _REQUIRED),
+    "R": ("rows", None),
+    "trace_file": ("str", "trace.csv"),
+    "summary_file": ("str", "summary.json"),
 }
-_PROBLEMS = ("max-dispersion", "dro", "lasso")
-_FORMULATIONS = ("direct", "product")
-_ALGORITHMS = ("pvs", "pvs-epochs")
 
 
-def _as_number(cfg, key, required=False, default=None, integer=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError("missing required field %r" % key)
-        return default
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError("field %r must be a number" % key)
-    if not math.isfinite(v):
-        raise ConfigError("field %r must be finite" % key)
-    if integer:
-        if int(v) != v:
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _field(key, value, kind, n):
+    """Config field ``key``'s ``value``, checked against its kind; R's rows have length n."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError("field %r must be one of %s" % (key, kind))
+    elif kind == "str":
+        if not isinstance(value, str):
+            raise ConfigError("field %r must be a string" % key)
+    elif kind == "rows":
+        if value is None:  # as if absent: the whole space
+            return None
+        if not (isinstance(value, list) and value
+                and all(isinstance(row, list) for row in value)):
+            raise ConfigError("field 'R' must be a nonempty list of rows")
+        if any(len(row) != n for row in value):
+            raise ConfigError("rows of 'R' must all have length n")
+        if not all(_is_number(v) for row in value for v in row):
+            raise ConfigError("field 'R' must contain numbers")
+        return np.asarray(value, dtype=float)
+    elif not (_is_number(value) and math.isfinite(value)):
+        raise ConfigError("field %r must be a finite number" % key)
+    elif kind == "int":
+        if int(value) != value:
             raise ConfigError("field %r must be an integer" % key)
-        v = int(v)
-    return v
+        return int(value)
+    return value
 
 
 def load_config(path):
@@ -91,52 +121,19 @@ def load_config(path):
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    unknown = sorted(set(cfg) - set(_FIELDS))
     if unknown:
         raise ConfigError("unknown config fields: %s" % ", ".join(unknown))
 
     out = {}
-    out["problem"] = cfg.get("problem")
-    if out["problem"] not in _PROBLEMS:
-        raise ConfigError("field 'problem' must be one of %s" % (_PROBLEMS,))
-    out["formulation"] = cfg.get("formulation", "direct")
-    if out["formulation"] not in _FORMULATIONS:
-        raise ConfigError("field 'formulation' must be one of %s" % (_FORMULATIONS,))
-    out["algorithm"] = cfg.get("algorithm", "pvs")
-    if out["algorithm"] not in _ALGORITHMS:
-        raise ConfigError("field 'algorithm' must be one of %s" % (_ALGORITHMS,))
-    out["n"] = _as_number(cfg, "n", required=True, integer=True)
-    out["N"] = _as_number(cfg, "N", required=True, integer=True)
-    out["alpha"] = _as_number(cfg, "alpha", required=True)
-    out["C"] = _as_number(cfg, "C", required=True)
-    out["lambda"] = _as_number(cfg, "lambda", default=None)
-    out["radius"] = _as_number(cfg, "radius", default=1.0)
-    out["epsilon"] = _as_number(cfg, "epsilon", default=None)
-    out["stop_step_norm"] = _as_number(cfg, "stop_step_norm", default=1e-5)
-    out["max_iter"] = _as_number(cfg, "max_iter", required=True, integer=True)
-    out["seed"] = _as_number(cfg, "seed", required=True, integer=True)
+    for key, (kind, default) in _FIELDS.items():
+        if key not in cfg and default is _REQUIRED:
+            raise ConfigError("missing required field %r" % key)
+        out[key] = _field(key, cfg[key], kind, out.get("n")) if key in cfg else default
     if out["algorithm"] == "pvs-epochs" and out["epsilon"] is None:
         raise ConfigError("algorithm 'pvs-epochs' needs field 'epsilon'")
     if out["problem"] != "lasso" and out["lambda"] is None:
         raise ConfigError("%s needs field 'lambda'" % out["problem"])
-
-    R = cfg.get("R")
-    if R is not None:
-        if (not isinstance(R, list) or not R
-                or not all(isinstance(row, list) for row in R)):
-            raise ConfigError("field 'R' must be a nonempty list of rows")
-        widths = {len(row) for row in R}
-        if len(widths) != 1 or widths.pop() != out["n"]:
-            raise ConfigError("rows of 'R' must all have length n")
-        try:
-            R = np.asarray(R, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("field 'R' must contain numbers")
-    out["R"] = R
-    out["trace_file"] = cfg.get("trace_file", "trace.csv")
-    out["summary_file"] = cfg.get("summary_file", "summary.json")
-    if not isinstance(out["trace_file"], str) or not isinstance(out["summary_file"], str):
-        raise ConfigError("output file names must be strings")
     return out
 
 
@@ -179,28 +176,12 @@ def build_from_config(cfg):
     return problem, x1
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def write_trace_csv(trace, path):
     """Serialize a trace; elapsed_s is zeroed for byte-reproducibility."""
-    lines = [TRACE_HEADER]
-    for i in range(len(trace)):
-        lines.append(
-            "%d,%s,%s,%s,%s,%s,%s"
-            % (
-                trace.k[i],
-                _fmt(trace.mu[i]),
-                _fmt(trace.gamma[i]),
-                _fmt(trace.objective[i]),
-                _fmt(trace.proj_grad_norm[i]),
-                _fmt(trace.prox_residual[i]),
-                _fmt(0.0),
-            )
-        )
+    rows = zip(*(getattr(trace, c) for c in _TRACE_COLUMNS))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(TRACE_HEADER + "\n")
+        fh.writelines("%d,%r,%r,%r,%r,%r,0.0\n" % row for row in rows)
 
 
 def _margins_hold(trace, gm, pm):
@@ -210,10 +191,8 @@ def _margins_hold(trace, gm, pm):
 
 
 def write_summary_json(problem, trace, path):
-    if trace.final_x is None:
-        final_objective = None
-        bounds_ok = None
-    else:
+    final_objective = bounds_ok = None
+    if trace.final_x is not None:
         final_objective = problem.objective(trace.final_x)
         gm, pm, _ = theorem_bound_margins(problem, trace)
         bounds_ok = None if gm is None else _margins_hold(trace, gm, pm)

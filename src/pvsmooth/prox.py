@@ -547,9 +547,11 @@ class SCADPenalty(ProxFunction):
     """Smoothly clipped absolute deviation (Fan-Li 2001) with weight lam and
     shape theta > 2.
 
-    It is 1/(theta - 1)-weakly convex.  The penalty has three analytic
-    pieces; each contributes one candidate minimizer of the prox subproblem
-    (clamped into its piece), and the best full objective wins.
+    It is 1/(theta - 1)-weakly convex, so mu < theta - 1 makes the prox
+    subproblem strongly convex and its minimizer a three-piece threshold, as
+    MCP's: sign(y) times (|y| - mu lam)_+ up to |y| = (1 + mu) lam, then
+    ((theta - 1)|y| - mu theta lam) / (theta - 1 - mu) up to theta lam, then
+    |y|.
     """
 
     def __init__(self, lam, theta):
@@ -578,14 +580,10 @@ class SCADPenalty(ProxFunction):
         lam, theta = self.lam, self.theta
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        c1 = np.clip(ay - mu * lam, 0.0, lam)
-        c2 = np.clip(((theta - 1.0) * ay - mu * theta * lam) / (theta - 1.0 - mu),
-                     lam, theta * lam)
-        c3 = np.maximum(ay, theta * lam)
-        cands = np.stack([c1, c2, c3])
-        objs = self._pieces(cands) + (cands - ay) ** 2 / (2.0 * mu)
-        best = np.take_along_axis(cands, objs.argmin(axis=0)[None], axis=0)[0]
-        out = np.sign(y) * best
+        mid = ((theta - 1.0) * ay - mu * theta * lam) / (theta - 1.0 - mu)
+        t = np.where(ay <= (1.0 + mu) * lam, np.maximum(ay - mu * lam, 0.0),
+                     np.where(ay <= theta * lam, mid, ay))
+        out = np.sign(y) * t
         return out if out.ndim else float(out)
 
 

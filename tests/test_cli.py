@@ -6,6 +6,7 @@ import pytest
 
 from pvsmooth import cli
 from pvsmooth.projections import project_simplex
+from pvsmooth.solver import IterateTrace
 
 
 def make_config(**overrides):
@@ -107,6 +108,28 @@ def test_load_config_rejects_bad_constraint_rows(tmp_path):
                      write_config(tmp_path, R=[[1.0, 1.0]])]) == 2
     assert cli.main(["solve", "--config",
                      write_config(tmp_path, R="ones")]) == 2
+    for entry in (True, "1.5"):  # numpy would read both as floats
+        assert cli.main(["solve", "--config",
+                         write_config(tmp_path, R=[[1.0, entry, 0.0, 0.0, 0.0]])]) == 2
+
+
+# a value of the wrong kind for each kind of config field
+WRONG_VALUES = {"int": ["x", 2.5, True], "number": ["x", True], "str": [3], "rows": ["ones"]}
+
+
+def _wrong_fields():
+    for key, (kind, _) in sorted(cli._FIELDS.items()):
+        for value in ["qp"] if isinstance(kind, tuple) else WRONG_VALUES[kind]:
+            yield key, value
+
+
+@pytest.mark.parametrize("key, value", list(_wrong_fields()))
+def test_solve_rejects_a_field_of_the_wrong_kind(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, **{key: value})
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: field %r must " % key)
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_load_config_epochs_needs_epsilon(tmp_path):
@@ -164,6 +187,20 @@ def test_solve_trace_objective_descends_up_to_smoothing_correction(tmp_path):
     lg = 0.5 * np.sqrt(5.0)  # lam * sqrt(n) for the l1 regularizer
     rhs = obj[:-1] - 0.5 * gamma[:-1] * pgn[:-1] ** 2 + (mu[:-1] - mu[1:]) * lg**2
     assert np.all(obj[1:] <= rhs + 1e-8)
+
+
+def test_trace_csv_bytes(tmp_path):
+    # k as an integer, each float as its repr (17 significant digits where
+    # needed), elapsed_s zeroed
+    trace = IterateTrace(1.0 / 3.0, 0.25)
+    trace.append(1, 1.0 / 3.0, 1e-05, 0.1, 2.0, 0.0, 5.5)
+    trace.append(2, 0.25, 1.0 / 3.0, -1e-05, 1e20, 3.0, 9.0)
+    cli.write_trace_csv(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"k,mu,gamma,objective,proj_grad_norm,prox_residual,elapsed_s\n"
+        b"1,0.3333333333333333,1e-05,0.1,2.0,0.0,0.0\n"
+        b"2,0.25,0.3333333333333333,-1e-05,1e+20,3.0,0.0\n"
+    )
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):

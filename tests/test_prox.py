@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -728,6 +729,29 @@ def test_prox_scad_matches_scalar_oracle():
     for x in (-3.1, -1.6, 0.4, 2.2, 3.5):
         ref = oracles.brute_force_prox(SCAD.value, 0.5, np.array([x]), spec)
         assert abs(SCAD.prox(0.5, x) - ref[0]) < 1e-8
+
+
+def _scad_prox_exact(lam, theta, mu, y):
+    """SCAD's three-piece prox in exact rational arithmetic."""
+    lam, theta, mu, y = Fraction(lam), Fraction(theta), Fraction(mu), Fraction(y)
+    t = abs(y)
+    if t <= (1 + mu) * lam:
+        t = max(t - mu * lam, Fraction(0))
+    elif t <= theta * lam:
+        t = ((theta - 1) * t - mu * theta * lam) / (theta - 1 - mu)
+    return t if y >= 0 else -t
+
+
+@pytest.mark.parametrize("lam, theta, mu", [(1.0, 3.0, 0.5), (0.7, 3.7, 0.3), (2.3, 2.2, 1.1)])
+def test_prox_scad_at_its_piece_boundaries(lam, theta, mu):
+    # |y| = mu lam, (1 + mu) lam and theta lam, their negatives and their
+    # float neighbours, where the pieces meet
+    g = SCADPenalty(lam, theta)
+    for edge in (mu * lam, (1.0 + mu) * lam, theta * lam):
+        for t in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+            for y in (float(t), -float(t)):
+                exact = _scad_prox_exact(lam, theta, mu, y)
+                assert abs(Fraction(g.prox(mu, y)) - exact) <= 1e-12 * abs(y)
 
 
 def test_prox_scad_on_any_shape():

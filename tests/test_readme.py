@@ -41,6 +41,6 @@ def test_readme_command_line_lists_match_the_code():
     text = README.read_text()
     table = text[text.index("### solve"):text.index("### verify")]
     fields = re.findall(r"^\| `([^`]+)` ", table, re.M)
-    assert sorted(fields) == sorted(cli._KNOWN_KEYS)
+    assert sorted(fields) == sorted(cli._FIELDS)
     assert sorted(_synopsis("verify", "")) == sorted(_choices("verify", "suite"))
     assert sorted(_synopsis("gen", "--kind ")) == sorted(_choices("gen", "kind"))
