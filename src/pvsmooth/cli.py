@@ -32,7 +32,8 @@ import sys
 import numpy as np
 
 from . import oracles, projections, prox
-from .core import CallableSmooth, IdentityMap, ZeroFunction, matrix_norm_bound
+from .core import (CallableSmooth, IdentityMap, IdentityProjector, ZeroFunction,
+                   matrix_norm_bound)
 from .errors import ConfigError, DomainError, PvsError
 from .penalty import PenaltySchedule, run_penalty
 from .problems import (
@@ -79,7 +80,11 @@ _FIELDS = {
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number numpy can read as a float: no bool, and no integer
+    past the float range, which would overflow in the conversion."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float)
 
 
 def _field(key, value, kind, n):
@@ -441,8 +446,6 @@ def _verify_penalty():
         tuple(lambdas),
         SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=200000, stop_step_norm=1e-10),
     )
-    from .core import IdentityProjector
-
     xs, diag = run_penalty(
         h0, ZeroFunction(), IdentityMap(), IdentityProjector(), ball, sched,
         np.zeros(1),

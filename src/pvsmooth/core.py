@@ -320,9 +320,6 @@ class SubspaceProjector:
     def apply(self, x):
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.apply(x)
-
 
 class IdentityProjector(SubspaceProjector):
     """Projector for V = whole space."""

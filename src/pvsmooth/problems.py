@@ -259,10 +259,12 @@ def subspace_start(projector, dim):
 
 def _seeded_rng(dim, count, seed):
     """numpy's default generator for ``seed``, once the shape and seed pass:
-    :class:`DomainError` unless dim >= 1, count >= 1 and seed >= 0."""
-    if not (dim >= 1 and count >= 1 and seed >= 0):
-        raise DomainError("seeded data needs dim >= 1, count >= 1 and seed >= 0, "
-                          "got dim=%r, count=%r, seed=%r" % (dim, count, seed))
+    :class:`DomainError` unless dim >= 1, count >= 1, seed >= 0 and a
+    (count, dim) array fits numpy's index range."""
+    if not (dim >= 1 and count >= 1 and seed >= 0 and dim * count <= np.iinfo(np.intp).max):
+        raise DomainError("seeded data needs dim >= 1, count >= 1, seed >= 0 and dim * count "
+                          "in numpy's index range, got dim=%r, count=%r, seed=%r"
+                          % (dim, count, seed))
     return np.random.default_rng(seed)
 
 

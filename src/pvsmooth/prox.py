@@ -28,7 +28,7 @@ from .core import ProxFunction, spectral_norm
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError
-from .projections import _project_simplex, project_simplex
+from .projections import _project_simplex
 
 __all__ = [
     "envelope_by_weights",
@@ -149,10 +149,10 @@ class SupQuadraticFamily(ProxFunction):
     mu < 1/2.  With alpha_i = |x_i - c_i|^2 and maximizing weights p, the
     prox has blocks (x_i - 2 mu p_i c_i) / (1 - 2 mu p_i).
 
-    ``prox_and_value`` forms the block differences once and reads f at the
-    prox point from the prox blocks it has just built, the same floats
-    ``value`` computes; ``prox`` is its first half.  A non-finite squared
-    distance raises :class:`DomainError`.
+    ``prox`` forms the block differences once, and ``prox_and_value`` reads
+    f at the prox point from the prox blocks ``prox`` returns, the same
+    floats ``value`` computes.  A non-finite squared distance raises
+    :class:`DomainError`.
     """
 
     rho = 2.0
@@ -198,9 +198,6 @@ class SupQuadraticFamily(ProxFunction):
         return self._weights(mu, self.alphas(x))
 
     def prox(self, mu, x):
-        return self.prox_and_value(mu, x)[0]
-
-    def prox_and_value(self, mu, x):
         self.check_mu(mu)
         blocks = self._blocks(x)
         diff = blocks - self.centers
@@ -211,8 +208,12 @@ class SupQuadraticFamily(ProxFunction):
                 "prox denominators collapsed (min %g)" % float(denom.min())
             )
         out = (blocks - (2.0 * mu) * p[:, None] * self.centers) / denom[:, None]
-        d = out - self.centers
-        return out.ravel(), float(-(d * d).sum(axis=1).min())
+        return out.ravel()
+
+    def prox_and_value(self, mu, x):
+        out = self.prox(mu, x)
+        d = out.reshape(self.centers.shape) - self.centers
+        return out, float(-(d * d).sum(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +299,27 @@ class SupAffineFamily(ProxFunction):
         coef A A^T is taken through the rows of A, never through the N x N
         matrix: memory is O(N d).
 
-        On the default simplex, a primal active set
-        (:func:`_simplex_active_set`) solves this QP exactly and returns the
-        first weights the KKT conditions certify.  For any other
-        ``ambiguity``, the simplex's own pair ``(project_simplex, np.max)``
-        too, or when the active set does not certify within
-        min(``max_iter``, 2N) steps, restarted FISTA (Beck-Teboulle, with
-        O'Donoghue-Candes gradient restart) runs from the projected uniform
-        weights with step 1/L until both the increment |c_{k+1} - c_k| and
-        the gradient-mapping residual |c_{k+1} - z_k| are at most ``tol``;
-        each iteration costs O(N d) plus one projection.  The
-        projected-gradient map is nonexpansive, so the returned c then
-        moves by at most tol under it, and on the simplex the dual gap
-        max(v) - <c, v>, v = A y + b, is at most 2 sqrt(2) L tol.
-        ``max_iter`` caps active-set steps and FISTA iterations together.
+        On the default simplex, where sum c = 1 leaves the dual unchanged
+        by any shift of w, a primal active set (:func:`_simplex_active_set`)
+        solves this QP exactly on w - max(w) and returns the first weights
+        the KKT conditions certify.  For any other ``ambiguity``, the
+        simplex's own pair ``(project_simplex, np.max)`` too, restarted
+        FISTA (Beck-Teboulle, with O'Donoghue-Candes gradient restart) runs
+        from the projected uniform weights with step 1/L until both the
+        increment |c_{k+1} - c_k| and the gradient-mapping residual
+        |c_{k+1} - z_k| are at most ``tol``; each iteration costs O(N d)
+        plus one projection.  The projected-gradient map is nonexpansive,
+        so the returned c then moves by at most tol under it, and on the
+        simplex the dual gap max(v) - <c, v>, v = A y + b, is at most
+        2 sqrt(2) L tol.  Either solver gets the whole ``max_iter`` budget.
         The result depends only on (family, mu, x).
 
         Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
         whose w or y overflows, raises :class:`DomainError`.  Raises
-        :class:`ConvergenceError` when the budget runs out, carrying the
-        last (y, c) and FISTA's last stop residual, or, when FISTA got no
-        iteration, the fixed-point residual |P(c + v) - c| of its projected
-        uniform start.
+        :class:`ConvergenceError`, carrying the last (y, c) and the steps
+        taken, when the active set stops uncertified, with the fixed-point
+        residual |P(c + v) - c| of that c as its residual, or when FISTA
+        runs out of budget, with FISTA's last stop residual.
         """
         self.check_mu(mu)
         x = np.asarray(x, dtype=float)
@@ -333,43 +333,40 @@ class SupAffineFamily(ProxFunction):
         gamma = 1.0 / lip if lip >= _TINY else 1.0
 
         a_rows = self.a_rows
-        n = a_rows.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):  # A x may overflow
             w = gamma * (a_rows @ x / s + self.offsets)
-        scale = float(np.abs(w).max())
-        if not scale < np.inf:  # NaN or inf
+        if not float(np.abs(w).max()) < np.inf:  # NaN or inf
             raise DomainError("the dual gradient w = A x / s + b must be finite")
         coef = gamma * mu / s
-        steps = 0
         if self.ambiguity is None:
-            c, steps = _simplex_active_set(a_rows, coef, w, 1e-12 * max(1.0, scale),
-                                           tol, min(max_iter, 2 * n))
-            if c is not None:
+            w = w - w.max()
+            c, steps, certified = _simplex_active_set(a_rows, coef, w, tol, max_iter)
+            if certified:
                 return _prox_point(x, mu, a_rows, c, s), c, steps
-        project = project_simplex if self.ambiguity is None else self.ambiguity[0]
-        c = project(np.full(n, 1.0 / n))
-        z, t = c, 1.0
-        delta = np.inf
-        for it in range(steps + 1, max_iter + 1):
-            c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
-            diff = c_next - c
-            delta = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
-            if delta <= tol:
-                return _prox_point(x, mu, a_rows, c_next, s), c_next, it
-            if (z - c_next) @ diff > 0.0:
-                z, t = c_next, 1.0
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                z = c_next + ((t - 1.0) / t_next) * diff
-                t = t_next
-            c = c_next
-        if steps == max_iter:  # the active set used the whole budget
-            r = project(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
-            delta = float(np.linalg.norm(r))
+            r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
+            residual = float(np.linalg.norm(r))
+        else:
+            project = self.ambiguity[0]
+            c = project(np.full(a_rows.shape[0], 1.0 / a_rows.shape[0]))
+            z, t = c, 1.0
+            for steps in range(1, max_iter + 1):
+                c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
+                diff = c_next - c
+                residual = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
+                if residual <= tol:
+                    return _prox_point(x, mu, a_rows, c_next, s), c_next, steps
+                if (z - c_next) @ diff > 0.0:
+                    z, t = c_next, 1.0
+                else:
+                    t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                    z = c_next + ((t - 1.0) / t_next) * diff
+                    t = t_next
+                c = c_next
         raise ConvergenceError(
-            "weight iteration did not reach tol=%g in %d iterations" % (tol, max_iter),
-            residual=delta,
-            iterations=max_iter,
+            "weight iteration stopped uncertified after %d of %d iterations (tol=%g)"
+            % (steps, max_iter, tol),
+            residual=residual,
+            iterations=steps,
             best=(_prox_point(x, mu, a_rows, c, s), c),
         )
 
@@ -383,20 +380,19 @@ def _prox_point(x, mu, a_rows, c, s):
     return y
 
 
-def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
+def _simplex_active_set(a_rows, coef, w, tol, max_steps):
     """Maximize <c, w> - (coef / 2) |A^T c|^2 over the simplex by a primal
     active set (Wolfe, Math. Prog. 1976; Nocedal-Wright section 16.5).
 
-    A is ``a_rows`` (N x d).  The support S starts at the top scenario of w.
-    Each step takes the maximizer u on the affine hull of S, which on one
+    A is ``a_rows`` (N x d), and w is shifted to max(w) = 0.  The support S
+    starts at the top scenario of w.  Each step takes the maximizer u on the affine hull of S, which on one
     scenario j is the vertex c = e_j, taken without a solve, and otherwise
     solves the bordered system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1],
     M_SS = coef A_S A_S^T with A_S the rows in S.  Then:
 
     * if u >= 0, c = u.  The scenario with the largest dual gradient
       v = w - coef A (A_S^T u) joins S when it exceeds max v_S by more than
-      eps, the KKT tolerance 1e-12 max(1, max |w|) that
-      :meth:`SupAffineFamily.prox_detailed` passes.  With no such violator, c is
+      eps = 1e-12, the KKT tolerance.  With no such violator, c is
       returned if :func:`_simplex_kkt_certified` certifies it, and
       otherwise the active set gives up;
     * else c moves along u - c_S until its first weight reaches 0, and
@@ -405,10 +401,13 @@ def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
       a direction d with sum d = 0 and M_SS d = 0, signed to ascend.
 
     A step costs O(N d) plus the k x k bordered solve, k = |S|.  Returns
-    ``(c, steps)`` with c None when no step in ``max_steps`` certified.
+    ``(c, steps, certified)``: the last weights, the steps taken, and
+    whether a step within ``max_steps`` certified c.
     """
+    # gamma = 1/L makes coef |A|^2 = 1 (or less), so scenarios that can carry
+    # weight have w_i in [-2, 0] and v on S lies in [-1, 1]: eps is absolute
+    eps = 1e-12
     idx = np.argmax(w)[None]
-    steps = 0
     for steps in range(1, max_steps + 1):
         k = idx.size
         if k == 1:
@@ -457,11 +456,9 @@ def _simplex_active_set(a_rows, coef, w, eps, tol, max_steps):
         j = int(np.argmax(v))
         if v[j] - v[idx].max() > eps:
             idx = np.sort(np.append(idx, j))
-        elif _simplex_kkt_certified(c, v, idx, eps, tol):
-            return c, steps
-        else:
-            break  # no violator left, yet c is not certified
-    return None, steps
+        else:  # no violator left: c is the answer, or the active set gives up
+            return c, steps, _simplex_kkt_certified(c, v, idx, eps, tol)
+    return c, steps, False
 
 
 def _simplex_kkt_certified(c, v, idx, eps, tol):

@@ -335,6 +335,35 @@ def test_solve_rejects_a_bad_shape_or_seed(tmp_path, capsys, overrides):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("C", 10**400, "field 'C' must be a finite number"),
+    ("n", 10**400, "field 'n' must be a finite number"),
+    ("R", [[1, 10**400, 0, 0, 0]], "field 'R' must contain numbers"),
+    # refused before any allocation: 5 * 10**30 entries pass numpy's index range
+    ("N", 10**30, "in numpy's index range"),
+])
+def test_solve_rejects_a_number_too_large_for_the_program(tmp_path, capsys, key, value,
+                                                          message):
+    # json writes and reads integers of any size; past the float range they
+    # overflow in the conversion, and past the index range in the allocation
+    assert cli.main(["solve", "--config", write_config(tmp_path, **{key: value}),
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--n", "--N"])
+@pytest.mark.parametrize("kind", ["max-dispersion", "dro-affine", "lasso"])
+def test_gen_rejects_a_shape_past_numpys_index_range(tmp_path, capsys, kind, flag):
+    args = {"--kind": kind, "--n": "3", "--N": "4", "--seed": "5", flag: str(10**30)}
+    out = tmp_path / "g.json"
+    assert cli.main(["gen", *itertools.chain(*args.items()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "in numpy's index range" in err
+    assert not out.exists()
+
+
 def test_gen_to_a_missing_directory_is_a_configuration_error(tmp_path, capsys):
     out = tmp_path / "missing" / "g.json"
     assert cli.main(["gen", "--kind", "lasso", "--n", "3", "--N", "4", "--seed", "5",

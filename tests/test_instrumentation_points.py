@@ -68,6 +68,26 @@ def test_builder_problems_expose_traced_attributes(name, R):
         assert callable(getattr(obj, attr, None)), (type(obj).__name__, attr)
 
 
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_smoothed_parts_goes_through_the_instance_prox(name):
+    # the tracer times the prox by setting a wrapper as an instance
+    # attribute; every evaluation must call it once, the product form's
+    # closed-form prox too
+    problem = BUILDS[name](R_SUM)
+    calls = []
+    prox = problem.g.prox
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return prox(*args, **kwargs)
+
+    problem.g.prox = wrapped
+    x = np.full(problem.dim, 0.1)
+    for _ in range(3):
+        problem.smoothed_parts(0.05, x)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("R", [None, R_SUM], ids=["whole-space", "ker-R"])
 def test_direct_dispersion_prox_detailed_counts_inner_work(R):
     # the tracer sums the last entry of prox_detailed as prox.inner_iters

@@ -333,23 +333,31 @@ def test_sup_affine_budget_exhaustion():
     assert c_best.shape == (2,)
 
 
-def test_sup_affine_active_set_shares_the_budget():
+def test_sup_affine_active_set_has_the_whole_budget():
     # w = 0: the active set starts from {0}, adds scenario 1 and certifies
-    # c = (1/2, 1/2) at its second step, which a budget of one step forbids
-    fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0)
-    y, c, iterations = fam.prox_detailed(0.2, np.zeros(1))
+    # c = (1/2, 1/2) at its second step; with one step it stops at the
+    # vertex (1, 0) and raises, carrying that c, its prox point and its
+    # fixed-point residual
+    fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0, max_iter=2)
+    mu, x = 0.2, np.zeros(1)
+    y, c, iterations = fam.prox_detailed(mu, x)
     assert iterations == 2 and np.array_equal(c, [0.5, 0.5])
     fam.max_iter = 1
-    with pytest.raises(ConvergenceError) as exc:
-        fam.prox_detailed(0.2, np.zeros(1))
+    with pytest.raises(ConvergenceError, match="uncertified after 1 of 1 iterations") as exc:
+        fam.prox_detailed(mu, x)
     err = exc.value
     assert err.iterations == 1
     y_best, c_best = err.best
-    assert y_best.shape == (1,)
-    # FISTA got no iteration; the carried projected uniform weights are
-    # optimal here, and the residual is their fixed-point residual, not inf
-    assert np.array_equal(c_best, [0.5, 0.5])
-    assert 0.0 <= err.residual <= fam.tol
+    assert np.array_equal(c_best, [1.0, 0.0])
+    s = 1.0 - 2.0 * mu
+    assert np.array_equal(y_best, (x - mu * (fam.a_rows.T @ c_best)) / s)
+    # gamma = 1/L = s / (mu |A|^2) and coef = gamma mu / s = 1/8
+    gamma = s / (mu * fam.gram_norm)
+    v = gamma * (fam.a_rows @ x / s) - (gamma * mu / s) * (
+        fam.a_rows @ (fam.a_rows.T @ c_best))
+    residual = np.linalg.norm(project_simplex(c_best + v) - c_best)
+    assert abs(err.residual - residual) <= 1e-15
+    assert abs(residual - np.sqrt(0.5)) <= 1e-15
 
 
 def test_sup_affine_budget_and_tolerance_validation():
@@ -523,7 +531,7 @@ def test_sup_affine_active_set_certifies_collinear_scenarios():
     x = np.array([0.5])
     y, c, iterations = fam.prox_detailed(0.4, x)
     assert np.array_equal(c, [0.0, 0.0, 1.0, 0.0])
-    assert iterations <= 8  # 2N: the active set's share of the budget
+    assert iterations <= 8  # 2N, far inside the max_iter budget
     # seeded collinear draws in R^1 on a half-integer grid, where duplicate
     # and parallel rows are common
     rng = np.random.default_rng(0)
@@ -559,7 +567,7 @@ def test_sup_affine_family_holds_nothing_of_size_n_squared():
 
 def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
     # 2000 anchors in R^10, x near their centre: the active set certifies
-    # a support of up to d + 1 = 11 scenarios within its 2N steps, checked
+    # a support of up to d + 1 = 11 scenarios within 2N steps, checked
     # here against a dense Gram matrix
     anchors = pvs.random_anchors(10, 2000, 47)
     fam = SupAffineFamily(2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0)
@@ -586,18 +594,48 @@ def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
     assert top - v[live].min() <= eps and v[~live].max() - top <= eps
 
 
-def test_sup_affine_active_set_falls_back_to_fista():
-    # gamma = 1/L scales w to about -1e40, which absorbs m c: c = (1, 0)
-    # fails the fixed-point test, and no scenario violates, so the active
-    # set gives up after one step and FISTA's answer is the simplex pair's,
-    # bit for bit
+def test_sup_affine_active_set_certifies_the_absorbed_case():
+    # gamma = 1/L scales w to about -1e40; on the unshifted w the O(1)
+    # quadratic term rounds away and c = (1, 0) fails the fixed-point test.
+    # On w - max(w) = (0, 0) the dual gradient at c = (1, 0) is (-1, 0), so
+    # scenario 1 joins, and the active set certifies c = (0, 1), whose prox
+    # point is exactly 0
     fam = SupAffineFamily(np.array([[-7.2e-40], [0.0]]),
                           np.array([-7.2e-40, -7.2e-40]), 0.25)
     x = np.zeros(1)
     y, c, iterations = fam.prox_detailed(0.1, x)
-    y_ref, c_ref, iterations_ref = _fista_only(fam, fam.tol).prox_detailed(0.1, x)
-    assert np.array_equal(y, y_ref) and np.array_equal(c, c_ref)
-    assert iterations == iterations_ref + 1
+    assert iterations == 2
+    assert np.array_equal(c, [0.0, 1.0]) and np.array_equal(y, [0.0])
+    y_ref, _, _ = _fista_only(fam, fam.tol).prox_detailed(0.1, x)
+    assert np.abs(y - y_ref).max() <= 1e-9
+
+
+def test_sup_affine_active_set_certifies_every_scale_of_slopes():
+    # slopes scaled by 10^-k, k in 0..60, blow w = gamma (A x / s + b) up
+    # to 1e120; half the families also carry offsets 10^-15 to 10^-1 apart.
+    # Every call certifies on the shifted dual gradient with eps = 1e-12
+    rng = np.random.default_rng(26)
+    for i in range(2000):
+        n, dim = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        rows = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** -int(rng.integers(0, 61))
+        offsets = rng.uniform(-1.0, 1.0, n)
+        if i % 2:
+            offsets = offsets[0] + rng.uniform(-1.0, 1.0, n) * 10.0 ** -int(
+                rng.integers(1, 16))
+        sigma = rng.uniform(0.25, 2.0)
+        mu, x = rng.uniform(0.05, 0.9) / (2.0 * sigma), rng.uniform(-1.0, 1.0, dim)
+        fam = SupAffineFamily(rows, offsets, sigma)
+        _, c, _ = fam.prox_detailed(mu, x)
+        assert c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
+        s = 1.0 - 2.0 * sigma * mu
+        lip = mu * fam.gram_norm / s
+        gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+        w = gamma * (rows @ x / s + offsets)
+        v = (w - w.max()) - (gamma * mu / s) * (rows @ (rows.T @ c))
+        live = c > 0.0
+        top = v[live].max()
+        assert top - v[live].min() <= 1e-12
+        assert v[~live].max(initial=-np.inf) - top <= 1e-12
 
 
 def test_simplex_kkt_certificate_rejects_small_violations():
