@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import oracles, projections, prox
+from . import core, oracles, projections, prox
 from .core import (CallableSmooth, IdentityMap, IdentityProjector, ZeroFunction,
                    matrix_norm_bound)
 from .errors import ConfigError, DomainError, PvsError
@@ -425,9 +425,16 @@ def _verify_bounds():
     # shares nothing with the Gram matrix the bound is read from
     rng = np.random.default_rng(20240822)
     low_rank = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 40))
+    # the power start is orthogonal to this one's top right singular vector,
+    # so the estimate settles on the second singular value, the Cholesky
+    # certificate fails and the eigensolve fallback gives the bound
+    start = np.random.default_rng(core._POWER_SEED).standard_normal(8)
+    basis = np.random.default_rng(20240823).standard_normal((8, 8))
+    basis[:, 0] -= (basis[:, 0] @ start) / (start @ start) * start
+    hidden_top = (np.linalg.qr(basis)[0][:, :6] * [2.0, 1.0, 0.5, 0.25, 0.1, 0.05]).T
     worst, ok = 0.0, True
     for mat in (rng.standard_normal((20, 60)), rng.standard_normal((60, 20)),
-                low_rank, low_rank.T):
+                low_rank, low_rank.T, hidden_top):
         norm = float(np.linalg.norm(mat, 2))
         ratio = matrix_norm_bound(mat) / norm
         ok &= 1.0 <= ratio <= 1.01 * (1.0 + 1e-12)

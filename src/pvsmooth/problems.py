@@ -228,12 +228,14 @@ class LassoInstance:
 
 def build_constrained_lasso(inst):
     h = QuadraticLoss(inst.design, inst.target)
-    n = np.atleast_2d(np.asarray(inst.design, dtype=float)).shape[1]
+    n = h.design.shape[1]
+    a_map = IdentityMap() if inst.inner_matrix is None else MatrixMap(inst.inner_matrix)
     g = inst.regularizer
     if isinstance(g, L1Penalty) and g.lipschitz is None:
-        # record L_g = lam sqrt(n) so the decay-bound diagnostics apply
-        g = L1Penalty(g.lam, lipschitz=g.lam * np.sqrt(n))
-    a_map = IdentityMap() if inst.inner_matrix is None else MatrixMap(inst.inner_matrix)
+        # record L_g = lam sqrt(m), m = dim of the space g acts on (the rows
+        # of the inner matrix, else n), so the decay-bound diagnostics apply
+        m = n if inst.inner_matrix is None else a_map.mat.shape[0]
+        g = L1Penalty(g.lam, lipschitz=g.lam * np.sqrt(m))
     subspace = _kernel_subspace(inst.constraint_matrix)
     return CompositeProblem(h, g, a_map, subspace, f_star=inst.f_star, dim=n)
 

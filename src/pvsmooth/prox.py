@@ -397,8 +397,9 @@ def _simplex_active_set(a_rows, coef, w, tol, max_steps):
       otherwise the active set gives up;
     * else c moves along u - c_S until its first weight reaches 0, and
       only that scenario leaves S; when the system is singular
-      (``LinAlgError``, or u - c_S does not ascend), c moves instead along
-      a direction d with sum d = 0 and M_SS d = 0, signed to ascend.
+      (``LinAlgError``, or u - c_S does not ascend and M_SS has a null
+      direction within eps on {sum d = 0}), c moves instead along a
+      direction d with sum d = 0 and M_SS d = 0, signed to ascend.
 
     A step costs O(N d) plus the k x k bordered solve, k = |S|.  Returns
     ``(c, steps, certified)``: the last weights, the steps taken, and
@@ -432,16 +433,19 @@ def _simplex_active_set(a_rows, coef, w, tol, max_steps):
                 c_s = c[idx]
                 # the dual gradient on S, less max w_S
                 g = rhs[:k] - kkt[:k, :k] @ c_s
-                if u is None or (u - c_s) @ (g - g.mean()) < 0.0:
+                direction = None if u is None else u - c_s
+                if u is None or direction @ (g - g.mean()) < 0.0:
                     # d = (y, -sum y) spans {sum d = 0}; the least singular
-                    # vector y of M_SS [I; -1^T] makes M_SS d vanish
+                    # vector y of M_SS [I; -1^T] makes M_SS d vanish.  With
+                    # no such d (least singular value above eps) the system
+                    # is regular, u ~ c_S, and u - c_S misses ascent only by
+                    # rounding: it stays, and drops a zero weight
                     mz = kkt[:k, :k - 1] - kkt[:k, k - 1:k]
-                    y = np.linalg.svd(mz)[2][-1]
-                    direction = np.append(y, -y.sum())
-                    if direction @ g < 0.0:
-                        direction = -direction
-                else:
-                    direction = u - c_s
+                    _, sing, vt = np.linalg.svd(mz)
+                    if u is None or sing[-1] <= eps:
+                        direction = np.append(vt[-1], -vt[-1].sum())
+                        if direction @ g < 0.0:
+                            direction = -direction
                 down = np.flatnonzero(direction < 0.0)
                 ratio = c_s[down] / -direction[down]
                 r = int(np.argmin(ratio))

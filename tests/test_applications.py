@@ -354,6 +354,21 @@ def test_lasso_builder_wires_l1_lipschitz_and_f_star():
     assert build_constrained_lasso(LassoInstance(design, target, reg)).g.lipschitz == 7.0
 
 
+def test_lasso_builder_l1_lipschitz_counts_the_inner_matrix_rows():
+    # with an inner matrix T of shape (9, 4), g = lam |.|_1 acts on R^9, so
+    # L_g = lam sqrt(9): lam sqrt(4) would break the prox-residual bound
+    # |y - prox_{mu g}(y)| <= mu L_g that the decay-bound margins rest on
+    design, target = random_lasso_data(4, 6, 17)
+    inner = default_rng(19).standard_normal((9, 4))
+    prob = build_constrained_lasso(
+        LassoInstance(design, target, L1Penalty(0.5), inner_matrix=inner))
+    assert prob.g.lipschitz == 0.5 * 3.0
+    mu, y = 0.1, np.full(9, 10.0)
+    residual = np.linalg.norm(y - prob.g.prox(mu, y))
+    assert residual <= mu * prob.g.lipschitz * (1.0 + 1e-12)
+    assert residual > mu * 0.5 * 2.0
+
+
 def test_lasso_builder_dimension_mismatch():
     design, target = random_lasso_data(5, 8, 31)
     inst = LassoInstance(design, target, L1Penalty(0.1),

@@ -289,11 +289,28 @@ def test_verify_prox_battery_passes(capsys):
     assert "affine prox vs FISTA, 10 scenarios in R^3" in out
 
 
-def test_verify_bounds_passes(capsys):
+def test_verify_bounds_passes(capsys, monkeypatch):
+    # the norm bound check runs both branches of matrix_norm_bound: the
+    # Cholesky certificate holds on the seeded random matrices and fails on
+    # the one whose top singular vector the power start misses
+    outcomes = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(mat):
+        try:
+            factor = cholesky(mat)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
     assert cli.main(["verify", "bounds"]) == 0
     out = capsys.readouterr().out
     assert "stationarity decay bounds" in out and "PASS" in out
     assert "norm bound brackets |A|" in out
+    assert True in outcomes and False in outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ def test_matrix_norm_bound_start_orthogonal_to_top_vector():
         norm = np.linalg.norm(mat, 2)
         assert norm * (1.0 - 1e-12) <= matrix_norm_bound(mat) <= 1.01 * norm * (1.0 + 1e-12)
     assert matrix_norm_bound(a) >= 2.0
+    # a and a[:2] keep the start orthogonal to their top right singular
+    # vector, so the Cholesky certificate fails and the eigensolve fallback
+    # returns the exact norm, bit for bit
+    for mat in (a, a[:2]):
+        assert matrix_norm_bound(mat) == core.spectral_norm(mat)
 
 
 @st.composite
@@ -56,20 +61,52 @@ def _norm_cases(draw):
     return np.ldexp(mat, draw(st.integers(-400, 400)))
 
 
+def _eigvalsh_norm_bound(mat):
+    """matrix_norm_bound with the certificate it had before the Cholesky
+    test: the power estimate on the Gram matrix, maxed with the square root
+    of its top ``eigvalsh`` eigenvalue.  The Cholesky test must return the
+    same float."""
+    mat, exp, peak = core._scaled_to_safe_range(mat)
+    if peak == 0.0:
+        return 0.0
+    gram, wide = core._small_gram(mat)
+    rng = np.random.default_rng(core._POWER_SEED)
+    v = rng.standard_normal(mat.shape[1])
+    v /= np.linalg.norm(v)
+    u = mat @ v if wide else v
+    gu = gram @ u
+    lam = 0.0
+    for _ in range(core._POWER_ITERS):
+        sq = float(u @ gu) if wide else float(gu @ gu)
+        if sq <= 0.0:
+            break
+        u = gu / np.sqrt(sq)
+        gu = gram @ u
+        lam_next = float(u @ u) if wide else float(u @ gu)
+        converged = abs(lam_next - lam) <= core._POWER_TOL * max(1.0, abs(lam_next))
+        lam = lam_next
+        if converged:
+            break
+    estimate = np.sqrt(max(lam, 0.0)) * core._POWER_INFLATE
+    top = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    return float(np.ldexp(max(estimate, top), exp))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_norm_cases())
 def test_matrix_norm_bound_brackets_the_norm(mat):
     norm = np.linalg.norm(mat, 2)
     bound = matrix_norm_bound(mat)
     assert norm * (1.0 - 1e-12) <= bound <= 1.01 * norm * (1.0 + 1e-12)
+    assert bound == _eigvalsh_norm_bound(mat)
 
 
 def _matvec_norm_bound(mat):
     """matrix_norm_bound as power iteration by matvecs with ``mat`` and
     ``mat.T``, maxed with spectral_norm: the reference the Gram-matrix
     iteration must reproduce to roundoff."""
-    mat, exp = core._scaled_to_safe_range(mat)
-    if not mat.any():
+    mat, exp, peak = core._scaled_to_safe_range(mat)
+    if peak == 0.0:
         return 0.0
     rng = np.random.default_rng(core._POWER_SEED)
     v = rng.standard_normal(mat.shape[1])
@@ -97,6 +134,14 @@ def _matvec_norm_bound(mat):
 def test_matrix_norm_bound_matches_the_matvec_iteration(mat):
     ref = _matvec_norm_bound(mat)
     assert abs(matrix_norm_bound(mat) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("variant", range(16))
+def test_matrix_norm_bound_certificate_on_every_lasso_design(variant):
+    # the benchmark's 16 designs: the step sizes, and so the recorded
+    # reference objectives, rest on these floats
+    design, _ = random_lasso_data(2000, 500, variant)
+    assert matrix_norm_bound(design) == _eigvalsh_norm_bound(design)
 
 
 @pytest.mark.parametrize("variant", [0, 11])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -373,12 +374,47 @@ def test_sup_affine_budget_and_tolerance_validation():
 
 def _fista_only(fam, tol):
     """The same family with the simplex given as a pair, which runs plain
-    FISTA, with ten times the default budget.  A reference must converge:
-    where equal slopes carry offsets 6.4e-11 apart, or near-zero slopes
-    offsets 3.7e-13 apart, FISTA drains weight along a flat dual face and
-    needs up to 1.3 million iterations to meet tol = 1e-13."""
+    FISTA, with ten times the default budget."""
     return SupAffineFamily(fam.a_rows, fam.offsets, fam.sigma,
                            (project_simplex, np.max), tol=tol, max_iter=2000000)
+
+
+def _enumerated_simplex_prox(fam, mu, x):
+    """The simplex prox point by enumeration, with no iteration to converge.
+
+    The maximizers c of the dual <c, w> - (coef / 2) |A^T c|^2 share
+    A^T c, and among them a basic solution of the linear program that fixes
+    A^T c has a support S of at most d + 1 scenarios whose columns (a_i, 1)
+    are independent, so its bordered system [M_SS 1; 1^T 0] [u; t] =
+    [w_S; 1], M_SS = coef A_S A_S^T, is nonsingular and gives u = c_S.
+    Every such S gets one solve; the u with the smallest KKT violation
+    (a negative weight, or a dual gradient v = w - coef A A_S^T u above
+    its value on S) gives y = (x - mu A^T c) / s.  Returns ``(y, violation)``.
+    """
+    a_rows = fam.a_rows
+    n_scen, dim = a_rows.shape
+    s = 1.0 - 2.0 * fam.sigma * mu
+    lip = mu * fam.gram_norm / s
+    gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+    w = gamma * (a_rows @ x / s + fam.offsets)
+    w = w - w.max()
+    coef = gamma * mu / s
+    best_u, best_idx, best = None, None, np.inf
+    for k in range(1, min(n_scen, dim + 1) + 1):
+        for idx in map(list, itertools.combinations(range(n_scen), k)):
+            border = np.ones((k + 1, k + 1))
+            border[:k, :k] = coef * (a_rows[idx] @ a_rows[idx].T)
+            border[k, k] = 0.0
+            try:
+                u = np.linalg.solve(border, np.append(w[idx], 1.0))[:k]
+            except np.linalg.LinAlgError:
+                continue
+            with np.errstate(all="ignore"):  # a nearly singular system
+                v = w - coef * (a_rows @ (a_rows[idx].T @ u))
+                violation = max(-u.min(), v.max() - v[idx].max())
+            if violation < best:
+                best_u, best_idx, best = u, idx, violation
+    return (x - mu * (a_rows[best_idx].T @ best_u)) / s, best
 
 
 def _simplex_kkt_residuals(fam, mu, x, c):
@@ -428,11 +464,25 @@ _wide = _rng.uniform(-1.0, 1.0, (9, 2))  # N > d + 1
 @example((np.vstack([np.zeros((2, 2)), _rng.uniform(-1.0, 1.0, (3, 2))]),
           _rng.uniform(-0.2, 0.2, 5), 1.0, 0.3, np.array([0.2, -0.4])))
 @example((_wide, _rng.uniform(-0.5, 0.5, 9), 0.8, 0.4, _rng.uniform(-1.0, 1.0, 2)))
-def test_sup_affine_exact_finish_matches_fista_and_meets_kkt(case):
+# zero rows, and a row (0, 1e-15, 0) whose bordered system solves to
+# u ~ e_6 with weights -2e-16: u - c_S then failed to ascend by rounding
+# alone, and the active set stepped along a least singular vector that was
+# no null direction, back to a support it had left, for all 200,000 steps
+@example((np.array([[-4.17681291e-1, 1.11478060e+0, 3.50088073e-281],
+                    [2e-2, -2.69418118e-1, 0.0],
+                    [0.0, 0.0, 0.0],
+                    [2.5e-1, 0.0, -1.30582202e-1],
+                    [0.0, 0.0, 0.0],
+                    [-2.00459149e-1, 0.0, 0.0],
+                    [0.0, 1e-15, 0.0],
+                    [0.0, -2.91162425e-291, 0.0]]),
+          np.zeros(8), 0.25, 0.1, np.zeros(3)))
+def test_sup_affine_active_set_matches_enumeration_and_meets_kkt(case):
     a_rows, offsets, sigma, mu, x = case
     fam = SupAffineFamily(a_rows, offsets, sigma)
     y, c, _ = fam.prox_detailed(mu, x)
-    y_ref, _, _ = _fista_only(fam, 1e-13).prox_detailed(mu, x)
+    y_ref, violation = _enumerated_simplex_prox(fam, mu, x)
+    assert violation <= 1e-12
     assert np.abs(y - y_ref).max() <= 1e-9
     assert c.min() >= 0.0
     sum_dev, spread, excess, eps = _simplex_kkt_residuals(fam, mu, x, c)
