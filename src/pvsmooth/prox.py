@@ -18,6 +18,7 @@ smoothing parameter satisfies mu < 1/rho.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 
@@ -217,7 +218,7 @@ class SupQuadraticFamily(ProxFunction):
 
 
 # ---------------------------------------------------------------------------
-# supremum of affine forms minus a quadratic: accelerated dual iteration
+# supremum of affine forms minus a quadratic: exact or accelerated dual solve
 # ---------------------------------------------------------------------------
 
 class SupAffineFamily(ProxFunction):
@@ -235,17 +236,24 @@ class SupAffineFamily(ProxFunction):
         probability simplex, else a tuple of two callables, the projector
         onto C and its support function v -> max_{c in C} <c, v>.
     tol, max_iter : float, int
-        Stop tolerance (finite, positive) and iteration budget (a positive
-        integer) of :meth:`prox_detailed`.
+        Stop tolerance of the FISTA path (finite, positive) and iteration
+        budget of either path (a positive integer) of :meth:`prox_detailed`.
 
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
     O(N d) memory, and nothing of size N^2.  Non-finite rows or offsets, a
     non-finite |A|^2, an ``ambiguity`` that is not None or a pair of
     callables, and out-of-range values raise :class:`DomainError`.
+
+    The family itself is stateless; :meth:`warm_started` gives a copy that
+    remembers the last support its active set certified.
     """
 
     lipschitz = None
+    # set on a warm_started copy, which keeps its last certified support in
+    # _support; on the family itself both stay at these class defaults
+    _warm = False
+    _support = None
 
     def __init__(self, a_rows, offsets, sigma, ambiguity=None, tol=1e-10,
                  max_iter=200000):
@@ -284,6 +292,15 @@ class SupAffineFamily(ProxFunction):
         s = v.max() if self.ambiguity is None else self.ambiguity[1](v)
         return float(s - self.sigma * (x @ x))
 
+    def warm_started(self):
+        """A copy that shares this family's arrays and starts each simplex
+        active set from the support it last certified (see
+        :meth:`prox_detailed`).  It holds that support, O(N) indices, and
+        nothing else of its own."""
+        twin = copy.copy(self)
+        twin._warm = True
+        return twin
+
     def prox(self, mu, x):
         return self.prox_detailed(mu, x)[0]
 
@@ -302,17 +319,26 @@ class SupAffineFamily(ProxFunction):
         On the default simplex, where sum c = 1 leaves the dual unchanged
         by any shift of w, a primal active set (:func:`_simplex_active_set`)
         solves this QP exactly on w - max(w) and returns the first weights
-        the KKT conditions certify.  For any other ``ambiguity``, the
-        simplex's own pair ``(project_simplex, np.max)`` too, restarted
-        FISTA (Beck-Teboulle, with O'Donoghue-Candes gradient restart) runs
-        from the projected uniform weights with step 1/L until both the
-        increment |c_{k+1} - c_k| and the gradient-mapping residual
-        |c_{k+1} - z_k| are at most ``tol``; each iteration costs O(N d)
-        plus one projection.  The projected-gradient map is nonexpansive,
-        so the returned c then moves by at most tol under it, and on the
-        simplex the dual gap max(v) - <c, v>, v = A y + b, is at most
-        2 sqrt(2) L tol.  Either solver gets the whole ``max_iter`` budget.
-        The result depends only on (family, mu, x).
+        the KKT conditions certify.  It starts at the top scenario of w; on
+        a :meth:`warm_started` copy it starts instead from the support that
+        copy last certified, and falls back to the top scenario at the cost
+        of one step when the bordered solve on that support gives a negative
+        weight or is singular.  Certified weights
+        are the bordered solve on their final support (or a vertex), so a
+        warm copy returns the floats the family returns whenever the optimal
+        support is unique; only the step count depends on its history.  For
+        any other ``ambiguity``, the simplex's own pair
+        ``(project_simplex, np.max)`` too, restarted FISTA (Beck-Teboulle,
+        with O'Donoghue-Candes gradient restart) runs from the projected
+        uniform weights with step 1/L until both the increment
+        |c_{k+1} - c_k| and the gradient-mapping residual |c_{k+1} - z_k|
+        are at most ``tol``, which governs this path alone; each iteration
+        costs O(N d) plus one projection.  The projected-gradient map is
+        nonexpansive, so the returned c then moves by at most tol under it,
+        and on the simplex the dual gap max(v) - <c, v>, v = A y + b, is at
+        most 2 sqrt(2) L tol.  Either solver gets the whole ``max_iter``
+        budget.  On the family itself the result depends only on
+        (family, mu, x).
 
         Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
         whose w or y overflows, raises :class:`DomainError`.  Raises
@@ -340,8 +366,11 @@ class SupAffineFamily(ProxFunction):
         coef = gamma * mu / s
         if self.ambiguity is None:
             w = w - w.max()
-            c, steps, certified = _simplex_active_set(a_rows, coef, w, tol, max_iter)
+            c, support, steps, certified = _simplex_active_set(
+                a_rows, coef, w, max_iter, self._support)
             if certified:
+                if self._warm:
+                    self._support = support
                 return _prox_point(x, mu, a_rows, c, s), c, steps
             r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
             residual = float(np.linalg.norm(r))
@@ -380,14 +409,16 @@ def _prox_point(x, mu, a_rows, c, s):
     return y
 
 
-def _simplex_active_set(a_rows, coef, w, tol, max_steps):
+def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
     """Maximize <c, w> - (coef / 2) |A^T c|^2 over the simplex by a primal
     active set (Wolfe, Math. Prog. 1976; Nocedal-Wright section 16.5).
 
     A is ``a_rows`` (N x d), and w is shifted to max(w) = 0.  The support S
-    starts at the top scenario of w.  Each step takes the maximizer u on the affine hull of S, which on one
-    scenario j is the vertex c = e_j, taken without a solve, and otherwise
-    solves the bordered system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1],
+    starts at ``start``, a sorted index array, when one is given (a support
+    certified before), and else at the top scenario of w.  Each step takes
+    the maximizer u on the affine hull of S, which on one scenario j is the
+    vertex c = e_j, taken without a solve, and otherwise solves the
+    bordered system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1],
     M_SS = coef A_S A_S^T with A_S the rows in S.  Then:
 
     * if u >= 0, c = u.  The scenario with the largest dual gradient
@@ -399,16 +430,19 @@ def _simplex_active_set(a_rows, coef, w, tol, max_steps):
       only that scenario leaves S; when the system is singular
       (``LinAlgError``, or u - c_S does not ascend and M_SS has a null
       direction within eps on {sum d = 0}), c moves instead along a
-      direction d with sum d = 0 and M_SS d = 0, signed to ascend.
+      direction d with sum d = 0 and M_SS d = 0, signed to ascend.  A start
+      support has no c to move from, so there S restarts at the top
+      scenario of w instead, one step later than a cold start.
 
     A step costs O(N d) plus the k x k bordered solve, k = |S|.  Returns
-    ``(c, steps, certified)``: the last weights, the steps taken, and
-    whether a step within ``max_steps`` certified c.
+    ``(c, support, steps, certified)``: the last weights and support, the
+    steps taken, and whether a step within ``max_steps`` certified c.
     """
     # gamma = 1/L makes coef |A|^2 = 1 (or less), so scenarios that can carry
     # weight have w_i in [-2, 0] and v on S lies in [-1, 1]: eps is absolute
     eps = 1e-12
-    idx = np.argmax(w)[None]
+    top = np.argmax(w)[None]
+    idx = top if start is None else start
     for steps in range(1, max_steps + 1):
         k = idx.size
         if k == 1:
@@ -430,6 +464,12 @@ def _simplex_active_set(a_rows, coef, w, tol, max_steps):
             except np.linalg.LinAlgError:
                 u = None
             if u is None or u.min() < 0.0:
+                if steps == 1:  # only a start support solves at step 1:
+                    # restart cold, with the top vertex as the last weights
+                    c = np.zeros(w.size)
+                    c[top] = 1.0
+                    idx = top
+                    continue
                 c_s = c[idx]
                 # the dual gradient on S, less max w_S
                 g = rhs[:k] - kkt[:k, :k] @ c_s
@@ -461,27 +501,20 @@ def _simplex_active_set(a_rows, coef, w, tol, max_steps):
         if v[j] - v[idx].max() > eps:
             idx = np.sort(np.append(idx, j))
         else:  # no violator left: c is the answer, or the active set gives up
-            return c, steps, _simplex_kkt_certified(c, v, idx, eps, tol)
-    return c, steps, False
+            return c, idx, steps, _simplex_kkt_certified(c, v, idx, eps)
+    return c, idx, steps, False
 
 
-def _simplex_kkt_certified(c, v, idx, eps, tol):
+def _simplex_kkt_certified(c, v, idx, eps):
     """Whether ``c`` with support ``idx`` and dual gradient
-    v = w - coef A A^T c is the maximizer: c >= 0, |sum c - 1| <= 1e-12, v
-    spreads at most eps over the support and exceeds its maximum nowhere by
-    more than eps, and c passes the stop test of the dual iteration as a
-    fixed point, |P(c + v) - c| <= tol.  The last test matters only where
-    floats absorb c into a much larger w: it then keeps the weights the
-    iteration itself can reach, which rounding cannot tell apart from the
-    exact ones.
+    v = w - coef A A^T c is the maximizer, by the KKT conditions of the
+    simplex QP: c >= 0, |sum c - 1| <= 1e-12, and v spreads at most eps over
+    the support and exceeds its maximum nowhere by more than eps.
     """
     on = v[idx]
     top = on.max()
-    if not (c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
-            and top - on.min() <= eps and v.max() - top <= eps):
-        return False
-    r = _project_simplex(c + v) - c
-    return bool(math.sqrt(r @ r) <= tol)
+    return bool(c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
+                and top - on.min() <= eps and v.max() - top <= eps)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,89 @@ def test_sup_affine_exact_finish_is_stateless():
         assert np.array_equal(y, y0) and np.array_equal(c, c0) and it == it0
 
 
+def test_sup_affine_warm_copy_returns_the_cold_answers():
+    # slowly moving (mu, x), as successive outer steps give them, on the
+    # builder's warm copy and on a fresh family per call: ten scenarios in
+    # R^3, random, then collinear on a half-integer grid with repeats (the
+    # shapes `pvsmooth verify prox` draws).  Same floats; fewer steps
+    rng = np.random.default_rng(27)
+    cold_steps = warm_steps = 0
+    for i in range(24):
+        anchors = rng.uniform(-1.0, 1.0, (10, 3))
+        if i >= 12:
+            anchors = np.outer(rng.integers(-4, 5, 10) / 2, anchors[0])
+        a_rows, offsets = 2.0 * anchors, -(anchors * anchors).sum(axis=1)
+        warm = pvs.build_dro_affine(a_rows, offsets, lam=100.0, radius=1.0).g
+        mu, x = rng.uniform(0.05, 0.45), rng.uniform(-0.3, 0.3, 3)
+        for _ in range(20):
+            mu, x = mu * rng.uniform(0.95, 1.0), x + rng.uniform(-0.02, 0.02, 3)
+            y, c, steps = warm.prox_detailed(mu, x)
+            y0, c0, steps0 = SupAffineFamily(a_rows, offsets, 1.0).prox_detailed(mu, x)
+            assert np.array_equal(y, y0) and np.array_equal(c, c0)
+            cold_steps += steps0
+            warm_steps += steps
+    assert warm_steps < 0.7 * cold_steps
+
+
+def test_sup_affine_warm_copy_restarts_cold_off_a_lost_support():
+    # rows (1, -1): at x = 0 the answer is c = (1/2, 1/2); at x = 0.5,
+    # w_0 - w_1 = x / mu = 2.5 puts the bordered solve on {0, 1} at
+    # u = (1.75, -0.75), so the warm copy restarts at the top vertex e_0,
+    # one step after a cold start certifies it
+    fam = SupAffineFamily(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)
+    warm = fam.warm_started()
+    assert warm.a_rows is fam.a_rows and warm.offsets is fam.offsets
+    mu = 0.2
+    for x, c_want, cold_steps, warm_steps in (
+            (np.zeros(1), [0.5, 0.5], 2, 2),
+            (np.array([0.5]), [1.0, 0.0], 1, 2),
+            (np.array([0.6]), [1.0, 0.0], 1, 1),
+            (np.zeros(1), [0.5, 0.5], 2, 2)):
+        y, c, steps = warm.prox_detailed(mu, x)
+        y0, c0, steps0 = fam.prox_detailed(mu, x)
+        assert np.array_equal(c, c_want)
+        assert np.array_equal(y, y0) and np.array_equal(c, c0)
+        assert (steps0, steps) == (cold_steps, warm_steps)
+    assert fam._support is None  # the family itself keeps no history
+    # with one step, the failed solve leaves the top vertex, uncertified
+    warm.prox_detailed(mu, np.zeros(1))
+    warm.max_iter = 1
+    with pytest.raises(ConvergenceError) as exc:
+        warm.prox_detailed(mu, np.array([0.5]))
+    assert exc.value.iterations == 1
+    assert np.array_equal(exc.value.best[1], [1.0, 0.0])
+
+
+def test_certified_simplex_weights_are_fixed_points_of_the_dual_step():
+    # the certificate is the KKT conditions alone; the fixed-point test
+    # |P(c + v) - c| <= tol it also ran never rejected an answer and left
+    # the prox.  Here every certified c still passes it, on random and
+    # collinear families and on slopes scaled by 10^0 to 10^-60, half of
+    # those with offsets 10^-15 to 10^-1 apart
+    rng = np.random.default_rng(28)
+    for i in range(3000):
+        n, dim = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+        rows = rng.uniform(-1.0, 1.0, (n, dim))
+        offsets = rng.uniform(-1.0, 1.0, n)
+        if i % 3 == 1:  # collinear, on a half-integer grid
+            rows = np.outer(rng.integers(-4, 5, n) / 2, rows[0])
+        elif i % 3 == 2:
+            rows = rows * 10.0 ** -int(rng.integers(0, 61))
+            if i % 2:
+                offsets = offsets[0] + rng.uniform(-1.0, 1.0, n) * 10.0 ** -int(
+                    rng.integers(1, 16))
+        sigma = rng.uniform(0.25, 2.0)
+        mu, x = rng.uniform(0.05, 0.9) / (2.0 * sigma), rng.uniform(-1.0, 1.0, dim)
+        fam = SupAffineFamily(rows, offsets, sigma)
+        _, c, _ = fam.prox_detailed(mu, x)
+        s = 1.0 - 2.0 * sigma * mu
+        lip = mu * fam.gram_norm / s
+        gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+        w = gamma * (rows @ x / s + offsets)
+        v = (w - w.max()) - (gamma * mu / s) * (rows @ (rows.T @ c))
+        assert np.linalg.norm(project_simplex(c + v) - c) <= fam.tol
+
+
 def test_sup_affine_active_set_steps_near_the_anchors_centre():
     # points near the centre of ten scenarios in R^3 put weight on up to
     # d + 1 = 4 of them; the active set reaches that support in a few
@@ -549,17 +632,20 @@ def test_sup_affine_active_set_takes_the_top_vertex_without_a_solve(monkeypatch)
 
 
 def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
-    # the seeded direct max-dispersion run: every prox starts at a vertex
-    # without a solve, so at most steps - proxes bordered systems are solved
+    # the seeded direct max-dispersion run on the builder's warm copy: each
+    # prox starts from the support the one before it certified, so it solves
+    # one bordered system exactly when its answer has two or more nonzero
+    # weights, and takes one step when the support stays
     inst = pvs.MaxDispersionInstance(pvs.random_anchors(3, 10, 47), radius=1.0,
                                      lam=100.0, constraint_matrix=np.ones((1, 3)))
     prob = pvs.build_max_dispersion_direct(inst)
-    proxes = []
+    proxes, spread = [], []
     prox_detailed = prob.g.prox_detailed
 
     def counted(mu, x):
         out = prox_detailed(mu, x)
         proxes.append(out[2])
+        spread.append(np.count_nonzero(out[1]) > 1)
         return out
 
     monkeypatch.setattr(prob.g, "prox_detailed", counted)
@@ -567,8 +653,8 @@ def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
     cfg = pvs.SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
     pvs.run_pvs(prob, cfg, pvs.subspace_start(prob.subspace, 3))
     assert len(proxes) == 61
-    assert sum(proxes) == 106  # the vertex start saves solves, not steps
-    assert len(solves) <= sum(proxes) - len(proxes)
+    assert sum(proxes) == 62  # 106 from a cold start at the top vertex
+    assert len(solves) == sum(spread) == 45
 
 
 def test_sup_affine_active_set_certifies_collinear_scenarios():
@@ -646,7 +732,7 @@ def test_sup_affine_active_set_certifies_many_scenarios(monkeypatch):
 
 def test_sup_affine_active_set_certifies_the_absorbed_case():
     # gamma = 1/L scales w to about -1e40; on the unshifted w the O(1)
-    # quadratic term rounds away and c = (1, 0) fails the fixed-point test.
+    # quadratic term would round away and leave c = (1, 0) standing.
     # On w - max(w) = (0, 0) the dual gradient at c = (1, 0) is (-1, 0), so
     # scenario 1 joins, and the active set certifies c = (0, 1), whose prox
     # point is exactly 0
@@ -691,16 +777,16 @@ def test_sup_affine_active_set_certifies_every_scale_of_slopes():
 def test_simplex_kkt_certificate_rejects_small_violations():
     # v is off by 1e-11 > eps = 1e-12: off the support for S = {0}, across
     # it for S = {0, 1}; c = (1 + 1e-13, -1e-13) is off the simplex by
-    # 1e-13; each passes the 1e-10 fixed-point test alone
-    eps, tol = 1e-12, 1e-10
+    # 1e-13
+    eps = 1e-12
     v = np.array([0.0, 1e-11])
-    assert not _simplex_kkt_certified(np.array([1.0, 0.0]), v, np.array([0]), eps, tol)
-    assert not _simplex_kkt_certified(np.full(2, 0.5), v, np.arange(2), eps, tol)
+    assert not _simplex_kkt_certified(np.array([1.0, 0.0]), v, np.array([0]), eps)
+    assert not _simplex_kkt_certified(np.full(2, 0.5), v, np.arange(2), eps)
     outside = np.array([1.0 + 1e-13, -1e-13])
-    assert not _simplex_kkt_certified(outside, np.zeros(2), np.arange(2), eps, tol)
-    assert _simplex_kkt_certified(np.full(2, 0.5), np.zeros(2), np.arange(2), eps, tol)
+    assert not _simplex_kkt_certified(outside, np.zeros(2), np.arange(2), eps)
+    assert _simplex_kkt_certified(np.full(2, 0.5), np.zeros(2), np.arange(2), eps)
     assert _simplex_kkt_certified(np.array([1.0, 0.0]), np.array([0.0, -2.0]),
-                                  np.array([0]), eps, tol)
+                                  np.array([0]), eps)
 
 
 def test_sup_affine_rejects_non_finite_input():
