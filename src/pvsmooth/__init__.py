@@ -98,7 +98,6 @@ from .solver import (
     epoch_stationarity_constant,
     pvs_step,
     run_pvs,
-    run_pvs_epochs,
     schedule,
     stationarity_constant,
     theorem_bound_margins,

@@ -50,7 +50,7 @@ from .problems import (
     subspace_start,
 )
 from .prox import L1Penalty
-from .solver import SolverConfig, run_pvs, run_pvs_epochs, theorem_bound_margins
+from .solver import SolverConfig, run_pvs, theorem_bound_margins
 
 # the trace's columns, as attributes of IterateTrace; the CSV adds elapsed_s
 _TRACE_COLUMNS = ("k", "mu", "gamma", "objective", "proj_grad_norm", "prox_residual")
@@ -62,7 +62,6 @@ _REQUIRED = object()  # the default of a field that has none
 _FIELDS = {
     "problem": (("max-dispersion", "dro", "lasso"), _REQUIRED),
     "formulation": (("direct", "product"), "direct"),
-    "algorithm": (("pvs", "pvs-epochs"), "pvs"),
     "n": ("int", _REQUIRED),
     "N": ("int", _REQUIRED),
     "alpha": ("number", _REQUIRED),
@@ -135,8 +134,6 @@ def load_config(path):
         if key not in cfg and default is _REQUIRED:
             raise ConfigError("missing required field %r" % key)
         out[key] = _field(key, cfg[key], kind, out.get("n")) if key in cfg else default
-    if out["algorithm"] == "pvs-epochs" and out["epsilon"] is None:
-        raise ConfigError("algorithm 'pvs-epochs' needs field 'epsilon'")
     if out["problem"] != "lasso" and out["lambda"] is None:
         raise ConfigError("%s needs field 'lambda'" % out["problem"])
     return out
@@ -238,12 +235,9 @@ def cmd_solve(args):
 
     failed = None
     try:
-        if cfg["algorithm"] == "pvs":
-            trace = run_pvs(problem, solver_cfg, x1)
-        else:
-            _, trace = run_pvs_epochs(problem, solver_cfg, x1)
+        trace = run_pvs(problem, solver_cfg, x1)
     except PvsError as exc:
-        if getattr(exc, "trace", None) is None:
+        if exc.trace is None:
             raise
         trace = exc.trace
         failed = exc

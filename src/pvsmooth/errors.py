@@ -9,7 +9,10 @@ available when the failure was detected.
 
 
 class PvsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``trace`` is None until a solver
+    run attaches its partial trace."""
+
+    trace = None
 
 
 class DomainError(PvsError, ValueError):
@@ -40,7 +43,7 @@ class ConvergenceError(PvsError, RuntimeError):
     best : object or None
         Best iterate (or partial result) found so far.
     trace : object or None
-        Partial trace, when the caller keeps one.
+        Partial trace, when a run attaches one.
     """
 
     def __init__(self, message, residual=None, iterations=None, best=None, trace=None):
@@ -53,10 +56,6 @@ class ConvergenceError(PvsError, RuntimeError):
 
 class NumericalError(PvsError, RuntimeError):
     """A non-finite value or inconsistent internal state was produced."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class StageError(PvsError, RuntimeError):

@@ -117,7 +117,9 @@ def run_penalty(h0, g, a_map, subspace, ball, schedule, x1):
     x1 : initial point in the subspace.
 
     Returns ``(solutions, diagnostics)`` with one entry per stage.  If an
-    inner run fails, a :class:`StageError` carries the completed stages.
+    inner run fails, a :class:`StageError` carries the completed stages.  A
+    schedule config that sets ``epsilon`` gives epsilon-stopped stages (see
+    :func:`run_pvs`); a stage that exhausts its budget then fails.
     """
     solutions = []
     diag = PenaltyDiagnostics([], [], [], [], [], [])

@@ -17,12 +17,9 @@ With 2 rho C <= 1, the running minimum of |P_V grad F_j(x_j)| decays like
 k^((alpha-1)/2) and the prox residual |A x_k - prox_{mu_k g}(A x_k)| like
 k^(-alpha) (for Lipschitz g); both bounds are exposed as diagnostics.
 
-One loop runs this iteration; :func:`run_pvs` and :func:`run_pvs_epochs`
-differ only in the stop rule they hand it.  ``run_pvs`` stops on the step
-norm.  The epoch variant groups iterations into doubling windows
-[2^l, 2^(l+1)), tracks the best projected gradient norm per window, and
-stops once that best value drops below epsilon while the prox residual
-meets a secondary threshold epsilon^(2 alpha / (1 - alpha)).
+One loop, :func:`run_pvs`, runs this iteration, and ``SolverConfig.epsilon``
+picks its stop rule: the step norm, or the paper's epsilon stop on doubling
+windows of iterations (:class:`_EpochWindows`).
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CallableProx, CompositeProblem, SmoothFunction
+from .core import CompositeProblem, ProxFunction, SmoothFunction
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "schedule",
     "pvs_step",
     "run_pvs",
-    "run_pvs_epochs",
     "stationarity_constant",
     "epoch_stationarity_constant",
     "epoch_iteration_budget",
@@ -60,8 +56,8 @@ class SolverConfig:
 
     alpha in (0, 1) and C > 0 define mu_k = C k^(-alpha).  The weak-convexity
     compatibility condition 2 rho C <= 1 involves g and is checked when the
-    config meets a problem (``validate_for``).  ``epsilon`` is only used by
-    the epoch variant.
+    config meets a problem (``validate_for``).  Whether ``epsilon`` is set
+    picks the stop rule of :func:`run_pvs`.
     """
 
     alpha: float
@@ -180,8 +176,8 @@ def _iterate(problem, cfg, x1, stop, exhausted):
     x_{k+1} and its row, ``stop(k, x_{k+1}, pgn, res, step_norm)`` returns a
     stop reason, or None to go on.  Once ``cfg.max_iter`` steps are done,
     ``exhausted(x)`` returns the reason and the iterate to hand out.  The
-    iterate handed out is checked to lie in V and returned with the trace,
-    as ``(x, trace)``.
+    iterate handed out is checked to lie in V and returned as the trace's
+    ``final_x``.
 
     A non-finite value, projected gradient or gradient raises
     :class:`NumericalError` with ``stop_reason`` ``"numerical_error"``, after
@@ -200,9 +196,8 @@ def _iterate(problem, cfg, x1, stop, exhausted):
             mu, gamma, val, pgn, res, grad, step = _state(problem, cfg, k, x)
             trace.append(k, mu, gamma, val, pgn, res, time.perf_counter() - t0)
             if not (math.isfinite(val) and math.isfinite(pgn) and np.isfinite(grad).all()):
-                trace.final_x, trace.iterations, trace.stop_reason = (
-                    x, k - 1, "numerical_error")
-                raise NumericalError("non-finite state at iteration %d" % k, trace=trace)
+                trace.stop_reason = "numerical_error"  # the loop's own check
+                raise NumericalError("non-finite state at iteration %d" % k)
             reason = stop(k - 1, x, pgn, res, step_norm) if k > 1 else None
             if reason is not None:
                 out = x
@@ -214,35 +209,58 @@ def _iterate(problem, cfg, x1, stop, exhausted):
             step_norm = gamma * pgn
         _require_in_subspace(problem.subspace, out, "returned iterate")
     except PvsError as exc:
-        if getattr(exc, "trace", None) is None:
-            trace.final_x, trace.iterations, trace.stop_reason = (
-                x, k - 1, "component_error")
+        if exc.trace is None:
+            trace.final_x, trace.iterations = x, k - 1
+            trace.stop_reason = trace.stop_reason or "component_error"
             exc.trace = trace
         raise
     trace.final_x, trace.iterations, trace.stop_reason = out, k - 1, reason
-    return out, trace
+    return trace
 
 
 def run_pvs(problem, cfg, x1):
     """Run the smoothing iteration from x1 (which must lie in V).
 
-    Stops after ``cfg.max_iter`` steps or once the step norm
+    Returns the trace, whose ``final_x`` / ``iterations`` / ``stop_reason``
+    summarize the run.  With ``cfg.epsilon`` unset, the run stops after
+    ``cfg.max_iter`` steps or once the step norm
     |x_{k+1} - x_k| = gamma_k |P_V grad F_k(x_k)| drops to
-    ``cfg.stop_step_norm``.  Returns the trace, whose ``final_x`` /
-    ``iterations`` / ``stop_reason`` summarize the run.  A :class:`PvsError`
-    raised by a component (e.g. an inner prox solver running out of budget,
-    or a final iterate that left V) propagates with the partial trace
-    attached, its ``stop_reason`` set to ``"component_error"``.
+    ``cfg.stop_step_norm``.  With it set, the run takes the epsilon stop of
+    :class:`_EpochWindows` and ignores ``stop_step_norm``; ``trace.best_index``
+    and ``trace.best_grad_norm`` describe ``final_x``, and exhausting
+    ``cfg.max_iter`` steps raises :class:`ConvergenceError` carrying the best
+    iterate seen and the trace.  A :class:`PvsError` raised by a component
+    (e.g. an inner prox solver running out of budget, or a final iterate that
+    left V) propagates with the partial trace attached, its ``stop_reason``
+    set to ``"component_error"``.
     """
-
-    def step_norm_stop(k, x, pgn, res, step_norm):
-        return "step_norm" if step_norm <= cfg.stop_step_norm else None
-
-    return _iterate(problem, cfg, x1, step_norm_stop, lambda x: ("max_iter", x))[1]
+    if cfg.epsilon is None:
+        def step_norm_stop(k, x, pgn, res, step_norm):
+            return "step_norm" if step_norm <= cfg.stop_step_norm else None
+        return _iterate(problem, cfg, x1, step_norm_stop, lambda x: ("max_iter", x))
+    rule = _EpochWindows(cfg, x1)
+    trace = _iterate(problem, cfg, x1, rule, rule.exhausted)
+    trace.best_index, trace.best_grad_norm = rule.best_k, rule.best_pgn
+    if trace.stop_reason == "budget_exhausted":
+        raise ConvergenceError(
+            "epoch run exhausted %d iterations without meeting epsilon=%g"
+            % (cfg.max_iter, cfg.epsilon),
+            residual=rule.best_pgn,
+            iterations=trace.iterations,
+            best=trace.final_x,
+            trace=trace,
+        )
+    return trace
 
 
 class _EpochWindows:
-    """Stop rule of :func:`run_pvs_epochs`.
+    """The epsilon stop of :func:`run_pvs`.
+
+    Epoch l covers iterations k in [2^l, 2^(l+1)).  Within an epoch the best
+    projected gradient norm of the *arriving* iterates x_{k+1} is tracked;
+    when a new best value S is recorded, the run stops as soon as
+
+        S <= epsilon   and   prox residual <= epsilon^(2 alpha / (1 - alpha)).
 
     ``best_x`` / ``best_pgn`` / ``best_k`` track the smallest projected
     gradient norm over the run; at the stationarity stop they become the
@@ -269,39 +287,6 @@ class _EpochWindows:
 
     def exhausted(self, x):
         return "budget_exhausted", self.best_x
-
-
-def run_pvs_epochs(problem, cfg, x1):
-    """Doubling-epoch variant with a two-part stationarity stop.
-
-    ``cfg.epsilon`` must be set.  Epoch l covers iterations k in
-    [2^l, 2^(l+1)).  Within an epoch the best projected gradient norm of the
-    *arriving* iterates x_{k+1} is tracked; when a new best value S is
-    recorded, the run stops as soon as
-
-        S <= epsilon   and   prox residual <= epsilon^(2 alpha / (1 - alpha)).
-
-    Returns ``(x_stop, trace)``.  Exhausting ``cfg.max_iter`` steps raises
-    :class:`ConvergenceError` carrying the best iterate seen and the trace.
-    The iterate handed out on either exit is checked to lie in V, and
-    ``trace.best_index`` / ``trace.best_grad_norm`` describe it.  Component
-    errors carry the partial trace as in :func:`run_pvs`.
-    """
-    if cfg.epsilon is None:
-        raise DomainError("epoch variant needs a positive cfg.epsilon")
-    rule = _EpochWindows(cfg, x1)
-    x, trace = _iterate(problem, cfg, x1, rule, rule.exhausted)
-    trace.best_index, trace.best_grad_norm = rule.best_k, rule.best_pgn
-    if trace.stop_reason == "budget_exhausted":
-        raise ConvergenceError(
-            "epoch run exhausted %d iterations without meeting epsilon=%g"
-            % (cfg.max_iter, cfg.epsilon),
-            residual=rule.best_pgn,
-            iterations=trace.iterations,
-            best=x,
-            trace=trace,
-        )
-    return x, trace
 
 
 def stationarity_constant(problem, cfg, first_objective, reference):
@@ -381,6 +366,33 @@ class _ShiftedSmooth(SmoothFunction):
         return self.h.value_and_grad(x + self.z0)
 
 
+class _ShiftedProx(ProxFunction):
+    """y -> g(y + b) with prox_{mu g(. + b)}(y) = prox_{mu g}(y + b) - b.  It
+    keeps g's rho, Lipschitz constant and exact ``mu_max``, and g checks mu.
+    ``prox_and_value`` reads g at g's own prox point, one call of g, so its
+    value may differ in the last bits from ``value(prox(mu, y))``."""
+
+    def __init__(self, g, b):
+        self.g = g
+        self.b = b
+        self.rho = g.rho
+        self.lipschitz = g.lipschitz
+
+    @property
+    def mu_max(self):
+        return self.g.mu_max
+
+    def value(self, y):
+        return self.g.value(y + self.b)
+
+    def prox(self, mu, y):
+        return self.g.prox(mu, y + self.b) - self.b
+
+    def prox_and_value(self, mu, y):
+        p, val = self.g.prox_and_value(mu, y + self.b)
+        return p - self.b, val
+
+
 def affine_shift_wrap(problem, z0):
     """Recast  min_{x in z0 + W} h(x) + g(A x)  over the subspace W.
 
@@ -390,15 +402,7 @@ def affine_shift_wrap(problem, z0):
     of the returned problem map back to x_hat + z0.
     """
     z0 = np.asarray(z0, dtype=float)
-    az0 = problem.a_map.apply(z0)
-    h, g = problem.h, problem.g
-    shifted_h = _ShiftedSmooth(h, z0)
-    shifted_g = CallableProx(
-        lambda y: g.value(y + az0),
-        lambda mu, y: g.prox(mu, y + az0) - az0,
-        rho=g.rho,
-        lipschitz=g.lipschitz,
-    )
     return CompositeProblem(
-        shifted_h, shifted_g, problem.a_map, problem.subspace, f_star=problem.f_star
+        _ShiftedSmooth(problem.h, z0), _ShiftedProx(problem.g, problem.a_map.apply(z0)),
+        problem.a_map, problem.subspace, f_star=problem.f_star,
     )

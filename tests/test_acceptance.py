@@ -56,7 +56,6 @@ from pvsmooth.solver import (
     SolverConfig,
     epoch_iteration_budget,
     run_pvs,
-    run_pvs_epochs,
     theorem_bound_margins,
 )
 
@@ -166,7 +165,7 @@ def test_criterion_2_simplex_weights_kkt_and_optimality(report):
     report(2, "simplex-weights-kkt-optimality", ok)
 
 
-def test_criterion_3_km_prox_fixed_point_and_scan(report):
+def test_criterion_3_sup_affine_prox_fixed_point_and_scan(report):
     rng = default_rng(303)
     worst_fp = 0.0
     worst_scan = 0.0
@@ -188,7 +187,7 @@ def test_criterion_3_km_prox_fixed_point_and_scan(report):
         if n_scen == 2:
             y_ref, _, _ = affine_scan_prox(a_rows, offsets, sigma, mu, x)
             worst_scan = max(worst_scan, float(np.linalg.norm(y - y_ref)))
-    report(3, "km-prox-fixed-point", worst_fp <= 1e-8 and worst_scan <= 1e-4)
+    report(3, "sup-affine-prox-fixed-point", worst_fp <= 1e-8 and worst_scan <= 1e-4)
 
 
 def test_criterion_4_envelope_supremum_identity(report):
@@ -233,7 +232,7 @@ def test_criterion_6_epoch_iteration_budget(lasso_reference, report):
     problem, f_star = lasso_reference
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=200_000,
                        stop_step_norm=0.0, epsilon=1e-2)
-    _, trace = run_pvs_epochs(problem, cfg, np.zeros(5))
+    trace = run_pvs(problem, cfg, np.zeros(5))
     budget = epoch_iteration_budget(problem, cfg, trace.objective[0], f_star, 1e-2)
     ok = (
         trace.stop_reason == "epoch_stationarity"

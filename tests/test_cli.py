@@ -50,7 +50,6 @@ def test_load_config_defaults():
             json.dump(make_config(), fh)
         cfg = cli.load_config(path)
     assert cfg["formulation"] == "direct"
-    assert cfg["algorithm"] == "pvs"
     assert cfg["radius"] == 1.0
     assert cfg["R"] is None
     assert cfg["trace_file"] == "trace.csv"
@@ -83,7 +82,7 @@ def test_load_config_rejects_bad_enum_and_range(tmp_path):
 
 @pytest.mark.parametrize("overrides", [
     {"C": 0}, {"C": -1}, {"alpha": 0}, {"stop_step_norm": -1}, {"max_iter": -1},
-    {"algorithm": "pvs-epochs", "epsilon": -1},
+    {"epsilon": -1},
     {"problem": "lasso", "lambda": 0},
     {"problem": "dro", "n": 3, "N": 2, "lambda": 0},
     {"problem": "max-dispersion", "n": 3, "N": 2, "lambda": 0},
@@ -132,9 +131,15 @@ def test_solve_rejects_a_field_of_the_wrong_kind(tmp_path, capsys, key, value):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_load_config_epochs_needs_epsilon(tmp_path):
-    assert cli.main(["solve", "--config",
-                     write_config(tmp_path, algorithm="pvs-epochs")]) == 2
+def test_solve_rejects_the_retired_algorithm_field(tmp_path, capsys):
+    # epsilon alone picks the stop rule; the field that named it is a typo now
+    for value in ("pvs", "pvs-epochs"):
+        path = write_config(tmp_path, algorithm=value, epsilon=1e-9)
+        assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: unknown config fields: algorithm\n"
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_rejects_incompatible_schedule_constant(tmp_path):
@@ -227,8 +232,7 @@ def test_solve_seeded_dispersion_experiment(tmp_path):
 
 
 def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):
-    path = write_config(tmp_path, algorithm="pvs-epochs", epsilon=1e-9,
-                        max_iter=10)
+    path = write_config(tmp_path, epsilon=1e-9, max_iter=10)
     assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 3
     data = read_trace(tmp_path / "trace.csv")
     assert data.shape[0] == 11

@@ -162,3 +162,22 @@ def test_run_penalty_stage_failure_carries_progress():
     assert err.completed == []
     assert err.diagnostics is not None
     assert err.cause is not None
+
+
+def test_run_penalty_stages_take_the_epsilon_stop():
+    # a schedule config with epsilon stops every stage on the doubling
+    # windows; a stage that exhausts its budget first fails the schedule
+    h0 = CallableSmooth(lambda x: float(x[0]), lambda x: np.ones(1), 0.0)
+    ball = BallSpec(np.zeros(1), 1.0)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=5, epsilon=1e6)
+    sols, diag = run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
+                             ball, PenaltySchedule((4.0, 8.0), cfg), np.zeros(1))
+    assert diag.stop_reasons == ["epoch_stationarity"] * 2
+    assert diag.stage_iterations == [1, 1]
+    tight = PenaltySchedule((4.0, 8.0), SolverConfig(alpha=1.0 / 3.0, C=10.0,
+                                                     max_iter=5, epsilon=1e-12))
+    with pytest.raises(StageError) as exc:
+        run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
+                    ball, tight, np.zeros(1))
+    assert exc.value.completed == []
+    assert exc.value.cause.trace.stop_reason == "budget_exhausted"

@@ -33,6 +33,7 @@ from pvsmooth.prox import (
     SupQuadraticFamily,
     TukeyPenalty,
 )
+from pvsmooth.solver import _ShiftedProx, affine_shift_wrap
 
 DIM = 6
 
@@ -43,6 +44,12 @@ def _sup_affine(ambiguity=None):
         rng.uniform(-1.0, 1.0, (4, DIM)), rng.uniform(-1.0, 1.0, 4), sigma=1.0,
         ambiguity=ambiguity,
     )
+
+
+def _shifted(g, dim):
+    """g(. + A z0) as ``affine_shift_wrap`` builds it, for a nonzero z0."""
+    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector(), dim=dim)
+    return affine_shift_wrap(problem, np.linspace(-1.0, 1.0, dim)).g
 
 
 PROX_TERMS = {
@@ -62,6 +69,7 @@ PROX_TERMS = {
     "mcp": lambda: MCPPenalty(0.5, 2.0),
     "scad": lambda: SCADPenalty(0.5, 3.7),
     "tukey": lambda: TukeyPenalty(np.linspace(-1.0, 1.0, DIM)),
+    "shifted_mcp": lambda: _shifted(MCPPenalty(0.5, 2.0), DIM),
 }
 
 
@@ -98,7 +106,12 @@ def test_prox_and_value_is_prox_then_value_bit_for_bit(name, y, frac):
     ref = g.prox(mu, y)
     assert _same_bits(p, ref)
     assert isinstance(gp, float)
-    assert _same_bits(gp, g.value(ref))
+    if isinstance(g, _ShiftedProx):
+        # g(. + b) is read at g's own prox point, which ref + b only
+        # reaches through the rounding of - b + b
+        assert _same_bits(gp, g.g.value(g.g.prox(mu, y + g.b)))
+    else:
+        assert _same_bits(gp, g.value(ref))
 
 
 @pytest.mark.parametrize("name", sorted(PROX_TERMS))
@@ -117,11 +130,12 @@ def test_every_prox_owns_its_mu_check(name):
 @pytest.mark.parametrize("g, bound", [
     (MCPPenalty(1.0, 7.297670644230144), 7.297670644230144),
     (SCADPenalty(1.0, 4.1960616870352885), 4.1960616870352885 - 1.0),
-], ids=["mcp", "scad"])
+    (_shifted(MCPPenalty(1.0, 0.3803647443400834), 49), 0.3803647443400834),
+], ids=["mcp", "scad", "shifted_mcp"])
 def test_scalar_penalty_mu_bound_is_exact(g, bound):
-    # 1 / rho misses the bound by an ulp for these theta (above it for MCP,
-    # below it for SCAD), so mu_max must be the bound itself for the one mu
-    # check to reject exactly mu >= bound
+    # 1 / rho misses the bound by an ulp for these theta (above it for the
+    # first MCP, below it for SCAD and the shifted MCP), so mu_max must be
+    # the bound itself for the one mu check to reject exactly mu >= bound
     assert 1.0 / (1.0 / bound) != bound
     assert g.mu_max == bound
     y = np.linspace(-12.0, 12.0, 49)

@@ -16,6 +16,7 @@ from pvsmooth.errors import (
     ConvergenceError,
     DomainError,
     NumericalError,
+    StageError,
 )
 from pvsmooth.problems import (
     LassoInstance,
@@ -36,7 +37,6 @@ from pvsmooth.solver import (
     epoch_stationarity_constant,
     pvs_step,
     run_pvs,
-    run_pvs_epochs,
     schedule,
     stationarity_constant,
     theorem_bound_margins,
@@ -163,9 +163,9 @@ def test_nan_start_is_not_in_the_subspace():
                        epsilon=1e-9)
     for bad in (np.nan, np.inf):
         x = np.array([bad, 0.0, 0.0])
-        for run in (run_pvs, run_pvs_epochs):
+        for eps in (None, 1e-9):
             with pytest.raises(ContractError, match="not in the constraint subspace"):
-                run(prob, cfg, x)
+                run_pvs(prob, replace(cfg, epsilon=eps), x)
         with pytest.raises(ContractError, match="not in the constraint subspace"):
             pvs_step(prob, cfg, 1, x)
 
@@ -319,14 +319,20 @@ def test_component_numerical_error_is_a_component_error():
     x1 = proj.apply(np.array([3.0, -1.0, 0.5]))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0,
                        epsilon=1e-12)
-    for run in (run_pvs, run_pvs_epochs):
+    for eps in (None, 1e-12):
         calls.clear()
         with pytest.raises(NumericalError) as exc:
-            run(prob, cfg, x1)
+            run_pvs(prob, replace(cfg, epsilon=eps), x1)
         trace = exc.value.trace
         assert trace.stop_reason == "component_error"
         assert trace.iterations == len(trace) == 5
         assert trace.final_x.shape == (3,)
+
+
+def test_errors_carry_no_trace_until_a_run_attaches_one():
+    for exc in (DomainError("bad mu"), ContractError("not in V"),
+                StageError("stage failed"), NumericalError("nan")):
+        assert exc.trace is None
 
 
 def seeded_direct_dispersion(max_iter=None):
@@ -356,12 +362,12 @@ def test_run_pvs_inner_failure_carries_partial_trace():
     assert abs(float(trace.final_x.sum())) < 1e-9
 
 
-def test_run_pvs_epochs_inner_failure_carries_partial_trace():
+def test_epsilon_run_inner_failure_carries_partial_trace():
     prob, x1 = seeded_direct_dispersion(max_iter=50)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0,
                        epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, cfg, x1)
+        run_pvs(prob, cfg, x1)
     trace = exc.value.trace
     assert trace is not None
     assert trace.stop_reason == "component_error"
@@ -445,26 +451,27 @@ def test_final_iterate_membership_is_checked():
     trace = exc.value.trace
     assert trace.stop_reason == "component_error"
     assert trace.iterations == 5 and len(trace) == 6
-    # both exits of the epoch variant: the stationarity stop and the budget
+    # both exits of the epsilon stop: the stationarity stop and the budget
     for eps in (1e6, 1e-12):
         with pytest.raises(ContractError) as exc:
-            run_pvs_epochs(prob, replace(cfg, epsilon=eps), x1)
+            run_pvs(prob, replace(cfg, epsilon=eps), x1)
         assert exc.value.trace.stop_reason == "component_error"
         assert len(exc.value.trace) == exc.value.trace.iterations + 1
 
 
 # ---------------------------------------------------------------------------
-# epoch variant
+# epsilon stop
 # ---------------------------------------------------------------------------
 
 def test_epochs_huge_epsilon_stops_immediately():
     prob = lasso_problem()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=100, stop_step_norm=0.0,
                        epsilon=1e6)
-    x_stop, trace = run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
+    x1 = subspace_start(prob.subspace, prob.dim)
+    trace = run_pvs(prob, cfg, x1)
     assert trace.iterations == 1
     assert trace.stop_reason == "epoch_stationarity"
-    assert np.array_equal(x_stop, trace.final_x)
+    assert np.array_equal(pvs_step(prob, cfg, 1, x1), trace.final_x)
 
 
 def test_epochs_stop_meets_both_thresholds():
@@ -476,8 +483,7 @@ def test_epochs_stop_meets_both_thresholds():
     for eps, steps in ((0.1, 88), (0.145, 32)):  # deterministic runs
         cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10**6,
                            stop_step_norm=0.0, epsilon=eps)
-        x_stop, trace = run_pvs_epochs(prob, cfg,
-                                       subspace_start(prob.subspace, prob.dim))
+        trace = run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
         assert trace.stop_reason == "epoch_stationarity"
         assert trace.best_grad_norm <= eps
         assert trace.prox_residual[-1] <= eps
@@ -493,7 +499,7 @@ def test_epochs_budget_exhaustion():
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10, stop_step_norm=0.0,
                        epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
+        run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
     err = exc.value
     assert err.trace.stop_reason == "budget_exhausted"
     assert err.best is not None
@@ -506,7 +512,7 @@ def test_epochs_budget_exhaustion():
     # a zero budget ends at once, handing back the start
     x1 = subspace_start(prob.subspace, prob.dim)
     with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, replace(cfg, max_iter=0), x1)
+        run_pvs(prob, replace(cfg, max_iter=0), x1)
     err = exc.value
     assert err.iterations == 0 and len(err.trace) == 1
     assert err.trace.best_index == 1 and err.trace.best_grad_norm == np.inf
@@ -514,15 +520,15 @@ def test_epochs_budget_exhaustion():
 
 
 def test_run_pvs_and_epochs_share_the_iteration():
-    # no iterate meets epsilon, so the epoch run takes run_pvs's steps until
-    # its budget runs out
+    # no iterate meets epsilon, so the epsilon run takes the step-norm run's
+    # steps until its budget runs out
     prob = lasso_problem()
     x1 = subspace_start(prob.subspace, prob.dim)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=200, stop_step_norm=0.0,
                        epsilon=1e-12)
-    plain = run_pvs(prob, cfg, x1)
+    plain = run_pvs(prob, replace(cfg, epsilon=None), x1)
     with pytest.raises(ConvergenceError) as exc:
-        run_pvs_epochs(prob, cfg, x1)
+        run_pvs(prob, cfg, x1)
     epochs = exc.value.trace
     assert epochs.stop_reason == "budget_exhausted"
     assert epochs.iterations == plain.iterations == 200
@@ -531,15 +537,16 @@ def test_run_pvs_and_epochs_share_the_iteration():
                 == np.asarray(getattr(plain, column)).tobytes())
 
 
-def test_epochs_need_epsilon():
+def test_epsilon_run_ignores_the_step_norm_stop():
+    # every step is shorter than 1e6, yet a set epsilon stops only on the
+    # windows or the budget
     prob = lasso_problem()
-    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10)
-    with pytest.raises(DomainError):
-        run_pvs_epochs(prob, cfg, subspace_start(prob.subspace, prob.dim))
-    cfg2 = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=100,
-                        stop_step_norm=0.0, epsilon=1e6)
-    _, trace = run_pvs_epochs(prob, cfg2, subspace_start(prob.subspace, prob.dim))
-    assert trace.iterations == 1
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=10, stop_step_norm=1e6,
+                       epsilon=1e-9)
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
+    assert exc.value.trace.stop_reason == "budget_exhausted"
+    assert exc.value.iterations == exc.value.trace.iterations == 10
 
 
 # ---------------------------------------------------------------------------
