@@ -49,6 +49,14 @@ _CERT_MARGIN = 1e-10
 _SAFE_EXPONENT = 200
 
 
+def _all_finite(a):
+    """``np.isfinite(a).all()``, read off ``argmin`` (the first False, if
+    any) in place of a reduction, which costs more on the small arrays of a
+    step."""
+    finite = np.isfinite(a).ravel()
+    return finite.size == 0 or bool(finite[finite.argmin()])
+
+
 def _scaled_to_safe_range(mat):
     """Return ``(mat * 2^-e, e, peak)`` for a 2-d float array, where peak is
     its largest absolute entry (0 for an all-zero or empty matrix).

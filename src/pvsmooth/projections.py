@@ -152,7 +152,7 @@ class ReplicatedKernelProjector(SubspaceProjector):
     def apply(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
         out = np.empty_like(blocks)
-        out[:] = self.kernel.apply(blocks.sum(axis=0) / self.n_blocks)
+        out[:] = self.kernel.apply(np.add.reduce(blocks, axis=0) / self.n_blocks)
         return out.ravel()
 
 

@@ -24,7 +24,7 @@ import numbers
 
 import numpy as np
 
-from .core import ProxFunction, spectral_norm
+from .core import ProxFunction, _all_finite, spectral_norm
 # matrix_norm_bound is unused here but stays a module attribute:
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
@@ -96,19 +96,25 @@ def solve_simplex_weights(alpha, mu):
         raise DomainError("alpha entries must be finite and strictly positive")
     if not (0.0 < mu < 0.5):
         raise DomainError("mu must lie in (0, 1/2)")
-    return _simplex_weights(alpha, mu)
+    return _simplex_weights(alpha, mu, _block_counts(alpha.size))
 
 
-def _simplex_weights(alpha, mu):
-    """:func:`solve_simplex_weights` without the argument checks."""
+def _block_counts(n):
+    """The float counts N - i, i = 0..N-1, of blocks outside the i largest."""
+    return np.arange(n, 0, -1.0)
+
+
+def _simplex_weights(alpha, mu, counts):
+    """:func:`solve_simplex_weights` without the argument checks; ``counts``
+    is :func:`_block_counts` of ``alpha.size``."""
     n = alpha.size
-    order = np.argsort(-alpha, kind="stable")
+    order = (-alpha).argsort(kind="stable")
     s = np.sqrt(alpha[order])
     # tails[i] = sum of s[i:], i.e. sqrt(alpha) over blocks outside the i largest
-    tails = np.cumsum(s[::-1])[::-1]
-    cond = (n - np.arange(n) - 2.0 * mu) * s < tails
+    tails = s[::-1].cumsum()[::-1]
+    cond = (counts - 2.0 * mu) * s < tails
     cond[-1] = True  # (1 - 2 mu) s < s, which rounding loses for mu below ~6e-17
-    k = int(np.argmax(cond))
+    k = int(cond.argmax())
     p = np.zeros(n)
     if k == n - 1:
         p[order[k]] = 1.0  # the formula gives 1 only up to rounding
@@ -153,7 +159,8 @@ class SupQuadraticFamily(ProxFunction):
     ``prox`` forms the block differences once, and ``prox_and_value`` reads
     f at the prox point from the prox blocks ``prox`` returns, the same
     floats ``value`` computes.  A non-finite squared distance raises
-    :class:`DomainError`.
+    :class:`DomainError`.  The family keeps the block counts N - i its
+    weight solve needs.
     """
 
     rho = 2.0
@@ -163,6 +170,7 @@ class SupQuadraticFamily(ProxFunction):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.centers = centers
         self.n_blocks, self.block_dim = centers.shape
+        self._counts = _block_counts(self.n_blocks)
 
     def _blocks(self, x):
         x = np.asarray(x, dtype=float)
@@ -182,16 +190,18 @@ class SupQuadraticFamily(ProxFunction):
 
     def _weights(self, mu, alpha):
         """Maximizing simplex weights for squared distances ``alpha``, with
-        mu already checked.  The max is NaN or inf exactly when some entry
-        is, so one reduction rejects a non-finite input."""
-        if not math.isfinite(alpha.max()):
+        mu already checked.  The largest entry (``argmax`` takes the first
+        NaN) is NaN or inf exactly when some entry is, so it rejects a
+        non-finite input; the distances are then finite and nonnegative,
+        so ``argmin`` finds the first zero if there is one."""
+        if not math.isfinite(alpha[alpha.argmax()]):
             raise DomainError("squared block distances |x_i - c_i|^2 must be finite")
-        zero = np.nonzero(alpha == 0.0)[0]
-        if zero.size:
+        near = alpha.argmin()
+        if alpha[near] == 0.0:
             p = np.zeros(self.n_blocks)
-            p[zero[0]] = 1.0  # a vanishing distance pins the weight there
+            p[near] = 1.0  # a vanishing distance pins the weight there
             return p
-        return _simplex_weights(alpha, mu)
+        return _simplex_weights(alpha, mu, self._counts)
 
     def weights(self, mu, x):
         """Maximizing simplex weights at x (closed form; no iteration)."""
@@ -202,19 +212,19 @@ class SupQuadraticFamily(ProxFunction):
         self.check_mu(mu)
         blocks = self._blocks(x)
         diff = blocks - self.centers
-        p = self._weights(mu, (diff * diff).sum(axis=1))
+        p = self._weights(mu, np.add.reduce(diff * diff, axis=1))
         denom = 1.0 - 2.0 * mu * p
-        if denom.min() < _DENOM_GUARD:
-            raise NumericalError(
-                "prox denominators collapsed (min %g)" % float(denom.min())
-            )
+        low = denom[denom.argmin()]
+        if low < _DENOM_GUARD:
+            raise NumericalError("prox denominators collapsed (min %g)" % float(low))
         out = (blocks - (2.0 * mu) * p[:, None] * self.centers) / denom[:, None]
         return out.ravel()
 
     def prox_and_value(self, mu, x):
         out = self.prox(mu, x)
         d = out.reshape(self.centers.shape) - self.centers
-        return out, float(-(d * d).sum(axis=1).min())
+        alpha = np.add.reduce(d * d, axis=1)
+        return out, -float(alpha[alpha.argmin()])
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +299,7 @@ class SupAffineFamily(ProxFunction):
     def value(self, x):
         x = np.asarray(x, dtype=float)
         v = self.a_rows @ x + self.offsets
-        s = v.max() if self.ambiguity is None else self.ambiguity[1](v)
+        s = v[v.argmax()] if self.ambiguity is None else self.ambiguity[1](v)
         return float(s - self.sigma * (x @ x))
 
     def warm_started(self):
@@ -349,7 +359,7 @@ class SupAffineFamily(ProxFunction):
         """
         self.check_mu(mu)
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        if not _all_finite(x):
             raise DomainError("the prox argument x must be finite")
         tol, max_iter = self.tol, self.max_iter
         s = 1.0 - 2.0 * self.sigma * mu
@@ -359,13 +369,15 @@ class SupAffineFamily(ProxFunction):
         gamma = 1.0 / lip if lip >= _TINY else 1.0
 
         a_rows = self.a_rows
-        with np.errstate(over="ignore", invalid="ignore"):  # A x may overflow
-            w = gamma * (a_rows @ x / s + self.offsets)
-        if not float(np.abs(w).max()) < np.inf:  # NaN or inf
+        w = _scaled_dual_gradient(a_rows, x, s, self.offsets, gamma)
+        # the extremes of w (argmax and argmin take the first NaN) are finite
+        # exactly when every entry is
+        top, low = w[w.argmax()], w[w.argmin()]
+        if not (math.isfinite(top) and math.isfinite(low)):
             raise DomainError("the dual gradient w = A x / s + b must be finite")
         coef = gamma * mu / s
         if self.ambiguity is None:
-            w = w - w.max()
+            w = w - top
             c, support, steps, certified = _simplex_active_set(
                 a_rows, coef, w, max_iter, self._support)
             if certified:
@@ -400,11 +412,21 @@ class SupAffineFamily(ProxFunction):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # A x may overflow
+def _scaled_dual_gradient(a_rows, x, s, offsets, gamma):
+    """w = gamma (A x / s + b), left for the caller to test for finiteness."""
+    return gamma * (a_rows @ x / s + offsets)
+
+
+@np.errstate(over="ignore")
+def _unchecked_prox_point(x, mu, a_rows, c, s):
+    return (x - mu * (a_rows.T @ c)) / s
+
+
 def _prox_point(x, mu, a_rows, c, s):
     """y(c) = (x - mu A^T c) / s; an overflow raises :class:`DomainError`."""
-    with np.errstate(over="ignore"):
-        y = (x - mu * (a_rows.T @ c)) / s
-    if not np.isfinite(y).all():
+    y = _unchecked_prox_point(x, mu, a_rows, c, s)
+    if not _all_finite(y):
         raise DomainError("the prox point y = (x - mu A^T c) / s must be finite")
     return y
 
@@ -441,8 +463,7 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
     # gamma = 1/L makes coef |A|^2 = 1 (or less), so scenarios that can carry
     # weight have w_i in [-2, 0] and v on S lies in [-1, 1]: eps is absolute
     eps = 1e-12
-    top = np.argmax(w)[None]
-    idx = top if start is None else start
+    idx = w.argmax()[None] if start is None else start
     for steps in range(1, max_steps + 1):
         k = idx.size
         if k == 1:
@@ -453,28 +474,31 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
             v = w - coef * (a_rows @ a_rows[idx[0]])
         else:
             a_s = a_rows[idx]
-            kkt = np.ones((k + 1, k + 1))
+            kkt = np.empty((k + 1, k + 1))
             kkt[:k, :k] = coef * (a_s @ a_s.T)
+            kkt[k] = 1.0
+            kkt[:k, k] = 1.0
             kkt[k, k] = 0.0
-            rhs = np.ones(k + 1)
-            rhs[:k] = w[idx]
-            rhs[:k] -= rhs[:k].max()  # moves only t, since sum u = 1
+            w_s = w[idx]
+            rhs = np.empty(k + 1)
+            rhs[:k] = w_s - w_s[w_s.argmax()]  # moves only t, since sum u = 1
+            rhs[k] = 1.0
             try:
                 u = np.linalg.solve(kkt, rhs)[:k]
             except np.linalg.LinAlgError:
                 u = None
-            if u is None or u.min() < 0.0:
+            if u is None or u[u.argmin()] < 0.0:
                 if steps == 1:  # only a start support solves at step 1:
                     # restart cold, with the top vertex as the last weights
+                    idx = w.argmax()[None]
                     c = np.zeros(w.size)
-                    c[top] = 1.0
-                    idx = top
+                    c[idx] = 1.0
                     continue
                 c_s = c[idx]
                 # the dual gradient on S, less max w_S
                 g = rhs[:k] - kkt[:k, :k] @ c_s
                 direction = None if u is None else u - c_s
-                if u is None or direction @ (g - g.mean()) < 0.0:
+                if u is None or direction @ (g - np.add.reduce(g) / k) < 0.0:
                     # d = (y, -sum y) spans {sum d = 0}; the least singular
                     # vector y of M_SS [I; -1^T] makes M_SS d vanish.  With
                     # no such d (least singular value above eps) the system
@@ -486,9 +510,9 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
                         direction = np.append(vt[-1], -vt[-1].sum())
                         if direction @ g < 0.0:
                             direction = -direction
-                down = np.flatnonzero(direction < 0.0)
+                down = (direction < 0.0).nonzero()[0]
                 ratio = c_s[down] / -direction[down]
-                r = int(np.argmin(ratio))
+                r = int(ratio.argmin())
                 keep = np.arange(k) != down[r]
                 c = np.zeros(w.size)
                 c[idx[keep]] = np.maximum(c_s + ratio[r] * direction, 0.0)[keep]
@@ -497,24 +521,27 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
             c = np.zeros(w.size)
             c[idx] = u
             v = w - coef * (a_rows @ (a_s.T @ u))
-        j = int(np.argmax(v))
-        if v[j] - v[idx].max() > eps:
-            idx = np.sort(np.append(idx, j))
+        j = v.argmax()
+        on = v[idx]
+        peak, top = v[j], on[on.argmax()]
+        if peak - top > eps:
+            idx = np.concatenate((idx, (j,)))
+            idx.sort()
         else:  # no violator left: c is the answer, or the active set gives up
-            return c, idx, steps, _simplex_kkt_certified(c, v, idx, eps)
+            return c, idx, steps, _simplex_kkt_certified(c, on, top, peak, eps)
     return c, idx, steps, False
 
 
-def _simplex_kkt_certified(c, v, idx, eps):
-    """Whether ``c`` with support ``idx`` and dual gradient
-    v = w - coef A A^T c is the maximizer, by the KKT conditions of the
-    simplex QP: c >= 0, |sum c - 1| <= 1e-12, and v spreads at most eps over
-    the support and exceeds its maximum nowhere by more than eps.
+def _simplex_kkt_certified(c, on, top, peak, eps):
+    """Whether ``c`` is the maximizer, by the KKT conditions of the simplex
+    QP: c >= 0, |sum c - 1| <= 1e-12, and the dual gradient
+    v = w - coef A A^T c spreads at most eps over the support and exceeds
+    its maximum nowhere by more than eps.  The active set hands in what it
+    has already computed: ``on``, v on the support, its maximum ``top``,
+    and ``peak``, the maximum of v.
     """
-    on = v[idx]
-    top = on.max()
-    return bool(c.min() >= 0.0 and abs(c.sum() - 1.0) <= 1e-12
-                and top - on.min() <= eps and v.max() - top <= eps)
+    return bool(c[c.argmin()] >= 0.0 and abs(np.add.reduce(c) - 1.0) <= 1e-12
+                and top - on[on.argmin()] <= eps and peak - top <= eps)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ProxFunction, SmoothFunction
+from .core import CompositeProblem, ProxFunction, SmoothFunction, _all_finite
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
@@ -139,6 +139,17 @@ def schedule(cfg, problem, k):
     return mu, lip, 1.0 / lip
 
 
+def _require_flat(problem, x, what):
+    """A start of the wrong shape raises :class:`ContractError` here, before
+    any component sees it: ``x`` must be 1-d, of length ``problem.dim``
+    when the problem knows its dimension."""
+    if x.ndim != 1 or (problem.dim is not None and x.size != problem.dim):
+        raise ContractError(
+            "%s must be a flat vector of length %s, got shape %r"
+            % (what, "n" if problem.dim is None else problem.dim, x.shape)
+        )
+
+
 def _require_in_subspace(projector, x, what="x"):
     # a non-finite x would warn in x - P x; its drift reads as NaN
     drift = np.linalg.norm(x - projector.apply(x)) if np.isfinite(x).all() else np.nan
@@ -162,9 +173,11 @@ def pvs_step(problem, cfg, k, x):
     """One projected step at iteration index k: x - gamma_k P_V grad F_k(x),
     the step the run loop takes, equal to P_V(x - gamma_k grad F_k(x)).
 
-    ``x`` must already lie in V (up to 1e-9 relative drift).
+    ``x`` must be a flat vector of the problem's dimension that already
+    lies in V (up to 1e-9 relative drift).
     """
     x = np.asarray(x, dtype=float)
+    _require_flat(problem, x, "x")
     _require_in_subspace(problem.subspace, x)
     return x - _state(problem, cfg, k, x)[-1]
 
@@ -188,6 +201,7 @@ def _iterate(problem, cfg, x1, stop, exhausted):
     """
     cfg.validate_for(problem.g)
     x = np.array(x1, dtype=float)
+    _require_flat(problem, x, "x1")
     _require_in_subspace(problem.subspace, x, "x1")
     t0 = time.perf_counter()
     trace = IterateTrace(cfg.alpha, cfg.C)
@@ -195,7 +209,7 @@ def _iterate(problem, cfg, x1, stop, exhausted):
         for k in range(1, cfg.max_iter + 2):
             mu, gamma, val, pgn, res, grad, step = _state(problem, cfg, k, x)
             trace.append(k, mu, gamma, val, pgn, res, time.perf_counter() - t0)
-            if not (math.isfinite(val) and math.isfinite(pgn) and np.isfinite(grad).all()):
+            if not (math.isfinite(val) and math.isfinite(pgn) and _all_finite(grad)):
                 trace.stop_reason = "numerical_error"  # the loop's own check
                 raise NumericalError("non-finite state at iteration %d" % k)
             reason = stop(k - 1, x, pgn, res, step_norm) if k > 1 else None

@@ -779,14 +779,18 @@ def test_simplex_kkt_certificate_rejects_small_violations():
     # it for S = {0, 1}; c = (1 + 1e-13, -1e-13) is off the simplex by
     # 1e-13
     eps = 1e-12
+
+    def certified(c, v, idx):
+        # the maxima the active set hands in: max v_S and max v
+        return _simplex_kkt_certified(c, v[idx], v[idx].max(), v.max(), eps)
+
     v = np.array([0.0, 1e-11])
-    assert not _simplex_kkt_certified(np.array([1.0, 0.0]), v, np.array([0]), eps)
-    assert not _simplex_kkt_certified(np.full(2, 0.5), v, np.arange(2), eps)
+    assert not certified(np.array([1.0, 0.0]), v, np.array([0]))
+    assert not certified(np.full(2, 0.5), v, np.arange(2))
     outside = np.array([1.0 + 1e-13, -1e-13])
-    assert not _simplex_kkt_certified(outside, np.zeros(2), np.arange(2), eps)
-    assert _simplex_kkt_certified(np.full(2, 0.5), np.zeros(2), np.arange(2), eps)
-    assert _simplex_kkt_certified(np.array([1.0, 0.0]), np.array([0.0, -2.0]),
-                                  np.array([0]), eps)
+    assert not certified(outside, np.zeros(2), np.arange(2))
+    assert certified(np.full(2, 0.5), np.zeros(2), np.arange(2))
+    assert certified(np.array([1.0, 0.0]), np.array([0.0, -2.0]), np.array([0]))
 
 
 def test_sup_affine_rejects_non_finite_input():

@@ -170,6 +170,30 @@ def test_nan_start_is_not_in_the_subspace():
             pvs_step(prob, cfg, 1, x)
 
 
+@pytest.mark.parametrize("kind", ["direct", "product", "lasso"])
+def test_start_of_the_wrong_shape_is_a_contract_error(kind):
+    # a length-29 start on the product problem failed in the projector's
+    # reshape (ValueError), a (3, 1) start on the direct problem in the prox
+    # (IndexError); both are now caught before the loop
+    if kind == "lasso":
+        prob = lasso_problem()
+    else:
+        inst = MaxDispersionInstance(random_anchors(3, 10, 47), radius=1.0, lam=100.0,
+                                     constraint_matrix=np.ones((1, 3)))
+        build = build_max_dispersion_direct if kind == "direct" else build_max_dispersion_product
+        prob = build(inst)
+    x = subspace_start(prob.subspace, prob.dim)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=3, stop_step_norm=0.0)
+    for bad in (x[:-1], np.append(x, 0.0), x[:, None], x[None, :], x[0]):
+        for eps in (None, 1e-9):
+            with pytest.raises(ContractError, match="x1 must be a flat vector of length %d"
+                               % prob.dim):
+                run_pvs(prob, replace(cfg, epsilon=eps), bad)
+        with pytest.raises(ContractError, match="x must be a flat vector"):
+            pvs_step(prob, cfg, 1, bad)
+    assert run_pvs(prob, cfg, x).iterations == 3
+
+
 def test_pvs_step_is_the_run_loop_step():
     prob = lasso_problem()
     dispersion, x_disp = seeded_direct_dispersion()
