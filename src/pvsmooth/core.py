@@ -229,8 +229,8 @@ class ScaledSquaredNorm(ProxFunction):
     rho = 0.0
 
     def __init__(self, weight=1.0):
-        if weight <= 0:
-            raise DomainError("weight must be positive")
+        if not (0 < weight < np.inf):
+            raise DomainError("weight must be finite and positive")
         self.weight = float(weight)
 
     def value(self, y):

@@ -49,8 +49,8 @@ class BallPenalty(SmoothFunction):
     """(weight/2) d(x, B)^2; gradient weight*(x - P_B(x)), Lipschitz weight."""
 
     def __init__(self, ball, weight):
-        if not (weight > 0):
-            raise DomainError("penalty weight must be positive")
+        if not (0 < weight < np.inf):
+            raise DomainError("penalty weight must be finite and positive")
         self.ball = ball
         self.weight = float(weight)
         self.lip_grad = float(weight)
@@ -88,8 +88,8 @@ class PenaltySchedule:
     def __post_init__(self):
         lambdas = tuple(float(l) for l in self.lambdas)
         object.__setattr__(self, "lambdas", lambdas)
-        if not lambdas or any(l <= 0 for l in lambdas):
-            raise DomainError("penalty weights must be positive")
+        if not lambdas or not all(0 < l < np.inf for l in lambdas):
+            raise DomainError("penalty weights must be finite and positive")
         if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("penalty weights must be strictly increasing")
 

@@ -156,13 +156,13 @@ def build_dro_affine(a_rows, offsets, lam, radius, ambiguity=None, sigma=1.0,
 
     ``ambiguity`` is the :class:`~pvsmooth.prox.SupAffineFamily` argument:
     None for the probability simplex, else a ``(project, support)`` pair.
-    The problem holds the family's warm-started copy, whose active set starts
-    each prox from the support it last certified.
+    On the simplex the family starts each prox's active set from the support
+    it last certified.
     """
     if not (lam > 2.0 * sigma):
         raise DomainError("penalty weight must exceed %g for a coercive objective"
                           % (2.0 * sigma))
-    g = SupAffineFamily(a_rows, offsets, sigma, ambiguity).warm_started()
+    g = SupAffineFamily(a_rows, offsets, sigma, ambiguity)
     dim = g.a_rows.shape[1]
     h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)
     subspace = _kernel_subspace(constraint_matrix)

@@ -18,7 +18,6 @@ smoothing parameter satisfies mu < 1/rho.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 
@@ -255,15 +254,12 @@ class SupAffineFamily(ProxFunction):
     non-finite |A|^2, an ``ambiguity`` that is not None or a pair of
     callables, and out-of-range values raise :class:`DomainError`.
 
-    The family itself is stateless; :meth:`warm_started` gives a copy that
-    remembers the last support its active set certified.
+    On the simplex the family keeps one piece of state, ``_support``: the
+    sorted support its active set last certified (None before the first),
+    O(N) indices from which the next active set starts.
     """
 
     lipschitz = None
-    # set on a warm_started copy, which keeps its last certified support in
-    # _support; on the family itself both stay at these class defaults
-    _warm = False
-    _support = None
 
     def __init__(self, a_rows, offsets, sigma, ambiguity=None, tol=1e-10,
                  max_iter=200000):
@@ -273,8 +269,8 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("a_rows and offsets disagree on the scenario count")
         if not np.isfinite(offsets).all():
             raise DomainError("offsets must be finite")
-        if not (sigma > 0):
-            raise DomainError("sigma must be positive")
+        if not (0 < sigma < np.inf):
+            raise DomainError("sigma must be finite and positive")
         if ambiguity is not None and not (
                 isinstance(ambiguity, tuple) and len(ambiguity) == 2
                 and all(map(callable, ambiguity))):
@@ -295,21 +291,13 @@ class SupAffineFamily(ProxFunction):
         self.max_iter = int(max_iter)
         self.rho = 2.0 * self.sigma
         self.gram_norm = norm * norm
+        self._support = None
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         v = self.a_rows @ x + self.offsets
         s = v[v.argmax()] if self.ambiguity is None else self.ambiguity[1](v)
         return float(s - self.sigma * (x @ x))
-
-    def warm_started(self):
-        """A copy that shares this family's arrays and starts each simplex
-        active set from the support it last certified (see
-        :meth:`prox_detailed`).  It holds that support, O(N) indices, and
-        nothing else of its own."""
-        twin = copy.copy(self)
-        twin._warm = True
-        return twin
 
     def prox(self, mu, x):
         return self.prox_detailed(mu, x)[0]
@@ -329,15 +317,15 @@ class SupAffineFamily(ProxFunction):
         On the default simplex, where sum c = 1 leaves the dual unchanged
         by any shift of w, a primal active set (:func:`_simplex_active_set`)
         solves this QP exactly on w - max(w) and returns the first weights
-        the KKT conditions certify.  It starts at the top scenario of w; on
-        a :meth:`warm_started` copy it starts instead from the support that
-        copy last certified, and falls back to the top scenario at the cost
-        of one step when the bordered solve on that support gives a negative
-        weight or is singular.  Certified weights
-        are the bordered solve on their final support (or a vertex), so a
-        warm copy returns the floats the family returns whenever the optimal
-        support is unique; only the step count depends on its history.  For
-        any other ``ambiguity``, the simplex's own pair
+        the KKT conditions certify.  It starts from the support the family
+        last certified, or at the top scenario of w before the first
+        certified prox, and falls back to the top scenario at the cost of one
+        step when the bordered solve on that support gives a negative weight
+        or is singular.  Certified weights are the bordered solve on their
+        final support (or a vertex), so y and c are those of a fresh family
+        whenever the optimal support is unique; the step count, and so a
+        failure under a tight ``max_iter``, depends on the last certified
+        support.  For any other ``ambiguity``, the simplex's own pair
         ``(project_simplex, np.max)`` too, restarted FISTA (Beck-Teboulle,
         with O'Donoghue-Candes gradient restart) runs from the projected
         uniform weights with step 1/L until both the increment
@@ -347,8 +335,7 @@ class SupAffineFamily(ProxFunction):
         nonexpansive, so the returned c then moves by at most tol under it,
         and on the simplex the dual gap max(v) - <c, v>, v = A y + b, is at
         most 2 sqrt(2) L tol.  Either solver gets the whole ``max_iter``
-        budget.  On the family itself the result depends only on
-        (family, mu, x).
+        budget.
 
         Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
         whose w or y overflows, raises :class:`DomainError`.  Raises
@@ -381,8 +368,7 @@ class SupAffineFamily(ProxFunction):
             c, support, steps, certified = _simplex_active_set(
                 a_rows, coef, w, max_iter, self._support)
             if certified:
-                if self._warm:
-                    self._support = support
+                self._support = support
                 return _prox_point(x, mu, a_rows, c, s), c, steps
             r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
             residual = float(np.linalg.norm(r))
@@ -556,8 +542,8 @@ class L1Penalty(ProxFunction):
     """
 
     def __init__(self, lam, lipschitz=None):
-        if not (lam > 0):
-            raise DomainError("lam must be positive")
+        if not (0 < lam < np.inf):
+            raise DomainError("lam must be finite and positive")
         self.lam = float(lam)
         self.lipschitz = lipschitz
 
@@ -578,8 +564,8 @@ class MCPPenalty(ProxFunction):
     """
 
     def __init__(self, lam, theta):
-        if not (lam > 0 and theta > 0):
-            raise DomainError("MCP requires lam > 0 and theta > 0")
+        if not (0 < lam < np.inf and theta > 0):
+            raise DomainError("MCP requires a finite lam > 0 and theta > 0")
         self.lam = float(lam)
         self.theta = float(theta)
         self.rho = 1.0 / self.theta
@@ -616,8 +602,8 @@ class SCADPenalty(ProxFunction):
     """
 
     def __init__(self, lam, theta):
-        if not (lam > 0 and theta > 2.0):
-            raise DomainError("SCAD requires lam > 0 and theta > 2")
+        if not (0 < lam < np.inf and 2.0 < theta < np.inf):
+            raise DomainError("SCAD requires finite lam > 0 and finite theta > 2")
         self.lam = float(lam)
         self.theta = float(theta)
         self.rho = 1.0 / (self.theta - 1.0)

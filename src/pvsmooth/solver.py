@@ -69,8 +69,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise DomainError("alpha must lie in (0, 1)")
-        if not (self.C > 0.0):
-            raise DomainError("C must be positive")
+        if not (0.0 < self.C < math.inf):
+            raise DomainError("C must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
             raise DomainError("max_iter must be a nonnegative integer")
         if not (self.stop_step_norm >= 0.0):
@@ -418,5 +418,5 @@ def affine_shift_wrap(problem, z0):
     z0 = np.asarray(z0, dtype=float)
     return CompositeProblem(
         _ShiftedSmooth(problem.h, z0), _ShiftedProx(problem.g, problem.a_map.apply(z0)),
-        problem.a_map, problem.subspace, f_star=problem.f_star,
+        problem.a_map, problem.subspace, f_star=problem.f_star, dim=problem.dim,
     )

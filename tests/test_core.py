@@ -20,8 +20,16 @@ from pvsmooth.core import (
     moreau_gradient,
 )
 from pvsmooth.errors import ContractError, DomainError
-from pvsmooth.problems import QuadraticLoss, random_lasso_data
-from pvsmooth.projections import KernelProjector
+from pvsmooth.penalty import BallPenalty, PenaltySchedule
+from pvsmooth.problems import (
+    MaxDispersionInstance,
+    QuadraticLoss,
+    build_max_dispersion_direct,
+    build_max_dispersion_product,
+    random_lasso_data,
+)
+from pvsmooth.projections import BallSpec, KernelProjector
+from pvsmooth.solver import SolverConfig
 
 
 def test_matrix_norm_bound_known_matrices():
@@ -348,6 +356,46 @@ def test_non_finite_matrices_are_rejected(build, bad):
     for m in (row, mat):
         with pytest.raises(DomainError):
             _NON_FINITE_BUILDS[build](m)
+
+
+_INFINITE_PARAMETER_BUILDS = {
+    "SolverConfig C": lambda v: SolverConfig(alpha=0.5, C=v, max_iter=1),
+    "L1Penalty lam": lambda v: prox.L1Penalty(v),
+    "MCPPenalty lam": lambda v: prox.MCPPenalty(v, 1.0),
+    "SCADPenalty lam": lambda v: prox.SCADPenalty(v, 3.0),
+    "SCADPenalty theta": lambda v: prox.SCADPenalty(1.0, v),
+    "ScaledSquaredNorm weight": ScaledSquaredNorm,
+    "BallPenalty weight": lambda v: BallPenalty(BallSpec(np.zeros(2), 1.0), v),
+    "PenaltySchedule lambdas": lambda v: PenaltySchedule(
+        (1.0, v), SolverConfig(alpha=0.5, C=0.25, max_iter=1)),
+    "SupAffineFamily sigma": lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v),
+    "build_max_dispersion_direct lam": lambda v: build_max_dispersion_direct(
+        MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
+    "build_max_dispersion_product lam": lambda v: build_max_dispersion_product(
+        MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_INFINITE_PARAMETER_BUILDS))
+def test_infinite_parameters_are_rejected_when_built(build):
+    # each would give NaN values (the penalties' value(0)), a NaN prox
+    # (SCAD with theta = inf), a family whose every prox raises (sigma =
+    # inf, mu_max = 0) or a run failing at its first step (C and the
+    # builders' lam); a schedule's weight is checked with the schedule, not
+    # by the stage's BallPenalty after the stages before it have run
+    with pytest.raises(DomainError):
+        _INFINITE_PARAMETER_BUILDS[build](np.inf)
+
+
+def test_infinite_limits_that_are_well_defined_stay_accepted():
+    # MCP with theta = inf is the l1 penalty, and an infinite radius a ball
+    # that is the whole space
+    mcp = prox.MCPPenalty(2.0, np.inf)
+    y = np.array([-3.0, 0.5, 1.0])
+    assert mcp.value(y) == prox.L1Penalty(2.0).value(y)
+    assert np.array_equal(mcp.prox(0.25, y), prox.L1Penalty(2.0).prox(0.25, y))
+    ball = BallPenalty(BallSpec(np.zeros(3), np.inf), 1.0)
+    assert ball.value_and_grad(y)[0] == 0.0
 
 
 def test_identity_map_roundtrip():

@@ -335,15 +335,16 @@ def test_sup_affine_budget_exhaustion():
 
 
 def test_sup_affine_active_set_has_the_whole_budget():
-    # w = 0: the active set starts from {0}, adds scenario 1 and certifies
-    # c = (1/2, 1/2) at its second step; with one step it stops at the
-    # vertex (1, 0) and raises, carrying that c, its prox point and its
-    # fixed-point residual
-    fam = SupAffineFamily(np.array([[2.0], [-2.0]]), np.zeros(2), 1.0, max_iter=2)
+    # w = 0: a fresh family's active set starts from {0}, adds scenario 1
+    # and certifies c = (1/2, 1/2) at its second step; with one step it stops
+    # at the vertex (1, 0) and raises, carrying that c, its prox point and
+    # its fixed-point residual
+    rows = np.array([[2.0], [-2.0]])
+    fam = SupAffineFamily(rows, np.zeros(2), 1.0, max_iter=2)
     mu, x = 0.2, np.zeros(1)
     y, c, iterations = fam.prox_detailed(mu, x)
     assert iterations == 2 and np.array_equal(c, [0.5, 0.5])
-    fam.max_iter = 1
+    fam = SupAffineFamily(rows, np.zeros(2), 1.0, max_iter=1)
     with pytest.raises(ConvergenceError, match="uncertified after 1 of 1 iterations") as exc:
         fam.prox_detailed(mu, x)
     err = exc.value
@@ -490,27 +491,30 @@ def test_sup_affine_active_set_matches_enumeration_and_meets_kkt(case):
     assert spread <= eps and excess <= eps
 
 
-def test_sup_affine_exact_finish_is_stateless():
+def test_sup_affine_reused_family_returns_the_fresh_answers():
     rng = np.random.default_rng(22)
     a_rows = rng.uniform(-1.0, 1.0, (10, 3))
     offsets = rng.uniform(-1.0, 1.0, 10)
     inputs = [(rng.uniform(0.05, 0.45), rng.uniform(-s, s, 3))
               for s in (0.1, 0.3, 1.0, 3.0) for _ in range(3)]
     # each input on a fresh family, then on one family after any history:
-    # forwards, backwards, and the same input twice in a row
+    # forwards, backwards, and the same input twice in a row.  The reused
+    # family starts from the support it last certified, so only its step
+    # counts may differ
     expected = [SupAffineFamily(a_rows, offsets, 1.0).prox_detailed(mu, x)
                 for mu, x in inputs]
     fam = SupAffineFamily(a_rows, offsets, 1.0)
     order = list(range(len(inputs)))
     for i in order + order[::-1] + [i for i in order for _ in range(2)]:
-        y, c, it = fam.prox_detailed(*inputs[i])
-        y0, c0, it0 = expected[i]
-        assert np.array_equal(y, y0) and np.array_equal(c, c0) and it == it0
+        y, c, _ = fam.prox_detailed(*inputs[i])
+        y0, c0, _ = expected[i]
+        assert np.array_equal(y, y0) and np.array_equal(c, c0)
 
 
-def test_sup_affine_warm_copy_returns_the_cold_answers():
+def test_sup_affine_builder_family_returns_the_cold_answers():
     # slowly moving (mu, x), as successive outer steps give them, on the
-    # builder's warm copy and on a fresh family per call: ten scenarios in
+    # builder's family, which resumes from its last certified support, and
+    # on a fresh family per call: ten scenarios in
     # R^3, random, then collinear on a half-integer grid with repeats (the
     # shapes `pvsmooth verify prox` draws).  Same floats; fewer steps
     rng = np.random.default_rng(27)
@@ -532,14 +536,13 @@ def test_sup_affine_warm_copy_returns_the_cold_answers():
     assert warm_steps < 0.7 * cold_steps
 
 
-def test_sup_affine_warm_copy_restarts_cold_off_a_lost_support():
+def test_sup_affine_family_restarts_cold_off_a_lost_support():
     # rows (1, -1): at x = 0 the answer is c = (1/2, 1/2); at x = 0.5,
     # w_0 - w_1 = x / mu = 2.5 puts the bordered solve on {0, 1} at
-    # u = (1.75, -0.75), so the warm copy restarts at the top vertex e_0,
-    # one step after a cold start certifies it
-    fam = SupAffineFamily(np.array([[1.0], [-1.0]]), np.zeros(2), 1.0)
-    warm = fam.warm_started()
-    assert warm.a_rows is fam.a_rows and warm.offsets is fam.offsets
+    # u = (1.75, -0.75), so the reused family restarts at the top vertex
+    # e_0, one step after a fresh family certifies it
+    rows, offsets = np.array([[1.0], [-1.0]]), np.zeros(2)
+    warm = SupAffineFamily(rows, offsets, 1.0)
     mu = 0.2
     for x, c_want, cold_steps, warm_steps in (
             (np.zeros(1), [0.5, 0.5], 2, 2),
@@ -547,11 +550,10 @@ def test_sup_affine_warm_copy_restarts_cold_off_a_lost_support():
             (np.array([0.6]), [1.0, 0.0], 1, 1),
             (np.zeros(1), [0.5, 0.5], 2, 2)):
         y, c, steps = warm.prox_detailed(mu, x)
-        y0, c0, steps0 = fam.prox_detailed(mu, x)
+        y0, c0, steps0 = SupAffineFamily(rows, offsets, 1.0).prox_detailed(mu, x)
         assert np.array_equal(c, c_want)
         assert np.array_equal(y, y0) and np.array_equal(c, c0)
         assert (steps0, steps) == (cold_steps, warm_steps)
-    assert fam._support is None  # the family itself keeps no history
     # with one step, the failed solve leaves the top vertex, uncertified
     warm.prox_detailed(mu, np.zeros(1))
     warm.max_iter = 1
@@ -632,7 +634,7 @@ def test_sup_affine_active_set_takes_the_top_vertex_without_a_solve(monkeypatch)
 
 
 def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
-    # the seeded direct max-dispersion run on the builder's warm copy: each
+    # the seeded direct max-dispersion run on the builder's family: each
     # prox starts from the support the one before it certified, so it solves
     # one bordered system exactly when its answer has two or more nonzero
     # weights, and takes one step when the support stays

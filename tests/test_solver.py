@@ -28,8 +28,9 @@ from pvsmooth.problems import (
     random_lasso_data,
     subspace_start,
 )
-from pvsmooth.projections import KernelProjector, project_ball, project_simplex
-from pvsmooth.prox import L1Penalty, SupQuadraticFamily
+from pvsmooth.penalty import BallPenalty
+from pvsmooth.projections import BallSpec, KernelProjector, project_ball, project_simplex
+from pvsmooth.prox import L1Penalty, SupAffineFamily, SupQuadraticFamily
 from pvsmooth.solver import (
     SolverConfig,
     affine_shift_wrap,
@@ -421,9 +422,38 @@ def test_direct_dispersion_inner_work_per_prox():
     assert sum(counts) == 62
 
 
+def test_hand_built_direct_dispersion_resumes_from_the_last_support():
+    # the direct problem built by hand from a plain family takes the
+    # builder's 62 active-set steps (106 when every prox starts at the top
+    # vertex) and gives the builder's trace
+    anchors = random_anchors(3, 10, 47)
+    family = SupAffineFamily(2.0 * anchors, -(anchors * anchors).sum(axis=1), 1.0)
+    hand = CompositeProblem(BallPenalty(BallSpec(np.zeros(3), 1.0), 100.0), family,
+                            IdentityMap(), KernelProjector(np.ones((1, 3))), dim=3)
+    built, x1 = seeded_direct_dispersion()
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
+    traces = []
+    for prob in (hand, built):
+        counts = []
+        detailed = prob.g.prox_detailed
+
+        def counted(mu, x):
+            out = detailed(mu, x)
+            counts.append(out[2])
+            return out
+
+        prob.g.prox_detailed = counted
+        traces.append(run_pvs(prob, cfg, x1))
+        assert len(counts) == 61
+        assert sum(counts) == 62
+    for column in ("k", "mu", "gamma", "objective", "proj_grad_norm", "prox_residual"):
+        assert getattr(traces[0], column) == getattr(traces[1], column), column
+    assert np.array_equal(traces[0].final_x, traces[1].final_x)
+
+
 def test_direct_dispersion_solves_again_to_the_same_floats():
     # the second run's proxes start from the supports the first run left on
-    # the problem's warm copy, and must still give the same trace
+    # the problem's family, and must still give the same trace
     prob, x1 = seeded_direct_dispersion()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
     first, second = run_pvs(prob, cfg, x1), run_pvs(prob, cfg, x1)
@@ -662,6 +692,20 @@ def test_affine_shift_zero_is_identity():
         assert abs(wrapped.objective(x) - prob.objective(x)) < 1e-12
         assert np.abs(wrapped.h.grad(x) - prob.h.grad(x)).max() < 1e-12
         assert np.abs(wrapped.g.prox(0.2, x) - prob.g.prox(0.2, x)).max() < 1e-12
+
+
+def test_affine_shift_keeps_the_start_shape_check():
+    # the shifted problem keeps dim, so a start of the wrong length is a
+    # ContractError before the loop, not a bare ValueError from a matmul
+    design, target = random_lasso_data(6, 8, 31)
+    prob = build_constrained_lasso(
+        LassoInstance(design, target, L1Penalty(1.0), constraint_matrix=np.ones((1, 6))))
+    wrapped = affine_shift_wrap(prob, np.full(6, 0.5))
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=3, stop_step_norm=0.0)
+    for p in (prob, wrapped):
+        with pytest.raises(ContractError, match="x1 must be a flat vector of length 6"):
+            run_pvs(p, cfg, np.zeros(5))
+    assert wrapped.dim == prob.dim == 6
 
 
 def test_affine_shift_soft_threshold_identity():

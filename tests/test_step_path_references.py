@@ -317,7 +317,8 @@ def test_warm_simplex_prox_equals_the_reference_bit_for_bit():
     # along a slowly moving (mu, x), each warm prox starts from the support
     # the previous one certified, in the package and in the reference alike
     for fam, mu, x, rng in _affine_battery():
-        warm, start = fam.warm_started(), None
+        warm = SupAffineFamily(fam.a_rows, fam.offsets, fam.sigma)
+        start = None
         for _ in range(8):
             mu, x = mu * rng.uniform(0.95, 1.0), x + rng.uniform(-0.05, 0.05, x.size)
             start = _check_against_reference(warm, mu, x, start)
