@@ -68,6 +68,8 @@ class QuadraticLoss(SmoothFunction):
             raise DomainError("target must be a 1-d array of samples")
         if self.design.shape[0] != self.target.size:
             raise DomainError("design and target disagree on the sample count")
+        if not np.isfinite(self.target).all():
+            raise DomainError("target must be finite")
         self.lip_grad = 2.0 * matrix_norm_bound(self.design) ** 2
 
     def value_and_grad(self, x):

@@ -30,13 +30,16 @@ _SVD_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Closed Euclidean ball |x - center| <= radius."""
+    """Closed Euclidean ball |x - center| <= radius; the center must be
+    finite, the radius may be inf (the whole space)."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not np.isfinite(self.center).all():
+            raise DomainError("ball center must be finite")
         if not (self.radius > 0):
             raise DomainError("ball radius must be positive")
 

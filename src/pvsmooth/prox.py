@@ -167,6 +167,8 @@ class SupQuadraticFamily(ProxFunction):
 
     def __init__(self, centers):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if not np.isfinite(centers).all():
+            raise DomainError("centers must be finite")
         self.centers = centers
         self.n_blocks, self.block_dim = centers.shape
         self._counts = _block_counts(self.n_blocks)
@@ -538,12 +540,16 @@ class L1Penalty(ProxFunction):
     """lam * sum_i |t_i|: convex (rho = 0); the prox soft-thresholds at mu lam.
 
     ``lipschitz`` may be supplied when a global Lipschitz constant of the sum
-    is known for the dimension at hand (lam * sqrt(n) on R^n).
+    is known for the dimension at hand (lam * sqrt(n) on R^n).  No constant
+    is below lam, the slope along a coordinate axis, so a smaller one (or a
+    NaN or infinite one) raises :class:`DomainError`.
     """
 
     def __init__(self, lam, lipschitz=None):
         if not (0 < lam < np.inf):
             raise DomainError("lam must be finite and positive")
+        if lipschitz is not None and not (lam <= lipschitz < np.inf):
+            raise DomainError("lipschitz must be finite and at least lam")
         self.lam = float(lam)
         self.lipschitz = lipschitz
 
@@ -656,6 +662,8 @@ class TukeyPenalty(ProxFunction):
 
     def __init__(self, shifts=0.0):
         self.shifts = np.asarray(shifts, dtype=float)
+        if not np.isfinite(self.shifts).all():
+            raise DomainError("shifts must be finite")
 
     def value(self, y):
         s = np.asarray(y, dtype=float) - self.shifts

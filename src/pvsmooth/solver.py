@@ -19,7 +19,7 @@ k^(-alpha) (for Lipschitz g); both bounds are exposed as diagnostics.
 
 One loop, :func:`run_pvs`, runs this iteration, and ``SolverConfig.epsilon``
 picks its stop rule: the step norm, or the paper's epsilon stop on doubling
-windows of iterations (:class:`_EpochWindows`).
+windows of iterations (its docstring states the window rule).
 """
 
 from __future__ import annotations
@@ -171,38 +171,62 @@ def _state(problem, cfg, k, x):
 
 def pvs_step(problem, cfg, k, x):
     """One projected step at iteration index k: x - gamma_k P_V grad F_k(x),
-    the step the run loop takes, equal to P_V(x - gamma_k grad F_k(x)).
+    the step :func:`run_pvs` takes, equal to P_V(x - gamma_k grad F_k(x)).
 
+    As :func:`run_pvs` does, it checks 2 rho C <= 1 (``cfg.validate_for``);
     ``x`` must be a flat vector of the problem's dimension that already
     lies in V (up to 1e-9 relative drift).
     """
+    cfg.validate_for(problem.g)
     x = np.asarray(x, dtype=float)
     _require_flat(problem, x, "x")
     _require_in_subspace(problem.subspace, x)
     return x - _state(problem, cfg, k, x)[-1]
 
 
-def _iterate(problem, cfg, x1, stop, exhausted):
-    """The smoothing iteration from x1, ended by a stop rule.
+def run_pvs(problem, cfg, x1):
+    """Run the smoothing iteration from x1 (which must lie in V).
 
-    Row k of the trace describes x_k.  After the step k that produced
-    x_{k+1} and its row, ``stop(k, x_{k+1}, pgn, res, step_norm)`` returns a
-    stop reason, or None to go on.  Once ``cfg.max_iter`` steps are done,
-    ``exhausted(x)`` returns the reason and the iterate to hand out.  The
-    iterate handed out is checked to lie in V and returned as the trace's
-    ``final_x``.
+    Step j takes x_j to x_{j+1}, whose row the stop rule then reads; the
+    trace's ``final_x`` / ``iterations`` / ``stop_reason`` summarize the
+    run.  With ``cfg.epsilon`` unset, the run hands out its last iterate
+    after ``cfg.max_iter`` steps (``"max_iter"``) or once the step norm
+    |x_{j+1} - x_j| = gamma_j |P_V grad F_j(x_j)| drops to
+    ``cfg.stop_step_norm`` (``"step_norm"``).
 
-    A non-finite value, projected gradient or gradient raises
-    :class:`NumericalError` with ``stop_reason`` ``"numerical_error"``, after
-    its row is recorded.  Any other :class:`PvsError` raised on the way
+    With it set, the run takes the paper's epsilon stop and ignores
+    ``stop_step_norm``.  Window l covers steps j in [2^l, 2^(l+1)) and
+    opens empty at j = 2^l.  When the arriving iterate x_{j+1} sets a new
+    window best S of the projected gradient norm (ties included), the run
+    stops (``"epoch_stationarity"``) if
+
+        S <= epsilon   and   prox residual <= epsilon^(2 alpha / (1 - alpha)).
+
+    It hands out the arriving iterate of least projected gradient norm (the
+    first on ties), or at the stop the stopping iterate; ``trace.best_index``
+    and ``trace.best_grad_norm`` describe it.  Exhausting ``cfg.max_iter``
+    steps raises :class:`ConvergenceError` carrying that iterate (x1, at
+    index 1 with norm inf, when no step was taken) and the trace, whose
+    ``stop_reason`` is ``"budget_exhausted"``.
+
+    The start and the iterate handed out are checked to lie in V.  A
+    non-finite value, projected gradient or gradient raises
+    :class:`NumericalError` (``stop_reason`` ``"numerical_error"``) after
+    its row is recorded.  Any other :class:`PvsError` on the way (e.g. an
+    inner prox solver out of budget, or a final iterate outside V)
     propagates with the partial trace attached: the last iterate as
-    ``final_x``, the steps done as ``iterations`` and ``stop_reason``
-    ``"component_error"``.
+    ``final_x``, the steps done as ``iterations``, ``stop_reason``
+    ``"component_error"``.  On either error ``best_index`` and
+    ``best_grad_norm`` stay None.
     """
     cfg.validate_for(problem.g)
     x = np.array(x1, dtype=float)
     _require_flat(problem, x, "x1")
     _require_in_subspace(problem.subspace, x, "x1")
+    eps = cfg.epsilon
+    if eps is not None:
+        res_threshold = eps ** (2.0 * cfg.alpha / (1.0 - cfg.alpha))
+        best_x, best_pgn, best_k, window_best = x, math.inf, 1, math.inf
     t0 = time.perf_counter()
     trace = IterateTrace(cfg.alpha, cfg.C)
     try:
@@ -212,15 +236,27 @@ def _iterate(problem, cfg, x1, stop, exhausted):
             if not (math.isfinite(val) and math.isfinite(pgn) and _all_finite(grad)):
                 trace.stop_reason = "numerical_error"  # the loop's own check
                 raise NumericalError("non-finite state at iteration %d" % k)
-            reason = stop(k - 1, x, pgn, res, step_norm) if k > 1 else None
-            if reason is not None:
-                out = x
-                break
+            if k > 1 and eps is None:
+                if step_norm <= cfg.stop_step_norm:
+                    reason = "step_norm"
+                    break
+            elif k > 1:  # x = x_k arrives from step j = k - 1
+                if (k - 1) & (k - 2) == 0:  # j = 2^l opens window l
+                    window_best = math.inf
+                if pgn < best_pgn:
+                    best_x, best_pgn, best_k = x, pgn, k
+                if pgn <= window_best:
+                    window_best = pgn
+                    if pgn <= eps and res <= res_threshold:
+                        best_x, best_pgn, best_k = x, pgn, k
+                        reason = "epoch_stationarity"
+                        break
             if k > cfg.max_iter:
-                reason, out = exhausted(x)
+                reason = "max_iter" if eps is None else "budget_exhausted"
                 break
             x = x - step
             step_norm = gamma * pgn
+        out = x if eps is None else best_x
         _require_in_subspace(problem.subspace, out, "returned iterate")
     except PvsError as exc:
         if exc.trace is None:
@@ -229,78 +265,19 @@ def _iterate(problem, cfg, x1, stop, exhausted):
             exc.trace = trace
         raise
     trace.final_x, trace.iterations, trace.stop_reason = out, k - 1, reason
-    return trace
-
-
-def run_pvs(problem, cfg, x1):
-    """Run the smoothing iteration from x1 (which must lie in V).
-
-    Returns the trace, whose ``final_x`` / ``iterations`` / ``stop_reason``
-    summarize the run.  With ``cfg.epsilon`` unset, the run stops after
-    ``cfg.max_iter`` steps or once the step norm
-    |x_{k+1} - x_k| = gamma_k |P_V grad F_k(x_k)| drops to
-    ``cfg.stop_step_norm``.  With it set, the run takes the epsilon stop of
-    :class:`_EpochWindows` and ignores ``stop_step_norm``; ``trace.best_index``
-    and ``trace.best_grad_norm`` describe ``final_x``, and exhausting
-    ``cfg.max_iter`` steps raises :class:`ConvergenceError` carrying the best
-    iterate seen and the trace.  A :class:`PvsError` raised by a component
-    (e.g. an inner prox solver running out of budget, or a final iterate that
-    left V) propagates with the partial trace attached, its ``stop_reason``
-    set to ``"component_error"``.
-    """
-    if cfg.epsilon is None:
-        def step_norm_stop(k, x, pgn, res, step_norm):
-            return "step_norm" if step_norm <= cfg.stop_step_norm else None
-        return _iterate(problem, cfg, x1, step_norm_stop, lambda x: ("max_iter", x))
-    rule = _EpochWindows(cfg, x1)
-    trace = _iterate(problem, cfg, x1, rule, rule.exhausted)
-    trace.best_index, trace.best_grad_norm = rule.best_k, rule.best_pgn
-    if trace.stop_reason == "budget_exhausted":
+    if eps is None:
+        return trace
+    trace.best_index, trace.best_grad_norm = best_k, best_pgn
+    if reason == "budget_exhausted":
         raise ConvergenceError(
             "epoch run exhausted %d iterations without meeting epsilon=%g"
-            % (cfg.max_iter, cfg.epsilon),
-            residual=rule.best_pgn,
+            % (cfg.max_iter, eps),
+            residual=best_pgn,
             iterations=trace.iterations,
-            best=trace.final_x,
+            best=out,
             trace=trace,
         )
     return trace
-
-
-class _EpochWindows:
-    """The epsilon stop of :func:`run_pvs`.
-
-    Epoch l covers iterations k in [2^l, 2^(l+1)).  Within an epoch the best
-    projected gradient norm of the *arriving* iterates x_{k+1} is tracked;
-    when a new best value S is recorded, the run stops as soon as
-
-        S <= epsilon   and   prox residual <= epsilon^(2 alpha / (1 - alpha)).
-
-    ``best_x`` / ``best_pgn`` / ``best_k`` track the smallest projected
-    gradient norm over the run; at the stationarity stop they become the
-    stopping iterate, so they always describe the iterate handed out.
-    """
-
-    def __init__(self, cfg, x1):
-        self.eps = cfg.epsilon
-        self.res_threshold = cfg.epsilon ** (2.0 * cfg.alpha / (1.0 - cfg.alpha))
-        self.best_x, self.best_pgn, self.best_k = np.array(x1, dtype=float), np.inf, 1
-        self.window_best = np.inf
-
-    def __call__(self, k, x, pgn, res, step_norm):
-        if k & (k - 1) == 0:  # k = 2^l opens window l
-            self.window_best = np.inf
-        if pgn < self.best_pgn:
-            self.best_x, self.best_pgn, self.best_k = x, pgn, k + 1
-        if pgn <= self.window_best:
-            self.window_best = pgn
-            if pgn <= self.eps and res <= self.res_threshold:
-                self.best_x, self.best_pgn, self.best_k = x, pgn, k + 1
-                return "epoch_stationarity"
-        return None
-
-    def exhausted(self, x):
-        return "budget_exhausted", self.best_x
 
 
 def stationarity_constant(problem, cfg, first_objective, reference):

@@ -24,6 +24,7 @@ from pvsmooth.penalty import BallPenalty, PenaltySchedule
 from pvsmooth.problems import (
     MaxDispersionInstance,
     QuadraticLoss,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
     random_lasso_data,
@@ -373,6 +374,16 @@ _INFINITE_PARAMETER_BUILDS = {
         MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
     "build_max_dispersion_product lam": lambda v: build_max_dispersion_product(
         MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
+    "L1Penalty lipschitz": lambda v: prox.L1Penalty(1.0, lipschitz=v),
+    "SupQuadraticFamily centers": lambda v: prox.SupQuadraticFamily(
+        np.array([[0.0, 1.0], [v, 0.0]])),
+    "build_max_dispersion_product anchors": lambda v: build_max_dispersion_product(
+        MaxDispersionInstance(np.diag([1.0, v, 1.0]), radius=1.0, lam=100.0)),
+    "build_dro_quadratic centers": lambda v: build_dro_quadratic(
+        np.array([[0.0, 1.0], [v, 0.0]]), lam=10.0, radius=1.0),
+    "TukeyPenalty shifts": lambda v: prox.TukeyPenalty(np.array([0.0, v])),
+    "BallSpec center": lambda v: BallSpec(np.array([0.0, v]), 1.0),
+    "QuadraticLoss target": lambda v: QuadraticLoss(np.eye(2), np.array([0.0, v])),
 }
 
 
@@ -382,9 +393,30 @@ def test_infinite_parameters_are_rejected_when_built(build):
     # (SCAD with theta = inf), a family whose every prox raises (sigma =
     # inf, mu_max = 0) or a run failing at its first step (C and the
     # builders' lam); a schedule's weight is checked with the schedule, not
-    # by the stage's BallPenalty after the stages before it have run
+    # by the stage's BallPenalty after the stages before it have run.  An
+    # infinite center, anchor, shift or target warned or failed at the first
+    # prox or step, and an infinite Lipschitz constant made every bound vacuous
     with pytest.raises(DomainError):
         _INFINITE_PARAMETER_BUILDS[build](np.inf)
+
+
+@pytest.mark.parametrize("build", sorted(_INFINITE_PARAMETER_BUILDS))
+def test_nan_parameters_are_rejected_when_built(build):
+    # a NaN Tukey shift ran 200 Newton steps into a ConvergenceError, a NaN
+    # anchor or center failed the run's first prox as a component error,
+    # and a NaN Lipschitz constant made every decay-bound margin NaN
+    with pytest.raises(DomainError):
+        _INFINITE_PARAMETER_BUILDS[build](np.nan)
+
+
+@pytest.mark.parametrize("lipschitz", [-1.0, 0.0, 0.5])
+def test_l1_lipschitz_below_lam_is_rejected(lipschitz):
+    # lam |t_1| alone has slope lam, so no constant of the sum is smaller;
+    # a negative one made every prox-residual bound, C lipschitz k^-alpha,
+    # negative
+    with pytest.raises(DomainError, match="at least lam"):
+        prox.L1Penalty(1.0, lipschitz=lipschitz)
+    assert prox.L1Penalty(1.0, lipschitz=1.0).lipschitz == 1.0
 
 
 def test_infinite_limits_that_are_well_defined_stay_accepted():

@@ -155,6 +155,19 @@ def test_pvs_step_requires_subspace_membership():
         run_pvs(prob, cfg, np.array([1.0, 1.0, 1.0]))
 
 
+def test_pvs_step_checks_the_weak_convexity_pairing():
+    # rho = 2 and C = 0.3 break 2 rho C <= 1: run_pvs rejected the config,
+    # while pvs_step took the step
+    inst = MaxDispersionInstance(random_anchors(3, 4, 0), radius=1.0, lam=10.0)
+    prob = build_max_dispersion_product(inst)
+    x = subspace_start(prob.subspace, prob.dim)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.3, max_iter=5)
+    for call in (lambda: pvs_step(prob, cfg, 8, x), lambda: run_pvs(prob, cfg, x)):
+        with pytest.raises(DomainError, match="2\\*rho\\*C <= 1"):
+            call()
+    assert pvs_step(prob, replace(cfg, C=0.25), 8, x).shape == x.shape
+
+
 def test_nan_start_is_not_in_the_subspace():
     # a NaN drift passed the old `drift > tol` test, and the run died in
     # project_simplex with a bare IndexError and no trace; an infinite start
@@ -282,6 +295,7 @@ def test_run_pvs_step_norm_stop():
     trace = run_pvs(prob, cfg, subspace_start(prob.subspace, prob.dim))
     assert trace.stop_reason == "step_norm"
     assert trace.iterations < 10**6
+    assert trace.best_index is None and trace.best_grad_norm is None
 
 
 def test_run_pvs_theorem_bounds_hold():
@@ -398,6 +412,7 @@ def test_epsilon_run_inner_failure_carries_partial_trace():
     assert trace.stop_reason == "component_error"
     assert 0 < trace.iterations == len(trace) < 60
     assert trace.final_x.shape == (3,)
+    assert trace.best_index is None and trace.best_grad_norm is None
 
 
 def test_direct_dispersion_inner_work_per_prox():
@@ -511,6 +526,7 @@ def test_final_iterate_membership_is_checked():
             run_pvs(prob, replace(cfg, epsilon=eps), x1)
         assert exc.value.trace.stop_reason == "component_error"
         assert len(exc.value.trace) == exc.value.trace.iterations + 1
+        assert exc.value.trace.best_index is None
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +605,83 @@ def test_run_pvs_and_epochs_share_the_iteration():
     for column in ("k", "mu", "gamma", "objective", "proj_grad_norm", "prox_residual"):
         assert (np.asarray(getattr(epochs, column)).tobytes()
                 == np.asarray(getattr(plain, column)).tobytes())
+
+
+def _reference_epsilon_stop(pgn, res, eps, alpha):
+    """The paper's window rule read off a trace's columns: the row j where
+    the epsilon stop ends the run, or None.  Window l holds rows
+    [2^l, 2^(l+1)); a row whose norm is at most the window's best so far
+    becomes the best, and the run stops there if both thresholds hold."""
+    lo = 1
+    while lo < len(pgn):
+        best = np.inf
+        for j in range(lo, min(2 * lo, len(pgn))):
+            if pgn[j] <= best:
+                best = pgn[j]
+                if best <= eps and res[j] <= eps ** (2 * alpha / (1 - alpha)):
+                    return j
+        lo *= 2
+    return None
+
+
+def test_epsilon_stop_matches_a_reference_window_rule():
+    design, target = random_lasso_data(6, 12, 3)
+    constraint = np.random.default_rng(4).standard_normal((2, 6))
+    prob = build_constrained_lasso(
+        LassoInstance(design, target, L1Penalty(0.3), constraint_matrix=constraint))
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=400, stop_step_norm=0.0)
+    xs = [subspace_start(prob.subspace, prob.dim)]
+    for k in range(1, cfg.max_iter + 1):
+        xs.append(pvs_step(prob, cfg, k, xs[-1]))
+    plain = run_pvs(prob, cfg, xs[0])
+    assert np.array_equal(plain.final_x, xs[-1])
+    pgn, res = plain.proj_grad_norm, plain.prox_residual
+    stops = []
+    for eps in np.geomspace(0.02, 3.0, 60):
+        j = _reference_epsilon_stop(pgn, res, eps, cfg.alpha)
+        if j is None:
+            with pytest.raises(ConvergenceError) as exc:
+                run_pvs(prob, replace(cfg, epsilon=eps), xs[0])
+            trace, best = exc.value.trace, 1 + int(np.argmin(pgn[1:]))
+            assert trace.stop_reason == "budget_exhausted"
+            assert np.array_equal(exc.value.best, xs[best])
+        else:
+            trace, best = run_pvs(prob, replace(cfg, epsilon=eps), xs[0]), j
+            assert trace.stop_reason == "epoch_stationarity"
+            stops.append(j)
+        assert trace.iterations == len(trace) - 1 == (400 if j is None else j)
+        assert np.array_equal(trace.final_x, xs[best])
+        assert trace.best_index == best + 1 and trace.best_grad_norm == pgn[best]
+    # the sweep reaches both exits and stops in most windows
+    assert 0 < len(stops) < 60
+    assert len({int(np.log2(j)) for j in stops}) >= 6
+
+
+def test_epsilon_stop_on_ties():
+    # h(x) = x_1 / 2 on V = span{e_1}, and a g whose prox residual is
+    # 3.5 mu along e_2, which V removes from the gradient: every row has
+    # |P_V grad F_k| = 0.5 exactly, and the residual drops below 0.5 (the
+    # threshold at epsilon = 0.5, alpha = 1/3) first at row 5
+    h = CallableSmooth(lambda x: 0.5 * x[0], lambda x: np.array([0.5, 0.0]), 0.0)
+    g = CallableProx(lambda y: 0.0, lambda mu, y: y - np.array([0.0, 3.5 * mu]))
+    prob = CompositeProblem(h, g, IdentityMap(), KernelProjector(np.array([[0.0, 1.0]])),
+                            dim=2)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=20, stop_step_norm=0.0)
+    xs = [np.zeros(2)]
+    for k in range(1, cfg.max_iter + 1):
+        xs.append(pvs_step(prob, cfg, k, xs[-1]))
+    plain = run_pvs(prob, cfg, xs[0])
+    assert set(plain.proj_grad_norm) == {0.5}
+    assert plain.prox_residual[4] > 0.5 >= plain.prox_residual[5]
+    # each row ties the window best [4, 8) set at row 4, so row 5 stops the
+    # run, and its iterate replaces the best set at row 1
+    trace = run_pvs(prob, replace(cfg, epsilon=0.5), xs[0])
+    assert trace.stop_reason == "epoch_stationarity" and trace.iterations == 5
+    assert trace.best_index == 6 and np.array_equal(trace.final_x, xs[5])
+    # no row stops below the norm; a tie does not replace the best
+    with pytest.raises(ConvergenceError) as exc:
+        run_pvs(prob, replace(cfg, epsilon=0.25), xs[0])
+    assert exc.value.trace.best_index == 2 and np.array_equal(exc.value.best, xs[1])
 
 
 def test_epsilon_run_ignores_the_step_norm_stop():
