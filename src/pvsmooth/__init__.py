@@ -95,7 +95,6 @@ from .solver import (
     SolverConfig,
     affine_shift_wrap,
     epoch_iteration_budget,
-    epoch_stationarity_constant,
     pvs_step,
     run_pvs,
     schedule,

@@ -193,10 +193,12 @@ def _margins_hold(trace, gm, pm):
 
 
 def write_summary_json(problem, trace, path):
-    final_objective = bounds_ok = None
+    """``bounds_heuristic`` is null with ``bounds_ok``, else whether the
+    least objective seen stood in for an ``f_star`` the problem lacks."""
+    final_objective = bounds_ok = heuristic = None
     if trace.final_x is not None:
         final_objective = problem.objective(trace.final_x)
-        gm, pm, _ = theorem_bound_margins(problem, trace)
+        gm, pm, heuristic = theorem_bound_margins(problem, trace)
         bounds_ok = None if gm is None else _margins_hold(trace, gm, pm)
     summary = {
         "final_objective": final_objective,
@@ -204,6 +206,7 @@ def write_summary_json(problem, trace, path):
         "stop_reason": trace.stop_reason,
         "elapsed_s": trace.elapsed_s[-1] if trace.elapsed_s else 0.0,
         "bounds_ok": bounds_ok,
+        "bounds_heuristic": None if bounds_ok is None else heuristic,
     }
     with open(path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)

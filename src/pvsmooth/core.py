@@ -16,6 +16,7 @@ Moreau envelope g_mu, which is differentiable for mu < 1/rho with
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -47,6 +48,27 @@ _POWER_INFLATE = 1.01
 _POWER_SEED = 0x5EED
 _CERT_MARGIN = 1e-10
 _SAFE_EXPONENT = 200
+
+
+def _require(value, name, low, high, allow_none=False, integer=False, ends="()"):
+    """Return ``value`` if it lies between ``low`` and ``high``, each end
+    open or closed as its bracket in ``ends`` says, else raise
+    :class:`DomainError` naming the parameter ``name``: the one check of a
+    scalar parameter, made when an object is built.  The comparisons fail
+    on NaN; inf passes only a closed infinite end (``ends="(]"``, a
+    parameter that names an infinite limit); None passes with
+    ``allow_none``; an ``integer`` must be a :class:`numbers.Integral`.
+    Plain comparisons, no numpy call."""
+    if value is None and allow_none:
+        return value
+    if integer and not isinstance(value, numbers.Integral) or not (
+            (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        kind = ("an integer" if integer else
+                "a number" if high == math.inf and ends[1] == "]" else "a finite number")
+        raise DomainError("%s must be %s%s in %s%s, %s%s, got %r" % (
+            name, "None or " if allow_none else "", kind, ends[0], low, high, ends[1], value))
+    return value
 
 
 def _all_finite(a):
@@ -229,9 +251,7 @@ class ScaledSquaredNorm(ProxFunction):
     rho = 0.0
 
     def __init__(self, weight=1.0):
-        if not (0 < weight < np.inf):
-            raise DomainError("weight must be finite and positive")
-        self.weight = float(weight)
+        self.weight = float(_require(weight, "weight", 0, math.inf))
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -248,8 +268,9 @@ class CallableProx(ProxFunction):
     def __init__(self, value_fn, prox_fn, rho=0.0, lipschitz=None):
         self._value = value_fn
         self._prox = prox_fn
-        self.rho = float(rho)
-        self.lipschitz = lipschitz
+        self.rho = float(_require(rho, "rho", 0, math.inf, ends="[)"))
+        self.lipschitz = _require(lipschitz, "lipschitz", 0, math.inf, allow_none=True,
+                                  ends="[)")
 
     def value(self, y):
         return float(self._value(y))
@@ -290,7 +311,7 @@ class CallableSmooth(SmoothFunction):
     def __init__(self, value_fn, grad_fn, lip_grad):
         self._value = value_fn
         self._grad = grad_fn
-        self.lip_grad = float(lip_grad)
+        self.lip_grad = float(_require(lip_grad, "lip_grad", 0, math.inf, ends="[)"))
 
     def value_and_grad(self, x):
         return float(self._value(x)), np.asarray(self._grad(x), dtype=float)
@@ -380,11 +401,11 @@ class CompositeProblem:
     a_map : LinearMap
     subspace : SubspaceProjector
     f_star : float, optional
-        Known lower bound on the smoothed objective values, used by the
-        stationarity bound diagnostics.  When absent those diagnostics fall
-        back to the observed minimum and are flagged as heuristic.
+        Known finite lower bound on the smoothed objective values, used by
+        the stationarity bound diagnostics.  When absent those diagnostics
+        fall back to the observed minimum and are flagged as heuristic.
     dim : int, optional
-        Ambient dimension, when known; enables an early shape check.
+        Ambient dimension >= 1, when known; enables an early shape check.
     """
 
     def __init__(self, h, g, a_map, subspace, f_star=None, dim=None):
@@ -392,8 +413,8 @@ class CompositeProblem:
         self.g = g
         self.a_map = a_map
         self.subspace = subspace
-        self.f_star = f_star
-        self.dim = dim
+        self.f_star = _require(f_star, "f_star", -math.inf, math.inf, allow_none=True)
+        self.dim = _require(dim, "dim", 1, math.inf, allow_none=True, ends="[)")
         if dim is not None:
             probe = np.zeros(int(dim))
             try:

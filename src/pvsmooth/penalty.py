@@ -16,11 +16,12 @@ minimizers, so downstream checks should allow its stopping tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, SmoothFunction
+from .core import CompositeProblem, SmoothFunction, _require
 from .errors import DomainError, PvsError, StageError
 from .projections import project_ball
 from .solver import SolverConfig, run_pvs
@@ -49,11 +50,8 @@ class BallPenalty(SmoothFunction):
     """(weight/2) d(x, B)^2; gradient weight*(x - P_B(x)), Lipschitz weight."""
 
     def __init__(self, ball, weight):
-        if not (0 < weight < np.inf):
-            raise DomainError("penalty weight must be finite and positive")
         self.ball = ball
-        self.weight = float(weight)
-        self.lip_grad = float(weight)
+        self.weight = self.lip_grad = float(_require(weight, "weight", 0, math.inf))
 
     def value_and_grad(self, x):
         val, d = penalty_distance_sq(self.ball, x)
@@ -86,10 +84,10 @@ class PenaltySchedule:
     config: SolverConfig
 
     def __post_init__(self):
-        lambdas = tuple(float(l) for l in self.lambdas)
+        lambdas = tuple(_require(float(l), "lambdas", 0, math.inf) for l in self.lambdas)
         object.__setattr__(self, "lambdas", lambdas)
-        if not lambdas or not all(0 < l < np.inf for l in lambdas):
-            raise DomainError("penalty weights must be finite and positive")
+        if not lambdas:
+            raise DomainError("penalty weights must be nonempty")
         if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise DomainError("penalty weights must be strictly increasing")
 

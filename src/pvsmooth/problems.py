@@ -11,6 +11,7 @@ and the builders reject weights at or below the coercivity threshold
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,7 @@ from .core import (
     MatrixMap,
     ProxFunction,
     SmoothFunction,
+    _require,
     matrix_norm_bound,
 )
 from .errors import DomainError
@@ -86,7 +88,7 @@ class FirstBlockBallPenalty(BallPenalty):
 
     def __init__(self, ball, weight, n_blocks):
         super().__init__(ball, weight)
-        self.n_blocks = int(n_blocks)
+        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
 
     def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -102,7 +104,7 @@ class ProductBallPenalty(BallPenalty):
 
     def __init__(self, ball, weight, n_blocks):
         super().__init__(ball, weight)
-        self.n_blocks = int(n_blocks)
+        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
 
     def value_and_grad(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
@@ -161,10 +163,8 @@ def build_dro_affine(a_rows, offsets, lam, radius, ambiguity=None, sigma=1.0,
     On the simplex the family starts each prox's active set from the support
     it last certified.
     """
-    if not (lam > 2.0 * sigma):
-        raise DomainError("penalty weight must exceed %g for a coercive objective"
-                          % (2.0 * sigma))
     g = SupAffineFamily(a_rows, offsets, sigma, ambiguity)
+    _require(lam, "lam", 2.0 * g.sigma, math.inf)  # lam > 2 sigma: coercive
     dim = g.a_rows.shape[1]
     h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)
     subspace = _kernel_subspace(constraint_matrix)
@@ -175,8 +175,7 @@ def _sup_quadratic_problem(centers, lam, radius, constraint_matrix, penalty):
     """max_i -|x_i - c_i|^2 on the product space, its copies coupled through
     the replicated-diagonal subspace, plus the ball penalty class
     ``penalty(ball, lam, n_blocks)``; the prox is closed-form."""
-    if not (lam > 2.0):
-        raise DomainError("penalty weight must exceed 2 for a coercive objective")
+    _require(lam, "lam", 2, math.inf)  # lam > 2: coercive
     g = SupQuadraticFamily(centers)
     n_blocks, dim = g.centers.shape
     h = penalty(BallSpec(np.zeros(dim), radius), lam, n_blocks)
@@ -265,12 +264,14 @@ def subspace_start(projector, dim):
 
 def _seeded_rng(dim, count, seed):
     """numpy's default generator for ``seed``, once the shape and seed pass:
-    :class:`DomainError` unless dim >= 1, count >= 1, seed >= 0 and a
-    (count, dim) array fits numpy's index range."""
-    if not (dim >= 1 and count >= 1 and seed >= 0 and dim * count <= np.iinfo(np.intp).max):
-        raise DomainError("seeded data needs dim >= 1, count >= 1, seed >= 0 and dim * count "
-                          "in numpy's index range, got dim=%r, count=%r, seed=%r"
-                          % (dim, count, seed))
+    :class:`DomainError` unless dim >= 1, count >= 1 and seed >= 0 are
+    integers and a (count, dim) array fits numpy's index range."""
+    _require(dim, "dim", 1, math.inf, integer=True, ends="[)")
+    _require(count, "count", 1, math.inf, integer=True, ends="[)")
+    _require(seed, "seed", 0, math.inf, integer=True, ends="[)")
+    if dim * count > np.iinfo(np.intp).max:
+        raise DomainError("dim * count must lie in numpy's index range, got dim=%r, count=%r"
+                          % (dim, count))
     return np.random.default_rng(seed)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubspaceProjector
+from .core import SubspaceProjector, _require
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -40,8 +40,7 @@ class BallSpec:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not np.isfinite(self.center).all():
             raise DomainError("ball center must be finite")
-        if not (self.radius > 0):
-            raise DomainError("ball radius must be positive")
+        _require(self.radius, "radius", 0, math.inf, ends="(]")
 
 
 def project_ball(spec, x):
@@ -132,7 +131,7 @@ class ProductKernelProjector(SubspaceProjector):
 
     def __init__(self, kernel_projector, n_blocks):
         self.kernel = kernel_projector
-        self.n_blocks = int(n_blocks)
+        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
 
     def apply(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
@@ -150,7 +149,7 @@ class ReplicatedKernelProjector(SubspaceProjector):
 
     def __init__(self, kernel_projector, n_blocks):
         self.kernel = kernel_projector
-        self.n_blocks = int(n_blocks)
+        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
 
     def apply(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
@@ -169,13 +168,17 @@ def dykstra_project(proj_a, proj_b, x, tol=1e-12, max_iter=10000):
     terms are below ``tol``.  (Testing only successive iterates can stall at
     a vertex of a polyhedral set while the corrections are still moving.)
     The gap also bounds the distance of the result to each set.  Raises
-    :class:`ConvergenceError` carrying the last gap otherwise.
+    :class:`ConvergenceError` carrying the last gap otherwise, and
+    :class:`DomainError` unless ``tol >= 0`` (inf stops after one sweep)
+    and ``max_iter`` is a positive integer.
     """
+    _require(tol, "tol", 0, math.inf, ends="[]")
+    _require(max_iter, "max_iter", 1, math.inf, integer=True, ends="[)")
     x = np.asarray(x, dtype=float)
     z = x.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    for it in range(int(max_iter)):
+    for it in range(max_iter):
         y = proj_a(z + p)
         gap_a = float(np.linalg.norm(z - y))
         p = z + p - y

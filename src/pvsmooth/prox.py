@@ -19,11 +19,10 @@ smoothing parameter satisfies mu < 1/rho.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import ProxFunction, _all_finite, spectral_norm
+from .core import ProxFunction, _all_finite, _require, spectral_norm
 # matrix_norm_bound is unused here but stays a module attribute:
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
@@ -93,8 +92,7 @@ def solve_simplex_weights(alpha, mu):
         raise DomainError("alpha must be a nonempty 1-d array")
     if not np.all((alpha > 0) & (alpha < np.inf)):
         raise DomainError("alpha entries must be finite and strictly positive")
-    if not (0.0 < mu < 0.5):
-        raise DomainError("mu must lie in (0, 1/2)")
+    _require(mu, "mu", 0, 0.5)
     return _simplex_weights(alpha, mu, _block_counts(alpha.size))
 
 
@@ -271,28 +269,21 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("a_rows and offsets disagree on the scenario count")
         if not np.isfinite(offsets).all():
             raise DomainError("offsets must be finite")
-        if not (0 < sigma < np.inf):
-            raise DomainError("sigma must be finite and positive")
+        self.sigma = float(_require(sigma, "sigma", 0, math.inf))
         if ambiguity is not None and not (
                 isinstance(ambiguity, tuple) and len(ambiguity) == 2
                 and all(map(callable, ambiguity))):
             raise DomainError("ambiguity must be None (the simplex) or a "
                               "(project, support) pair of callables")
-        if not (0.0 < tol < np.inf):
-            raise DomainError("tol must be finite and positive")
-        if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-            raise DomainError("max_iter must be a positive integer")
+        self.tol = float(_require(tol, "tol", 0, math.inf))
+        self.max_iter = int(_require(max_iter, "max_iter", 1, math.inf, integer=True,
+                                     ends="[)"))
         norm = spectral_norm(a_rows)  # rejects NaN and inf
-        if not norm * norm < np.inf:
-            raise DomainError("|A|^2 must be finite")
+        self.gram_norm = _require(norm * norm, "|A|^2", 0, math.inf, ends="[)")
         self.a_rows = a_rows
         self.offsets = offsets
-        self.sigma = float(sigma)
         self.ambiguity = ambiguity
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self.rho = 2.0 * self.sigma
-        self.gram_norm = norm * norm
         self._support = None
 
     def value(self, x):
@@ -546,12 +537,9 @@ class L1Penalty(ProxFunction):
     """
 
     def __init__(self, lam, lipschitz=None):
-        if not (0 < lam < np.inf):
-            raise DomainError("lam must be finite and positive")
-        if lipschitz is not None and not (lam <= lipschitz < np.inf):
-            raise DomainError("lipschitz must be finite and at least lam")
-        self.lam = float(lam)
-        self.lipschitz = lipschitz
+        self.lam = float(_require(lam, "lam", 0, math.inf))
+        self.lipschitz = _require(lipschitz, "lipschitz", lam, math.inf, allow_none=True,
+                                  ends="[)")
 
     def value(self, y):
         return float(self.lam * np.abs(np.asarray(y, dtype=float)).sum())
@@ -570,10 +558,9 @@ class MCPPenalty(ProxFunction):
     """
 
     def __init__(self, lam, theta):
-        if not (0 < lam < np.inf and theta > 0):
-            raise DomainError("MCP requires a finite lam > 0 and theta > 0")
-        self.lam = float(lam)
-        self.theta = float(theta)
+        self.lam = float(_require(lam, "lam", 0, math.inf))
+        # theta = inf is the l1 penalty
+        self.theta = float(_require(theta, "theta", 0, math.inf, ends="(]"))
         self.rho = 1.0 / self.theta
 
     @property
@@ -608,10 +595,8 @@ class SCADPenalty(ProxFunction):
     """
 
     def __init__(self, lam, theta):
-        if not (0 < lam < np.inf and 2.0 < theta < np.inf):
-            raise DomainError("SCAD requires finite lam > 0 and finite theta > 2")
-        self.lam = float(lam)
-        self.theta = float(theta)
+        self.lam = float(_require(lam, "lam", 0, math.inf))
+        self.theta = float(_require(theta, "theta", 2, math.inf))
         self.rho = 1.0 / (self.theta - 1.0)
 
     @property

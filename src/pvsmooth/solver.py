@@ -25,13 +25,12 @@ windows of iterations (its docstring states the window rule).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ProxFunction, SmoothFunction, _all_finite
+from .core import CompositeProblem, ProxFunction, SmoothFunction, _all_finite, _require
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "pvs_step",
     "run_pvs",
     "stationarity_constant",
-    "epoch_stationarity_constant",
     "epoch_iteration_budget",
     "theorem_bound_margins",
     "affine_shift_wrap",
@@ -67,19 +65,14 @@ class SolverConfig:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("alpha must lie in (0, 1)")
-        if not (0.0 < self.C < math.inf):
-            raise DomainError("C must be finite and positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
-            raise DomainError("max_iter must be a nonnegative integer")
-        if not (self.stop_step_norm >= 0.0):
-            raise DomainError("stop_step_norm must be nonnegative")
-        if self.epsilon is not None and not (self.epsilon > 0.0):
-            raise DomainError("epsilon must be positive")
+        _require(self.alpha, "alpha", 0, 1)
+        _require(self.C, "C", 0, math.inf)
+        _require(self.max_iter, "max_iter", 0, math.inf, integer=True, ends="[)")
+        _require(self.stop_step_norm, "stop_step_norm", 0, math.inf, ends="[]")
+        _require(self.epsilon, "epsilon", 0, math.inf, allow_none=True, ends="(]")
 
     def validate_for(self, g):
-        if 2.0 * g.rho * self.C > 1.0 + 1e-15:
+        if not 2.0 * g.rho * self.C <= 1.0 + 1e-15:  # written so that a NaN rho fails
             raise DomainError(
                 "schedule constant C=%g violates 2*rho*C <= 1 for rho=%g"
                 % (self.C, g.rho)
@@ -298,24 +291,18 @@ def stationarity_constant(problem, cfg, first_objective, reference):
     )
 
 
-def epoch_stationarity_constant(problem, cfg, first_objective, reference):
-    """Epoch-variant constant; the window bookkeeping tightens the constant
-    by a factor sqrt(1 - alpha)."""
-    return float(
-        np.sqrt(1.0 - cfg.alpha)
-        * stationarity_constant(problem, cfg, first_objective, reference)
-    )
-
-
 def epoch_iteration_budget(problem, cfg, first_objective, reference, epsilon):
     """Worst-case iteration count for the epoch variant to stop at epsilon:
 
     2 * max(Ctil^(2/(1-alpha)), (C L_g)^(1/alpha)) * epsilon^(-2/(1-alpha))
-    with Ctil the epoch stationarity constant."""
+
+    with Ctil the epoch stationarity constant: the window bookkeeping
+    tightens :func:`stationarity_constant` by a factor sqrt(1 - alpha)."""
     lg = problem.g.lipschitz
     if lg is None:
         raise DomainError("g has no Lipschitz constant; the budget is undefined")
-    ctil = epoch_stationarity_constant(problem, cfg, first_objective, reference)
+    ctil = float(np.sqrt(1.0 - cfg.alpha)
+                 * stationarity_constant(problem, cfg, first_objective, reference))
     expo = 2.0 / (1.0 - cfg.alpha)
     return float(
         2.0 * max(ctil**expo, (cfg.C * lg) ** (1.0 / cfg.alpha)) * epsilon ** (-expo)

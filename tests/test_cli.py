@@ -6,7 +6,7 @@ import pytest
 
 from pvsmooth import cli
 from pvsmooth.projections import project_simplex
-from pvsmooth.solver import IterateTrace
+from pvsmooth.solver import IterateTrace, SolverConfig, run_pvs
 
 
 def make_config(**overrides):
@@ -176,12 +176,29 @@ def test_solve_trace_and_summary_contents(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary) == {
         "final_objective", "iterations", "stop_reason", "elapsed_s", "bounds_ok",
+        "bounds_heuristic",
     }
     assert summary["iterations"] == 300
     assert summary["stop_reason"] == "max_iter"
     assert summary["elapsed_s"] > 0.0
     assert np.isfinite(summary["final_objective"])
     assert summary["bounds_ok"] is True
+    assert summary["bounds_heuristic"] is True  # the lasso has no f_star
+
+
+@pytest.mark.parametrize("f_star, heuristic", [(None, True), (0.0, False)])
+def test_summary_says_whether_the_bounds_are_heuristic(tmp_path, f_star, heuristic):
+    # the least objective seen stands in for a missing f_star; 0 is a lower
+    # bound for least squares plus an l1 penalty
+    cfg = cli.load_config(write_config(tmp_path))
+    problem, x1 = cli.build_from_config(cfg)
+    problem.f_star = f_star
+    solver_cfg = SolverConfig(alpha=cfg["alpha"], C=cfg["C"], max_iter=cfg["max_iter"],
+                              stop_step_norm=cfg["stop_step_norm"])
+    cli.write_summary_json(problem, run_pvs(problem, solver_cfg, x1), tmp_path / "s.json")
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["bounds_ok"] is True
+    assert summary["bounds_heuristic"] is heuristic
 
 
 def test_solve_trace_objective_descends_up_to_smoothing_correction(tmp_path):
@@ -229,6 +246,8 @@ def test_solve_seeded_dispersion_experiment(tmp_path):
     assert summary["stop_reason"] == "step_norm"
     assert summary["iterations"] > 100
     assert np.isfinite(summary["final_objective"])
+    # g has no Lipschitz constant, so no decay bound applies
+    assert summary["bounds_ok"] is None and summary["bounds_heuristic"] is None
 
 
 def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pvsmooth as pvs
 from pvsmooth import core, oracles, prox
 from pvsmooth.core import (
     CallableProx,
@@ -359,67 +362,207 @@ def test_non_finite_matrices_are_rejected(build, bad):
             _NON_FINITE_BUILDS[build](m)
 
 
-_INFINITE_PARAMETER_BUILDS = {
-    "SolverConfig C": lambda v: SolverConfig(alpha=0.5, C=v, max_iter=1),
-    "L1Penalty lam": lambda v: prox.L1Penalty(v),
-    "MCPPenalty lam": lambda v: prox.MCPPenalty(v, 1.0),
-    "SCADPenalty lam": lambda v: prox.SCADPenalty(v, 3.0),
-    "SCADPenalty theta": lambda v: prox.SCADPenalty(1.0, v),
-    "ScaledSquaredNorm weight": ScaledSquaredNorm,
-    "BallPenalty weight": lambda v: BallPenalty(BallSpec(np.zeros(2), 1.0), v),
-    "PenaltySchedule lambdas": lambda v: PenaltySchedule(
-        (1.0, v), SolverConfig(alpha=0.5, C=0.25, max_iter=1)),
-    "SupAffineFamily sigma": lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v),
-    "build_max_dispersion_direct lam": lambda v: build_max_dispersion_direct(
-        MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
-    "build_max_dispersion_product lam": lambda v: build_max_dispersion_product(
-        MaxDispersionInstance(np.eye(3), radius=1.0, lam=v)),
-    "L1Penalty lipschitz": lambda v: prox.L1Penalty(1.0, lipschitz=v),
-    "SupQuadraticFamily centers": lambda v: prox.SupQuadraticFamily(
-        np.array([[0.0, 1.0], [v, 0.0]])),
-    "build_max_dispersion_product anchors": lambda v: build_max_dispersion_product(
-        MaxDispersionInstance(np.diag([1.0, v, 1.0]), radius=1.0, lam=100.0)),
-    "build_dro_quadratic centers": lambda v: build_dro_quadratic(
-        np.array([[0.0, 1.0], [v, 0.0]]), lam=10.0, radius=1.0),
-    "TukeyPenalty shifts": lambda v: prox.TukeyPenalty(np.array([0.0, v])),
-    "BallSpec center": lambda v: BallSpec(np.array([0.0, v]), 1.0),
-    "QuadraticLoss target": lambda v: QuadraticLoss(np.eye(2), np.array([0.0, v])),
+# One row per parameter of a public class or builder: the build, and values
+# it must reject with DomainError when built.  An infinite value would give
+# NaN values (the penalties' value(0)), a NaN prox (SCAD with theta = inf),
+# a family whose every prox raises (sigma = inf, mu_max = 0), a run failing
+# at its first step (C and the builders' lam), a warning or failure at the
+# first prox or step (a center, anchor, shift or target), or a vacuous bound
+# (a Lipschitz constant or f_star).  A NaN Tukey shift ran 200 Newton steps
+# into a ConvergenceError, a NaN anchor or center failed the run's first
+# prox as a component error, a NaN Lipschitz constant made every
+# decay-bound margin NaN, and a NaN rho passed the 2 rho C <= 1 check.  A
+# schedule's weight is checked with the schedule, not by a stage's
+# BallPenalty after the stages before it have run.
+_CFG = SolverConfig(alpha=0.5, C=0.25, max_iter=1)
+_BALL = BallSpec(np.zeros(2), 1.0)
+_NO_RANGE = (np.nan, np.inf, -np.inf)  # for parameters of any sign
+_POSITIVE = (0.0, -1.0, np.nan, np.inf)
+_NONNEGATIVE = (-1.0, np.nan, np.inf)
+_COUNT = (0, -1, np.nan, np.inf)  # n_blocks and dim: at least 1
+_INTEGER = (0, -1, 1.5, np.nan, np.inf)  # integers from 1
+
+
+def _dispersion(build, field, wrap=lambda v: v):
+    def make(v):
+        fields = {"anchors": np.eye(3), "radius": 1.0, "lam": 100.0, field: wrap(v)}
+        return build(pvs.MaxDispersionInstance(**fields))
+    return make
+
+
+def _lasso(f_star):
+    return pvs.build_constrained_lasso(pvs.LassoInstance(
+        np.eye(2), np.ones(2), prox.L1Penalty(1.0), f_star=f_star))
+
+
+def _problem(**kwargs):
+    return CompositeProblem(ZeroSmooth(), ZeroFunction(), IdentityMap(),
+                            IdentityProjector(), **kwargs)
+
+
+_PARAMETERS = {
+    "SolverConfig alpha": (lambda v: SolverConfig(alpha=v, C=0.25, max_iter=1),
+                           (0.0, 1.0, -1.0, np.nan, np.inf)),
+    "SolverConfig C": (lambda v: SolverConfig(alpha=0.5, C=v, max_iter=1), _POSITIVE),
+    "SolverConfig max_iter": (lambda v: SolverConfig(alpha=0.5, C=0.25, max_iter=v),
+                              (-1, 1.5, np.nan, np.inf)),
+    "SolverConfig stop_step_norm": (
+        lambda v: SolverConfig(alpha=0.5, C=0.25, max_iter=1, stop_step_norm=v),
+        (-1.0, np.nan, -np.inf)),
+    "SolverConfig epsilon": (
+        lambda v: SolverConfig(alpha=0.5, C=0.25, max_iter=1, epsilon=v),
+        (0.0, -1.0, np.nan)),
+    "ScaledSquaredNorm weight": (ScaledSquaredNorm, _POSITIVE),
+    "CallableProx rho": (lambda v: CallableProx(abs, abs, rho=v), _NONNEGATIVE),
+    "CallableProx lipschitz": (lambda v: CallableProx(abs, abs, lipschitz=v), _NONNEGATIVE),
+    "CallableSmooth lip_grad": (lambda v: CallableSmooth(abs, abs, v), _NONNEGATIVE),
+    "CompositeProblem f_star": (lambda v: _problem(f_star=v), _NO_RANGE),
+    "CompositeProblem dim": (lambda v: _problem(dim=v), _COUNT),
+    "LassoInstance f_star": (_lasso, _NO_RANGE),
+    "L1Penalty lam": (prox.L1Penalty, _POSITIVE),
+    # lam |t_1| alone has slope lam, so no constant of the sum is smaller; a
+    # negative one made every prox-residual bound, C lipschitz k^-alpha, negative
+    "L1Penalty lipschitz": (lambda v: prox.L1Penalty(1.0, lipschitz=v),
+                            (-1.0, 0.0, 0.5, np.nan, np.inf)),
+    "MCPPenalty lam": (lambda v: prox.MCPPenalty(v, 1.0), _POSITIVE),
+    "MCPPenalty theta": (lambda v: prox.MCPPenalty(1.0, v), (0.0, -1.0, np.nan)),
+    "SCADPenalty lam": (lambda v: prox.SCADPenalty(v, 3.0), _POSITIVE),
+    "SCADPenalty theta": (lambda v: prox.SCADPenalty(1.0, v), (2.0, 1.0, np.nan, np.inf)),
+    "TukeyPenalty shifts": (lambda v: prox.TukeyPenalty(np.array([0.0, v])), _NO_RANGE),
+    "SupQuadraticFamily centers": (
+        lambda v: prox.SupQuadraticFamily(np.array([[0.0, 1.0], [v, 0.0]])), _NO_RANGE),
+    "SupAffineFamily sigma": (
+        lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v), _POSITIVE),
+    "SupAffineFamily tol": (
+        lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, tol=v), _POSITIVE),
+    "SupAffineFamily max_iter": (
+        lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, max_iter=v), _INTEGER),
+    "BallSpec center": (lambda v: BallSpec(np.array([0.0, v]), 1.0), _NO_RANGE),
+    "BallSpec radius": (lambda v: BallSpec(np.zeros(2), v), (0.0, -1.0, np.nan)),
+    "BallPenalty weight": (lambda v: BallPenalty(_BALL, v), _POSITIVE),
+    "FirstBlockBallPenalty weight": (lambda v: pvs.FirstBlockBallPenalty(_BALL, v, 2),
+                                     _POSITIVE),
+    "FirstBlockBallPenalty n_blocks": (lambda v: pvs.FirstBlockBallPenalty(_BALL, 1.0, v),
+                                       _COUNT),
+    "ProductBallPenalty weight": (lambda v: pvs.ProductBallPenalty(_BALL, v, 2), _POSITIVE),
+    "ProductBallPenalty n_blocks": (lambda v: pvs.ProductBallPenalty(_BALL, 1.0, v),
+                                    _COUNT),
+    "ProductKernelProjector n_blocks": (
+        lambda v: pvs.ProductKernelProjector(IdentityProjector(), v), _COUNT),
+    "ReplicatedKernelProjector n_blocks": (
+        lambda v: pvs.ReplicatedKernelProjector(IdentityProjector(), v), _COUNT),
+    "PenaltySchedule lambdas": (lambda v: PenaltySchedule((1.0, v), _CFG),
+                                (-1.0, np.nan, np.inf)),
+    "QuadraticLoss target": (lambda v: QuadraticLoss(np.eye(2), np.array([0.0, v])),
+                             _NO_RANGE),
+    "MaxDispersionInstance lam (direct)": (_dispersion(build_max_dispersion_direct, "lam"),
+                                           (2.0, np.nan, np.inf)),
+    "MaxDispersionInstance lam (product)": (_dispersion(build_max_dispersion_product, "lam"),
+                                            (2.0, np.nan, np.inf)),
+    "MaxDispersionInstance radius": (_dispersion(build_max_dispersion_direct, "radius"),
+                                     (0.0, -1.0, np.nan)),
+    "MaxDispersionInstance anchors (product)": (
+        _dispersion(build_max_dispersion_product, "anchors", lambda v: np.diag([1.0, v, 1.0])),
+        _NO_RANGE),
+    "build_dro_affine lam": (
+        lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), v, 1.0), (2.0, np.nan, np.inf)),
+    "build_dro_affine radius": (
+        lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), 10.0, v), (0.0, np.nan)),
+    "build_dro_affine sigma": (
+        lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), 10.0, 1.0, sigma=v),
+        _POSITIVE),
+    "build_dro_quadratic centers": (
+        lambda v: build_dro_quadratic(np.array([[0.0, 1.0], [v, 0.0]]), lam=10.0, radius=1.0),
+        _NO_RANGE),
+    "build_dro_quadratic lam": (lambda v: build_dro_quadratic(np.eye(2), v, 1.0),
+                                (2.0, np.nan, np.inf)),
+    "build_dro_quadratic radius": (lambda v: build_dro_quadratic(np.eye(2), 10.0, v),
+                                   (0.0, np.nan)),
+    "random_anchors dim": (lambda v: pvs.random_anchors(v, 2, 0), _INTEGER),
+    "random_anchors count": (lambda v: pvs.random_anchors(2, v, 0), _INTEGER),
+    "random_anchors seed": (lambda v: pvs.random_anchors(2, 2, v), (-1, 1.5, np.nan)),
+    "random_affine_scenarios dim": (lambda v: pvs.random_affine_scenarios(v, 2, 0), _INTEGER),
+    "random_affine_scenarios count": (lambda v: pvs.random_affine_scenarios(2, v, 0),
+                                      _INTEGER),
+    "random_affine_scenarios seed": (lambda v: pvs.random_affine_scenarios(2, 2, v),
+                                     (-1, 1.5, np.nan)),
+    "random_lasso_data dim": (lambda v: pvs.random_lasso_data(v, 2, 0), _INTEGER),
+    "random_lasso_data samples": (lambda v: pvs.random_lasso_data(2, v, 0), _INTEGER),
+    "random_lasso_data seed": (lambda v: pvs.random_lasso_data(2, 2, v), (-1, 1.5, np.nan)),
 }
 
+# parameter names that are not numbers, each checked elsewhere or not at all
+_NOT_NUMBERS = {
+    "value_fn": "a callable", "prox_fn": "a callable", "grad_fn": "a callable",
+    "ambiguity": "None or a (project, support) pair of callables, checked when built",
+    "h": "a SmoothFunction", "terms": "SmoothFunctions", "regularizer": "a ProxFunction",
+    "g": "a ProxFunction", "a_map": "a LinearMap",
+    "subspace": "a SubspaceProjector", "kernel_projector": "a SubspaceProjector",
+    "ball": "a BallSpec, whose fields have rows",
+    "config": "a SolverConfig, whose fields have rows",
+    "inst": "an instance, whose fields have rows",
+    # arrays: _NON_FINITE_BUILDS covers the matrices, and the table the
+    # entries of centers, shifts, targets and anchors
+    "mat": "an array", "R": "an array", "design": "an array", "target": "an array",
+    "a_rows": "an array", "offsets": "an array", "centers": "an array",
+    "center": "an array", "anchors": "an array", "shifts": "an array",
+    "constraint_matrix": "an array", "inner_matrix": "an array",
+}
+# classes that record a run rather than configure one: IterateTrace is
+# built by run_pvs from a checked SolverConfig, and errors carry diagnostics
+_RECORDS = ("IterateTrace", "PenaltyDiagnostics")
 
-@pytest.mark.parametrize("build", sorted(_INFINITE_PARAMETER_BUILDS))
-def test_infinite_parameters_are_rejected_when_built(build):
-    # each would give NaN values (the penalties' value(0)), a NaN prox
-    # (SCAD with theta = inf), a family whose every prox raises (sigma =
-    # inf, mu_max = 0) or a run failing at its first step (C and the
-    # builders' lam); a schedule's weight is checked with the schedule, not
-    # by the stage's BallPenalty after the stages before it have run.  An
-    # infinite center, anchor, shift or target warned or failed at the first
-    # prox or step, and an infinite Lipschitz constant made every bound vacuous
+
+def _public_parameters():
+    """(owner, parameter) for every class and builder in ``pvsmooth.__all__``."""
+    for name in pvs.__all__:
+        obj = getattr(pvs, name)
+        if inspect.isclass(obj):
+            if issubclass(obj, Exception) or name in _RECORDS:
+                continue
+        elif not (inspect.isfunction(obj) and name.startswith(("build_", "random_"))):
+            continue
+        for param in inspect.signature(obj).parameters:
+            yield name, param
+
+
+def test_every_numeric_parameter_has_a_row():
+    pairs = set(_public_parameters())
+    rows = {tuple(key.split()[:2]) for key in _PARAMETERS}
+    assert not sorted(p for p in pairs - rows if p[1] not in _NOT_NUMBERS)
+    assert not sorted(rows - pairs)  # each row names a real parameter
+    assert not set(_NOT_NUMBERS) - {param for _, param in pairs}
+
+
+@pytest.mark.parametrize("key, bad", [(key, bad) for key, (_, bads) in _PARAMETERS.items()
+                                      for bad in bads])
+def test_out_of_range_parameters_are_rejected_when_built(key, bad):
     with pytest.raises(DomainError):
-        _INFINITE_PARAMETER_BUILDS[build](np.inf)
+        _PARAMETERS[key][0](bad)
 
 
-@pytest.mark.parametrize("build", sorted(_INFINITE_PARAMETER_BUILDS))
-def test_nan_parameters_are_rejected_when_built(build):
-    # a NaN Tukey shift ran 200 Newton steps into a ConvergenceError, a NaN
-    # anchor or center failed the run's first prox as a component error,
-    # and a NaN Lipschitz constant made every decay-bound margin NaN
-    with pytest.raises(DomainError):
-        _INFINITE_PARAMETER_BUILDS[build](np.nan)
+def test_one_message_names_the_parameter_and_its_range():
+    with pytest.raises(DomainError) as exc:
+        prox.L1Penalty(1.0, lipschitz=0.5)
+    assert str(exc.value) == "lipschitz must be None or a finite number in [1.0, inf), got 0.5"
+    with pytest.raises(DomainError) as exc:
+        prox.MCPPenalty(1.0, np.nan)
+    assert str(exc.value) == "theta must be a number in (0, inf], got nan"
+    with pytest.raises(DomainError) as exc:
+        SolverConfig(alpha=0.5, C=0.25, max_iter=1.5)
+    assert str(exc.value) == "max_iter must be an integer in [0, inf), got 1.5"
+    # NaN fails every kind of end, and inf passes only a closed infinite one
+    for ends in ("()", "[)", "(]", "[]"):
+        with pytest.raises(DomainError):
+            core._require(np.nan, "x", 0, np.inf, ends=ends)
+    for ends in ("()", "[)"):
+        with pytest.raises(DomainError):
+            core._require(np.inf, "x", 0, np.inf, ends=ends)
+    assert core._require(np.inf, "x", 0, np.inf, ends="(]") == np.inf
+    assert core._require(None, "x", 0, 1, allow_none=True) is None
 
 
-@pytest.mark.parametrize("lipschitz", [-1.0, 0.0, 0.5])
-def test_l1_lipschitz_below_lam_is_rejected(lipschitz):
-    # lam |t_1| alone has slope lam, so no constant of the sum is smaller;
-    # a negative one made every prox-residual bound, C lipschitz k^-alpha,
-    # negative
-    with pytest.raises(DomainError, match="at least lam"):
-        prox.L1Penalty(1.0, lipschitz=lipschitz)
-    assert prox.L1Penalty(1.0, lipschitz=1.0).lipschitz == 1.0
-
-
-def test_infinite_limits_that_are_well_defined_stay_accepted():
+def test_well_defined_limits_and_defaults_stay_accepted():
     # MCP with theta = inf is the l1 penalty, and an infinite radius a ball
     # that is the whole space
     mcp = prox.MCPPenalty(2.0, np.inf)
@@ -428,6 +571,14 @@ def test_infinite_limits_that_are_well_defined_stay_accepted():
     assert np.array_equal(mcp.prox(0.25, y), prox.L1Penalty(2.0).prox(0.25, y))
     ball = BallPenalty(BallSpec(np.zeros(3), np.inf), 1.0)
     assert ball.value_and_grad(y)[0] == 0.0
+    assert prox.L1Penalty(1.0, lipschitz=1.0).lipschitz == 1.0
+    # no Lipschitz constant, a constant smooth term, and stop thresholds of
+    # inf (stop after the first step or row)
+    assert CallableProx(abs, abs).lipschitz is None
+    assert CallableProx(abs, abs, rho=0.0, lipschitz=0.0).mu_max == np.inf
+    assert CallableSmooth(abs, abs, 0).lip_grad == 0.0
+    SolverConfig(alpha=0.5, C=0.25, max_iter=0, stop_step_norm=np.inf, epsilon=np.inf)
+    assert _problem().f_star is None and _problem(f_star=-3.0, dim=1).dim == 1
 
 
 def test_identity_map_roundtrip():

@@ -273,6 +273,26 @@ def test_dykstra_budget_exhaustion():
     assert exc.value.residual > 0
 
 
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5},
+                                    {"tol": np.nan}, {"tol": -1.0}], ids=repr)
+def test_dykstra_checks_its_budget_and_tolerance_before_a_sweep(kwargs):
+    # max_iter = 0 read the gap before any sweep (UnboundLocalError), and a
+    # NaN or negative tol ran the whole budget into a ConvergenceError
+    def never(v):
+        raise AssertionError("a projection ran")
+
+    with pytest.raises(DomainError):
+        dykstra_project(never, never, np.array([3.0, 4.0]), **kwargs)
+
+
+def test_dykstra_with_an_infinite_tolerance_stops_after_one_sweep():
+    p1 = KernelProjector(np.array([[1.0, 1.0]]))
+    p2 = KernelProjector(np.array([[1.0, 0.99]]))
+    x = np.array([3.0, 4.0])
+    assert np.array_equal(dykstra_project(p1.apply, p2.apply, x, tol=np.inf),
+                          p2.apply(p1.apply(x)))
+
+
 def test_variational_characterization():
     rng = np.random.default_rng(27)
     ball = BallSpec(np.array([0.5, -0.5, 0.0]), 1.2)

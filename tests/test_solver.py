@@ -35,7 +35,6 @@ from pvsmooth.solver import (
     SolverConfig,
     affine_shift_wrap,
     epoch_iteration_budget,
-    epoch_stationarity_constant,
     pvs_step,
     run_pvs,
     schedule,
@@ -97,6 +96,12 @@ def test_solver_config_weak_convexity_pairing():
     SolverConfig(alpha=0.5, C=100.0, max_iter=1).validate_for(
         L1Penalty(1.0)
     )
+    # a NaN rho (CallableProx rejects one, but a subclass may set it) made
+    # 2 rho C > 1 False, so the check passed
+    nan_rho = ZeroFunction()
+    nan_rho.rho = float("nan")
+    with pytest.raises(DomainError, match="2\\*rho\\*C <= 1"):
+        SolverConfig(alpha=0.5, C=100.0, max_iter=1).validate_for(nan_rho)
 
 
 def test_schedule_values():
@@ -708,11 +713,13 @@ def test_stationarity_constants_frozen_values():
     cfg = SolverConfig(alpha=0.5, C=0.25, max_iter=0)
     c = stationarity_constant(prob, cfg, 10.0, 0.0)
     assert abs(c - 18.838508265487608) < 1e-9
-    ce = epoch_stationarity_constant(prob, cfg, 10.0, 0.0)
-    assert abs(ce - 13.320836941965114) < 1e-9
-    assert abs(ce - np.sqrt(0.5) * c) < 1e-12
     budget = epoch_iteration_budget(prob, cfg, 10.0, 0.0, 0.01)
     assert abs(budget / 6297324086932.02 - 1.0) < 1e-9
+    # the budget is 2 Ctil^4 / eps^4 here (C L_g = 0.75 is far smaller), with
+    # the epoch constant Ctil = sqrt(1 - alpha) c
+    ce = (budget * 0.01**4 / 2.0) ** 0.25
+    assert abs(ce - 13.320836941965114) < 1e-9
+    assert abs(ce - np.sqrt(0.5) * c) < 1e-12
 
     nolip = CompositeProblem(h, SupQuadraticFamily(np.zeros((1, 3))),
                              IdentityMap(), proj, dim=3)
