@@ -12,95 +12,17 @@ penalties), :mod:`pvsmooth.projections` (subspace and convex-set
 projections), :mod:`pvsmooth.penalty` (the outer penalty continuation
 loop), :mod:`pvsmooth.problems` (ready-made application instances), and
 :mod:`pvsmooth.oracles` (slow independent references used for testing).
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports every module but ``oracles`` and ``cli`` by star import.
 """
 
-from .core import (
-    CallableProx,
-    CallableSmooth,
-    CompositeProblem,
-    IdentityMap,
-    IdentityProjector,
-    LinearMap,
-    MatrixMap,
-    ProxFunction,
-    ScaledSquaredNorm,
-    SmoothFunction,
-    SubspaceProjector,
-    ZeroFunction,
-    ZeroSmooth,
-    matrix_norm_bound,
-    moreau_envelope,
-    moreau_gradient,
-    spectral_norm,
-)
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    ContractError,
-    ConvergenceError,
-    DomainError,
-    NumericalError,
-    PvsError,
-    StageError,
-)
-from .penalty import (
-    BallPenalty,
-    PenaltyDiagnostics,
-    PenaltySchedule,
-    SmoothSum,
-    penalty_distance_sq,
-    run_penalty,
-)
-from .problems import (
-    FirstBlockBallPenalty,
-    LassoInstance,
-    MaxDispersionInstance,
-    ProductBallPenalty,
-    QuadraticLoss,
-    build_constrained_lasso,
-    build_dro_affine,
-    build_dro_quadratic,
-    build_max_dispersion_direct,
-    build_max_dispersion_product,
-    dispersion_objective,
-    random_affine_scenarios,
-    random_anchors,
-    random_lasso_data,
-    subspace_start,
-)
-from .projections import (
-    BallSpec,
-    KernelProjector,
-    ProductKernelProjector,
-    ReplicatedKernelProjector,
-    dykstra_project,
-    project_ball,
-    project_diagonal,
-    project_simplex,
-)
-from .prox import (
-    L1Penalty,
-    MCPPenalty,
-    SCADPenalty,
-    ScalarRegularizer,
-    SupAffineFamily,
-    SupQuadraticFamily,
-    TukeyPenalty,
-    envelope_by_weights,
-    simplex_weights_kkt,
-    solve_simplex_weights,
-)
-from .solver import (
-    IterateTrace,
-    SolverConfig,
-    affine_shift_wrap,
-    epoch_iteration_budget,
-    pvs_step,
-    run_pvs,
-    schedule,
-    stationarity_constant,
-    theorem_bound_margins,
-)
+from .core import *
+from .errors import *
+from .penalty import *
+from .problems import *
+from .projections import *
+from .prox import *
+from .solver import *
 
 __version__ = "0.1.0"
 

@@ -29,7 +29,6 @@ __all__ = [
     "SubspaceProjector",
     "CompositeProblem",
     "ZeroFunction",
-    "ScaledSquaredNorm",
     "CallableProx",
     "ZeroSmooth",
     "CallableSmooth",
@@ -245,23 +244,6 @@ class ZeroFunction(ProxFunction):
         return np.asarray(y, dtype=float)
 
 
-class ScaledSquaredNorm(ProxFunction):
-    """g(y) = w |y|^2 for w > 0; prox(mu, y) = y / (1 + 2 w mu)."""
-
-    rho = 0.0
-
-    def __init__(self, weight=1.0):
-        self.weight = float(_require(weight, "weight", 0, math.inf))
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.weight * float(y @ y)
-
-    def prox(self, mu, y):
-        self.check_mu(mu)
-        return np.asarray(y, dtype=float) / (1.0 + 2.0 * self.weight * mu)
-
-
 class CallableProx(ProxFunction):
     """Wrap plain callables (value, prox) as a ProxFunction."""
 
@@ -414,9 +396,10 @@ class CompositeProblem:
         self.a_map = a_map
         self.subspace = subspace
         self.f_star = _require(f_star, "f_star", -math.inf, math.inf, allow_none=True)
-        self.dim = _require(dim, "dim", 1, math.inf, allow_none=True, ends="[)")
+        self.dim = _require(dim, "dim", 1, math.inf, allow_none=True, integer=True,
+                            ends="[)")
         if dim is not None:
-            probe = np.zeros(int(dim))
+            probe = np.zeros(dim)
             try:
                 out = self.a_map.apply(probe)
                 self.subspace.apply(probe)

@@ -7,6 +7,17 @@ runtime failure of an iterative routine and carry whatever partial state was
 available when the failure was detected.
 """
 
+__all__ = [
+    "PvsError",
+    "DomainError",
+    "ContractError",
+    "ConfigError",
+    "CapabilityError",
+    "ConvergenceError",
+    "NumericalError",
+    "StageError",
+]
+
 
 class PvsError(Exception):
     """Base class for all package errors; ``trace`` is None until a solver

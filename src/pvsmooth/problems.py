@@ -88,7 +88,7 @@ class FirstBlockBallPenalty(BallPenalty):
 
     def __init__(self, ball, weight, n_blocks):
         super().__init__(ball, weight)
-        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
+        self.n_blocks = _require(n_blocks, "n_blocks", 1, math.inf, integer=True, ends="[)")
 
     def value_and_grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,7 +104,7 @@ class ProductBallPenalty(BallPenalty):
 
     def __init__(self, ball, weight, n_blocks):
         super().__init__(ball, weight)
-        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
+        self.n_blocks = _require(n_blocks, "n_blocks", 1, math.inf, integer=True, ends="[)")
 
     def value_and_grad(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)

@@ -119,6 +119,7 @@ def project_diagonal(x, n_blocks):
     blockwise mean.
     """
     x = np.asarray(x, dtype=float)
+    _require(n_blocks, "n_blocks", 1, math.inf, integer=True, ends="[)")
     if x.size % n_blocks:
         raise DomainError("length %d not divisible by %d blocks" % (x.size, n_blocks))
     blocks = x.reshape(n_blocks, -1)
@@ -131,7 +132,7 @@ class ProductKernelProjector(SubspaceProjector):
 
     def __init__(self, kernel_projector, n_blocks):
         self.kernel = kernel_projector
-        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
+        self.n_blocks = _require(n_blocks, "n_blocks", 1, math.inf, integer=True, ends="[)")
 
     def apply(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)
@@ -149,7 +150,7 @@ class ReplicatedKernelProjector(SubspaceProjector):
 
     def __init__(self, kernel_projector, n_blocks):
         self.kernel = kernel_projector
-        self.n_blocks = int(_require(n_blocks, "n_blocks", 1, math.inf, ends="[)"))
+        self.n_blocks = _require(n_blocks, "n_blocks", 1, math.inf, integer=True, ends="[)")
 
     def apply(self, x):
         blocks = np.asarray(x, dtype=float).reshape(self.n_blocks, -1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeProblem, ProxFunction, SmoothFunction, _all_finite, _require
+from .core import _all_finite, _require
 from .errors import ContractError, ConvergenceError, DomainError, NumericalError, PvsError
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "stationarity_constant",
     "epoch_iteration_budget",
     "theorem_bound_margins",
-    "affine_shift_wrap",
 ]
 
 _MEMBERSHIP_TOL = 1e-9
@@ -330,57 +329,3 @@ def theorem_bound_margins(problem, trace):
     grad_margin = grad_bound - trace.running_min_grad()
     prox_margin = prox_bound - np.asarray(trace.prox_residual)
     return grad_margin, prox_margin, heuristic
-
-
-class _ShiftedSmooth(SmoothFunction):
-    """x -> h(x + z0), one evaluation of h per call."""
-
-    def __init__(self, h, z0):
-        self.h = h
-        self.z0 = z0
-        self.lip_grad = h.lip_grad
-
-    def value_and_grad(self, x):
-        return self.h.value_and_grad(x + self.z0)
-
-
-class _ShiftedProx(ProxFunction):
-    """y -> g(y + b) with prox_{mu g(. + b)}(y) = prox_{mu g}(y + b) - b.  It
-    keeps g's rho, Lipschitz constant and exact ``mu_max``, and g checks mu.
-    ``prox_and_value`` reads g at g's own prox point, one call of g, so its
-    value may differ in the last bits from ``value(prox(mu, y))``."""
-
-    def __init__(self, g, b):
-        self.g = g
-        self.b = b
-        self.rho = g.rho
-        self.lipschitz = g.lipschitz
-
-    @property
-    def mu_max(self):
-        return self.g.mu_max
-
-    def value(self, y):
-        return self.g.value(y + self.b)
-
-    def prox(self, mu, y):
-        return self.g.prox(mu, y + self.b) - self.b
-
-    def prox_and_value(self, mu, y):
-        p, val = self.g.prox_and_value(mu, y + self.b)
-        return p - self.b, val
-
-
-def affine_shift_wrap(problem, z0):
-    """Recast  min_{x in z0 + W} h(x) + g(A x)  over the subspace W.
-
-    Returns a problem whose smooth part is h(. + z0) and whose nonsmooth part
-    is g(. + A z0), with the prox identity
-    prox_{mu g(. + A z0)}(y) = prox_{mu g}(y + A z0) - A z0.  Solutions x_hat
-    of the returned problem map back to x_hat + z0.
-    """
-    z0 = np.asarray(z0, dtype=float)
-    return CompositeProblem(
-        _ShiftedSmooth(problem.h, z0), _ShiftedProx(problem.g, problem.a_map.apply(z0)),
-        problem.a_map, problem.subspace, f_star=problem.f_star, dim=problem.dim,
-    )

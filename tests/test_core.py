@@ -15,7 +15,6 @@ from pvsmooth.core import (
     IdentityMap,
     IdentityProjector,
     MatrixMap,
-    ScaledSquaredNorm,
     ZeroFunction,
     ZeroSmooth,
     matrix_norm_bound,
@@ -229,11 +228,17 @@ def test_moreau_envelope_zero_function():
     assert np.all(moreau_gradient(ZeroFunction(), 0.5, np.array([1.0, -2.0])) == 0.0)
 
 
-def test_moreau_envelope_quadratic():
-    g = ScaledSquaredNorm(0.5)  # 0.5 |y|^2
-    x = np.array([2.0, 0.0])
-    assert abs(moreau_envelope(g, 1.0, x) - 1.0) < 1e-12
-    assert np.abs(moreau_gradient(g, 1.0, x) - np.array([1.0, 0.0])).max() < 1e-12
+def test_moreau_envelope_huber():
+    # the envelope of lam |y|_1 is the Huber function, coordinate by
+    # coordinate: t^2 / (2 mu) for |t| <= lam mu, else lam |t| - lam^2 mu / 2
+    lam, mu = 0.5, 1.0
+    g = prox.L1Penalty(lam)
+    x = np.array([2.0, 0.0, -0.25, -1.5])
+    inside = np.abs(x) <= lam * mu
+    huber = np.where(inside, x * x / (2.0 * mu), lam * np.abs(x) - lam * lam * mu / 2.0)
+    slope = np.where(inside, x / mu, lam * np.sign(x))
+    assert abs(moreau_envelope(g, mu, x) - huber.sum()) < 1e-12
+    assert np.abs(moreau_gradient(g, mu, x) - slope).max() < 1e-12
 
 
 def test_moreau_envelope_sup_quadratic_example():
@@ -298,7 +303,7 @@ def test_prox_mu_domain_checks():
 
 
 def test_convex_prox_nonexpansive():
-    g = ScaledSquaredNorm(1.3)
+    g = prox.L1Penalty(1.3)
     rng = np.random.default_rng(5)
     for _ in range(30):
         x, y = rng.uniform(-3, 3, (2, 4))
@@ -379,7 +384,7 @@ _BALL = BallSpec(np.zeros(2), 1.0)
 _NO_RANGE = (np.nan, np.inf, -np.inf)  # for parameters of any sign
 _POSITIVE = (0.0, -1.0, np.nan, np.inf)
 _NONNEGATIVE = (-1.0, np.nan, np.inf)
-_COUNT = (0, -1, np.nan, np.inf)  # n_blocks and dim: at least 1
+_COUNT = (0, -1, 2.5, np.nan, np.inf)  # n_blocks and dim: integers from 1
 _INTEGER = (0, -1, 1.5, np.nan, np.inf)  # integers from 1
 
 
@@ -412,7 +417,6 @@ _PARAMETERS = {
     "SolverConfig epsilon": (
         lambda v: SolverConfig(alpha=0.5, C=0.25, max_iter=1, epsilon=v),
         (0.0, -1.0, np.nan)),
-    "ScaledSquaredNorm weight": (ScaledSquaredNorm, _POSITIVE),
     "CallableProx rho": (lambda v: CallableProx(abs, abs, rho=v), _NONNEGATIVE),
     "CallableProx lipschitz": (lambda v: CallableProx(abs, abs, lipschitz=v), _NONNEGATIVE),
     "CallableSmooth lip_grad": (lambda v: CallableSmooth(abs, abs, v), _NONNEGATIVE),

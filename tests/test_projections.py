@@ -198,6 +198,14 @@ def test_project_diagonal_examples():
         project_diagonal(np.arange(5, dtype=float), 2)
 
 
+@pytest.mark.parametrize("n_blocks", [0, -1, 2.5])
+def test_project_diagonal_rejects_a_block_count_below_one_or_fractional(n_blocks):
+    # 5 % n_blocks is 0 for -1 and 2.5, so the length check alone does not
+    # reject them
+    with pytest.raises(DomainError, match="n_blocks must be an integer"):
+        project_diagonal(np.ones(5), n_blocks)
+
+
 def test_project_diagonal_orthogonality():
     rng = np.random.default_rng(24)
     x = rng.normal(0, 1, 12)

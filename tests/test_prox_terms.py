@@ -18,7 +18,6 @@ from pvsmooth.core import (
     IdentityMap,
     IdentityProjector,
     ProxFunction,
-    ScaledSquaredNorm,
     ZeroFunction,
     ZeroSmooth,
     moreau_envelope,
@@ -33,7 +32,6 @@ from pvsmooth.prox import (
     SupQuadraticFamily,
     TukeyPenalty,
 )
-from pvsmooth.solver import _ShiftedProx, affine_shift_wrap
 
 DIM = 6
 
@@ -46,15 +44,8 @@ def _sup_affine(ambiguity=None):
     )
 
 
-def _shifted(g, dim):
-    """g(. + A z0) as ``affine_shift_wrap`` builds it, for a nonzero z0."""
-    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector(), dim=dim)
-    return affine_shift_wrap(problem, np.linspace(-1.0, 1.0, dim)).g
-
-
 PROX_TERMS = {
     "zero": ZeroFunction,
-    "scaled_squared_norm": lambda: ScaledSquaredNorm(0.7),
     "callable": lambda: CallableProx(
         lambda y: float(np.abs(y).sum()),
         lambda mu, y: np.sign(y) * np.maximum(np.abs(y) - mu, 0.0),
@@ -69,7 +60,6 @@ PROX_TERMS = {
     "mcp": lambda: MCPPenalty(0.5, 2.0),
     "scad": lambda: SCADPenalty(0.5, 3.7),
     "tukey": lambda: TukeyPenalty(np.linspace(-1.0, 1.0, DIM)),
-    "shifted_mcp": lambda: _shifted(MCPPenalty(0.5, 2.0), DIM),
 }
 
 
@@ -106,12 +96,7 @@ def test_prox_and_value_is_prox_then_value_bit_for_bit(name, y, frac):
     ref = g.prox(mu, y)
     assert _same_bits(p, ref)
     assert isinstance(gp, float)
-    if isinstance(g, _ShiftedProx):
-        # g(. + b) is read at g's own prox point, which ref + b only
-        # reaches through the rounding of - b + b
-        assert _same_bits(gp, g.g.value(g.g.prox(mu, y + g.b)))
-    else:
-        assert _same_bits(gp, g.value(ref))
+    assert _same_bits(gp, g.value(ref))
 
 
 @pytest.mark.parametrize("name", sorted(PROX_TERMS))
@@ -130,12 +115,11 @@ def test_every_prox_owns_its_mu_check(name):
 @pytest.mark.parametrize("g, bound", [
     (MCPPenalty(1.0, 7.297670644230144), 7.297670644230144),
     (SCADPenalty(1.0, 4.1960616870352885), 4.1960616870352885 - 1.0),
-    (_shifted(MCPPenalty(1.0, 0.3803647443400834), 49), 0.3803647443400834),
-], ids=["mcp", "scad", "shifted_mcp"])
+], ids=["mcp", "scad"])
 def test_scalar_penalty_mu_bound_is_exact(g, bound):
     # 1 / rho misses the bound by an ulp for these theta (above it for the
-    # first MCP, below it for SCAD and the shifted MCP), so mu_max must be
-    # the bound itself for the one mu check to reject exactly mu >= bound
+    # MCP, below it for SCAD), so mu_max must be the bound itself for the
+    # one mu check to reject exactly mu >= bound
     assert 1.0 / (1.0 / bound) != bound
     assert g.mu_max == bound
     y = np.linspace(-12.0, 12.0, 49)

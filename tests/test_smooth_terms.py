@@ -24,7 +24,6 @@ from pvsmooth.problems import (
 )
 from pvsmooth.projections import BallSpec
 from pvsmooth.prox import SupQuadraticFamily
-from pvsmooth.solver import affine_shift_wrap
 
 
 class CountingSmooth(SmoothFunction):
@@ -62,11 +61,6 @@ def _quadratic_loss():
     return QuadraticLoss(design, target)
 
 
-def _shifted():
-    h = BallPenalty(_ball(6), 3.0)
-    return affine_shift_wrap(_problem(h, 6), np.linspace(0.2, -0.3, 6)).h
-
-
 SMOOTH_TERMS = {
     "zero": ZeroSmooth,
     "callable": lambda: CallableSmooth(
@@ -77,7 +71,6 @@ SMOOTH_TERMS = {
     "first_block_ball": lambda: FirstBlockBallPenalty(_ball(2), 3.0, 3),
     "product_ball": lambda: ProductBallPenalty(_ball(2), 3.0, 3),
     "sum": lambda: SmoothSum(_quadratic_loss(), BallPenalty(_ball(6), 3.0)),
-    "affine_shift": _shifted,
 }
 
 
@@ -102,12 +95,3 @@ def test_smoothed_parts_evaluates_h_once():
     for calls in range(1, 4):
         problem.smoothed_parts(0.2, x)
         assert h.calls == Counter(value_and_grad=calls)
-
-
-def test_affine_shift_term_evaluates_wrapped_h_once():
-    h = CountingSmooth(BallPenalty(_ball(3), 3.0))
-    z0 = np.array([0.5, 0.0, -0.5])
-    shifted = affine_shift_wrap(_problem(h, 3), z0)
-    x = np.array([1.0, -0.5, 0.25])
-    shifted.smoothed_parts(0.2, x)
-    assert h.calls == Counter(value_and_grad=1)

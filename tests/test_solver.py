@@ -33,7 +33,6 @@ from pvsmooth.projections import BallSpec, KernelProjector, project_ball, projec
 from pvsmooth.prox import L1Penalty, SupAffineFamily, SupQuadraticFamily
 from pvsmooth.solver import (
     SolverConfig,
-    affine_shift_wrap,
     epoch_iteration_budget,
     pvs_step,
     run_pvs,
@@ -780,75 +779,44 @@ def test_non_lipschitz_residual_over_mu_bounded():
 
 
 # ---------------------------------------------------------------------------
-# affine subspaces
+# constrained least squares on ker R
 # ---------------------------------------------------------------------------
 
-def test_affine_shift_zero_is_identity():
-    prob = lasso_problem()
-    wrapped = affine_shift_wrap(prob, np.zeros(prob.dim))
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        x = prob.subspace.apply(rng.normal(0, 1, prob.dim))
-        assert abs(wrapped.objective(x) - prob.objective(x)) < 1e-12
-        assert np.abs(wrapped.h.grad(x) - prob.h.grad(x)).max() < 1e-12
-        assert np.abs(wrapped.g.prox(0.2, x) - prob.g.prox(0.2, x)).max() < 1e-12
-
-
-def test_affine_shift_keeps_the_start_shape_check():
-    # the shifted problem keeps dim, so a start of the wrong length is a
-    # ContractError before the loop, not a bare ValueError from a matmul
+def test_lasso_start_of_the_wrong_length_is_a_contract_error():
+    # a start of the wrong length is a ContractError before the loop, not a
+    # bare ValueError from a matmul
     design, target = random_lasso_data(6, 8, 31)
     prob = build_constrained_lasso(
         LassoInstance(design, target, L1Penalty(1.0), constraint_matrix=np.ones((1, 6))))
-    wrapped = affine_shift_wrap(prob, np.full(6, 0.5))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=3, stop_step_norm=0.0)
-    for p in (prob, wrapped):
-        with pytest.raises(ContractError, match="x1 must be a flat vector of length 6"):
-            run_pvs(p, cfg, np.zeros(5))
-    assert wrapped.dim == prob.dim == 6
+    with pytest.raises(ContractError, match="x1 must be a flat vector of length 6"):
+        run_pvs(prob, cfg, np.zeros(5))
+    assert prob.dim == 6
 
 
-def test_affine_shift_soft_threshold_identity():
-    proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
-    h = CallableSmooth(lambda x: 0.0, lambda x: np.zeros_like(x), 0.1)
-    g = L1Penalty(1.0)
-    prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    wrapped = affine_shift_wrap(prob, e1)
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        y = rng.normal(0, 2, 3)
-        expect = g.prox(0.3, y + e1) - e1
-        assert np.abs(wrapped.g.prox(0.3, y) - expect).max() < 1e-12
-
-
-def test_affine_shift_least_squares():
+def test_least_squares_on_a_kernel_meets_kkt():
     rng = np.random.default_rng(41)
     design = rng.standard_normal((8, 5)) / np.sqrt(8)
     target = rng.standard_normal(8)
     constraint = rng.standard_normal((2, 5))
-    offset = np.array([0.7, -0.3])
-    z0 = np.linalg.lstsq(constraint, offset, rcond=None)[0]
     proj = KernelProjector(constraint)
     h = CallableSmooth(
         lambda w: 0.5 * float((design @ w - target) @ (design @ w - target)),
         lambda w: design.T @ (design @ w - target),
         float(np.linalg.norm(design, 2) ** 2),
     )
-    base = CompositeProblem(h, ZeroFunction(), IdentityMap(), proj, dim=5)
-    shifted = affine_shift_wrap(base, z0)
+    prob = CompositeProblem(h, ZeroFunction(), IdentityMap(), proj, dim=5)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=4000, stop_step_norm=0.0)
-    trace = run_pvs(shifted, cfg, np.zeros(5))
-    recovered = trace.final_x + z0
+    trace = run_pvs(prob, cfg, np.zeros(5))
 
-    # reference through the stationarity system of the constrained problem
+    # reference through the stationarity system of min h(x) s.t. R x = 0
     kkt = np.block([
         [design.T @ design, constraint.T],
         [constraint, np.zeros((2, 2))],
     ])
-    rhs = np.concatenate([design.T @ target, offset])
+    rhs = np.concatenate([design.T @ target, np.zeros(2)])
     reference = np.linalg.solve(kkt, rhs)[:5]
-    assert np.linalg.norm(recovered - reference) < 1e-6
+    assert np.linalg.norm(trace.final_x - reference) < 1e-6
 
 
 # ---------------------------------------------------------------------------
