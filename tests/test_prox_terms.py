@@ -115,11 +115,12 @@ def test_every_prox_owns_its_mu_check(name):
 @pytest.mark.parametrize("g, bound", [
     (MCPPenalty(1.0, 7.297670644230144), 7.297670644230144),
     (SCADPenalty(1.0, 4.1960616870352885), 4.1960616870352885 - 1.0),
-], ids=["mcp", "scad"])
+    (MCPPenalty(1.0, 0.3803647443400834), 0.3803647443400834),
+], ids=["mcp", "scad", "mcp_below"])
 def test_scalar_penalty_mu_bound_is_exact(g, bound):
     # 1 / rho misses the bound by an ulp for these theta (above it for the
-    # MCP, below it for SCAD), so mu_max must be the bound itself for the
-    # one mu check to reject exactly mu >= bound
+    # first MCP, below it for SCAD and the second MCP), so mu_max must be
+    # the bound itself for the one mu check to reject exactly mu >= bound
     assert 1.0 / (1.0 / bound) != bound
     assert g.mu_max == bound
     y = np.linspace(-12.0, 12.0, 49)

@@ -74,6 +74,21 @@ SMOOTH_TERMS = {
 }
 
 
+def _package_smooth_classes():
+    found, todo = set(), [SmoothFunction]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("pvsmooth."):
+                found.add(sub)
+    return found
+
+
+def test_every_package_smooth_function_is_covered():
+    covered = {type(make()) for make in SMOOTH_TERMS.values()}
+    assert _package_smooth_classes() <= covered
+
+
 @pytest.mark.parametrize("name", sorted(SMOOTH_TERMS))
 def test_value_and_grad_matches_value_grad_and_finite_differences(name):
     h = SMOOTH_TERMS[name]()
@@ -95,3 +110,12 @@ def test_smoothed_parts_evaluates_h_once():
     for calls in range(1, 4):
         problem.smoothed_parts(0.2, x)
         assert h.calls == Counter(value_and_grad=calls)
+
+
+def test_smooth_sum_evaluates_each_term_once():
+    terms = [CountingSmooth(BallPenalty(_ball(3), w)) for w in (1.0, 3.0)]
+    problem = _problem(SmoothSum(*terms), 3)
+    x = np.array([1.0, -0.5, 0.25])
+    problem.smoothed_parts(0.2, x)
+    for h in terms:
+        assert h.calls == Counter(value_and_grad=1)
