@@ -39,6 +39,7 @@ from .penalty import PenaltySchedule, run_penalty
 from .problems import (
     LassoInstance,
     MaxDispersionInstance,
+    QuadraticLoss,
     build_constrained_lasso,
     build_dro_affine,
     build_dro_quadratic,
@@ -437,6 +438,18 @@ def _verify_bounds():
         ok &= 1.0 <= ratio <= 1.01 * (1.0 + 1e-12)
         worst = max(worst, ratio - 1.0)
     checks.append(("norm bound brackets |A|", ok, worst))
+
+    # QuadraticLoss walks a design past 1 MiB in row panels; on a seeded one
+    # of two panels it must agree with |B x - b|^2 and 2 B^T (B x - b) from
+    # two plain matvecs to within the roundoff either summation order makes
+    design, target = random_lasso_data(1000, 200, 20240824)
+    x = np.random.default_rng(20240825).standard_normal(1000)
+    value, grad = QuadraticLoss(design, target).value_and_grad(x)
+    r = design @ x - target
+    value_bound, grad_bound = oracles.least_squares_roundoff(design, target, x)
+    worst = max(abs(value - float(r @ r)) / value_bound,
+                float((np.abs(grad - 2.0 * (design.T @ r)) / grad_bound).max()))
+    checks.append(("least squares in row panels vs two matvecs", worst <= 1.0, worst))
     return checks
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "GridSpec",
     "brute_force_prox",
     "fd_gradient",
+    "least_squares_roundoff",
     "simplex_scan_max",
     "reference_constrained_lasso",
     "random_search_dispersion",
@@ -126,6 +127,27 @@ def fd_gradient(f, x, h=1e-6):
         e[i] = h
         out[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
+
+
+def least_squares_roundoff(design, target, x):
+    """How far two float evaluations of h(x) = |B x - b|^2 and its gradient
+    2 B^T (B x - b) may lie apart when each sums its products in its own
+    order (row panels, BLAS blocking, fused multiply-adds).
+
+    Returns ``(value_bound, grad_bound)``, the second componentwise: twice
+    Higham's forward bounds gamma_k s.s and 2 gamma_k |B|^T s, with
+    s = |B| |x| + |b| and gamma_k = k u / (1 - k u), u the unit roundoff.
+    k = m + 2 n + 2 covers the n products and the subtraction of each
+    residual entry, the m-term sums of the value and of the gradient
+    (however they are split), and the squares (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 3.5).
+    """
+    size = np.abs(np.atleast_2d(np.asarray(design, dtype=float)))
+    m, n = size.shape
+    ku = (m + 2 * n + 2) * np.finfo(float).eps / 2.0
+    gamma = ku / (1.0 - ku)
+    s = size @ np.abs(np.asarray(x, dtype=float)) + np.abs(np.asarray(target, dtype=float))
+    return 2.0 * gamma * float(s @ s), 4.0 * gamma * (size.T @ s)
 
 
 def _barycentric_grid(n, subdivisions):

@@ -333,6 +333,7 @@ def test_verify_bounds_passes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "stationarity decay bounds" in out and "PASS" in out
     assert "norm bound brackets |A|" in out
+    assert "least squares in row panels vs two matvecs" in out
     assert True in outcomes and False in outcomes
 
 
