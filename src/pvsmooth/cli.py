@@ -32,8 +32,8 @@ import sys
 import numpy as np
 
 from . import core, oracles, projections, prox
-from .core import (CallableSmooth, IdentityMap, IdentityProjector, ZeroFunction,
-                   matrix_norm_bound)
+from .core import (CallableSmooth, CompositeProblem, IdentityMap, IdentityProjector,
+                   ZeroFunction, matrix_norm_bound)
 from .errors import ConfigError, DomainError, PvsError
 from .penalty import PenaltySchedule, run_penalty
 from .problems import (
@@ -457,16 +457,14 @@ def _verify_penalty():
     # 1-d toy: minimize x subject to x in [-1, 1]; stage minimizers are
     # x_k = -1 - 1/lam_k, so all monotonicity relations are checkable.
     h0 = CallableSmooth(lambda x: float(x[0]), lambda x: np.ones(1), 0.0)
+    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector())
     ball = projections.BallSpec(np.zeros(1), 1.0)
     lambdas = [4.0 * 2**j for j in range(6)]
     sched = PenaltySchedule(
         tuple(lambdas),
         SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=200000, stop_step_norm=1e-10),
     )
-    xs, diag = run_penalty(
-        h0, ZeroFunction(), IdentityMap(), IdentityProjector(), ball, sched,
-        np.zeros(1),
-    )
+    xs, diag = run_penalty(problem, ball, sched, np.zeros(1))
     worst = 0.0
     for x, lam in zip(xs, lambdas):
         worst = max(worst, abs(float(x[0]) - (-1.0 - 1.0 / lam)))

@@ -70,10 +70,10 @@ class NumericalError(PvsError, RuntimeError):
 
 
 class StageError(PvsError, RuntimeError):
-    """A stage of a multi-stage run failed; completed stages are attached."""
+    """A stage of a multi-stage run failed; completed stages are attached and
+    the stage's error is the ``__cause__``."""
 
-    def __init__(self, message, completed=None, diagnostics=None, cause=None):
+    def __init__(self, message, completed=None, diagnostics=None):
         super().__init__(message)
         self.completed = completed
         self.diagnostics = diagnostics
-        self.cause = cause

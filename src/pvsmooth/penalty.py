@@ -97,47 +97,47 @@ class PenaltyDiagnostics:
     lambdas: list
     penalized_values: list  # q(lam_k, x_k) = f(x_k) + lam_k P(x_k)
     penalty_values: list  # P(x_k) = (1/2) d(x_k, B)^2
-    objective_values: list  # f(x_k) = h0(x_k) + g(A x_k)
+    objective_values: list  # f(x_k) = problem.objective(x_k)
     stage_iterations: list
     stop_reasons: list
 
 
-def run_penalty(h0, g, a_map, subspace, ball, schedule, x1):
+def run_penalty(problem, ball, schedule, x1):
     """Solve the penalized stages in order, warm-starting each from the last.
 
     Parameters
     ----------
-    h0 : SmoothFunction
-        Smooth part of the objective f = h0 + g(A .), before the penalty.
+    problem : CompositeProblem
+        f = h + g(A .) over V.  Stage k solves it with h + (lam_k/2) d(., B)^2
+        in place of h, keeping its ``dim`` (not its ``f_star``).
     ball : BallSpec
         The constraint set being penalized.
     schedule : PenaltySchedule
     x1 : initial point in the subspace.
 
     Returns ``(solutions, diagnostics)`` with one entry per stage.  If an
-    inner run fails, a :class:`StageError` carries the completed stages.  A
-    schedule config that sets ``epsilon`` gives epsilon-stopped stages (see
-    :func:`run_pvs`); a stage that exhausts its budget then fails.
+    inner run fails, a :class:`StageError` (``__cause__``: the inner error)
+    carries the completed stages.  A schedule config that sets ``epsilon``
+    gives epsilon-stopped stages (see :func:`run_pvs`); a stage that exhausts
+    its budget then fails.
     """
     solutions = []
     diag = PenaltyDiagnostics([], [], [], [], [], [])
     x = np.asarray(x1, dtype=float)
     for lam in schedule.lambdas:
-        problem = CompositeProblem(
-            SmoothSum(h0, BallPenalty(ball, lam)), g, a_map, subspace
-        )
+        stage = CompositeProblem(SmoothSum(problem.h, BallPenalty(ball, lam)), problem.g,
+                                 problem.a_map, problem.subspace, dim=problem.dim)
         try:
-            trace = run_pvs(problem, schedule.config, x)
+            trace = run_pvs(stage, schedule.config, x)
         except PvsError as exc:
             raise StageError(
                 "penalty stage lam=%g failed: %s" % (lam, exc),
                 completed=solutions,
                 diagnostics=diag,
-                cause=exc,
             ) from exc
         x = trace.final_x
         pen, _ = penalty_distance_sq(ball, x)
-        f_val = float(h0.value(x) + g.value(a_map.apply(x)))
+        f_val = problem.objective(x)
         solutions.append(x)
         diag.lambdas.append(lam)
         diag.penalty_values.append(pen)

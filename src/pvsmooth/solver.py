@@ -85,12 +85,12 @@ class IterateTrace:
     parameter and step actually used at that index, the smoothed objective
     F_k(x_k), the projected gradient norm |P_V grad F_k(x_k)|, the prox
     residual |A x_k - prox_{mu_k g}(A x_k)|, and wall-clock seconds since the
-    run started.  A run of s steps leaves s + 1 rows.
+    run started.  A run of s steps leaves s + 1 rows.  ``config`` is the
+    run's :class:`SolverConfig`, which the bound diagnostics read.
     """
 
-    def __init__(self, alpha, C):
-        self.alpha = alpha
-        self.C = C
+    def __init__(self, config):
+        self.config = config
         self.k = []
         self.mu = []
         self.gamma = []
@@ -220,7 +220,7 @@ def run_pvs(problem, cfg, x1):
         res_threshold = eps ** (2.0 * cfg.alpha / (1.0 - cfg.alpha))
         best_x, best_pgn, best_k, window_best = x, math.inf, 1, math.inf
     t0 = time.perf_counter()
-    trace = IterateTrace(cfg.alpha, cfg.C)
+    trace = IterateTrace(cfg)
     try:
         for k in range(1, cfg.max_iter + 2):
             mu, gamma, val, pgn, res, grad, step = _state(problem, cfg, k, x)
@@ -275,17 +275,17 @@ def run_pvs(problem, cfg, x1):
 def stationarity_constant(problem, cfg, first_objective, reference):
     """Constant in the k^((alpha-1)/2) gradient-norm bound.
 
-    sqrt(2) * sqrt(L_h + |A|^2 / C) / sqrt(2^(1-alpha) - 1)
-    * sqrt(F_1(x_1) - F_ref + C L_g^2).
+    sqrt(2) * sqrt(L_1) / sqrt(2^(1-alpha) - 1) * sqrt(F_1(x_1) - F_ref + C L_g^2)
+    with L_1 = L_h + |A|^2 / C from :func:`schedule` (mu_1 = C).
     """
     lg = problem.g.lipschitz
     if lg is None:
         raise DomainError("g has no Lipschitz constant; the bound is undefined")
     gap = first_objective - reference + cfg.C * lg * lg
     gap = max(gap, 0.0)
-    lip_term = problem.h.lip_grad + problem.a_map.norm_bound**2 / cfg.C
+    lip_1 = schedule(cfg, problem, 1)[1]
     return float(
-        np.sqrt(2.0) * np.sqrt(lip_term) / np.sqrt(2.0 ** (1.0 - cfg.alpha) - 1.0)
+        np.sqrt(2.0) * np.sqrt(lip_1) / np.sqrt(2.0 ** (1.0 - cfg.alpha) - 1.0)
         * np.sqrt(gap)
     )
 
@@ -296,15 +296,14 @@ def epoch_iteration_budget(problem, cfg, first_objective, reference, epsilon):
     2 * max(Ctil^(2/(1-alpha)), (C L_g)^(1/alpha)) * epsilon^(-2/(1-alpha))
 
     with Ctil the epoch stationarity constant: the window bookkeeping
-    tightens :func:`stationarity_constant` by a factor sqrt(1 - alpha)."""
-    lg = problem.g.lipschitz
-    if lg is None:
-        raise DomainError("g has no Lipschitz constant; the budget is undefined")
+    tightens :func:`stationarity_constant` (which needs L_g) by a factor
+    sqrt(1 - alpha)."""
     ctil = float(np.sqrt(1.0 - cfg.alpha)
                  * stationarity_constant(problem, cfg, first_objective, reference))
     expo = 2.0 / (1.0 - cfg.alpha)
     return float(
-        2.0 * max(ctil**expo, (cfg.C * lg) ** (1.0 / cfg.alpha)) * epsilon ** (-expo)
+        2.0 * max(ctil**expo, (cfg.C * problem.g.lipschitz) ** (1.0 / cfg.alpha))
+        * epsilon ** (-expo)
     )
 
 
@@ -314,7 +313,7 @@ def theorem_bound_margins(problem, trace):
     Returns ``(grad_margin, prox_margin, heuristic)`` as arrays over the
     trace rows, or None entries when g has no Lipschitz constant.  All
     margins being nonnegative (up to float slack) means the run satisfied
-    both decay guarantees.
+    both decay guarantees.  The schedule is the run's own ``trace.config``.
     """
     lg = problem.g.lipschitz
     if lg is None:
@@ -322,10 +321,10 @@ def theorem_bound_margins(problem, trace):
     ks = np.asarray(trace.k, dtype=float)
     heuristic = problem.f_star is None
     reference = min(trace.objective) if heuristic else problem.f_star
-    cfg = SolverConfig(alpha=trace.alpha, C=trace.C, max_iter=0)
+    cfg = trace.config
     cbar = stationarity_constant(problem, cfg, trace.objective[0], reference)
-    grad_bound = ks ** ((trace.alpha - 1.0) / 2.0) * cbar
-    prox_bound = ks ** (-trace.alpha) * trace.C * lg
+    grad_bound = ks ** ((cfg.alpha - 1.0) / 2.0) * cbar
+    prox_bound = ks ** (-cfg.alpha) * cfg.C * lg
     grad_margin = grad_bound - trace.running_min_grad()
     prox_margin = prox_bound - np.asarray(trace.prox_residual)
     return grad_margin, prox_margin, heuristic

@@ -16,6 +16,7 @@ from numpy.random import default_rng
 from pvsmooth import cli
 from pvsmooth.core import (
     CallableSmooth,
+    CompositeProblem,
     IdentityMap,
     IdentityProjector,
     ZeroFunction,
@@ -285,8 +286,8 @@ def test_criterion_9_penalty_monotonicity(report):
         lambdas,
         SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=8000, stop_step_norm=1e-8),
     )
-    xs, diag = run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
-                           ball, sched, np.zeros(1))
+    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector())
+    xs, diag = run_penalty(problem, ball, sched, np.zeros(1))
     tol = 1e-6
     q, P, f = diag.penalized_values, diag.penalty_values, diag.objective_values
     ok = max(abs(float(x[0]) - (-1.0 - 1.0 / lam)) for x, lam in zip(xs, lambdas)) <= tol

@@ -214,7 +214,7 @@ def test_solve_trace_objective_descends_up_to_smoothing_correction(tmp_path):
 def test_trace_csv_bytes(tmp_path):
     # k as an integer, each float as its repr (17 significant digits where
     # needed), elapsed_s zeroed
-    trace = IterateTrace(1.0 / 3.0, 0.25)
+    trace = IterateTrace(SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=1))
     trace.append(1, 1.0 / 3.0, 1e-05, 0.1, 2.0, 0.0, 5.5)
     trace.append(2, 0.25, 1.0 / 3.0, -1e-05, 1e20, 3.0, 9.0)
     cli.write_trace_csv(trace, tmp_path / "t.csv")

@@ -4,12 +4,13 @@ import pytest
 from pvsmooth import oracles
 from pvsmooth.core import (
     CallableSmooth,
+    CompositeProblem,
     IdentityMap,
     IdentityProjector,
     ZeroFunction,
     ZeroSmooth,
 )
-from pvsmooth.errors import DomainError, StageError
+from pvsmooth.errors import ContractError, DomainError, StageError
 from pvsmooth.penalty import (
     BallPenalty,
     PenaltySchedule,
@@ -20,6 +21,10 @@ from pvsmooth.penalty import (
 from pvsmooth.projections import BallSpec
 from pvsmooth.prox import SupAffineFamily
 from pvsmooth.solver import SolverConfig
+
+
+def _problem(h, g, **kwargs):
+    return CompositeProblem(h, g, IdentityMap(), IdentityProjector(), **kwargs)
 
 
 def test_penalty_distance_sq_interior():
@@ -94,8 +99,7 @@ def test_run_penalty_feasible_start_is_fixed():
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=1e-10)
     sched = PenaltySchedule((4.0, 8.0, 16.0), cfg)
-    sols, diag = run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
-                             ball, sched, a.copy())
+    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball, sched, a.copy())
     for x, pen in zip(sols, diag.penalty_values):
         assert np.linalg.norm(x - a) < 1e-8
         assert pen < 1e-12
@@ -107,8 +111,8 @@ def test_run_penalty_linear_objective_toy():
     ball = BallSpec(np.zeros(1), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=8000, stop_step_norm=1e-8)
-    sols, diag = run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
-                             ball, PenaltySchedule(lambdas, cfg), np.zeros(1))
+    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball,
+                             PenaltySchedule(lambdas, cfg), np.zeros(1))
     tol = 1e-6
     for lam, x in zip(lambdas, sols):
         assert abs(x[0] - (-1.0 - 1.0 / lam)) < 1e-3
@@ -137,8 +141,7 @@ def test_run_penalty_single_anchor_dispersion():
     ball = BallSpec(np.zeros(3), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=3e-7)
-    sols, diag = run_penalty(ZeroSmooth(), g, IdentityMap(), IdentityProjector(),
-                             ball, PenaltySchedule(lambdas, cfg),
+    sols, diag = run_penalty(_problem(ZeroSmooth(), g), ball, PenaltySchedule(lambdas, cfg),
                              np.array([0.5, 0.0, 0.0]))
     lam_last = lambdas[-1]
     assert abs(diag.penalized_values[-1] - (-lam_last / (lam_last - 2.0))) < 1e-3
@@ -156,12 +159,12 @@ def test_run_penalty_stage_failure_carries_progress():
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0)
     with pytest.raises(StageError) as exc:
-        run_penalty(ZeroSmooth(), g, IdentityMap(), IdentityProjector(),
-                    ball, PenaltySchedule((4.0, 8.0), cfg), np.zeros(2))
+        run_penalty(_problem(ZeroSmooth(), g), ball, PenaltySchedule((4.0, 8.0), cfg),
+                    np.zeros(2))
     err = exc.value
     assert err.completed == []
     assert err.diagnostics is not None
-    assert err.cause is not None
+    assert err.__cause__ is not None
 
 
 def test_run_penalty_stages_take_the_epsilon_stop():
@@ -170,14 +173,28 @@ def test_run_penalty_stages_take_the_epsilon_stop():
     h0 = CallableSmooth(lambda x: float(x[0]), lambda x: np.ones(1), 0.0)
     ball = BallSpec(np.zeros(1), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=5, epsilon=1e6)
-    sols, diag = run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
-                             ball, PenaltySchedule((4.0, 8.0), cfg), np.zeros(1))
+    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball,
+                             PenaltySchedule((4.0, 8.0), cfg), np.zeros(1))
     assert diag.stop_reasons == ["epoch_stationarity"] * 2
     assert diag.stage_iterations == [1, 1]
     tight = PenaltySchedule((4.0, 8.0), SolverConfig(alpha=1.0 / 3.0, C=10.0,
                                                      max_iter=5, epsilon=1e-12))
     with pytest.raises(StageError) as exc:
-        run_penalty(h0, ZeroFunction(), IdentityMap(), IdentityProjector(),
-                    ball, tight, np.zeros(1))
+        run_penalty(_problem(h0, ZeroFunction()), ball, tight, np.zeros(1))
     assert exc.value.completed == []
-    assert exc.value.cause.trace.stop_reason == "budget_exhausted"
+    assert exc.value.__cause__.trace.stop_reason == "budget_exhausted"
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_run_penalty_stages_inherit_the_problem_dimension(length):
+    # every stage keeps the problem's dim, so a start of the wrong length
+    # fails the first stage on the solver's shape check, not inside numpy
+    rng = np.random.default_rng(53)
+    g = SupAffineFamily(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 4), 1.0)
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50)
+    with pytest.raises(StageError) as exc:
+        run_penalty(_problem(ZeroSmooth(), g, dim=3), BallSpec(np.zeros(3), 1.0),
+                    PenaltySchedule((4.0, 8.0), cfg), np.zeros(length))
+    assert exc.value.completed == []
+    assert isinstance(exc.value.__cause__, ContractError)
+    assert "x1 must be a flat vector of length 3" in str(exc.value)
