@@ -56,11 +56,13 @@ def _require(value, name, low, high, allow_none=False, integer=False, ends="()")
     scalar parameter, made when an object is built.  The comparisons fail
     on NaN; inf passes only a closed infinite end (``ends="(]"``, a
     parameter that names an infinite limit); None passes with
-    ``allow_none``; an ``integer`` must be a :class:`numbers.Integral`.
+    ``allow_none``; anything else that is not a :class:`numbers.Real`
+    (:class:`numbers.Integral` for an ``integer``), or is a bool, fails.
     Plain comparisons, no numpy call."""
     if value is None and allow_none:
         return value
-    if integer and not isinstance(value, numbers.Integral) or not (
+    numeric = numbers.Integral if integer else numbers.Real
+    if not isinstance(value, numeric) or isinstance(value, bool) or not (
             (low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
         kind = ("an integer" if integer else

@@ -12,10 +12,12 @@ because the command line exposes them through ``verify``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require
 from .errors import CapabilityError, DomainError
 
 __all__ = [
@@ -35,7 +37,8 @@ class GridSpec:
     """Search box [lower, upper]^d, initial step, and refinement passes.
 
     Each refinement pass halves the local-mesh spacing, so the default 12
-    passes end at step/4096 <= step * 1e-3.
+    passes end at step/4096 <= step * 1e-3; ``refine_passes`` is an integer
+    >= 0.
     """
 
     lower: float
@@ -48,6 +51,7 @@ class GridSpec:
             raise DomainError("upper must exceed lower")
         if not (0 < self.step <= self.upper - self.lower):
             raise DomainError("step must be positive and fit the box")
+        _require(self.refine_passes, "refine_passes", 0, math.inf, integer=True, ends="[)")
 
 
 def _evaluate(value_fn, batch_value, points):
@@ -104,7 +108,7 @@ def brute_force_prox(value_fn, mu, x, grid, batch_value=None):
 
     local = np.arange(-3, 4, dtype=float)  # +-1.5 steps at half-spacing
     step = grid.step
-    for _ in range(int(grid.refine_passes)):
+    for _ in range(grid.refine_passes):
         step /= 2.0
         offs = np.stack(
             np.meshgrid(*([local * step] * d), indexing="ij"), axis=-1

@@ -84,7 +84,7 @@ class PenaltySchedule:
     config: SolverConfig
 
     def __post_init__(self):
-        lambdas = tuple(_require(float(l), "lambdas", 0, math.inf) for l in self.lambdas)
+        lambdas = tuple(float(_require(l, "lambdas", 0, math.inf)) for l in self.lambdas)
         object.__setattr__(self, "lambdas", lambdas)
         if not lambdas:
             raise DomainError("penalty weights must be nonempty")

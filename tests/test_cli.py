@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pvsmooth import cli
+from pvsmooth.core import IdentityProjector
 from pvsmooth.projections import project_simplex
 from pvsmooth.solver import IterateTrace, SolverConfig, run_pvs
 
@@ -67,8 +68,42 @@ def test_load_config_rejects_bad_json(tmp_path):
     assert cli.main(["solve", "--config", str(path)]) == 2
 
 
-def test_load_config_rejects_missing_field(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),  # no such file
+    ("[1, 2]", "config root must be an object"),
+    ("3.5", "config root must be an object"),
+])
+def test_load_config_rejects_an_unreadable_file_or_a_non_object(tmp_path, capsys, text,
+                                                                 message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["solve", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: " + message)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_load_config_rejects_missing_field(tmp_path, capsys):
     assert cli.main(["solve", "--config", write_config(tmp_path, C=None)]) == 2
+    # only the lasso may leave out lambda (its l1 weight is then 1)
+    for problem in ("max-dispersion", "dro"):
+        path = write_config(tmp_path, problem=problem, n=3, N=2, **{"lambda": None})
+        assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("%s needs field 'lambda'\n" % problem)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_null_constraint_matrix_solves_on_the_whole_space(tmp_path):
+    # "R": null reads as an absent R: no constraint, the same run
+    null = tmp_path / "null.json"
+    null.write_text(json.dumps(dict(make_config(), R=None)))
+    cfg = cli.load_config(str(null))
+    assert cfg["R"] is None
+    assert isinstance(cli.build_from_config(cfg)[0].subspace, IdentityProjector)
+    for name, path in (("null", str(null)), ("absent", write_config(tmp_path))):
+        assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "null" / "trace.csv").read_bytes()
+            == (tmp_path / "absent" / "trace.csv").read_bytes())
 
 
 def test_load_config_rejects_bad_enum_and_range(tmp_path):
@@ -257,6 +292,23 @@ def test_solve_epoch_budget_failure_keeps_partial_trace(tmp_path):
     assert data.shape[0] == 11
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["stop_reason"] == "budget_exhausted"
+
+
+def test_solve_error_without_a_trace_exits_3(tmp_path, capsys, monkeypatch):
+    # a start outside V fails before the first row: no trace to write, so
+    # the error itself is the report
+    def outside(cfg):
+        problem, x1 = build(cfg)
+        return problem, x1 + 1.0
+
+    build = cli.build_from_config
+    monkeypatch.setattr(cli, "build_from_config", outside)
+    path = write_config(tmp_path, R=[[1.0, 1.0, 1.0, 1.0, 1.0]])
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: x1 is not in the constraint subspace")
+    assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):

@@ -344,6 +344,12 @@ def test_matrix_map_rejects_zero():
         MatrixMap(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("build", [MatrixMap, matrix_norm_bound, core.spectral_norm])
+def test_one_dimensional_matrices_are_a_contract_error(build):
+    with pytest.raises(ContractError, match="2-d"):
+        build(np.ones(3))
+
+
 _NON_FINITE_BUILDS = {
     "MatrixMap": MatrixMap,
     "QuadraticLoss": lambda mat: QuadraticLoss(mat, np.ones(mat.shape[0])),
@@ -541,6 +547,24 @@ def test_every_numeric_parameter_has_a_row():
 @pytest.mark.parametrize("key, bad", [(key, bad) for key, (_, bads) in _PARAMETERS.items()
                                       for bad in bads])
 def test_out_of_range_parameters_are_rejected_when_built(key, bad):
+    with pytest.raises(DomainError):
+        _PARAMETERS[key][0](bad)
+
+
+# values that are not real numbers, or a bool posing as one; None is left
+# out where the parameter defaults to None, which means "unset" there
+_NON_NUMBERS = ("0.5", None, 0.5 + 0j, np.array([1.0, 2.0]), True, False)
+
+
+def _none_allowed(key):
+    owner, param = key.split()[:2]
+    return inspect.signature(getattr(pvs, owner)).parameters[param].default is None
+
+
+@pytest.mark.parametrize("key, bad", [
+    (key, bad) for key in _PARAMETERS if key.split()[1] not in _NOT_NUMBERS
+    for bad in _NON_NUMBERS if not (bad is None and _none_allowed(key))])
+def test_non_number_parameters_are_rejected_when_built(key, bad):
     with pytest.raises(DomainError):
         _PARAMETERS[key][0](bad)
 

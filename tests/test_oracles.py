@@ -12,6 +12,11 @@ def test_grid_spec_validation():
         oracles.GridSpec(0.0, 1.0, -0.1)
     with pytest.raises(DomainError):
         oracles.GridSpec(0.0, 1.0, 5.0)
+    # a negative count skipped every pass, and 2.7 was truncated to 2
+    for passes in (-3, -1, 2.7, np.nan, np.inf, True, "2"):
+        with pytest.raises(DomainError, match="refine_passes must be an integer"):
+            oracles.GridSpec(-1, 1, 0.1, refine_passes=passes)
+    assert oracles.GridSpec(-1, 1, 0.1, refine_passes=0).refine_passes == 0
 
 
 def test_brute_force_prox_zero_function():

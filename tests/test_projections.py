@@ -68,6 +68,9 @@ def test_project_simplex_rejects_nan_and_plus_inf():
     for x in ([np.nan, 1.0], [np.inf, 0.0], [0.0, np.nan, np.inf], [-np.inf, -np.inf]):
         with pytest.raises(DomainError):
             project_simplex(np.array(x))
+    for x in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(DomainError, match="nonempty 1-d"):
+            project_simplex(x)
     # a -inf entry still gets weight 0
     assert np.array_equal(project_simplex(np.array([-np.inf, 0.0, 0.0])),
                           np.array([0.0, 0.5, 0.5]))

@@ -12,7 +12,7 @@ import pvsmooth as pvs
 from pvsmooth import core, oracles
 from pvsmooth import prox as prox_module
 from pvsmooth.core import moreau_envelope
-from pvsmooth.errors import ConvergenceError, DomainError
+from pvsmooth.errors import ConvergenceError, DomainError, NumericalError
 from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
     L1Penalty,
@@ -81,6 +81,9 @@ def test_simplex_weights_domain_errors():
         solve_simplex_weights(np.array([1.0, 2.0]), 0.5)
     with pytest.raises(DomainError):
         solve_simplex_weights(np.array([1.0, 2.0]), -0.1)
+    for alpha in (np.ones((2, 2)), np.array([])):
+        with pytest.raises(DomainError, match="nonempty 1-d"):
+            solve_simplex_weights(alpha, 0.25)
 
 
 def test_simplex_weights_tiny_mu_put_all_weight_on_the_nearest_block():
@@ -146,6 +149,9 @@ def test_sup_quadratic_mu_domain():
     for mu in (0.0, 0.5, 0.7, -1.0):
         with pytest.raises(DomainError):
             fam.prox(mu, np.array([1.0, 2.0]))
+    # just below 1/2 the denominator 1 - 2 mu p is 2e-14, under the guard
+    with pytest.raises(NumericalError, match="denominators collapsed"):
+        SupQuadraticFamily([[0.0]]).prox(0.5 - 1e-14, [1.0])
 
 
 def envelope_sup_identity_check(family, mu, x):
@@ -804,6 +810,8 @@ def test_sup_affine_rejects_non_finite_input():
             SupAffineFamily(np.eye(3), np.array([0.0, bad, 1.0]), 1.0)
         with pytest.raises(DomainError, match="finite"):
             fam.prox_detailed(0.2, np.array([0.0, bad, 1.0]))
+    with pytest.raises(DomainError, match="scenario count"):
+        SupAffineFamily(np.eye(3), np.zeros(2), 1.0)
     # |A|^2 overflows, though every row is finite
     with pytest.raises(DomainError, match="finite"):
         SupAffineFamily(np.array([[1e300], [0.0]]), np.zeros(2), 1.0)

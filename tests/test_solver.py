@@ -8,8 +8,11 @@ from pvsmooth.core import (
     CallableSmooth,
     CompositeProblem,
     IdentityMap,
+    IdentityProjector,
+    LinearMap,
     SubspaceProjector,
     ZeroFunction,
+    ZeroSmooth,
 )
 from pvsmooth.errors import (
     ContractError,
@@ -112,6 +115,14 @@ def test_schedule_values():
     assert mu8 == 0.125
     with pytest.raises(DomainError):
         schedule(cfg, prob, 0)
+
+    class ZeroNormMap(LinearMap):
+        norm_bound = 0.0
+
+    # no smooth term and a map of norm 0 leave no curvature to step by
+    flat = CompositeProblem(ZeroSmooth(), ZeroFunction(), ZeroNormMap(), IdentityProjector())
+    with pytest.raises(DomainError, match="zero curvature"):
+        schedule(cfg, flat, 1)
 
 
 def test_schedule_step_size_example():
@@ -724,6 +735,8 @@ def test_stationarity_constants_frozen_values():
                              IdentityMap(), proj, dim=3)
     with pytest.raises(DomainError):
         stationarity_constant(nolip, cfg, 10.0, 0.0)
+    with pytest.raises(DomainError, match="no Lipschitz constant"):
+        epoch_iteration_budget(nolip, cfg, 10.0, 0.0, 0.01)
 
 
 def test_theorem_bound_margins_hold_over_the_trace():
