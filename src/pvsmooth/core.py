@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -57,12 +58,16 @@ def _require(value, name, low, high, allow_none=False, integer=False, ends="()")
     on NaN; inf passes only a closed infinite end (``ends="(]"``, a
     parameter that names an infinite limit); None passes with
     ``allow_none``; anything else that is not a :class:`numbers.Real`
-    (:class:`numbers.Integral` for an ``integer``), or is a bool, fails.
-    Plain comparisons, no numpy call."""
+    (:class:`numbers.Integral` for an ``integer``), or is a bool, fails,
+    and so does an integer past the float range where a real number is
+    asked for, which no float conversion survives.  Plain comparisons, no
+    numpy call."""
     if value is None and allow_none:
         return value
     numeric = numbers.Integral if integer else numbers.Real
-    if not isinstance(value, numeric) or isinstance(value, bool) or not (
+    past_floats = (not integer and isinstance(value, numbers.Integral)
+                   and abs(value) > sys.float_info.max)
+    if not isinstance(value, numeric) or isinstance(value, bool) or past_floats or not (
             (low <= value if ends[0] == "[" else low < value)
             and (value <= high if ends[1] == "]" else value < high)):
         kind = ("an integer" if integer else
@@ -70,6 +75,24 @@ def _require(value, name, low, high, allow_none=False, integer=False, ends="()")
         raise DomainError("%s must be %s%s in %s%s, %s%s, got %r" % (
             name, "None or " if allow_none else "", kind, ends[0], low, high, ends[1], value))
     return value
+
+
+def _require_array(value, name, ndim):
+    """``value`` as a float array lifted to ``ndim`` dimensions, as
+    ``np.atleast_1d``/``2d`` lift it: the one check of an array parameter."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        got = "a ragged list" if arr is None else "%s entries" % arr.dtype
+        raise DomainError("%s must be an array of real numbers, got %s" % (name, got))
+    if arr.ndim > ndim:
+        raise DomainError("%s must be at most %d-d, got shape %r" % (name, ndim, arr.shape))
+    if not _all_finite(arr):
+        raise DomainError("%s must be finite, got a NaN or infinite entry" % name)
+    arr = arr.astype(float, copy=False)
+    return arr if arr.ndim == ndim else arr.reshape((1,) * (ndim - arr.ndim) + arr.shape)
 
 
 def _all_finite(a):
@@ -328,11 +351,8 @@ class MatrixMap(LinearMap):
     :func:`matrix_norm_bound` of it."""
 
     def __init__(self, mat):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise ContractError("matrix map needs a 2-d array")
-        self.mat = mat
-        self.norm_bound = matrix_norm_bound(mat)  # 0 only for a zero matrix
+        self.mat = _require_array(mat, "mat", 2)
+        self.norm_bound = matrix_norm_bound(mat)  # mat as given: a 1-d one is a ContractError
         if self.norm_bound == 0.0:
             raise DomainError("matrix map must be nonzero")
 

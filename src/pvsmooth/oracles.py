@@ -37,8 +37,9 @@ class GridSpec:
     """Search box [lower, upper]^d, initial step, and refinement passes.
 
     Each refinement pass halves the local-mesh spacing, so the default 12
-    passes end at step/4096 <= step * 1e-3; ``refine_passes`` is an integer
-    >= 0.
+    passes end at step/4096 <= step * 1e-3.  The ends are finite with
+    lower < upper, the step is positive and fits the box, and
+    ``refine_passes`` is an integer >= 0.
     """
 
     lower: float
@@ -47,10 +48,13 @@ class GridSpec:
     refine_passes: int = 12
 
     def __post_init__(self):
+        _require(self.lower, "lower", -math.inf, math.inf)
+        _require(self.upper, "upper", -math.inf, math.inf)
+        _require(self.step, "step", 0, math.inf)
         if not (self.upper > self.lower):
             raise DomainError("upper must exceed lower")
-        if not (0 < self.step <= self.upper - self.lower):
-            raise DomainError("step must be positive and fit the box")
+        if not (self.step <= self.upper - self.lower):
+            raise DomainError("step must fit the box")
         _require(self.refine_passes, "refine_passes", 0, math.inf, integer=True, ends="[)")
 
 
@@ -155,33 +159,24 @@ def least_squares_roundoff(design, target, x):
 
 
 def _barycentric_grid(n, subdivisions):
+    """The points of the probability simplex in R^n whose weights are
+    multiples of 1/subdivisions, ordered by their first n - 1 weights as
+    ``np.meshgrid(..., indexing="ij")`` orders them; the last weight is
+    what the others leave."""
     m = int(subdivisions)
-    if n == 1:
-        return np.ones((1, 1))
-    rng = np.arange(m + 1)
-    if n == 2:
-        i = rng
-        pts = np.stack([i, m - i], axis=1)
-    elif n == 3:
-        i, j = np.meshgrid(rng, rng, indexing="ij")
-        keep = i + j <= m
-        i, j = i[keep], j[keep]
-        pts = np.stack([i, j, m - i - j], axis=1)
-    else:
-        i, j, k = np.meshgrid(rng, rng, rng, indexing="ij")
-        keep = i + j + k <= m
-        i, j, k = i[keep], j[keep], k[keep]
-        pts = np.stack([i, j, k, m - i - j - k], axis=1)
-    return pts / float(m)
+    head = np.indices((m + 1,) * (n - 1)).reshape(n - 1, (m + 1) ** (n - 1)).T
+    head = head[head.sum(axis=1) <= m]
+    return np.column_stack([head, m - head.sum(axis=1)]) / float(m)
 
 
 def simplex_scan_max(objective, n, resolution):
     """Argmax of a batch-evaluable objective over the probability simplex.
 
-    Scans the barycentric grid with spacing ``resolution`` (n <= 4), then
+    Scans the barycentric grid with spacing ``resolution`` (1 <= n <= 4), then
     polishes by pattern search along the edge directions e_i - e_j with a
     step shrinking from the grid spacing down to 1e-9.  Returns (p, value).
     """
+    _require(n, "n", 1, math.inf, integer=True, ends="[)")
     if n > 4:
         raise CapabilityError("simplex scan supports at most 4 weights")
     if not (0 < resolution <= 1):

@@ -25,6 +25,7 @@ from .core import (
     ProxFunction,
     SmoothFunction,
     _require,
+    _require_array,
     matrix_norm_bound,
 )
 from .errors import DomainError
@@ -77,14 +78,10 @@ class QuadraticLoss(SmoothFunction):
     """
 
     def __init__(self, design, target):
-        self.design = np.ascontiguousarray(np.atleast_2d(np.asarray(design, dtype=float)))
-        self.target = np.asarray(target, dtype=float)
-        if self.target.ndim != 1:
-            raise DomainError("target must be a 1-d array of samples")
+        self.design = np.ascontiguousarray(_require_array(design, "design", 2))
+        self.target = _require_array(target, "target", 1)
         if self.design.shape[0] != self.target.size:
             raise DomainError("design and target disagree on the sample count")
-        if not np.isfinite(self.target).all():
-            raise DomainError("target must be finite")
         self.lip_grad = 2.0 * matrix_norm_bound(self.design) ** 2
         m, n = self.design.shape
         rows = max(1, _PANEL_BYTES // max(1, n * self.design.itemsize))
@@ -154,9 +151,7 @@ class MaxDispersionInstance:
     constraint_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "anchors", np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        )
+        object.__setattr__(self, "anchors", _require_array(self.anchors, "anchors", 2))
 
 
 def _kernel_subspace(constraint_matrix):
@@ -271,18 +266,20 @@ def build_constrained_lasso(inst):
 # ---------------------------------------------------------------------------
 
 def subspace_start(projector, dim):
-    """A deterministic nonzero point of the subspace, when one exists.
+    """A deterministic nonzero point of the subspace of R^dim (dim an
+    integer >= 1), when one exists.
 
     Projects halved standard basis vectors until the image is nonzero; a
     zero start would sit at a stationary point of some model objectives.
     """
-    for i in range(int(dim)):
-        e = np.zeros(int(dim))
+    _require(dim, "dim", 1, math.inf, integer=True, ends="[)")
+    for i in range(dim):
+        e = np.zeros(dim)
         e[i] = 0.5
         p = projector.apply(e)
         if np.linalg.norm(p) > 1e-8 * 0.5:
             return p
-    return np.zeros(int(dim))
+    return np.zeros(dim)
 
 
 def _seeded_rng(dim, count, seed):

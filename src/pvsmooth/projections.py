@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubspaceProjector, _require
+from .core import SubspaceProjector, _require, _require_array
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -37,9 +37,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not np.isfinite(self.center).all():
-            raise DomainError("ball center must be finite")
+        object.__setattr__(self, "center", _require_array(self.center, "center", 1))
         _require(self.radius, "radius", 0, math.inf, ends="(]")
 
 
@@ -99,9 +97,7 @@ class KernelProjector(SubspaceProjector):
     """
 
     def __init__(self, R):
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        if not np.isfinite(R).all():
-            raise DomainError("constraint matrix R must be finite")
+        R = _require_array(R, "R", 2)
         if not np.any(R):
             raise DomainError("constraint matrix R must be nonzero")
         _, s, vt = np.linalg.svd(R, full_matrices=False)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import ProxFunction, _all_finite, _require, spectral_norm
+from .core import ProxFunction, _all_finite, _require, _require_array, spectral_norm
 # matrix_norm_bound is unused here but stays a module attribute:
 # benchmarks/tracing.py wraps it in every module that imported it.
 from .core import matrix_norm_bound  # noqa: F401
@@ -148,10 +148,10 @@ def simplex_weights_kkt(alpha, mu, p):
 class SupQuadraticFamily(ProxFunction):
     """f(x) = max_i -|x_i - c_i|^2 on the product of N blocks.
 
-    ``centers`` has shape (N, d); arguments are flat vectors of length N*d.
-    The function is 2-weakly convex, so the prox is single valued for
-    mu < 1/2.  With alpha_i = |x_i - c_i|^2 and maximizing weights p, the
-    prox has blocks (x_i - 2 mu p_i c_i) / (1 - 2 mu p_i).
+    ``centers`` has shape (N, d), N >= 1; arguments are flat vectors of
+    length N*d.  The function is 2-weakly convex, so the prox is single
+    valued for mu < 1/2.  With alpha_i = |x_i - c_i|^2 and maximizing
+    weights p, the prox has blocks (x_i - 2 mu p_i c_i) / (1 - 2 mu p_i).
 
     ``prox`` forms the block differences once, and ``prox_and_value`` reads
     f at the prox point from the prox blocks ``prox`` returns, the same
@@ -164,11 +164,9 @@ class SupQuadraticFamily(ProxFunction):
     lipschitz = None
 
     def __init__(self, centers):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if not np.isfinite(centers).all():
-            raise DomainError("centers must be finite")
-        self.centers = centers
-        self.n_blocks, self.block_dim = centers.shape
+        self.centers = _require_array(centers, "centers", 2)
+        self.n_blocks, self.block_dim = self.centers.shape
+        _require(self.n_blocks, "the number of centers", 1, math.inf, integer=True, ends="[)")
         self._counts = _block_counts(self.n_blocks)
 
     def _blocks(self, x):
@@ -250,8 +248,8 @@ class SupAffineFamily(ProxFunction):
 
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
-    O(N d) memory, and nothing of size N^2.  Non-finite rows or offsets, a
-    non-finite |A|^2, an ``ambiguity`` that is not None or a pair of
+    O(N d) memory, and nothing of size N^2.  No scenario, a non-finite
+    |A|^2, an ``ambiguity`` that is not None or a pair of
     callables, and out-of-range values raise :class:`DomainError`.
 
     On the simplex the family keeps one piece of state, ``_support``: the
@@ -263,12 +261,11 @@ class SupAffineFamily(ProxFunction):
 
     def __init__(self, a_rows, offsets, sigma, ambiguity=None, tol=1e-10,
                  max_iter=200000):
-        a_rows = np.atleast_2d(np.asarray(a_rows, dtype=float))
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+        a_rows = _require_array(a_rows, "a_rows", 2)
+        offsets = _require_array(offsets, "offsets", 1)
         if a_rows.shape[0] != offsets.size:
             raise DomainError("a_rows and offsets disagree on the scenario count")
-        if not np.isfinite(offsets).all():
-            raise DomainError("offsets must be finite")
+        _require(offsets.size, "the scenario count", 1, math.inf, integer=True, ends="[)")
         self.sigma = float(_require(sigma, "sigma", 0, math.inf))
         if ambiguity is not None and not (
                 isinstance(ambiguity, tuple) and len(ambiguity) == 2
@@ -278,7 +275,7 @@ class SupAffineFamily(ProxFunction):
         self.tol = float(_require(tol, "tol", 0, math.inf))
         self.max_iter = int(_require(max_iter, "max_iter", 1, math.inf, integer=True,
                                      ends="[)"))
-        norm = spectral_norm(a_rows)  # rejects NaN and inf
+        norm = spectral_norm(a_rows)
         self.gram_norm = _require(norm * norm, "|A|^2", 0, math.inf, ends="[)")
         self.a_rows = a_rows
         self.offsets = offsets
@@ -646,9 +643,8 @@ class TukeyPenalty(ProxFunction):
     rho = 6.0
 
     def __init__(self, shifts=0.0):
-        self.shifts = np.asarray(shifts, dtype=float)
-        if not np.isfinite(self.shifts).all():
-            raise DomainError("shifts must be finite")
+        # a scalar shift stays 0-d, so the prox of a scalar is a float
+        self.shifts = _require_array(shifts, "shifts", 1).reshape(np.shape(shifts))
 
     def value(self, y):
         s = np.asarray(y, dtype=float) - self.shifts

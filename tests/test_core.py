@@ -350,41 +350,24 @@ def test_one_dimensional_matrices_are_a_contract_error(build):
         build(np.ones(3))
 
 
-_NON_FINITE_BUILDS = {
-    "MatrixMap": MatrixMap,
-    "QuadraticLoss": lambda mat: QuadraticLoss(mat, np.ones(mat.shape[0])),
-    "SupAffineFamily": lambda mat: prox.SupAffineFamily(
-        mat, np.zeros(mat.shape[0]), 1.0),
-    "KernelProjector": KernelProjector,
-}
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("build", sorted(_NON_FINITE_BUILDS))
-def test_non_finite_matrices_are_rejected(build, bad):
-    # one row (where MatrixMap took NaN as its norm bound and
-    # KernelProjector an inf as an empty basis) and a 5 x 3 matrix (where
-    # eigvalsh or the SVD raised a bare LinAlgError)
-    row = np.array([[1.0, bad, 1.0]])
-    mat = np.random.default_rng(9).standard_normal((5, 3))
-    mat[2, 1] = bad
-    for m in (row, mat):
-        with pytest.raises(DomainError):
-            _NON_FINITE_BUILDS[build](m)
+@pytest.mark.parametrize("norm", [matrix_norm_bound, core.spectral_norm])
+def test_norm_routines_reject_non_finite_entries(norm, bad):
+    # the builds that call them check their arrays first, so only a direct
+    # call reaches this check
+    with pytest.raises(DomainError, match="matrix entries must be finite"):
+        norm(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
-# One row per parameter of a public class or builder: the build, and values
-# it must reject with DomainError when built.  An infinite value would give
-# NaN values (the penalties' value(0)), a NaN prox (SCAD with theta = inf),
-# a family whose every prox raises (sigma = inf, mu_max = 0), a run failing
-# at its first step (C and the builders' lam), a warning or failure at the
-# first prox or step (a center, anchor, shift or target), or a vacuous bound
-# (a Lipschitz constant or f_star).  A NaN Tukey shift ran 200 Newton steps
-# into a ConvergenceError, a NaN anchor or center failed the run's first
-# prox as a component error, a NaN Lipschitz constant made every
-# decay-bound margin NaN, and a NaN rho passed the 2 rho C <= 1 check.  A
-# schedule's weight is checked with the schedule, not by a stage's
-# BallPenalty after the stages before it have run.
+# One row per scalar parameter of a public class or builder: the build, and
+# values it must reject with DomainError when built.  An infinite value
+# would give NaN values (the penalties' value(0)), a NaN prox (SCAD with
+# theta = inf), a family whose every prox raises (sigma = inf, mu_max = 0),
+# a run failing at its first step (C and the builders' lam), or a vacuous
+# bound (a Lipschitz constant or f_star).  A NaN Lipschitz constant made
+# every decay-bound margin NaN, and a NaN rho passed the 2 rho C <= 1
+# check.  A schedule's weight is checked with the schedule, not by a
+# stage's BallPenalty after the stages before it have run.
 _CFG = SolverConfig(alpha=0.5, C=0.25, max_iter=1)
 _BALL = BallSpec(np.zeros(2), 1.0)
 _NO_RANGE = (np.nan, np.inf, -np.inf)  # for parameters of any sign
@@ -394,9 +377,9 @@ _COUNT = (0, -1, 2.5, np.nan, np.inf)  # n_blocks and dim: integers from 1
 _INTEGER = (0, -1, 1.5, np.nan, np.inf)  # integers from 1
 
 
-def _dispersion(build, field, wrap=lambda v: v):
+def _dispersion(build, field):
     def make(v):
-        fields = {"anchors": np.eye(3), "radius": 1.0, "lam": 100.0, field: wrap(v)}
+        fields = {"anchors": np.eye(3), "radius": 1.0, "lam": 100.0, field: v}
         return build(pvs.MaxDispersionInstance(**fields))
     return make
 
@@ -438,16 +421,12 @@ _PARAMETERS = {
     "MCPPenalty theta": (lambda v: prox.MCPPenalty(1.0, v), (0.0, -1.0, np.nan)),
     "SCADPenalty lam": (lambda v: prox.SCADPenalty(v, 3.0), _POSITIVE),
     "SCADPenalty theta": (lambda v: prox.SCADPenalty(1.0, v), (2.0, 1.0, np.nan, np.inf)),
-    "TukeyPenalty shifts": (lambda v: prox.TukeyPenalty(np.array([0.0, v])), _NO_RANGE),
-    "SupQuadraticFamily centers": (
-        lambda v: prox.SupQuadraticFamily(np.array([[0.0, 1.0], [v, 0.0]])), _NO_RANGE),
     "SupAffineFamily sigma": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v), _POSITIVE),
     "SupAffineFamily tol": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, tol=v), _POSITIVE),
     "SupAffineFamily max_iter": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, max_iter=v), _INTEGER),
-    "BallSpec center": (lambda v: BallSpec(np.array([0.0, v]), 1.0), _NO_RANGE),
     "BallSpec radius": (lambda v: BallSpec(np.zeros(2), v), (0.0, -1.0, np.nan)),
     "BallPenalty weight": (lambda v: BallPenalty(_BALL, v), _POSITIVE),
     "FirstBlockBallPenalty weight": (lambda v: pvs.FirstBlockBallPenalty(_BALL, v, 2),
@@ -463,17 +442,12 @@ _PARAMETERS = {
         lambda v: pvs.ReplicatedKernelProjector(IdentityProjector(), v), _COUNT),
     "PenaltySchedule lambdas": (lambda v: PenaltySchedule((1.0, v), _CFG),
                                 (-1.0, np.nan, np.inf)),
-    "QuadraticLoss target": (lambda v: QuadraticLoss(np.eye(2), np.array([0.0, v])),
-                             _NO_RANGE),
     "MaxDispersionInstance lam (direct)": (_dispersion(build_max_dispersion_direct, "lam"),
                                            (2.0, np.nan, np.inf)),
     "MaxDispersionInstance lam (product)": (_dispersion(build_max_dispersion_product, "lam"),
                                             (2.0, np.nan, np.inf)),
     "MaxDispersionInstance radius": (_dispersion(build_max_dispersion_direct, "radius"),
                                      (0.0, -1.0, np.nan)),
-    "MaxDispersionInstance anchors (product)": (
-        _dispersion(build_max_dispersion_product, "anchors", lambda v: np.diag([1.0, v, 1.0])),
-        _NO_RANGE),
     "build_dro_affine lam": (
         lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), v, 1.0), (2.0, np.nan, np.inf)),
     "build_dro_affine radius": (
@@ -481,9 +455,6 @@ _PARAMETERS = {
     "build_dro_affine sigma": (
         lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), 10.0, 1.0, sigma=v),
         _POSITIVE),
-    "build_dro_quadratic centers": (
-        lambda v: build_dro_quadratic(np.array([[0.0, 1.0], [v, 0.0]]), lam=10.0, radius=1.0),
-        _NO_RANGE),
     "build_dro_quadratic lam": (lambda v: build_dro_quadratic(np.eye(2), v, 1.0),
                                 (2.0, np.nan, np.inf)),
     "build_dro_quadratic radius": (lambda v: build_dro_quadratic(np.eye(2), 10.0, v),
@@ -499,6 +470,7 @@ _PARAMETERS = {
     "random_lasso_data dim": (lambda v: pvs.random_lasso_data(v, 2, 0), _INTEGER),
     "random_lasso_data samples": (lambda v: pvs.random_lasso_data(2, v, 0), _INTEGER),
     "random_lasso_data seed": (lambda v: pvs.random_lasso_data(2, 2, v), (-1, 1.5, np.nan)),
+    "subspace_start dim": (lambda v: pvs.subspace_start(IdentityProjector(), v), _COUNT),
 }
 
 # parameter names that are not numbers, each checked elsewhere or not at all
@@ -511,8 +483,10 @@ _NOT_NUMBERS = {
     "ball": "a BallSpec, whose fields have rows",
     "config": "a SolverConfig, whose fields have rows",
     "inst": "an instance, whose fields have rows",
-    # arrays: _NON_FINITE_BUILDS covers the matrices, and the table the
-    # entries of centers, shifts, targets and anchors
+    "projector": "a SubspaceProjector",
+    "kind": "a penalty name, checked when built",
+    "params": "a penalty's parameters, which have rows",
+    # arrays: each has a row of _ARRAYS
     "mat": "an array", "R": "an array", "design": "an array", "target": "an array",
     "a_rows": "an array", "offsets": "an array", "centers": "an array",
     "center": "an array", "anchors": "an array", "shifts": "an array",
@@ -521,16 +495,27 @@ _NOT_NUMBERS = {
 # classes that record a run rather than configure one: IterateTrace is
 # built by run_pvs from a checked SolverConfig, and errors carry diagnostics
 _RECORDS = ("IterateTrace", "PenaltyDiagnostics")
+# public functions that compute on their arguments rather than build from
+# parameters; the code that takes those arguments checks them per call
+_PER_CALL = {
+    "dispersion_objective", "dykstra_project", "envelope_by_weights",
+    "epoch_iteration_budget", "matrix_norm_bound", "moreau_envelope", "moreau_gradient",
+    "penalty_distance_sq", "project_ball", "project_diagonal", "project_simplex",
+    "pvs_step", "run_penalty", "run_pvs", "schedule", "simplex_weights_kkt",
+    "solve_simplex_weights", "spectral_norm", "stationarity_constant",
+    "theorem_bound_margins",
+}
 
 
 def _public_parameters():
-    """(owner, parameter) for every class and builder in ``pvsmooth.__all__``."""
+    """(owner, parameter) for every class and function in ``pvsmooth.__all__``
+    that builds from parameters."""
     for name in pvs.__all__:
         obj = getattr(pvs, name)
         if inspect.isclass(obj):
             if issubclass(obj, Exception) or name in _RECORDS:
                 continue
-        elif not (inspect.isfunction(obj) and name.startswith(("build_", "random_"))):
+        elif not inspect.isfunction(obj) or name in _PER_CALL:
             continue
         for param in inspect.signature(obj).parameters:
             yield name, param
@@ -542,6 +527,8 @@ def test_every_numeric_parameter_has_a_row():
     assert not sorted(p for p in pairs - rows if p[1] not in _NOT_NUMBERS)
     assert not sorted(rows - pairs)  # each row names a real parameter
     assert not set(_NOT_NUMBERS) - {param for _, param in pairs}
+    assert not sorted(_PER_CALL - {name for name in pvs.__all__
+                                   if inspect.isfunction(getattr(pvs, name))})
 
 
 @pytest.mark.parametrize("key, bad", [(key, bad) for key, (_, bads) in _PARAMETERS.items()
@@ -554,6 +541,10 @@ def test_out_of_range_parameters_are_rejected_when_built(key, bad):
 # values that are not real numbers, or a bool posing as one; None is left
 # out where the parameter defaults to None, which means "unset" there
 _NON_NUMBERS = ("0.5", None, 0.5 + 0j, np.array([1.0, 2.0]), True, False)
+# integers past the float range, where a real number is asked for: they
+# passed every range and then overflowed in a float conversion
+_PAST_FLOATS = (10**400, -10**400)
+_COUNTS = ("max_iter", "dim", "n_blocks", "count", "samples", "seed")
 
 
 def _none_allowed(key):
@@ -562,11 +553,125 @@ def _none_allowed(key):
 
 
 @pytest.mark.parametrize("key, bad", [
-    (key, bad) for key in _PARAMETERS if key.split()[1] not in _NOT_NUMBERS
-    for bad in _NON_NUMBERS if not (bad is None and _none_allowed(key))])
+    (key, bad) for key in _PARAMETERS
+    for bad in _NON_NUMBERS + (() if key.split()[1] in _COUNTS else _PAST_FLOATS)
+    if not (bad is None and _none_allowed(key))])
 def test_non_number_parameters_are_rejected_when_built(key, bad):
     with pytest.raises(DomainError):
         _PARAMETERS[key][0](bad)
+
+
+# One row per array parameter of a public class or builder: the build, and
+# values it accepts, from which _bad_array makes those it must reject with
+# DomainError when built.  A NaN matrix entry was MatrixMap's norm bound,
+# an inf one an empty KernelProjector basis, and eigvalsh or the SVD raised
+# a bare LinAlgError on either; a NaN Tukey shift ran 200 Newton steps into
+# a ConvergenceError, and a NaN anchor or center failed the run's first
+# prox as a component error.  A 3-d R gave a projector that is not one, a
+# 2-d center or offsets failed at the first call, 3-d centers or anchors
+# did not unpack, and a string or complex entry raised ValueError or
+# TypeError.
+_MATRICES = (np.ones((1, 3)), np.random.default_rng(9).standard_normal((5, 3)))
+_PAIR = np.zeros(2)
+_ROW = np.ones((1, 2))  # a constraint matrix on R^2
+_CENTERS = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _lasso_with(**fields):
+    data = {"design": np.eye(2), "target": np.ones(2), "regularizer": prox.L1Penalty(1.0)}
+    return pvs.build_constrained_lasso(pvs.LassoInstance(**{**data, **fields}))
+
+
+_ARRAYS = {
+    "BallSpec center": (lambda v: BallSpec(v, 1.0), (_PAIR,)),
+    "KernelProjector R": (KernelProjector, _MATRICES),
+    "LassoInstance constraint_matrix": (lambda v: _lasso_with(constraint_matrix=v), (_ROW,)),
+    "LassoInstance design": (lambda v: _lasso_with(design=v, target=np.ones(len(v))),
+                             _MATRICES),
+    "LassoInstance inner_matrix": (lambda v: _lasso_with(inner_matrix=v), (np.eye(2),)),
+    "LassoInstance target": (lambda v: _lasso_with(target=v), (_PAIR,)),
+    "MatrixMap mat": (MatrixMap, _MATRICES),
+    "MaxDispersionInstance anchors (product)": (
+        _dispersion(build_max_dispersion_product, "anchors"), (np.eye(3),)),
+    "MaxDispersionInstance constraint_matrix": (
+        _dispersion(build_max_dispersion_direct, "constraint_matrix"), (np.ones((1, 3)),)),
+    "QuadraticLoss design": (lambda v: QuadraticLoss(v, np.ones(len(v))), _MATRICES),
+    "QuadraticLoss target": (lambda v: QuadraticLoss(np.eye(2), v), (_PAIR,)),
+    "SupAffineFamily a_rows": (lambda v: prox.SupAffineFamily(v, np.zeros(len(v)), 1.0),
+                               _MATRICES),
+    "SupAffineFamily offsets": (lambda v: prox.SupAffineFamily(np.eye(2), v, 1.0), (_PAIR,)),
+    "SupQuadraticFamily centers": (prox.SupQuadraticFamily, (_CENTERS,)),
+    "TukeyPenalty shifts": (prox.TukeyPenalty, (_PAIR,)),
+    "build_dro_affine a_rows": (
+        lambda v: pvs.build_dro_affine(v, np.zeros(len(v)), 10.0, 1.0), (np.eye(2),)),
+    "build_dro_affine constraint_matrix": (
+        lambda v: pvs.build_dro_affine(np.eye(2), _PAIR, 10.0, 1.0, constraint_matrix=v),
+        (_ROW,)),
+    "build_dro_affine offsets": (lambda v: pvs.build_dro_affine(np.eye(2), v, 10.0, 1.0),
+                                 (_PAIR,)),
+    "build_dro_quadratic centers": (lambda v: build_dro_quadratic(v, lam=10.0, radius=1.0),
+                                    (_CENTERS,)),
+    "build_dro_quadratic constraint_matrix": (
+        lambda v: build_dro_quadratic(np.eye(2), 10.0, 1.0, constraint_matrix=v), (_ROW,)),
+}
+_BAD_ENTRIES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "string": "0.5",
+                "complex": 0.5 + 1j}
+
+
+def _bad_array(base, case):
+    """A value an array parameter must reject, made from a ``base`` it
+    accepts: a bad entry at the middle flat index (a non-finite one in a
+    float array, a string or complex one in a nested list, as a caller
+    writes one), a ragged list, or ``base`` with one dimension more."""
+    if case == "ragged":
+        return base.tolist() + [[]]
+    if case == "extra dimension":
+        return base[None]
+    bad = base.astype(object)
+    bad.flat[base.size // 2] = _BAD_ENTRIES[case]
+    return bad.tolist() if case in ("string", "complex") else bad.astype(float)
+
+
+def test_every_array_parameter_has_a_row():
+    arrays = {p for p in _public_parameters() if _NOT_NUMBERS.get(p[1]) == "an array"}
+    assert arrays == {tuple(key.split()[:2]) for key in _ARRAYS}
+
+
+@pytest.mark.parametrize("case", [*_BAD_ENTRIES, "ragged", "extra dimension"])
+@pytest.mark.parametrize("key", sorted(_ARRAYS))
+def test_bad_arrays_are_rejected_when_built(key, case):
+    build, bases = _ARRAYS[key]
+    for base in bases:
+        build(base)  # accepted, so the rejection below is the bad value's
+        with pytest.raises(DomainError):
+            build(_bad_array(base, case))
+
+
+def test_array_messages_name_the_parameter_and_what_it_got():
+    for build, message in (
+            (lambda: KernelProjector(np.ones((2, 2, 2))),
+             "R must be at most 2-d, got shape (2, 2, 2)"),
+            (lambda: BallSpec([0.0, "1"], 1.0),
+             "center must be an array of real numbers, got <U32 entries"),
+            (lambda: prox.TukeyPenalty([0.0, 1j]),
+             "shifts must be an array of real numbers, got complex128 entries"),
+            (lambda: prox.SupQuadraticFamily([[0.0], [1.0, 2.0]]),
+             "centers must be an array of real numbers, got a ragged list"),
+            (lambda: QuadraticLoss(np.eye(2), [0.0, np.nan]),
+             "target must be finite, got a NaN or infinite entry")):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_array_parameters_are_lifted_like_atleast_1d_and_2d():
+    for value, ndim in ((2, 1), (2, 2), ([1, 2], 2), (np.eye(2), 2), ([True], 1)):
+        lifted = core._require_array(value, "x", ndim)
+        expect = (np.atleast_1d if ndim == 1 else np.atleast_2d)(np.asarray(value, dtype=float))
+        assert lifted.dtype == float and np.array_equal(lifted, expect)
+    assert prox.SupQuadraticFamily([1.0, 2.0]).centers.shape == (1, 2)
+    assert np.array_equal(KernelProjector([1.0, 1.0]).basis, KernelProjector([[1.0, 1.0]]).basis)
+    assert prox.TukeyPenalty(0.7).shifts.shape == ()  # so a scalar's prox is a float
 
 
 def test_one_message_names_the_parameter_and_its_range():

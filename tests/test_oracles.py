@@ -12,6 +12,14 @@ def test_grid_spec_validation():
         oracles.GridSpec(0.0, 1.0, -0.1)
     with pytest.raises(DomainError):
         oracles.GridSpec(0.0, 1.0, 5.0)
+    # a string end raised TypeError, and an infinite one built a grid that
+    # brute_force_prox could not lay out
+    for lower, upper, step in (("0", 1, 0.1), (0, "1", 0.1), (0, 1, "0.1"),
+                               (-np.inf, 1.0, 0.1), (0.0, np.inf, 0.1), (np.nan, 1.0, 0.1),
+                               (0.0, np.nan, 0.1), (0.0, 1.0, np.nan), (0.0, 1.0, 0.0),
+                               (-10**400, 1.0, 0.1), (None, 1.0, 0.1), (0.0, True, 0.1)):
+        with pytest.raises(DomainError, match="(lower|upper|step) must be a finite number"):
+            oracles.GridSpec(lower, upper, step)
     # a negative count skipped every pass, and 2.7 was truncated to 2
     for passes in (-3, -1, 2.7, np.nan, np.inf, True, "2"):
         with pytest.raises(DomainError, match="refine_passes must be an integer"):
@@ -104,6 +112,31 @@ def test_simplex_scan_max_size_cap():
         oracles.simplex_scan_max(lambda pts: pts.sum(axis=1), 5, resolution=0.25)
 
 
+def test_barycentric_grids_in_meshgrid_order():
+    # every grid comes from one construction; these two sizes had
+    # branches of their own
+    assert np.array_equal(oracles._barycentric_grid(2, 2), [[0, 1], [0.5, 0.5], [1, 0]])
+    expect = np.array([[0, 0, 0, 2], [0, 0, 1, 1], [0, 0, 2, 0], [0, 1, 0, 1], [0, 1, 1, 0],
+                       [0, 2, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0],
+                       [2, 0, 0, 0]]) / 2.0
+    assert np.array_equal(oracles._barycentric_grid(4, 2), expect)
+    assert np.array_equal(oracles._barycentric_grid(1, 3), [[1.0]])
+    # a flat objective keeps the first grid point, the last vertex
+    for n in (1, 2, 3, 4):
+        p, _ = oracles.simplex_scan_max(lambda pts: np.zeros(len(pts)), n, resolution=0.5)
+        assert np.array_equal(p, np.eye(n)[-1])
+
+
+def test_simplex_scan_max_domain():
+    for resolution in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(DomainError, match="resolution"):
+            oracles.simplex_scan_max(lambda pts: pts.sum(axis=1), 3, resolution)
+    # n = 0 scanned the 4-weight grid, and n = -1 failed inside numpy
+    for n in (0, -1, 2.5):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            oracles.simplex_scan_max(lambda pts: pts.sum(axis=1), n, 0.5)
+
+
 def test_affine_scan_prox_needs_two_rows():
     with pytest.raises(CapabilityError):
         oracles.affine_scan_prox(np.ones((3, 2)), np.zeros(3), 1.0, 0.2, np.zeros(2))
@@ -158,3 +191,11 @@ def test_random_search_dispersion_deterministic():
     a1 = oracles.random_search_dispersion(anchors, 1.0, 10.0, None, samples=500, seed=7)
     a2 = oracles.random_search_dispersion(anchors, 1.0, 10.0, None, samples=500, seed=7)
     assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
+
+
+def test_random_search_dispersion_on_a_zero_subspace():
+    # R of full column rank: ker R = {0}, the only point, is returned
+    anchors = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    x, val = oracles.random_search_dispersion(anchors, 1.0, 10.0, np.eye(3),
+                                              samples=10, seed=0)
+    assert np.array_equal(x, np.zeros(3)) and val == -1.0

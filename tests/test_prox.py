@@ -826,6 +826,20 @@ def test_sup_affine_rejects_non_finite_input():
             big.prox_detailed(0.2, x)
 
 
+def test_sup_families_need_a_scenario():
+    # both built, and every later value or prox raised a bare numpy
+    # ValueError (argmax of an empty sequence); the affine builder failed in
+    # its dimension probe
+    for build in (lambda: SupAffineFamily(np.zeros((0, 2)), np.zeros(0), 1.0),
+                  lambda: pvs.build_dro_affine(np.zeros((0, 2)), np.zeros(0), 10.0, 1.0)):
+        with pytest.raises(DomainError, match="the scenario count must be an integer in"):
+            build()
+    for build in (lambda: SupQuadraticFamily(np.zeros((0, 3))),
+                  lambda: pvs.build_dro_quadratic(np.zeros((0, 3)), 10.0, 1.0)):
+        with pytest.raises(DomainError, match="the number of centers must be an integer in"):
+            build()
+
+
 def test_sup_affine_rejects_an_overflowing_prox_point():
     # w stays finite (A = 0), but y = (x - mu A^T c) / s overflows: a
     # DomainError from both the active set and FISTA, not a RuntimeWarning
@@ -993,6 +1007,10 @@ def test_prox_tukey_residual_and_domain():
         TukeyPenalty().prox(1.0 / 6.0, 0.5)
     with pytest.raises(DomainError):
         TukeyPenalty().prox(0.3, 0.5)
+    # a NaN argument never meets the stop test, so the root search ends
+    # after its 200 steps
+    with pytest.raises(ConvergenceError, match="stalled"):
+        TukeyPenalty().prox(0.1, np.array([0.0, np.nan]))
 
 
 def test_prox_l1_examples():
