@@ -60,8 +60,8 @@ def _require(value, name, low, high, allow_none=False, integer=False, ends="()")
     ``allow_none``; anything else that is not a :class:`numbers.Real`
     (:class:`numbers.Integral` for an ``integer``), or is a bool, fails,
     and so does an integer past the float range where a real number is
-    asked for, which no float conversion survives.  Plain comparisons, no
-    numpy call."""
+    asked for, which no float conversion survives; its message gives the
+    integer's size, not its digits.  Plain comparisons, no numpy call."""
     if value is None and allow_none:
         return value
     numeric = numbers.Integral if integer else numbers.Real
@@ -72,8 +72,11 @@ def _require(value, name, low, high, allow_none=False, integer=False, ends="()")
             and (value <= high if ends[1] == "]" else value < high)):
         kind = ("an integer" if integer else
                 "a number" if high == math.inf and ends[1] == "]" else "a finite number")
-        raise DomainError("%s must be %s%s in %s%s, %s%s, got %r" % (
-            name, "None or " if allow_none else "", kind, ends[0], low, high, ends[1], value))
+        got = ("an integer of about %s10^%d, past the float range"
+               % ("-" if value < 0 else "", round(math.log10(abs(value))))
+               if past_floats else repr(value))
+        raise DomainError("%s must be %s%s in %s%s, %s%s, got %s" % (
+            name, "None or " if allow_none else "", kind, ends[0], low, high, ends[1], got))
     return value
 
 

@@ -1,7 +1,8 @@
 """Slow, independent reference computations used to cross-check the fast
 paths: grid/refinement prox search, finite-difference gradients, simplex
-scanning, a long-run solver for the convex constrained-lasso case, and
-random search for the dispersion problems.
+scanning, an enumeration of supports for the sup-affine prox, a long-run
+solver for the convex constrained-lasso case, and random search for the
+dispersion problems.
 
 These deliberately avoid the package's closed forms and iterations; where a
 projector or threshold is needed it is recomputed here from first
@@ -12,12 +13,13 @@ because the command line exposes them through ``verify``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require
+from .core import _require, _require_array, spectral_norm
 from .errors import CapabilityError, DomainError
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "reference_constrained_lasso",
     "random_search_dispersion",
     "affine_scan_prox",
+    "enumerated_simplex_prox",
 ]
 
 
@@ -75,7 +78,7 @@ def brute_force_prox(value_fn, mu, x, grid, batch_value=None):
     cannot stall it the way single-coordinate moves can), ending at a
     resolution of ``grid.step / 2**grid.refine_passes``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _require_array(x, "x", 1)
     d = x.size
     if d > 3:
         raise CapabilityError("brute-force prox supports at most 3 dimensions")
@@ -150,11 +153,11 @@ def least_squares_roundoff(design, target, x):
     (however they are split), and the squares (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 3.5).
     """
-    size = np.abs(np.atleast_2d(np.asarray(design, dtype=float)))
+    size = np.abs(_require_array(design, "design", 2))
     m, n = size.shape
     ku = (m + 2 * n + 2) * np.finfo(float).eps / 2.0
     gamma = ku / (1.0 - ku)
-    s = size @ np.abs(np.asarray(x, dtype=float)) + np.abs(np.asarray(target, dtype=float))
+    s = size @ np.abs(_require_array(x, "x", 1)) + np.abs(_require_array(target, "target", 1))
     return 2.0 * gamma * float(s @ s), 4.0 * gamma * (size.T @ s)
 
 
@@ -221,11 +224,11 @@ def affine_scan_prox(a_rows, offsets, sigma, mu, x, t_step=1e-4):
     concave, so the coarse scan is polished by bisection on shrinking
     brackets down to width 1e-12.  Only N = 2 is supported.
     """
-    a_rows = np.atleast_2d(np.asarray(a_rows, dtype=float))
-    offsets = np.asarray(offsets, dtype=float)
+    a_rows = _require_array(a_rows, "a_rows", 2)
+    offsets = _require_array(offsets, "offsets", 1)
     if a_rows.shape[0] != 2:
         raise CapabilityError("weight scan needs exactly two scenarios")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _require_array(x, "x", 1)
     s = 1.0 - 2.0 * sigma * mu
 
     def batch(ts):
@@ -251,10 +254,61 @@ def affine_scan_prox(a_rows, offsets, sigma, mu, x, t_step=1e-4):
     return ys[0], float(t), float(vals[0])
 
 
+def enumerated_simplex_prox(a_rows, offsets, sigma, mu, x):
+    """The sup-affine prox point on the simplex by enumeration, with no
+    iteration to converge.
+
+    With s = 1 - 2 sigma mu, L = mu |A|^2 / s (|A|^2 read as
+    ``spectral_norm(a_rows)`` squared, the value
+    :class:`~pvsmooth.prox.SupAffineFamily` keeps as ``gram_norm``) and
+    gamma = 1/L, the weights c maximize the dual <c, w> - (coef / 2)
+    |A^T c|^2 over the simplex, w = gamma (A x / s + b) shifted to
+    max(w) = 0 and coef = gamma mu / s.  Its maximizers share A^T c, and
+    among them a basic solution of the linear program that fixes A^T c has
+    a support S of at most d + 1 scenarios whose columns (a_i, 1) are
+    independent, so its bordered system [M_SS 1; 1^T 0] [u; t] = [w_S; 1],
+    M_SS = coef A_S A_S^T, is nonsingular and gives u = c_S.  Every such S
+    gets one solve; the u with the smallest KKT violation (a negative
+    weight, or a dual gradient v = w - coef A A_S^T u above its value on S)
+    gives y = (x - mu A^T c) / s.  The cost grows as N^(d+1), so this is
+    for a few scenarios in a few dimensions.
+
+    Returns ``(y, violation)``; a violation of 0 (up to rounding) certifies
+    y.
+    """
+    a_rows = _require_array(a_rows, "a_rows", 2)
+    offsets = _require_array(offsets, "offsets", 1)
+    x = _require_array(x, "x", 1)
+    n_scen, dim = a_rows.shape
+    s = 1.0 - 2.0 * sigma * mu
+    norm = spectral_norm(a_rows)
+    lip = mu * (norm * norm) / s
+    gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+    w = gamma * (a_rows @ x / s + offsets)
+    w = w - w.max()
+    coef = gamma * mu / s
+    best_u, best_idx, best = None, None, np.inf
+    for k in range(1, min(n_scen, dim + 1) + 1):
+        for idx in map(list, itertools.combinations(range(n_scen), k)):
+            border = np.ones((k + 1, k + 1))
+            border[:k, :k] = coef * (a_rows[idx] @ a_rows[idx].T)
+            border[k, k] = 0.0
+            try:
+                u = np.linalg.solve(border, np.append(w[idx], 1.0))[:k]
+            except np.linalg.LinAlgError:
+                continue
+            with np.errstate(all="ignore"):  # a nearly singular system
+                v = w - coef * (a_rows @ (a_rows[idx].T @ u))
+                violation = max(-u.min(), v.max() - v[idx].max())
+            if violation < best:
+                best_u, best_idx, best = u, idx, violation
+    return (x - mu * (a_rows[best_idx].T @ best_u)) / s, best
+
+
 def _null_space_basis(matrix, dim):
     if matrix is None:
         return np.eye(dim)
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    matrix = _require_array(matrix, "constraint_matrix", 2)
     _, sv, vt = np.linalg.svd(matrix)
     rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
     return vt[rank:].T  # columns span ker(matrix)
@@ -273,8 +327,8 @@ def reference_constrained_lasso(design, target, lam_reg, constraint_matrix=None,
 
     Returns (x, objective_value).
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    target = np.asarray(target, dtype=float)
+    design = _require_array(design, "design", 2)
+    target = _require_array(target, "target", 1)
     n = design.shape[1]
     basis = _null_space_basis(constraint_matrix, n)
     proj = basis @ basis.T  # orthogonal projector onto ker R
@@ -323,7 +377,7 @@ def random_search_dispersion(anchors, radius, lam, constraint_matrix, samples, s
 
     which reduces to -min_i |x - u_i|^2 on the feasible ball.
     """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    anchors = _require_array(anchors, "anchors", 2)
     dim = anchors.shape[1]
     basis = _null_space_basis(constraint_matrix, dim)
     sub_dim = basis.shape[1]

@@ -164,24 +164,22 @@ def _kernel_subspace(constraint_matrix):
 def dispersion_objective(anchors, radius, lam, x):
     """Penalized dispersion objective
     (lam/2) max(|x| - r, 0)^2 + max_i -|x - u_i|^2."""
-    x = np.asarray(x, dtype=float)
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    x = _require_array(x, "x", 1)
+    anchors = _require_array(anchors, "anchors", 2)
     excess = max(float(np.linalg.norm(x)) - radius, 0.0)
     d = anchors - x
     return float(0.5 * lam * excess * excess - (d * d).sum(axis=1).min())
 
 
-def build_dro_affine(a_rows, offsets, lam, radius, ambiguity=None, sigma=1.0,
-                     constraint_matrix=None):
-    """Scenario costs <a_i, x> + b_i - sigma |x|^2 with weights in an
-    ambiguity set C, ball-penalized with weight lam (which must exceed 2 sigma).
+def build_dro_affine(a_rows, offsets, lam, radius, sigma=1.0, constraint_matrix=None):
+    """Scenario costs <a_i, x> + b_i - sigma |x|^2 with weights on the
+    probability simplex, ball-penalized with weight lam (which must exceed
+    2 sigma).
 
-    ``ambiguity`` is the :class:`~pvsmooth.prox.SupAffineFamily` argument:
-    None for the probability simplex, else a ``(project, support)`` pair.
-    On the simplex the family starts each prox's active set from the support
-    it last certified.
+    The :class:`~pvsmooth.prox.SupAffineFamily` starts each prox's active
+    set from the support it last certified.
     """
-    g = SupAffineFamily(a_rows, offsets, sigma, ambiguity)
+    g = SupAffineFamily(a_rows, offsets, sigma)
     _require(lam, "lam", 2.0 * g.sigma, math.inf)  # lam > 2 sigma: coercive
     dim = g.a_rows.shape[1]
     h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)

@@ -6,9 +6,8 @@ Three groups live here:
   product space, whose prox reduces to a weight vector on the simplex with a
   closed-form solution;
 * suprema of affine forms minus a quadratic,
-  f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2, whose prox maximizes a
-  concave dual over the weights c: exactly by an active set when C is the
-  probability simplex, else by restarted FISTA;
+  f(x) = max_i <a_i, x> + b_i - sigma |x|^2, whose prox maximizes a
+  concave dual over simplex weights c, exactly, by an active set;
 * separable scalar penalties (l1, MCP, SCAD, Tukey biweight), one class
   each.
 
@@ -225,11 +224,12 @@ class SupQuadraticFamily(ProxFunction):
 
 
 # ---------------------------------------------------------------------------
-# supremum of affine forms minus a quadratic: exact or accelerated dual solve
+# supremum of affine forms minus a quadratic: exact dual solve
 # ---------------------------------------------------------------------------
 
 class SupAffineFamily(ProxFunction):
-    """f(x) = sup_{c in C} <c, A x + b> - sigma |x|^2.
+    """f(x) = max_i <a_i, x> + b_i - sigma |x|^2, the supremum over
+    probability weights c of <c, A x + b> - sigma |x|^2.
 
     Parameters
     ----------
@@ -238,56 +238,42 @@ class SupAffineFamily(ProxFunction):
     offsets : (N,) array
     sigma : float > 0
         Concavity weight; the family is 2*sigma-weakly convex.
-    ambiguity : None or (project, support)
-        The compact convex set C (subset of R^N): None, the default, for the
-        probability simplex, else a tuple of two callables, the projector
-        onto C and its support function v -> max_{c in C} <c, v>.
-    tol, max_iter : float, int
-        Stop tolerance of the FISTA path (finite, positive) and iteration
-        budget of either path (a positive integer) of :meth:`prox_detailed`.
+    max_iter : int
+        Step budget (a positive integer) of the active set in
+        :meth:`prox_detailed`.
 
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
     O(N d) memory, and nothing of size N^2.  No scenario, a non-finite
-    |A|^2, an ``ambiguity`` that is not None or a pair of
-    callables, and out-of-range values raise :class:`DomainError`.
+    |A|^2, and out-of-range values raise :class:`DomainError`.
 
-    On the simplex the family keeps one piece of state, ``_support``: the
-    sorted support its active set last certified (None before the first),
-    O(N) indices from which the next active set starts.
+    It keeps one piece of state, ``_support``: the sorted support its
+    active set last certified (None before the first), O(N) indices from
+    which the next active set starts.
     """
 
     lipschitz = None
 
-    def __init__(self, a_rows, offsets, sigma, ambiguity=None, tol=1e-10,
-                 max_iter=200000):
+    def __init__(self, a_rows, offsets, sigma, max_iter=200000):
         a_rows = _require_array(a_rows, "a_rows", 2)
         offsets = _require_array(offsets, "offsets", 1)
         if a_rows.shape[0] != offsets.size:
             raise DomainError("a_rows and offsets disagree on the scenario count")
         _require(offsets.size, "the scenario count", 1, math.inf, integer=True, ends="[)")
         self.sigma = float(_require(sigma, "sigma", 0, math.inf))
-        if ambiguity is not None and not (
-                isinstance(ambiguity, tuple) and len(ambiguity) == 2
-                and all(map(callable, ambiguity))):
-            raise DomainError("ambiguity must be None (the simplex) or a "
-                              "(project, support) pair of callables")
-        self.tol = float(_require(tol, "tol", 0, math.inf))
         self.max_iter = int(_require(max_iter, "max_iter", 1, math.inf, integer=True,
                                      ends="[)"))
         norm = spectral_norm(a_rows)
         self.gram_norm = _require(norm * norm, "|A|^2", 0, math.inf, ends="[)")
         self.a_rows = a_rows
         self.offsets = offsets
-        self.ambiguity = ambiguity
         self.rho = 2.0 * self.sigma
         self._support = None
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         v = self.a_rows @ x + self.offsets
-        s = v[v.argmax()] if self.ambiguity is None else self.ambiguity[1](v)
-        return float(s - self.sigma * (x @ x))
+        return float(v[v.argmax()] - self.sigma * (x @ x))
 
     def prox(self, mu, x):
         return self.prox_detailed(mu, x)[0]
@@ -297,48 +283,36 @@ class SupAffineFamily(ProxFunction):
 
         With s = 1 - 2 sigma mu, the prox point for weights c is
         y(c) = (x - mu A^T c) / s, and c maximizes the concave dual
-        phi(c) = <c, w> - (mu / 2s) |A^T c|^2 over C, w = A x / s + b,
-        whose gradient A y(c) + b is Lipschitz with L = mu |A|^2 / s.
-        Scaled by gamma = 1/L, the dual is <c, w> - (coef / 2) |A^T c|^2
-        with coef = gamma mu / s, and every product with its Hessian
-        coef A A^T is taken through the rows of A, never through the N x N
-        matrix: memory is O(N d).
+        phi(c) = <c, w> - (mu / 2s) |A^T c|^2 over the simplex,
+        w = A x / s + b, whose gradient A y(c) + b is Lipschitz with
+        L = mu |A|^2 / s.  Scaled by gamma = 1/L, the dual is
+        <c, w> - (coef / 2) |A^T c|^2 with coef = gamma mu / s, and every
+        product with its Hessian coef A A^T is taken through the rows of A,
+        never through the N x N matrix: memory is O(N d).
 
-        On the default simplex, where sum c = 1 leaves the dual unchanged
-        by any shift of w, a primal active set (:func:`_simplex_active_set`)
-        solves this QP exactly on w - max(w) and returns the first weights
-        the KKT conditions certify.  It starts from the support the family
-        last certified, or at the top scenario of w before the first
-        certified prox, and falls back to the top scenario at the cost of one
-        step when the bordered solve on that support gives a negative weight
-        or is singular.  Certified weights are the bordered solve on their
+        Since sum c = 1 leaves the dual unchanged by any shift of w, a
+        primal active set (:func:`_simplex_active_set`) solves this QP
+        exactly on w - max(w) and returns the first weights the KKT
+        conditions certify.  It starts from the support the family last
+        certified, or at the top scenario of w before the first certified
+        prox, and falls back to the top scenario at the cost of one step
+        when the bordered solve on that support gives a negative weight or
+        is singular.  Certified weights are the bordered solve on their
         final support (or a vertex), so y and c are those of a fresh family
         whenever the optimal support is unique; the step count, and so a
         failure under a tight ``max_iter``, depends on the last certified
-        support.  For any other ``ambiguity``, the simplex's own pair
-        ``(project_simplex, np.max)`` too, restarted FISTA (Beck-Teboulle,
-        with O'Donoghue-Candes gradient restart) runs from the projected
-        uniform weights with step 1/L until both the increment
-        |c_{k+1} - c_k| and the gradient-mapping residual |c_{k+1} - z_k|
-        are at most ``tol``, which governs this path alone; each iteration
-        costs O(N d) plus one projection.  The projected-gradient map is
-        nonexpansive, so the returned c then moves by at most tol under it,
-        and on the simplex the dual gap max(v) - <c, v>, v = A y + b, is at
-        most 2 sqrt(2) L tol.  Either solver gets the whole ``max_iter``
-        budget.
+        support.
 
         Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
         whose w or y overflows, raises :class:`DomainError`.  Raises
         :class:`ConvergenceError`, carrying the last (y, c) and the steps
         taken, when the active set stops uncertified, with the fixed-point
-        residual |P(c + v) - c| of that c as its residual, or when FISTA
-        runs out of budget, with FISTA's last stop residual.
+        residual |P(c + v) - c| of that c as its residual.
         """
         self.check_mu(mu)
         x = np.asarray(x, dtype=float)
         if not _all_finite(x):
             raise DomainError("the prox argument x must be finite")
-        tol, max_iter = self.tol, self.max_iter
         s = 1.0 - 2.0 * self.sigma * mu
         lip = mu * self.gram_norm / s
         # lip below the smallest normal float: A is numerically zero, and any
@@ -353,36 +327,17 @@ class SupAffineFamily(ProxFunction):
         if not (math.isfinite(top) and math.isfinite(low)):
             raise DomainError("the dual gradient w = A x / s + b must be finite")
         coef = gamma * mu / s
-        if self.ambiguity is None:
-            w = w - top
-            c, support, steps, certified = _simplex_active_set(
-                a_rows, coef, w, max_iter, self._support)
-            if certified:
-                self._support = support
-                return _prox_point(x, mu, a_rows, c, s), c, steps
-            r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
-            residual = float(np.linalg.norm(r))
-        else:
-            project = self.ambiguity[0]
-            c = project(np.full(a_rows.shape[0], 1.0 / a_rows.shape[0]))
-            z, t = c, 1.0
-            for steps in range(1, max_iter + 1):
-                c_next = project(z + w - coef * (a_rows @ (a_rows.T @ z)))
-                diff = c_next - c
-                residual = float(max(np.linalg.norm(diff), np.linalg.norm(c_next - z)))
-                if residual <= tol:
-                    return _prox_point(x, mu, a_rows, c_next, s), c_next, steps
-                if (z - c_next) @ diff > 0.0:
-                    z, t = c_next, 1.0
-                else:
-                    t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                    z = c_next + ((t - 1.0) / t_next) * diff
-                    t = t_next
-                c = c_next
+        w = w - top
+        c, support, steps, certified = _simplex_active_set(
+            a_rows, coef, w, self.max_iter, self._support)
+        if certified:
+            self._support = support
+            return _prox_point(x, mu, a_rows, c, s), c, steps
+        r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
         raise ConvergenceError(
-            "weight iteration stopped uncertified after %d of %d iterations (tol=%g)"
-            % (steps, max_iter, tol),
-            residual=residual,
+            "weight iteration stopped uncertified after %d of %d iterations"
+            % (steps, self.max_iter),
+            residual=float(np.linalg.norm(r)),
             iterations=steps,
             best=(_prox_point(x, mu, a_rows, c, s), c),
         )

@@ -21,13 +21,7 @@ from pvsmooth.problems import (
     random_lasso_data,
     subspace_start,
 )
-from pvsmooth.projections import (
-    BallSpec,
-    KernelProjector,
-    dykstra_project,
-    project_ball,
-    project_simplex,
-)
+from pvsmooth.projections import BallSpec, KernelProjector
 from pvsmooth.prox import (
     L1Penalty,
     MCPPenalty,
@@ -253,36 +247,6 @@ def test_dro_coercivity_guards():
         build_dro_quadratic(np.zeros((2, 3)), 2.0, 1.0)
 
 
-def test_dro_singleton_ambiguity_collapses_to_smooth_problem():
-    # C = {p0}: the robust term is the fixed weighted sum, a plain smooth
-    # (weakly convex) function; the smoothing run must land where projected
-    # gradient descent on that function lands.
-    a_rows, offsets = random_affine_scenarios(3, 4, 5)
-    p0 = np.array([0.1, 0.2, 0.3, 0.4])
-    prob = build_dro_affine(a_rows, offsets, 8.0, 1.0,
-                            ambiguity=(lambda c: p0.copy(), lambda v: float(p0 @ v)))
-    cfg = SolverConfig(alpha=2.0 / 3.0, C=0.25, max_iter=30000, stop_step_norm=0.0)
-    trace = run_pvs(prob, cfg, subspace_start(prob.subspace, 3))
-
-    ball = BallSpec(np.zeros(3), 1.0)
-    w = a_rows.T @ p0
-
-    def value(x):
-        excess = x - project_ball(ball, x)
-        return 0.5 * 8.0 * excess @ excess + w @ x + p0 @ offsets - x @ x
-
-    def grad(x):
-        return 8.0 * (x - project_ball(ball, x)) + w - 2.0 * x
-
-    x = subspace_start(prob.subspace, 3)
-    for _ in range(40000):
-        x = x - 0.1 * grad(x)
-
-    assert abs(prob.objective(trace.final_x) - value(trace.final_x)) < 1e-12
-    assert np.linalg.norm(trace.final_x - x) < 2e-3
-    assert abs(value(trace.final_x) - value(x)) < 1e-5
-
-
 def test_dro_quadratic_simplex_is_max_dispersion_product():
     # Quadratic scenario costs with the full simplex recover the product-form
     # dispersion problem: same sup-quadratic family, same subspace; only the
@@ -303,40 +267,6 @@ def test_dro_quadratic_simplex_is_max_dispersion_product():
         assert np.array_equal(dro.subspace.apply(x), disp.subspace.apply(x))
     x_diag = np.tile(rng.standard_normal(3) * 2.0, 10)
     assert abs(dro.h.value(x_diag) - 10.0 * disp.h.value(x_diag)) < 1e-10
-
-
-def test_dro_truncated_simplex_weights_satisfy_fixed_point():
-    # C = {p in simplex : p_1 <= 0.5}; the cap binds on this instance.  The
-    # worst-case weights returned by the prox must be a fixed point of
-    # c = P_C(c + gamma (A y(c) + b)).
-    a_rows, offsets = random_affine_scenarios(2, 3, 13)
-    cap_vec = np.array([0.5, np.inf, np.inf])
-
-    def project_c(p):
-        return dykstra_project(
-            project_simplex, lambda q: np.minimum(q, cap_vec), p,
-            tol=1e-13, max_iter=20000,
-        )
-
-    def support_c(v):
-        # max <c, v> over C: weight 1 on the best of v_2, v_3, or split
-        # 0.5 / 0.5 with v_1 when v_1 is larger
-        best_rest = float(v[1:].max())
-        return max(best_rest, 0.5 * (float(v[0]) + best_rest))
-
-    prob = build_dro_affine(a_rows, offsets, 4.0, 1.0, ambiguity=(project_c, support_c))
-    mu = 0.1
-    x = np.array([0.3, -0.7])
-    y, c, _ = prob.g.prox_detailed(mu, x)
-
-    assert abs(c.sum() - 1.0) < 1e-9
-    assert c.min() > -1e-9
-    assert c[0] <= 0.5 + 1e-9
-    assert abs(c[0] - 0.5) < 1e-6  # the cap is active here
-    s = 1.0 - 2.0 * mu
-    gamma = 0.9 * s / (mu * prob.g.gram_norm)
-    residual = np.linalg.norm(c - project_c(c + gamma * (a_rows @ y + offsets)))
-    assert residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------

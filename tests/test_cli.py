@@ -6,7 +6,6 @@ import pytest
 
 from pvsmooth import cli
 from pvsmooth.core import IdentityProjector
-from pvsmooth.projections import project_simplex
 from pvsmooth.solver import IterateTrace, SolverConfig, run_pvs
 
 
@@ -313,13 +312,11 @@ def test_solve_error_without_a_trace_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
     # an inner prox budget too small for the direct dispersion run: the
-    # weight iteration fails partway and the partial trace is still written.
-    # The simplex given as a pair runs plain FISTA, which needs the budget;
-    # the default simplex's exact finish ends every call within it.
+    # active set needs up to 2 steps per prox there, so with one it fails
+    # partway and the partial trace is still written
     def capped(inst):
         problem = build_direct(inst)
-        problem.g.ambiguity = (project_simplex, np.max)
-        problem.g.max_iter = 50
+        problem.g.max_iter = 1
         return problem
 
     build_direct = cli.build_max_dispersion_direct
@@ -358,10 +355,11 @@ def test_verify_prox_battery_passes(capsys):
     assert cli.main(["verify", "prox"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    assert out.count("PASS") == 8
     assert "sup-quadratic prox vs grid search" in out
     assert "affine dual gap, 10 scenarios in R^3" in out
     assert "affine support spread, 10 scenarios in R^3" in out
-    assert "affine prox vs FISTA, 10 scenarios in R^3" in out
+    assert "affine prox vs enumeration, 10 scenarios in R^3" in out
 
 
 def test_verify_bounds_passes(capsys, monkeypatch):

@@ -423,8 +423,6 @@ _PARAMETERS = {
     "SCADPenalty theta": (lambda v: prox.SCADPenalty(1.0, v), (2.0, 1.0, np.nan, np.inf)),
     "SupAffineFamily sigma": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v), _POSITIVE),
-    "SupAffineFamily tol": (
-        lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, tol=v), _POSITIVE),
     "SupAffineFamily max_iter": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, max_iter=v), _INTEGER),
     "BallSpec radius": (lambda v: BallSpec(np.zeros(2), v), (0.0, -1.0, np.nan)),
@@ -476,7 +474,6 @@ _PARAMETERS = {
 # parameter names that are not numbers, each checked elsewhere or not at all
 _NOT_NUMBERS = {
     "value_fn": "a callable", "prox_fn": "a callable", "grad_fn": "a callable",
-    "ambiguity": "None or a (project, support) pair of callables, checked when built",
     "h": "a SmoothFunction", "terms": "SmoothFunctions", "regularizer": "a ProxFunction",
     "g": "a ProxFunction", "a_map": "a LinearMap",
     "subspace": "a SubspaceProjector", "kernel_projector": "a SubspaceProjector",
@@ -647,6 +644,84 @@ def test_bad_arrays_are_rejected_when_built(key, case):
             build(_bad_array(base, case))
 
 
+# One row per array argument of a function that computes on its arguments:
+# the call, and arguments it accepts, from which _bad_array makes those it
+# must reject with DomainError per call.  3-d anchors made
+# dispersion_objective return -2.0 and random_search_dispersion raise a
+# bare broadcast ValueError, a NaN point made brute_force_prox raise a bare
+# TypeError, and a string entry was parsed as a number.
+_ANCHORS = np.array([[1.0, 0.0], [0.0, 1.0]])
+_TWO_ROWS = np.array([[1.0, 0.5], [-0.5, 1.0]])
+_PER_CALL_ARRAYS = {
+    "brute_force_prox x": (
+        lambda v: oracles.brute_force_prox(None, 0.5, v, oracles.GridSpec(-1.0, 1.0, 0.5, 1),
+                                           batch_value=lambda p: (p * p).sum(axis=1)),
+        (_PAIR,)),
+    "dispersion_objective anchors": (
+        lambda v: pvs.dispersion_objective(v, 1.0, 10.0, _PAIR), (_ANCHORS,)),
+    "dispersion_objective x": (
+        lambda v: pvs.dispersion_objective(_ANCHORS, 1.0, 10.0, v), (_PAIR,)),
+    "random_search_dispersion anchors": (
+        lambda v: oracles.random_search_dispersion(v, 1.0, 10.0, _ROW, 10, 0), (_ANCHORS,)),
+    "random_search_dispersion constraint_matrix": (
+        lambda v: oracles.random_search_dispersion(_ANCHORS, 1.0, 10.0, v, 10, 0), (_ROW,)),
+    "reference_constrained_lasso design": (
+        lambda v: oracles.reference_constrained_lasso(v, np.ones(len(v)), 1.0,
+                                                      total_iters=2), (np.eye(2),)),
+    "reference_constrained_lasso target": (
+        lambda v: oracles.reference_constrained_lasso(np.eye(2), v, 1.0, total_iters=2),
+        (_PAIR,)),
+    "reference_constrained_lasso constraint_matrix": (
+        lambda v: oracles.reference_constrained_lasso(np.eye(2), _PAIR, 1.0, v,
+                                                      total_iters=2), (_ROW,)),
+    "affine_scan_prox a_rows": (
+        lambda v: oracles.affine_scan_prox(v, _PAIR, 1.0, 0.2, _PAIR, t_step=0.1),
+        (_TWO_ROWS,)),
+    "affine_scan_prox offsets": (
+        lambda v: oracles.affine_scan_prox(_TWO_ROWS, v, 1.0, 0.2, _PAIR, t_step=0.1),
+        (_PAIR,)),
+    "affine_scan_prox x": (
+        lambda v: oracles.affine_scan_prox(_TWO_ROWS, _PAIR, 1.0, 0.2, v, t_step=0.1),
+        (_PAIR,)),
+    "least_squares_roundoff design": (
+        lambda v: oracles.least_squares_roundoff(v, np.ones(len(v)), np.ones(3)), _MATRICES),
+    "least_squares_roundoff target": (
+        lambda v: oracles.least_squares_roundoff(np.eye(2), v, _PAIR), (_PAIR,)),
+    "least_squares_roundoff x": (
+        lambda v: oracles.least_squares_roundoff(np.eye(2), _PAIR, v), (_PAIR,)),
+    "enumerated_simplex_prox a_rows": (
+        lambda v: oracles.enumerated_simplex_prox(v, _PAIR, 1.0, 0.2, _PAIR), (_TWO_ROWS,)),
+    "enumerated_simplex_prox offsets": (
+        lambda v: oracles.enumerated_simplex_prox(_TWO_ROWS, v, 1.0, 0.2, _PAIR), (_PAIR,)),
+    "enumerated_simplex_prox x": (
+        lambda v: oracles.enumerated_simplex_prox(_TWO_ROWS, _PAIR, 1.0, 0.2, v), (_PAIR,)),
+}
+
+
+@pytest.mark.parametrize("case", [*_BAD_ENTRIES, "ragged", "extra dimension"])
+@pytest.mark.parametrize("key", sorted(_PER_CALL_ARRAYS))
+def test_bad_arrays_are_rejected_per_call(key, case):
+    call, bases = _PER_CALL_ARRAYS[key]
+    for base in bases:
+        call(base)  # accepted, so the rejection below is the bad value's
+        with pytest.raises(DomainError):
+            call(_bad_array(base, case))
+
+
+def test_checked_per_call_arrays_give_the_same_floats():
+    # dispersion_objective is the benchmark's correctness reference: its
+    # value on float arrays is the formula's, bit for bit, and a list or
+    # an integer array reads as the same floats
+    rng = np.random.default_rng(11)
+    anchors, x = rng.uniform(-1.0, 1.0, (10, 3)), rng.uniform(-2.0, 2.0, 3)
+    d = anchors - x
+    excess = max(float(np.linalg.norm(x)) - 1.0, 0.0)
+    want = float(0.5 * 100.0 * excess * excess - (d * d).sum(axis=1).min())
+    assert pvs.dispersion_objective(anchors, 1.0, 100.0, x) == want
+    assert pvs.dispersion_objective(anchors.tolist(), 1.0, 100.0, x.tolist()) == want
+    assert pvs.dispersion_objective([[1, 2]], 1.0, 10.0, [0, 0]) == -5.0
+
+
 def test_array_messages_name_the_parameter_and_what_it_got():
     for build, message in (
             (lambda: KernelProjector(np.ones((2, 2, 2))),
@@ -684,6 +759,16 @@ def test_one_message_names_the_parameter_and_its_range():
     with pytest.raises(DomainError) as exc:
         SolverConfig(alpha=0.5, C=0.25, max_iter=1.5)
     assert str(exc.value) == "max_iter must be an integer in [0, inf), got 1.5"
+    # an integer past the float range: its size and the reason, not its
+    # 401 digits, also where inf is in range
+    with pytest.raises(DomainError) as exc:
+        SolverConfig(alpha=0.5, C=10**400, max_iter=1)
+    assert str(exc.value) == ("C must be a finite number in (0, inf), got an integer of "
+                              "about 10^400, past the float range")
+    with pytest.raises(DomainError) as exc:
+        BallSpec(np.zeros(2), -10**400)
+    assert str(exc.value) == ("radius must be a number in (0, inf], got an integer of "
+                              "about -10^400, past the float range")
     # NaN fails every kind of end, and inf passes only a closed infinite one
     for ends in ("()", "[)", "(]", "[]"):
         with pytest.raises(DomainError):

@@ -136,8 +136,7 @@ def test_run_penalty_linear_objective_toy():
 def test_run_penalty_single_anchor_dispersion():
     # one anchor at the origin: pushing away from it against the ball penalty
     # settles at |x| = lam/(lam-2) with penalized value -lam/(lam-2)
-    g = SupAffineFamily(np.zeros((1, 3)), np.zeros(1), 1.0,
-                        (lambda c: np.ones(1), lambda v: float(v[0])))
+    g = SupAffineFamily(np.zeros((1, 3)), np.zeros(1), 1.0)
     ball = BallSpec(np.zeros(3), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=3e-7)

@@ -23,7 +23,6 @@ from pvsmooth.core import (
     moreau_envelope,
 )
 from pvsmooth.errors import DomainError
-from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
     L1Penalty,
     MCPPenalty,
@@ -36,11 +35,10 @@ from pvsmooth.prox import (
 DIM = 6
 
 
-def _sup_affine(ambiguity=None):
+def _sup_affine():
     rng = np.random.default_rng(5)
     return SupAffineFamily(
         rng.uniform(-1.0, 1.0, (4, DIM)), rng.uniform(-1.0, 1.0, 4), sigma=1.0,
-        ambiguity=ambiguity,
     )
 
 
@@ -55,7 +53,6 @@ PROX_TERMS = {
     "sup_quadratic_scalar_blocks": lambda: SupQuadraticFamily(
         np.linspace(-0.5, 1.5, DIM).reshape(DIM, 1)),
     "sup_affine_simplex": _sup_affine,
-    "sup_affine_pair": lambda: _sup_affine((project_simplex, np.max)),
     "l1": lambda: L1Penalty(0.4),
     "mcp": lambda: MCPPenalty(0.5, 2.0),
     "scad": lambda: SCADPenalty(0.5, 3.7),

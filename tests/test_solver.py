@@ -32,7 +32,7 @@ from pvsmooth.problems import (
     subspace_start,
 )
 from pvsmooth.penalty import BallPenalty
-from pvsmooth.projections import BallSpec, KernelProjector, project_ball, project_simplex
+from pvsmooth.projections import BallSpec, KernelProjector, project_ball
 from pvsmooth.prox import L1Penalty, SupAffineFamily, SupQuadraticFamily
 from pvsmooth.solver import (
     SolverConfig,
@@ -94,6 +94,9 @@ def test_solver_config_weak_convexity_pairing():
     SolverConfig(alpha=0.5, C=0.25, max_iter=1).validate_for(sup)
     with pytest.raises(DomainError):
         SolverConfig(alpha=0.5, C=0.3, max_iter=1).validate_for(sup)
+    # 2 rho C = 1 + 2e-12 breaks the pairing by more than rounding
+    with pytest.raises(DomainError):
+        SolverConfig(alpha=0.5, C=0.25 * (1.0 + 2e-12), max_iter=1).validate_for(sup)
     # convex g puts no restriction on C
     SolverConfig(alpha=0.5, C=100.0, max_iter=1).validate_for(
         L1Penalty(1.0)
@@ -168,6 +171,12 @@ def test_pvs_step_requires_subspace_membership():
         pvs_step(prob, cfg, 1, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ContractError):
         run_pvs(prob, cfg, np.array([1.0, 1.0, 1.0]))
+    # a drift of 1e-7 relative to 1 + |x| is no rounding: rejected as well
+    x = proj.apply(np.array([3.0, -1.0, 0.5]))
+    x = x + 1e-7 * (1.0 + np.linalg.norm(x)) * np.ones(3) / np.sqrt(3.0)
+    for call in (lambda: pvs_step(prob, cfg, 1, x), lambda: run_pvs(prob, cfg, x)):
+        with pytest.raises(ContractError, match="not in the constraint subspace"):
+            call()
 
 
 def test_pvs_step_checks_the_weak_convexity_pairing():
@@ -396,16 +405,14 @@ def seeded_direct_dispersion(max_iter=None):
                                  constraint_matrix=np.ones((1, 3)))
     prob = build_max_dispersion_direct(inst)
     if max_iter is not None:
-        # the active set needs at most 2 steps per prox on this run; the
-        # simplex given as a pair runs plain FISTA, whose 50-step budget
-        # runs out partway through
-        prob.g.ambiguity = (project_simplex, np.max)
+        # the active set needs at most 2 steps per prox on this run, so a
+        # budget of one step runs out partway through (at outer step 16)
         prob.g.max_iter = max_iter
     return prob, subspace_start(prob.subspace, 3)
 
 
 def test_run_pvs_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(max_iter=50)
+    prob, x1 = seeded_direct_dispersion(max_iter=1)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
     with pytest.raises(ConvergenceError) as exc:
         run_pvs(prob, cfg, x1)
@@ -417,7 +424,7 @@ def test_run_pvs_inner_failure_carries_partial_trace():
 
 
 def test_epsilon_run_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(max_iter=50)
+    prob, x1 = seeded_direct_dispersion(max_iter=1)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0,
                        epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
@@ -433,8 +440,7 @@ def test_epsilon_run_inner_failure_carries_partial_trace():
 def test_direct_dispersion_inner_work_per_prox():
     # work-count guard for the sup-affine prox: warm-started from the last
     # certified support, the active set takes 62 steps over the 61 calls of
-    # this run, where a cold start takes 106 (plain FISTA takes about 75
-    # iterations per call)
+    # this run, where a cold start takes 106
     prob, x1 = seeded_direct_dispersion()
     counts = []
     detailed = prob.g.prox_detailed
