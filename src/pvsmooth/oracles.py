@@ -130,8 +130,11 @@ def brute_force_prox(value_fn, mu, x, grid, batch_value=None):
 
 
 def fd_gradient(f, x, h=1e-6):
-    """Central finite-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
+    """Central finite-difference gradient of a scalar function at a point
+    ``x`` of real numbers with step ``h > 0``; a bad ``x`` or ``h`` raises
+    :class:`DomainError`."""
+    x = _require_array(x, "x", 1)
+    _require(h, "h", 0, math.inf)
     out = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)

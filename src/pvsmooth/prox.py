@@ -245,7 +245,9 @@ class SupAffineFamily(ProxFunction):
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
     O(N d) memory, and nothing of size N^2.  No scenario, a non-finite
-    |A|^2, and out-of-range values raise :class:`DomainError`.
+    |A|^2, and out-of-range values raise :class:`DomainError`.  Arguments
+    are flat vectors of length d, as for :class:`SupQuadraticFamily`;
+    another shape raises :class:`ContractError`.
 
     It keeps one piece of state, ``_support``: the sorted support its
     active set last certified (None before the first), O(N) indices from
@@ -270,8 +272,17 @@ class SupAffineFamily(ProxFunction):
         self.rho = 2.0 * self.sigma
         self._support = None
 
-    def value(self, x):
+    def _point(self, x):
+        """``x`` as a float array, which must be a flat vector of the slopes'
+        length d: another shape raises :class:`ContractError`."""
         x = np.asarray(x, dtype=float)
+        if x.shape != self.a_rows.shape[1:]:
+            raise ContractError("expected a flat vector of length %d, got shape %r"
+                                % (self.a_rows.shape[1], x.shape))
+        return x
+
+    def value(self, x):
+        x = self._point(x)
         v = self.a_rows @ x + self.offsets
         return float(v[v.argmax()] - self.sigma * (x @ x))
 
@@ -296,21 +307,23 @@ class SupAffineFamily(ProxFunction):
         conditions certify.  It starts from the support the family last
         certified, or at the top scenario of w before the first certified
         prox, and falls back to the top scenario at the cost of one step
-        when the bordered solve on that support gives a negative weight or
-        is singular.  Certified weights are the bordered solve on their
-        final support (or a vertex), so y and c are those of a fresh family
+        when the maximizer on that support's affine hull has a negative
+        weight or is singular.  Certified weights are that maximizer on
+        their final support (a vertex, an edge's closed form, or a bordered
+        solve), so y and c are those of a fresh family
         whenever the optimal support is unique; the step count, and so a
         failure under a tight ``max_iter``, depends on the last certified
         support.
 
-        Returns ``(y, c, iterations)``.  A non-finite ``x``, or a finite one
-        whose w or y overflows, raises :class:`DomainError`.  Raises
+        Returns ``(y, c, iterations)``.  An ``x`` that is not a flat vector
+        of length d raises :class:`ContractError`; a non-finite one, or a
+        finite one whose w or y overflows, :class:`DomainError`.  Raises
         :class:`ConvergenceError`, carrying the last (y, c) and the steps
         taken, when the active set stops uncertified, with the fixed-point
         residual |P(c + v) - c| of that c as its residual.
         """
         self.check_mu(mu)
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         if not _all_finite(x):
             raise DomainError("the prox argument x must be finite")
         s = 1.0 - 2.0 * self.sigma * mu
@@ -369,10 +382,11 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
     A is ``a_rows`` (N x d), and w is shifted to max(w) = 0.  The support S
     starts at ``start``, a sorted index array, when one is given (a support
     certified before), and else at the top scenario of w.  Each step takes
-    the maximizer u on the affine hull of S, which on one scenario j is the
-    vertex c = e_j, taken without a solve, and otherwise solves the
-    bordered system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1],
-    M_SS = coef A_S A_S^T with A_S the rows in S.  Then:
+    the maximizer u on the affine hull of S, the solution of the bordered
+    system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1], M_SS = coef A_S A_S^T
+    with A_S the rows in S: on one scenario j the vertex c = e_j, on an
+    edge the closed form of :func:`_edge_weights`, and on three or more
+    scenarios a solve of that system.  Then:
 
     * if u >= 0, c = u.  The scenario with the largest dual gradient
       v = w - coef A (A_S^T u) joins S when it exceeds max v_S by more than
@@ -381,15 +395,16 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
       otherwise the active set gives up;
     * else c moves along u - c_S until its first weight reaches 0, and
       only that scenario leaves S; when the system is singular
-      (``LinAlgError``, or u - c_S does not ascend and M_SS has a null
-      direction within eps on {sum d = 0}), c moves instead along a
-      direction d with sum d = 0 and M_SS d = 0, signed to ascend.  A start
-      support has no c to move from, so there S restarts at the top
+      (``LinAlgError`` or a singular edge, or u - c_S does not ascend and
+      M_SS has a null direction within eps on {sum d = 0}), c moves instead
+      along a direction d with sum d = 0 and M_SS d = 0, signed to ascend.
+      A start support has no c to move from, so there S restarts at the top
       scenario of w instead, one step later than a cold start.
 
-    A step costs O(N d) plus the k x k bordered solve, k = |S|.  Returns
-    ``(c, support, steps, certified)``: the last weights and support, the
-    steps taken, and whether a step within ``max_steps`` certified c.
+    A step costs O(N d), plus the k x k bordered solve when k = |S| >= 3 or
+    when c leaves a support.  Returns ``(c, support, steps, certified)``:
+    the last weights and support, the steps taken, and whether a step
+    within ``max_steps`` certified c.
     """
     # gamma = 1/L makes coef |A|^2 = 1 (or less), so scenarios that can carry
     # weight have w_i in [-2, 0] and v on S lies in [-1, 1]: eps is absolute
@@ -404,31 +419,28 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
             c[idx] = 1.0
             v = w - coef * (a_rows @ a_rows[idx[0]])
         else:
-            a_s = a_rows[idx]
-            kkt = np.empty((k + 1, k + 1))
-            kkt[:k, :k] = coef * (a_s @ a_s.T)
-            kkt[k] = 1.0
-            kkt[:k, k] = 1.0
-            kkt[k, k] = 0.0
-            w_s = w[idx]
-            rhs = np.empty(k + 1)
-            rhs[:k] = w_s - w_s[w_s.argmax()]  # moves only t, since sum u = 1
-            rhs[k] = 1.0
-            try:
-                u = np.linalg.solve(kkt, rhs)[:k]
-            except np.linalg.LinAlgError:
-                u = None
-            if u is None or u[u.argmin()] < 0.0:
+            if k == 2:
+                u, a_u = _edge_weights(a_rows, coef, w, idx)
+            else:
+                a_s = a_rows[idx]
+                try:
+                    u = np.linalg.solve(*_bordered_system(a_s, coef, w[idx]))[:k]
+                except np.linalg.LinAlgError:
+                    u = None
+                a_u = None if u is None or u[u.argmin()] < 0.0 else a_s.T @ u
+            if a_u is None:  # a negative weight, or a singular system
                 if steps == 1:  # only a start support solves at step 1:
                     # restart cold, with the top vertex as the last weights
                     idx = w.argmax()[None]
                     c = np.zeros(w.size)
                     c[idx] = 1.0
                     continue
+                kkt, rhs = _bordered_system(a_rows[idx], coef, w[idx])
                 c_s = c[idx]
                 # the dual gradient on S, less max w_S
                 g = rhs[:k] - kkt[:k, :k] @ c_s
-                direction = None if u is None else u - c_s
+                # an edge's u is a pair of Python floats
+                direction = None if u is None else np.subtract(u, c_s)
                 if u is None or direction @ (g - np.add.reduce(g) / k) < 0.0:
                     # d = (y, -sum y) spans {sum d = 0}; the least singular
                     # vector y of M_SS [I; -1^T] makes M_SS d vanish.  With
@@ -451,7 +463,7 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
                 continue
             c = np.zeros(w.size)
             c[idx] = u
-            v = w - coef * (a_rows @ (a_s.T @ u))
+            v = w - coef * (a_rows @ a_u)
         j = v.argmax()
         on = v[idx]
         peak, top = v[j], on[on.argmax()]
@@ -461,6 +473,52 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
         else:  # no violator left: c is the answer, or the active set gives up
             return c, idx, steps, _simplex_kkt_certified(c, on, top, peak, eps)
     return c, idx, steps, False
+
+
+@np.errstate(over="ignore")  # |a_i - a_j|^2 may overflow, as rows near 1e154 do
+def _edge_weights(a_rows, coef, w, idx):
+    """The maximizer ``(u, A_S^T u)`` on the affine hull of an edge
+    S = {i, j}, with no bordered solve.
+
+    The difference of the bordered system's two KKT rows,
+    coef <a_i - a_j, u_i a_i + u_j a_j> = w_i - w_j, with u_j = 1 - u_i,
+    gives
+
+        u_i = (w_i - w_j - coef <a_j, a_i - a_j>) / (coef |a_i - a_j|^2),
+
+    computed on Python floats from the two rows; ``u`` is the pair
+    (u_i, u_j).  A zero or non-finite denominator, or a non-finite u_i (a
+    quotient that overflows), makes the edge singular: ``(None, None)``.  ``A_S^T u``, the sum
+    u_i a_i + u_j a_j, is formed only when u >= 0, and is None otherwise.
+    """
+    i, j = idx.tolist()
+    a_i, a_j = a_rows[i], a_rows[j]
+    dif = a_i - a_j
+    den = coef * float(dif.dot(dif))
+    if not 0.0 < den < math.inf:
+        return None, None
+    u_i = (w.item(i) - w.item(j) - coef * float(a_j.dot(dif))) / den
+    if not math.isfinite(u_i):
+        return None, None
+    u_j = 1.0 - u_i
+    if not 0.0 <= u_i <= 1.0:  # u_j < 0 exactly when u_i > 1
+        return (u_i, u_j), None
+    return (u_i, u_j), u_i * a_i + u_j * a_j
+
+
+def _bordered_system(a_s, coef, w_s):
+    """The bordered KKT system [M_SS 1; 1^T 0], [w_S - max w_S; 1] of the
+    rows ``a_s`` and dual gradients ``w_s`` of a support S."""
+    k = w_s.size
+    kkt = np.empty((k + 1, k + 1))
+    kkt[:k, :k] = coef * (a_s @ a_s.T)
+    kkt[k] = 1.0
+    kkt[:k, k] = 1.0
+    kkt[k, k] = 0.0
+    rhs = np.empty(k + 1)
+    rhs[:k] = w_s - w_s[w_s.argmax()]  # moves only t, since sum u = 1
+    rhs[k] = 1.0
+    return kkt, rhs
 
 
 def _simplex_kkt_certified(c, on, top, peak, eps):

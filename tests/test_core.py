@@ -649,7 +649,8 @@ def test_bad_arrays_are_rejected_when_built(key, case):
 # must reject with DomainError per call.  3-d anchors made
 # dispersion_objective return -2.0 and random_search_dispersion raise a
 # bare broadcast ValueError, a NaN point made brute_force_prox raise a bare
-# TypeError, and a string entry was parsed as a number.
+# TypeError, and a string entry was parsed as a number (fd_gradient
+# returned [2. 4.] for the point ['1.0', '2.0']).
 _ANCHORS = np.array([[1.0, 0.0], [0.0, 1.0]])
 _TWO_ROWS = np.array([[1.0, 0.5], [-0.5, 1.0]])
 _PER_CALL_ARRAYS = {
@@ -689,6 +690,7 @@ _PER_CALL_ARRAYS = {
         lambda v: oracles.least_squares_roundoff(np.eye(2), v, _PAIR), (_PAIR,)),
     "least_squares_roundoff x": (
         lambda v: oracles.least_squares_roundoff(np.eye(2), _PAIR, v), (_PAIR,)),
+    "fd_gradient x": (lambda v: oracles.fd_gradient(lambda y: float(y @ y), v), (_PAIR,)),
     "enumerated_simplex_prox a_rows": (
         lambda v: oracles.enumerated_simplex_prox(v, _PAIR, 1.0, 0.2, _PAIR), (_TWO_ROWS,)),
     "enumerated_simplex_prox offsets": (

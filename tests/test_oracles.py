@@ -86,6 +86,16 @@ def test_fd_gradient_linear_and_quadratic():
     assert np.abs(g_quad - 2 * Q @ x0).max() < 1e-8
 
 
+def test_fd_gradient_rejects_a_bad_step():
+    # h = 0 raised ZeroDivisionError, and a NaN or infinite h returned a
+    # gradient of NaNs; a step must be a finite number above 0
+    for bad in (0.0, -1e-6, np.nan, np.inf, "1e-6", True, None):
+        with pytest.raises(DomainError, match="h must be"):
+            oracles.fd_gradient(lambda x: float(x @ x), np.ones(2), h=bad)
+    assert np.array_equal(oracles.fd_gradient(lambda x: float(x @ x), [1, 2], h=0.5),
+                          [2.0, 4.0])
+
+
 def test_simplex_scan_max_linear_hits_vertex():
     c = np.array([0.2, 1.3, -0.4])
     p, val = oracles.simplex_scan_max(lambda pts: pts @ c, 3, resolution=0.05)

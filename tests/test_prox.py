@@ -11,7 +11,7 @@ import pvsmooth as pvs
 from pvsmooth import core, oracles
 from pvsmooth import prox as prox_module
 from pvsmooth.core import moreau_envelope
-from pvsmooth.errors import ConvergenceError, DomainError, NumericalError
+from pvsmooth.errors import ContractError, ConvergenceError, DomainError, NumericalError
 from pvsmooth.projections import project_simplex
 from pvsmooth.prox import (
     L1Penalty,
@@ -21,6 +21,8 @@ from pvsmooth.prox import (
     SupAffineFamily,
     SupQuadraticFamily,
     TukeyPenalty,
+    _bordered_system,
+    _edge_weights,
     _simplex_kkt_certified,
     envelope_by_weights,
     simplex_weights_kkt,
@@ -429,6 +431,183 @@ def test_sup_affine_active_set_matches_enumeration_and_meets_kkt(case):
     assert spread <= eps and excess <= eps
 
 
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.): a
+# product or quotient is (x op y)(1 + delta) + eta with |delta| <= U and
+# |eta| <= ETA, where eta is nonzero only on underflow; a sum or difference
+# has eta = 0 (section 2.2).  gamma_n = n U / (1 - n U) bounds n such
+# relative errors in a row, in any summation order (section 3.1).
+_U = Fraction(1, 2 ** 53)
+_ETA = Fraction(1, 2 ** 1075)
+
+
+def _gamma(n):
+    return n * _U / (1 - n * _U)
+
+
+def _exact_inverse_norm(k):
+    """|K^-1|_inf of a nonsingular 3 x 3 matrix of Fractions, by cofactors."""
+    cof = [[(k[(i + 1) % 3][(j + 1) % 3] * k[(i + 2) % 3][(j + 2) % 3]
+             - k[(i + 1) % 3][(j + 2) % 3] * k[(i + 2) % 3][(j + 1) % 3])
+            for j in range(3)] for i in range(3)]
+    det = sum(k[0][j] * cof[0][j] for j in range(3))
+    return max(sum(abs(cof[j][i]) for j in range(3)) for i in range(3)) / abs(det)
+
+
+def _lu_growth(kkt):
+    """The inf-norm of |L| |U| for Gaussian elimination with partial
+    pivoting on ``kkt``, the first largest entry as pivot, as LAPACK's
+    getrf takes it; None for a zero pivot."""
+    a = kkt.tolist()
+    n = len(a)
+    low = [[float(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0.0:
+            return None
+        a[k], a[p] = a[p], a[k]
+        low[k][:k], low[p][:k] = low[p][:k], low[k][:k]
+        for i in range(k + 1, n):
+            low[i][k] = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= low[i][k] * a[k][j]
+    return max(sum(abs(low[i][m]) * abs(a[m][j]) for j in range(n) for m in range(min(i, j) + 1))
+               for i in range(n))
+
+
+def _edge_agreement(a_rows, coef, w):
+    """For the edge {0, 1}: ``(u, u_solve, u_star, edge_bound, solve_bound)``,
+    the closed form and an ``np.linalg.solve`` of the bordered system, the
+    exact maximizer on the edge's hull (in Fractions), and bounds on each
+    computed u's distance to it under the model above.  None when the edge
+    is singular, the solve fails or overflows, or the denominator's error
+    bound reaches the denominator."""
+    u, _ = _edge_weights(a_rows, coef, w, np.array([0, 1]))
+    kkt, rhs = _bordered_system(a_rows, coef, w)
+    try:
+        x_solve = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    growth = _lu_growth(kkt)
+    if u is None or growth is None or not np.isfinite([growth, *x_solve]).all():
+        return None
+    d = a_rows.shape[1]
+    rows = [[Fraction(t) for t in row] for row in a_rows.tolist()]
+    cf, w_s = Fraction(coef), [Fraction(t) for t in w.tolist()]
+    dif = [p - q for p, q in zip(*rows)]
+    den = cf * sum(t * t for t in dif)
+    cross = sum(p * q for p, q in zip(rows[1], dif))
+    num = w_s[0] - w_s[1] - cf * cross
+    u_star = num / den
+    # the edge: dif entrywise within U; each dot product of length d within
+    # gamma_d of its absolute terms plus d underflows; coef * dot, the
+    # difference and the quotient add one rounding (and one underflow) each
+    dot_eta = d * _ETA * (1 + _gamma(d))
+    err_den = _gamma(d + 3) * den + cf * (1 + _U) * dot_eta + _ETA
+    err_cross = (_gamma(d + 2) * cf * sum(abs(p * q) for p, q in zip(rows[1], dif))
+                 + cf * (1 + _U) * dot_eta + _ETA)
+    err_num = (1 + _U) * (_U * abs(w_s[0] - w_s[1]) + err_cross) + _U * abs(num)
+    if den <= err_den:
+        return None
+    err_i = ((1 + _U) * (err_num + abs(u_star) * err_den) / (den - err_den)
+             + _U * abs(u_star) + _ETA)
+    edge_bound = (1 + _U) * err_i + _U * abs(1 - u_star)
+    # the solve: (K + dK) x = r + dr with |dK| <= gamma_3n |L| |U| (Theorem
+    # 9.4), doubled for the factors above standing in for LAPACK's (they
+    # differ at rounding level), and each of the 3 n^2 products and
+    # quotients of the factorization and the two triangular solves
+    # charging one underflow to dr, weighted by 1 + |x|
+    top = max(w_s)
+    k_star = [[cf * sum(p * q for p, q in zip(rows[i], rows[j])) for j in range(2)] + [1]
+              for i in range(2)] + [[1, 1, 0]]
+    r_star = [w_s[0] - top, w_s[1] - top, Fraction(1)]
+    x_hat = [Fraction(t) for t in x_solve.tolist()]
+    x_norm = max(abs(t) for t in x_hat)
+    err_k = max(_gamma(d + 1) * cf * sum(abs(p * q) for p, q in zip(rows[i], rows[j]))
+                + cf * (1 + _U) * dot_eta + _ETA for i in range(2) for j in range(2))
+    err_r = _U * max(abs(t) for t in r_star)
+    n = 3
+    solve_bound = _exact_inverse_norm(k_star) * (
+        err_r + n * n * 3 * _ETA * (1 + x_norm)
+        + (2 * err_k + 2 * _gamma(3 * n) * Fraction(growth)) * x_norm)
+    return u, x_solve[:2], (u_star, 1 - u_star), edge_bound, solve_bound
+
+
+@st.composite
+def _edge_cases(draw):
+    dim = draw(st.integers(1, 4))
+    a_rows = draw(hnp.arrays(float, (2, dim), elements=_entries))
+    offsets = draw(hnp.arrays(float, 2, elements=_entries))
+    kind = draw(st.sampled_from(["keep", "duplicate", "parallel", "zero"]))
+    if kind == "duplicate":
+        a_rows[1] = a_rows[0]
+    elif kind == "parallel":
+        a_rows[1] = draw(st.floats(-2.0, 2.0)) * a_rows[0]
+    elif kind == "zero":
+        a_rows[1] = 0.0
+    for r in draw(st.sampled_from([(), (0,), (1,), (0, 1)])):
+        a_rows[r] *= 1e-160
+    if draw(st.booleans()):
+        offsets[1] = offsets[0]
+    x = draw(hnp.arrays(float, dim, elements=_entries))
+    sigma = draw(st.floats(0.25, 2.0))
+    mu = draw(st.floats(0.05, 0.9)) / (2.0 * sigma)
+    return a_rows, offsets, sigma, mu, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_edge_cases())
+@example((np.array([[0.6, -0.4], [0.6, -0.4]]), np.array([0.2, 0.2]), 1.0, 0.3,
+          np.array([0.5, 0.5])))
+@example((np.array([[0.6, -0.4], [-0.9, 0.6]]), np.array([0.2, 0.2]), 1.0, 0.3,
+          np.array([0.5, 0.5])))
+@example((np.array([[0.6, -0.4], [0.0, 0.0]]), np.array([0.1, 0.1]), 1.0, 0.3,
+          np.array([-0.5, 1.0])))
+@example((np.array([[0.6e-160, -0.4e-160], [0.3e-160, 0.9e-160]]), np.array([0.1, 0.1]),
+          1.0, 0.3, np.array([-0.5, 1.0])))
+@example((np.array([[0.6e-160, -0.4e-160], [0.3, 0.9]]), np.array([0.1, 0.1]),
+          1.0, 0.3, np.array([-0.5, 1.0])))
+def test_sup_affine_edge_matches_the_bordered_solve_and_enumeration(case):
+    a_rows, offsets, sigma, mu, x = case
+    fam = SupAffineFamily(a_rows, offsets, sigma)
+    y, c, _ = fam.prox_detailed(mu, x)
+    y_ref, violation = oracles.enumerated_simplex_prox(a_rows, offsets, sigma, mu, x)
+    assert violation <= 1e-12
+    assert np.abs(y - y_ref).max() <= 1e-9
+    # the gamma-scaled dual the active set solves, as prox_detailed forms it
+    s = 1.0 - 2.0 * sigma * mu
+    lip = mu * fam.gram_norm / s
+    gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
+    w = gamma * (fam.a_rows @ x / s + fam.offsets)
+    w = w - w.max()
+    coef = gamma * mu / s
+    u, a_u = _edge_weights(fam.a_rows, coef, w, np.array([0, 1]))
+    if np.count_nonzero(c) == 2:  # certified on the edge: c is its closed form
+        assert c.tolist() == list(u)
+        assert np.array_equal(a_u, u[0] * fam.a_rows[0] + u[1] * fam.a_rows[1])
+    agreement = _edge_agreement(fam.a_rows, coef, w)
+    if agreement is not None:
+        u, u_solve, u_star, edge_bound, solve_bound = agreement
+        for p in range(2):
+            assert abs(Fraction(u[p]) - u_star[p]) <= edge_bound
+            assert abs(Fraction(u_solve[p]) - u_star[p]) <= solve_bound
+            assert abs(Fraction(u[p]) - Fraction(u_solve[p])) <= edge_bound + solve_bound
+
+
+def test_sup_affine_edge_is_singular_where_its_closed_form_fails():
+    # equal rows give a zero denominator, rows 2e154 apart an infinite one,
+    # and rows 1e-161 apart a subnormal one that u_0 = 1e-3 / den
+    # overflows: each edge is singular, so the active set steps along its
+    # null direction rather than along an infinite u - c_S
+    w, edge = np.array([0.0, -1e-3]), np.array([0, 1])
+    for rows in (np.array([[0.3, 0.5], [0.3, 0.5]]), np.array([[1e154, 0.0], [-1e154, 0.0]]),
+                 np.array([[1e-161, 0.5], [0.0, 0.5]])):
+        assert _edge_weights(rows, 0.8, w, edge) == (None, None)
+    # u_0 = (1e-3 + 0.25 * 2) / (0.25 * 4)
+    rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    u, a_u = _edge_weights(rows, 0.25, w, edge)
+    assert u == (0.501, 0.499) and np.array_equal(a_u, 0.501 * rows[0] + 0.499 * rows[1])
+
+
 def test_sup_affine_reused_family_returns_the_fresh_answers():
     rng = np.random.default_rng(22)
     a_rows = rng.uniform(-1.0, 1.0, (10, 3))
@@ -573,9 +752,10 @@ def test_sup_affine_active_set_takes_the_top_vertex_without_a_solve(monkeypatch)
 
 def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
     # the seeded direct max-dispersion run on the builder's family: each
-    # prox starts from the support the one before it certified, so it solves
-    # one bordered system exactly when its answer has two or more nonzero
-    # weights, and takes one step when the support stays
+    # prox starts from the support the one before it certified and takes
+    # one step when the support stays.  45 answers have two nonzero weights
+    # and the rest are vertices, so every step off a vertex is on an edge,
+    # whose closed form leaves np.linalg.solve uncalled
     inst = pvs.MaxDispersionInstance(pvs.random_anchors(3, 10, 47), radius=1.0,
                                      lam=100.0, constraint_matrix=np.ones((1, 3)))
     prob = pvs.build_max_dispersion_direct(inst)
@@ -585,7 +765,7 @@ def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
     def counted(mu, x):
         out = prox_detailed(mu, x)
         proxes.append(out[2])
-        spread.append(np.count_nonzero(out[1]) > 1)
+        spread.append(np.count_nonzero(out[1]))
         return out
 
     monkeypatch.setattr(prob.g, "prox_detailed", counted)
@@ -594,7 +774,8 @@ def test_sup_affine_active_set_solves_only_off_the_vertex(monkeypatch):
     pvs.run_pvs(prob, cfg, pvs.subspace_start(prob.subspace, 3))
     assert len(proxes) == 61
     assert sum(proxes) == 62  # 106 from a cold start at the top vertex
-    assert len(solves) == sum(spread) == 45
+    assert spread.count(2) == 45 and spread.count(1) == 16
+    assert not solves
 
 
 def test_sup_affine_active_set_certifies_collinear_scenarios():
@@ -754,6 +935,26 @@ def test_sup_affine_rejects_non_finite_input():
     big = SupAffineFamily(np.array([[1e150], [0.0]]), np.zeros(2), 1.0)
     with pytest.raises(DomainError, match="finite"):
         big.prox_detailed(0.2, np.array([1e200]))
+
+
+def test_sup_affine_rejects_a_point_of_the_wrong_shape():
+    # x of the wrong length made value, prox and prox_detailed raise numpy's
+    # bare matmul ValueError, and a (d, 1) column made prox raise TypeError;
+    # each call now names the flat vector of length d it expects, as
+    # SupQuadraticFamily does
+    fam = SupAffineFamily(np.array([[1.0, 0.5, -1.0], [0.0, 2.0, 0.5]]), np.zeros(2), 1.0)
+    calls = (fam.value, lambda x: fam.prox(0.2, x), lambda x: fam.prox_detailed(0.2, x),
+             lambda x: fam.prox_and_value(0.2, x))
+    for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros((1, 3)), 0.5, []):
+        for call in calls:
+            with pytest.raises(ContractError, match="expected a flat vector of length 3"):
+                call(bad)
+    for call in calls:  # a list of the right length is a vector
+        call([0.1, -0.2, 0.3])
+    # ContractError is a ValueError, so the dimension probe names the mismatch
+    with pytest.raises(ContractError, match="disagree on dimension 2: expected a flat"):
+        pvs.CompositeProblem(pvs.ZeroSmooth(), fam, pvs.IdentityMap(), pvs.IdentityProjector(),
+                             dim=2)
 
 
 def test_sup_families_need_a_scenario():

@@ -76,6 +76,19 @@ def _ref_simplex_kkt_certified(c, v, idx, eps):
                 and top - on.min() <= eps and v.max() - top <= eps)
 
 
+def _ref_edge_weights(a_s, coef, w_s):
+    """u on the affine hull of an edge, from u_i coef |a_i - a_j|^2 =
+    w_i - w_j - coef <a_j, a_i - a_j> and u_j = 1 - u_i; None when the
+    denominator is not positive and finite, or u_i is not finite."""
+    dif = a_s[0] - a_s[1]
+    with np.errstate(over="ignore"):
+        den = coef * np.dot(dif, dif)
+        if not (den > 0.0 and np.isfinite(den)):
+            return None
+        u_i = (w_s[0] - w_s[1] - coef * np.dot(a_s[1], dif)) / den
+    return np.array([u_i, 1.0 - u_i]) if np.isfinite(u_i) else None
+
+
 def _ref_simplex_active_set(a_rows, coef, w, max_steps, start):
     eps = 1e-12
     top = np.argmax(w)[None]
@@ -94,10 +107,13 @@ def _ref_simplex_active_set(a_rows, coef, w, max_steps, start):
             rhs = np.ones(k + 1)
             rhs[:k] = w[idx]
             rhs[:k] -= rhs[:k].max()
-            try:
-                u = np.linalg.solve(kkt, rhs)[:k]
-            except np.linalg.LinAlgError:
-                u = None
+            if k == 2:  # an edge: the difference of the two KKT rows
+                u = _ref_edge_weights(a_s, coef, w[idx])
+            else:
+                try:
+                    u = np.linalg.solve(kkt, rhs)[:k]
+                except np.linalg.LinAlgError:
+                    u = None
             if u is None or u.min() < 0.0:
                 if steps == 1:
                     c = np.zeros(w.size)
@@ -124,7 +140,8 @@ def _ref_simplex_active_set(a_rows, coef, w, max_steps, start):
                 continue
             c = np.zeros(w.size)
             c[idx] = u
-            v = w - coef * (a_rows @ (a_s.T @ u))
+            a_u = u[0] * a_s[0] + u[1] * a_s[1] if k == 2 else a_s.T @ u
+            v = w - coef * (a_rows @ a_u)
         j = int(np.argmax(v))
         if v[j] - v[idx].max() > eps:
             idx = np.sort(np.append(idx, j))
