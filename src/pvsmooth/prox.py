@@ -386,7 +386,8 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
     system [M_SS 1; 1^T 0] [u; t] = [w_S - max w_S; 1], M_SS = coef A_S A_S^T
     with A_S the rows in S: on one scenario j the vertex c = e_j, on an
     edge the closed form of :func:`_edge_weights`, and on three or more
-    scenarios a solve of that system.  Then:
+    scenarios, or an edge whose closed form overflows, a solve of that
+    system.  Then:
 
     * if u >= 0, c = u.  The scenario with the largest dual gradient
       v = w - coef A (A_S^T u) joins S when it exceeds max v_S by more than
@@ -419,15 +420,18 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
             c[idx] = 1.0
             v = w - coef * (a_rows @ a_rows[idx[0]])
         else:
-            if k == 2:
-                u, a_u = _edge_weights(a_rows, coef, w, idx)
-            else:
+            kkt = None
+            edge = _edge_weights(a_rows, coef, w, idx) if k == 2 else None
+            if edge is None:  # three or more scenarios, or an edge with no closed form
                 a_s = a_rows[idx]
+                kkt, rhs = _bordered_system(a_s, coef, w[idx])
                 try:
-                    u = np.linalg.solve(*_bordered_system(a_s, coef, w[idx]))[:k]
+                    u = np.linalg.solve(kkt, rhs)[:k]
                 except np.linalg.LinAlgError:
                     u = None
                 a_u = None if u is None or u[u.argmin()] < 0.0 else a_s.T @ u
+            else:
+                u, a_u = edge
             if a_u is None:  # a negative weight, or a singular system
                 if steps == 1:  # only a start support solves at step 1:
                     # restart cold, with the top vertex as the last weights
@@ -435,7 +439,8 @@ def _simplex_active_set(a_rows, coef, w, max_steps, start=None):
                     c = np.zeros(w.size)
                     c[idx] = 1.0
                     continue
-                kkt, rhs = _bordered_system(a_rows[idx], coef, w[idx])
+                if kkt is None:  # an edge's closed form: no system built yet
+                    kkt, rhs = _bordered_system(a_rows[idx], coef, w[idx])
                 c_s = c[idx]
                 # the dual gradient on S, less max w_S
                 g = rhs[:k] - kkt[:k, :k] @ c_s
@@ -487,17 +492,23 @@ def _edge_weights(a_rows, coef, w, idx):
         u_i = (w_i - w_j - coef <a_j, a_i - a_j>) / (coef |a_i - a_j|^2),
 
     computed on Python floats from the two rows; ``u`` is the pair
-    (u_i, u_j).  A zero or non-finite denominator, or a non-finite u_i (a
-    quotient that overflows), makes the edge singular: ``(None, None)``.  ``A_S^T u``, the sum
-    u_i a_i + u_j a_j, is formed only when u >= 0, and is None otherwise.
+    (u_i, u_j).  ``A_S^T u``, the sum u_i a_i + u_j a_j, is formed only
+    when u >= 0, and is None otherwise.  A zero or non-finite denominator,
+    or a u_i that overflows, makes the edge singular: ``(None, None)``.
+    Returns None when |a_i - a_j|^2 or <a_j, a_i - a_j> overflows before
+    coef scales it (rows near 1e154): the edge is then solved by the
+    bordered system, whose entries coef <a_i, a_j> stay within coef |A|^2.
     """
     i, j = idx.tolist()
     a_i, a_j = a_rows[i], a_rows[j]
     dif = a_i - a_j
-    den = coef * float(dif.dot(dif))
+    sq, cross = float(dif.dot(dif)), float(a_j.dot(dif))
+    if not (math.isfinite(sq) and math.isfinite(cross)):
+        return None
+    den = coef * sq
     if not 0.0 < den < math.inf:
         return None, None
-    u_i = (w.item(i) - w.item(j) - coef * float(a_j.dot(dif))) / den
+    u_i = (w.item(i) - w.item(j) - coef * cross) / den
     if not math.isfinite(u_i):
         return None, None
     u_j = 1.0 - u_i

@@ -594,18 +594,30 @@ def test_sup_affine_edge_matches_the_bordered_solve_and_enumeration(case):
 
 
 def test_sup_affine_edge_is_singular_where_its_closed_form_fails():
-    # equal rows give a zero denominator, rows 2e154 apart an infinite one,
-    # and rows 1e-161 apart a subnormal one that u_0 = 1e-3 / den
-    # overflows: each edge is singular, so the active set steps along its
-    # null direction rather than along an infinite u - c_S
+    # equal rows give a zero denominator, and rows 1e-161 apart a subnormal
+    # one that u_0 = 1e-3 / den overflows: each edge is singular, so the
+    # active set steps along its null direction rather than along an
+    # infinite u - c_S
     w, edge = np.array([0.0, -1e-3]), np.array([0, 1])
-    for rows in (np.array([[0.3, 0.5], [0.3, 0.5]]), np.array([[1e154, 0.0], [-1e154, 0.0]]),
-                 np.array([[1e-161, 0.5], [0.0, 0.5]])):
+    for rows in (np.array([[0.3, 0.5], [0.3, 0.5]]), np.array([[1e-161, 0.5], [0.0, 0.5]])):
         assert _edge_weights(rows, 0.8, w, edge) == (None, None)
+    # rows 2e154 apart overflow |a_0 - a_1|^2 before coef scales it: the
+    # edge has no closed form, and is left to the bordered solve
+    assert _edge_weights(np.array([[1e154, 0.0], [-1e154, 0.0]]), 0.8, w, edge) is None
     # u_0 = (1e-3 + 0.25 * 2) / (0.25 * 4)
     rows = np.array([[1.0, 0.0], [-1.0, 0.0]])
     u, a_u = _edge_weights(rows, 0.25, w, edge)
     assert u == (0.501, 0.499) and np.array_equal(a_u, 0.501 * rows[0] + 0.499 * rows[1])
+
+
+def test_sup_affine_edge_past_the_float_range_is_solved():
+    # |A|^2 = 1.62e308 is finite, |a_0 - a_1|^2 = 3.24e308 is not, and
+    # coef = 1 / |A|^2 scales the edge's denominator back to 2: the
+    # bordered solve finds the midpoint of the edge, where f is smallest
+    for mu in (0.1, 0.25):
+        fam = SupAffineFamily(np.array([[9e153, 0.0], [-9e153, 0.0]]), np.zeros(2), 1.0)
+        y, c, steps = fam.prox_detailed(mu, np.zeros(2))
+        assert c.tolist() == [0.5, 0.5] and y.tolist() == [0.0, 0.0] and steps <= 2
 
 
 def test_sup_affine_reused_family_returns_the_fresh_answers():

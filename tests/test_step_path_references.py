@@ -76,16 +76,23 @@ def _ref_simplex_kkt_certified(c, v, idx, eps):
                 and top - on.min() <= eps and v.max() - top <= eps)
 
 
+_SOLVE = object()  # an edge with no closed form: solve its bordered system
+
+
 def _ref_edge_weights(a_s, coef, w_s):
     """u on the affine hull of an edge, from u_i coef |a_i - a_j|^2 =
-    w_i - w_j - coef <a_j, a_i - a_j> and u_j = 1 - u_i; None when the
+    w_i - w_j - coef <a_j, a_i - a_j> and u_j = 1 - u_i; ``_SOLVE`` when
+    |a_i - a_j|^2 or <a_j, a_i - a_j> overflows, and None when the
     denominator is not positive and finite, or u_i is not finite."""
     dif = a_s[0] - a_s[1]
     with np.errstate(over="ignore"):
-        den = coef * np.dot(dif, dif)
+        sq, cross = np.dot(dif, dif), np.dot(a_s[1], dif)
+        if not (np.isfinite(sq) and np.isfinite(cross)):
+            return _SOLVE
+        den = coef * sq
         if not (den > 0.0 and np.isfinite(den)):
             return None
-        u_i = (w_s[0] - w_s[1] - coef * np.dot(a_s[1], dif)) / den
+        u_i = (w_s[0] - w_s[1] - coef * cross) / den
     return np.array([u_i, 1.0 - u_i]) if np.isfinite(u_i) else None
 
 
@@ -107,9 +114,10 @@ def _ref_simplex_active_set(a_rows, coef, w, max_steps, start):
             rhs = np.ones(k + 1)
             rhs[:k] = w[idx]
             rhs[:k] -= rhs[:k].max()
-            if k == 2:  # an edge: the difference of the two KKT rows
-                u = _ref_edge_weights(a_s, coef, w[idx])
-            else:
+            # an edge: the difference of the two KKT rows
+            u = _ref_edge_weights(a_s, coef, w[idx]) if k == 2 else _SOLVE
+            closed = u is not _SOLVE
+            if not closed:
                 try:
                     u = np.linalg.solve(kkt, rhs)[:k]
                 except np.linalg.LinAlgError:
@@ -140,7 +148,7 @@ def _ref_simplex_active_set(a_rows, coef, w, max_steps, start):
                 continue
             c = np.zeros(w.size)
             c[idx] = u
-            a_u = u[0] * a_s[0] + u[1] * a_s[1] if k == 2 else a_s.T @ u
+            a_u = u[0] * a_s[0] + u[1] * a_s[1] if closed else a_s.T @ u
             v = w - coef * (a_rows @ a_u)
         j = int(np.argmax(v))
         if v[j] - v[idx].max() > eps:
@@ -339,6 +347,26 @@ def test_warm_simplex_prox_equals_the_reference_bit_for_bit():
         for _ in range(8):
             mu, x = mu * rng.uniform(0.95, 1.0), x + rng.uniform(-0.05, 0.05, x.size)
             start = _check_against_reference(warm, mu, x, start)
+
+
+def test_simplex_prox_near_the_float_range_equals_the_reference_bit_for_bit():
+    # |A| = 1e154 puts |A|^2 just inside the float range and |a_i - a_j|^2
+    # past it for rows that point apart: those edges have no closed form,
+    # and both the package and the reference solve their bordered systems
+    rng = np.random.default_rng(2306)
+    overflowed = 0
+    for _ in range(300):
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        rows = rng.uniform(-1.0, 1.0, (n, d))
+        fam = SupAffineFamily(rows * (1e154 / np.linalg.norm(rows, 2)),
+                              rng.uniform(-1.0, 1.0, n), 1.0)
+        x = rng.uniform(-1.0, 1.0, d) * 10.0 ** rng.integers(-160, -150)
+        support = _check_against_reference(fam, rng.uniform(0.05, 0.3), x)
+        if support is not None and support.size == 2:
+            i, j = support
+            with np.errstate(over="ignore"):
+                overflowed += not np.isfinite(np.sum((fam.a_rows[i] - fam.a_rows[j]) ** 2))
+    assert overflowed >= 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
