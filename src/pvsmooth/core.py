@@ -412,7 +412,8 @@ class CompositeProblem:
         the stationarity bound diagnostics.  When absent those diagnostics
         fall back to the observed minimum and are flagged as heuristic.
     dim : int, optional
-        Ambient dimension >= 1, when known; enables an early shape check.
+        Ambient dimension >= 1, when known; enables an early shape check,
+        which evaluates h, A, V and g once at the zero vector of R^dim.
     """
 
     def __init__(self, h, g, a_map, subspace, f_star=None, dim=None):
@@ -428,6 +429,7 @@ class CompositeProblem:
             try:
                 out = self.a_map.apply(probe)
                 self.subspace.apply(probe)
+                self.h.value_and_grad(probe)
                 self.g.value(np.asarray(out, dtype=float))
             except (ValueError, IndexError) as exc:  # re-raise with context
                 raise ContractError(

@@ -277,7 +277,8 @@ def enumerated_simplex_prox(a_rows, offsets, sigma, mu, x):
     for a few scenarios in a few dimensions.
 
     Returns ``(y, violation)``; a violation of 0 (up to rounding) certifies
-    y.
+    y.  An L that overflows leaves no step size and raises
+    :class:`DomainError`, as the family's prox does.
     """
     a_rows = _require_array(a_rows, "a_rows", 2)
     offsets = _require_array(offsets, "offsets", 1)
@@ -286,6 +287,8 @@ def enumerated_simplex_prox(a_rows, offsets, sigma, mu, x):
     s = 1.0 - 2.0 * sigma * mu
     norm = spectral_norm(a_rows)
     lip = mu * (norm * norm) / s
+    if lip == math.inf:
+        raise DomainError("the dual Lipschitz constant L = mu |A|^2 / s must be finite")
     gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
     w = gamma * (a_rows @ x / s + offsets)
     w = w - w.max()

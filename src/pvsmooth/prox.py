@@ -43,6 +43,9 @@ __all__ = [
 
 _DENOM_GUARD = 1e-12
 _TINY = np.finfo(float).tiny
+# step budget of the sup-affine active set, far above the one or two steps
+# a warm-started prox takes; a test or a mutation survey may lower it
+_ACTIVE_SET_STEPS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +202,6 @@ class SupQuadraticFamily(ProxFunction):
             return p
         return _simplex_weights(alpha, mu, self._counts)
 
-    def weights(self, mu, x):
-        """Maximizing simplex weights at x (closed form; no iteration)."""
-        self.check_mu(mu)
-        return self._weights(mu, self.alphas(x))
-
     def prox(self, mu, x):
         self.check_mu(mu)
         blocks = self._blocks(x)
@@ -238,9 +236,6 @@ class SupAffineFamily(ProxFunction):
     offsets : (N,) array
     sigma : float > 0
         Concavity weight; the family is 2*sigma-weakly convex.
-    max_iter : int
-        Step budget (a positive integer) of the active set in
-        :meth:`prox_detailed`.
 
     The family keeps its inputs and ``gram_norm = |A|^2`` from
     :func:`~pvsmooth.core.spectral_norm`, which fixes the dual step size:
@@ -256,15 +251,13 @@ class SupAffineFamily(ProxFunction):
 
     lipschitz = None
 
-    def __init__(self, a_rows, offsets, sigma, max_iter=200000):
+    def __init__(self, a_rows, offsets, sigma):
         a_rows = _require_array(a_rows, "a_rows", 2)
         offsets = _require_array(offsets, "offsets", 1)
         if a_rows.shape[0] != offsets.size:
             raise DomainError("a_rows and offsets disagree on the scenario count")
         _require(offsets.size, "the scenario count", 1, math.inf, integer=True, ends="[)")
         self.sigma = float(_require(sigma, "sigma", 0, math.inf))
-        self.max_iter = int(_require(max_iter, "max_iter", 1, math.inf, integer=True,
-                                     ends="[)"))
         norm = spectral_norm(a_rows)
         self.gram_norm = _require(norm * norm, "|A|^2", 0, math.inf, ends="[)")
         self.a_rows = a_rows
@@ -311,13 +304,14 @@ class SupAffineFamily(ProxFunction):
         weight or is singular.  Certified weights are that maximizer on
         their final support (a vertex, an edge's closed form, or a bordered
         solve), so y and c are those of a fresh family
-        whenever the optimal support is unique; the step count, and so a
-        failure under a tight ``max_iter``, depends on the last certified
-        support.
+        whenever the optimal support is unique; the step count, and so
+        whether it stays within the module's budget ``_ACTIVE_SET_STEPS``,
+        depends on the last certified support.
 
         Returns ``(y, c, iterations)``.  An ``x`` that is not a flat vector
         of length d raises :class:`ContractError`; a non-finite one, or a
-        finite one whose w or y overflows, :class:`DomainError`.  Raises
+        finite one whose w or y overflows, :class:`DomainError`, and so does
+        an L that overflows, which leaves no step size.  Raises
         :class:`ConvergenceError`, carrying the last (y, c) and the steps
         taken, when the active set stops uncertified, with the fixed-point
         residual |P(c + v) - c| of that c as its residual.
@@ -328,6 +322,8 @@ class SupAffineFamily(ProxFunction):
             raise DomainError("the prox argument x must be finite")
         s = 1.0 - 2.0 * self.sigma * mu
         lip = mu * self.gram_norm / s
+        if lip == math.inf:  # gamma = 0 would make every weight optimal
+            raise DomainError("the dual Lipschitz constant L = mu |A|^2 / s must be finite")
         # lip below the smallest normal float: A is numerically zero, and any
         # step works since the weight map is (nearly) constant
         gamma = 1.0 / lip if lip >= _TINY else 1.0
@@ -342,14 +338,14 @@ class SupAffineFamily(ProxFunction):
         coef = gamma * mu / s
         w = w - top
         c, support, steps, certified = _simplex_active_set(
-            a_rows, coef, w, self.max_iter, self._support)
+            a_rows, coef, w, _ACTIVE_SET_STEPS, self._support)
         if certified:
             self._support = support
             return _prox_point(x, mu, a_rows, c, s), c, steps
         r = _project_simplex(c + w - coef * (a_rows @ (a_rows.T @ c))) - c
         raise ConvergenceError(
             "weight iteration stopped uncertified after %d of %d iterations"
-            % (steps, self.max_iter),
+            " (the budget _ACTIVE_SET_STEPS)" % (steps, _ACTIVE_SET_STEPS),
             residual=float(np.linalg.norm(r)),
             iterations=steps,
             best=(_prox_point(x, mu, a_rows, c, s), c),

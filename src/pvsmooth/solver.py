@@ -277,12 +277,20 @@ def stationarity_constant(problem, cfg, first_objective, reference):
 
     sqrt(2) * sqrt(L_1) / sqrt(2^(1-alpha) - 1) * sqrt(F_1(x_1) - F_ref + C L_g^2)
     with L_1 = L_h + |A|^2 / C from :func:`schedule` (mu_1 = C).
+
+    Since g_mu >= g - mu L_g^2 / 2, a valid reference F_ref (a lower bound
+    on the objective) makes the gap under the root at least C L_g^2 / 2; a
+    negative gap means the reference lies above the minimum, and raises
+    :class:`DomainError`.
     """
     lg = problem.g.lipschitz
     if lg is None:
         raise DomainError("g has no Lipschitz constant; the bound is undefined")
     gap = first_objective - reference + cfg.C * lg * lg
-    gap = max(gap, 0.0)
+    if gap < 0.0:
+        raise DomainError(
+            "the reference %r exceeds F_1(x_1) + C L_g^2 = %r, so it is no lower"
+            " bound on the objective" % (reference, first_objective + cfg.C * lg * lg))
     lip_1 = schedule(cfg, problem, 1)[1]
     return float(
         np.sqrt(2.0) * np.sqrt(lip_1) / np.sqrt(2.0 ** (1.0 - cfg.alpha) - 1.0)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from pvsmooth import cli
+from pvsmooth import cli, prox
 from pvsmooth.core import IdentityProjector
 from pvsmooth.solver import IterateTrace, SolverConfig, run_pvs
 
@@ -314,13 +314,7 @@ def test_solve_inner_failure_keeps_partial_trace(tmp_path, monkeypatch):
     # an inner prox budget too small for the direct dispersion run: the
     # active set needs up to 2 steps per prox there, so with one it fails
     # partway and the partial trace is still written
-    def capped(inst):
-        problem = build_direct(inst)
-        problem.g.max_iter = 1
-        return problem
-
-    build_direct = cli.build_max_dispersion_direct
-    monkeypatch.setattr(cli, "build_max_dispersion_direct", capped)
+    monkeypatch.setattr(prox, "_ACTIVE_SET_STEPS", 1)
     path = write_config(
         tmp_path, problem="max-dispersion", formulation="direct", n=3, N=10,
         R=[[1.0, 1.0, 1.0]], **{"lambda": 100.0}, max_iter=60, seed=47,

@@ -423,8 +423,6 @@ _PARAMETERS = {
     "SCADPenalty theta": (lambda v: prox.SCADPenalty(1.0, v), (2.0, 1.0, np.nan, np.inf)),
     "SupAffineFamily sigma": (
         lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), v), _POSITIVE),
-    "SupAffineFamily max_iter": (
-        lambda v: prox.SupAffineFamily(np.eye(2), np.zeros(2), 1.0, max_iter=v), _INTEGER),
     "BallSpec radius": (lambda v: BallSpec(np.zeros(2), v), (0.0, -1.0, np.nan)),
     "BallPenalty weight": (lambda v: BallPenalty(_BALL, v), _POSITIVE),
     "FirstBlockBallPenalty weight": (lambda v: pvs.FirstBlockBallPenalty(_BALL, v, 2),
@@ -840,6 +838,15 @@ def test_composite_problem_objective_and_dim_check():
     for wrong in (g, affine):
         with pytest.raises(ContractError):
             CompositeProblem(h, wrong, IdentityMap(), IdentityProjector(), dim=3)
+
+
+def test_composite_problem_dim_check_probes_h():
+    # a penalty on R^2 in a problem on R^3: built unchecked, the run's first
+    # step failed on a bare numpy broadcast ValueError with no partial trace
+    ball = BallPenalty(BallSpec(np.zeros(2), 1.0), 10.0)
+    with pytest.raises(ContractError, match="disagree on dimension 3"):
+        CompositeProblem(ball, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=3)
+    CompositeProblem(ball, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=2)
 
 
 def test_smoothed_objective_grad_reductions():

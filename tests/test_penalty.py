@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pvsmooth import oracles
+from pvsmooth import oracles, prox
 from pvsmooth.core import (
     CallableSmooth,
     CompositeProblem,
@@ -149,12 +149,12 @@ def test_run_penalty_single_anchor_dispersion():
     assert diag.penalty_values[0] > diag.penalty_values[-1]
 
 
-def test_run_penalty_stage_failure_carries_progress():
+def test_run_penalty_stage_failure_carries_progress(monkeypatch):
     # a weight iteration capped at one step cannot converge, so the first
     # stage fails and the error carries the (empty) completed prefix
+    monkeypatch.setattr(prox, "_ACTIVE_SET_STEPS", 1)
     rng = np.random.default_rng(52)
-    g = SupAffineFamily(rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 3), 1.0,
-                        max_iter=1)
+    g = SupAffineFamily(rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 3), 1.0)
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0)
     with pytest.raises(StageError) as exc:

@@ -94,7 +94,7 @@ def test_simplex_weights_tiny_mu_put_all_weight_on_the_nearest_block():
     assert np.array_equal(p, [0.0, 1.0, 0.0])
     fam = SupQuadraticFamily(np.eye(3))
     x = np.array([0.9, 0.1, 0.0, 0.0, 0.8, 0.1, 0.0, 0.0, 0.2])
-    assert np.array_equal(fam.weights(1e-17, x), [1.0, 0.0, 0.0])
+    assert np.array_equal(fam._weights(1e-17, fam.alphas(x)), [1.0, 0.0, 0.0])
     assert np.abs(fam.prox(1e-17, x) - x).max() <= 1e-15
 
 
@@ -106,7 +106,8 @@ def test_non_finite_input_to_sup_quadratic_prox_raises_domain_error():
     for bad in (np.nan, np.inf, -np.inf):
         # a block at its center pins the weight; the bad block still counts
         for x in (np.array([0.3, bad, 2.0, -1.0]), np.array([0.0, 1.0, bad, 0.5])):
-            for call in (fam.prox, fam.prox_and_value, fam.weights):
+            for call in (fam.prox, fam.prox_and_value,
+                         lambda mu, x: fam._weights(mu, fam.alphas(x))):
                 with pytest.raises(DomainError, match="finite"):
                     call(0.2, x)
 
@@ -126,7 +127,7 @@ def test_sup_quadratic_prox_three_blocks():
     x = np.array([2.0, 1.0, 1.0])
     out = fam.prox(0.25, x)
     assert np.abs(out - np.array([2.0, 4.0 / 3.0, 4.0 / 3.0])).max() < 1e-12
-    assert np.abs(fam.weights(0.25, x) - np.array([0.0, 0.5, 0.5])).max() < 1e-12
+    assert np.abs(fam._weights(0.25, fam.alphas(x)) - np.array([0.0, 0.5, 0.5])).max() < 1e-12
 
 
 def test_sup_quadratic_prox_zero_alpha_pins_weight():
@@ -134,14 +135,14 @@ def test_sup_quadratic_prox_zero_alpha_pins_weight():
     # and the prox leaves the point unchanged
     fam = SupQuadraticFamily(np.array([[5.0], [3.0]]))
     x = np.array([5.0, 0.0])
-    assert np.array_equal(fam.weights(0.25, x), np.array([1.0, 0.0]))
+    assert np.array_equal(fam._weights(0.25, fam.alphas(x)), np.array([1.0, 0.0]))
     assert np.array_equal(fam.prox(0.25, x), x)
 
 
 def test_sup_quadratic_zero_alpha_smallest_index_tie_break():
     fam = SupQuadraticFamily(np.array([[1.0], [2.0]]))
     x = np.array([1.0, 2.0])  # both blocks at their centers
-    assert np.array_equal(fam.weights(0.3, x), np.array([1.0, 0.0]))
+    assert np.array_equal(fam._weights(0.3, fam.alphas(x)), np.array([1.0, 0.0]))
     assert np.array_equal(fam.prox(0.3, x), x)
 
 
@@ -159,7 +160,8 @@ def envelope_sup_identity_check(family, mu, x):
     """(lhs, rhs): the Moreau envelope through the prox, and the same value as
     the weight-space maximum; the envelope of a supremum of concave
     quadratics is the supremum of the weighted envelopes."""
-    rhs = envelope_by_weights(family.alphas(x), mu, family.weights(mu, x))
+    alpha = family.alphas(x)
+    rhs = envelope_by_weights(alpha, mu, family._weights(mu, alpha))
     return moreau_envelope(family, mu, x), float(rhs)
 
 
@@ -322,18 +324,21 @@ def test_sup_affine_dual_optimality(case):
         assert np.linalg.norm(c - project_simplex(c + gamma * (v - v.max()))) <= 1e-8
 
 
-def test_sup_affine_active_set_has_the_whole_budget():
+def test_sup_affine_active_set_has_the_whole_budget(monkeypatch):
     # w = 0: a fresh family's active set starts from {0}, adds scenario 1
     # and certifies c = (1/2, 1/2) at its second step; with one step it stops
     # at the vertex (1, 0) and raises, carrying that c, its prox point and
     # its fixed-point residual
     rows = np.array([[2.0], [-2.0]])
-    fam = SupAffineFamily(rows, np.zeros(2), 1.0, max_iter=2)
+    monkeypatch.setattr(prox_module, "_ACTIVE_SET_STEPS", 2)
+    fam = SupAffineFamily(rows, np.zeros(2), 1.0)
     mu, x = 0.2, np.zeros(1)
     y, c, iterations = fam.prox_detailed(mu, x)
     assert iterations == 2 and np.array_equal(c, [0.5, 0.5])
-    fam = SupAffineFamily(rows, np.zeros(2), 1.0, max_iter=1)
-    with pytest.raises(ConvergenceError, match="uncertified after 1 of 1 iterations") as exc:
+    monkeypatch.setattr(prox_module, "_ACTIVE_SET_STEPS", 1)
+    fam = SupAffineFamily(rows, np.zeros(2), 1.0)
+    with pytest.raises(ConvergenceError, match="uncertified after 1 of 1 iterations"
+                       r" \(the budget _ACTIVE_SET_STEPS\)") as exc:
         fam.prox_detailed(mu, x)
     err = exc.value
     assert err.iterations == 1
@@ -348,14 +353,6 @@ def test_sup_affine_active_set_has_the_whole_budget():
     residual = np.linalg.norm(project_simplex(c_best + v) - c_best)
     assert abs(err.residual - residual) <= 1e-15
     assert abs(residual - np.sqrt(0.5)) <= 1e-15
-
-
-def test_sup_affine_budget_validation():
-    rows, offsets = np.array([[2.0], [-2.0]]), np.zeros(2)
-    for bad in (10.5, 0, -3, None):
-        with pytest.raises(DomainError):
-            SupAffineFamily(rows, offsets, 1.0, max_iter=bad)
-    assert SupAffineFamily(rows, offsets, 1.0, max_iter=np.int64(7)).max_iter == 7
 
 
 def _simplex_kkt_residuals(fam, mu, x, c):
@@ -620,6 +617,25 @@ def test_sup_affine_edge_past_the_float_range_is_solved():
         assert c.tolist() == [0.5, 0.5] and y.tolist() == [0.0, 0.0] and steps <= 2
 
 
+def test_sup_affine_prox_rejects_an_overflowing_dual_lipschitz_constant():
+    # |A|^2 = 1.62e308 is finite, but at mu = 0.45 (s = 0.1) L = mu |A|^2 / s
+    # is not: gamma = 1/L = 0 made every weight optimal, and the family and
+    # the enumeration alike returned the top vertex, y = (-4.05e154, 0),
+    # where the prox of 9e153 |y_1| - |y|^2 at 0 is y = 0
+    rows, offsets = np.array([[9e153, 0.0], [-9e153, 0.0]]), np.zeros(2)
+    fam = SupAffineFamily(rows, offsets, 1.0)
+    match = "L = mu \\|A\\|\\^2 / s must be finite"
+    with pytest.raises(DomainError, match=match):
+        fam.prox_detailed(0.45, np.zeros(2))
+    with pytest.raises(DomainError, match=match):
+        oracles.enumerated_simplex_prox(rows, offsets, 1.0, 0.45, np.zeros(2))
+    # at mu = 0.3, L = 1.2e308 is finite and both give the midpoint
+    y, c, _ = fam.prox_detailed(0.3, np.zeros(2))
+    assert c.tolist() == [0.5, 0.5] and y.tolist() == [0.0, 0.0]
+    y_ref, violation = oracles.enumerated_simplex_prox(rows, offsets, 1.0, 0.3, np.zeros(2))
+    assert y_ref.tolist() == [0.0, 0.0] and violation <= 1e-12
+
+
 def test_sup_affine_reused_family_returns_the_fresh_answers():
     rng = np.random.default_rng(22)
     a_rows = rng.uniform(-1.0, 1.0, (10, 3))
@@ -665,7 +681,7 @@ def test_sup_affine_builder_family_returns_the_cold_answers():
     assert warm_steps < 0.7 * cold_steps
 
 
-def test_sup_affine_family_restarts_cold_off_a_lost_support():
+def test_sup_affine_family_restarts_cold_off_a_lost_support(monkeypatch):
     # rows (1, -1): at x = 0 the answer is c = (1/2, 1/2); at x = 0.5,
     # w_0 - w_1 = x / mu = 2.5 puts the bordered solve on {0, 1} at
     # u = (1.75, -0.75), so the reused family restarts at the top vertex
@@ -685,7 +701,7 @@ def test_sup_affine_family_restarts_cold_off_a_lost_support():
         assert (steps0, steps) == (cold_steps, warm_steps)
     # with one step, the failed solve leaves the top vertex, uncertified
     warm.prox_detailed(mu, np.zeros(1))
-    warm.max_iter = 1
+    monkeypatch.setattr(prox_module, "_ACTIVE_SET_STEPS", 1)
     with pytest.raises(ConvergenceError) as exc:
         warm.prox_detailed(mu, np.array([0.5]))
     assert exc.value.iterations == 1

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pvsmooth import prox
 from pvsmooth.core import (
     CallableProx,
     CallableSmooth,
@@ -398,21 +399,20 @@ def test_errors_carry_no_trace_until_a_run_attaches_one():
         assert exc.trace is None
 
 
-def seeded_direct_dispersion(max_iter=None):
+def seeded_direct_dispersion():
     # 10 anchors in R^3 on ker(1,1,1), lambda = 100: the direct form runs the
     # sup-affine prox on every evaluation
     inst = MaxDispersionInstance(random_anchors(3, 10, 47), radius=1.0, lam=100.0,
                                  constraint_matrix=np.ones((1, 3)))
     prob = build_max_dispersion_direct(inst)
-    if max_iter is not None:
-        # the active set needs at most 2 steps per prox on this run, so a
-        # budget of one step runs out partway through (at outer step 16)
-        prob.g.max_iter = max_iter
     return prob, subspace_start(prob.subspace, 3)
 
 
-def test_run_pvs_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(max_iter=1)
+def test_run_pvs_inner_failure_carries_partial_trace(monkeypatch):
+    # the active set needs at most 2 steps per prox on the seeded direct run,
+    # so a budget of one step runs out partway through (at outer step 16)
+    monkeypatch.setattr(prox, "_ACTIVE_SET_STEPS", 1)
+    prob, x1 = seeded_direct_dispersion()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0)
     with pytest.raises(ConvergenceError) as exc:
         run_pvs(prob, cfg, x1)
@@ -423,8 +423,9 @@ def test_run_pvs_inner_failure_carries_partial_trace():
     assert abs(float(trace.final_x.sum())) < 1e-9
 
 
-def test_epsilon_run_inner_failure_carries_partial_trace():
-    prob, x1 = seeded_direct_dispersion(max_iter=1)
+def test_epsilon_run_inner_failure_carries_partial_trace(monkeypatch):
+    monkeypatch.setattr(prox, "_ACTIVE_SET_STEPS", 1)
+    prob, x1 = seeded_direct_dispersion()
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=60, stop_step_norm=0.0,
                        epsilon=1e-9)
     with pytest.raises(ConvergenceError) as exc:
@@ -743,6 +744,26 @@ def test_stationarity_constants_frozen_values():
         stationarity_constant(nolip, cfg, 10.0, 0.0)
     with pytest.raises(DomainError, match="no Lipschitz constant"):
         epoch_iteration_budget(nolip, cfg, 10.0, 0.0, 0.01)
+
+
+def test_stationarity_constant_rejects_a_reference_above_the_minimum():
+    # F_1(x_1) - F_ref + C L_g^2 >= C L_g^2 / 2 for a lower bound F_ref; the
+    # gap was clamped to 0, so f_star = 1e6 gave a constant of 0 and an
+    # epsilon = 0.1 budget of 349.4 iterations, from (C L_g)^(1/alpha) alone
+    design, target = random_lasso_data(5, 8, 1)
+    prob = build_constrained_lasso(LassoInstance(
+        design, target, L1Penalty(1.0, lipschitz=np.sqrt(5.0)), f_star=1e6))
+    cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=3, stop_step_norm=0.0)
+    trace = run_pvs(prob, cfg, np.zeros(5))
+    first = trace.objective[0]
+    for call in (lambda: stationarity_constant(prob, cfg, first, prob.f_star),
+                 lambda: epoch_iteration_budget(prob, cfg, first, prob.f_star, 0.1),
+                 lambda: theorem_bound_margins(prob, trace)):
+        with pytest.raises(DomainError, match="the reference 1000000.0 exceeds"):
+            call()
+    # a reference just inside F_1 + C L_g^2 still gives a finite constant
+    edge = first + cfg.C * 5.0 - 1e-9
+    assert stationarity_constant(prob, cfg, first, edge) >= 0.0
 
 
 def test_theorem_bound_margins_hold_over_the_trace():

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from pvsmooth import prox
 from pvsmooth.errors import ConvergenceError, DomainError, NumericalError
 from pvsmooth.prox import (
     SupAffineFamily,
@@ -166,6 +167,8 @@ def _ref_simplex_prox(fam, mu, x, start=None):
         raise DomainError("the prox argument x must be finite")
     s = 1.0 - 2.0 * fam.sigma * mu
     lip = mu * fam.gram_norm / s
+    if lip == np.inf:
+        raise DomainError("the dual Lipschitz constant L = mu |A|^2 / s must be finite")
     gamma = 1.0 / lip if lip >= np.finfo(float).tiny else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         w = gamma * (fam.a_rows @ x / s + fam.offsets)
@@ -173,7 +176,7 @@ def _ref_simplex_prox(fam, mu, x, start=None):
         raise DomainError("the dual gradient w = A x / s + b must be finite")
     coef = gamma * mu / s
     c, support, steps, certified = _ref_simplex_active_set(
-        fam.a_rows, coef, w - w.max(), fam.max_iter, start)
+        fam.a_rows, coef, w - w.max(), prox._ACTIVE_SET_STEPS, start)
     with np.errstate(over="ignore"):
         y = (x - mu * (fam.a_rows.T @ c)) / s
     if not np.isfinite(y).all():
@@ -382,3 +385,8 @@ def test_simplex_prox_rejects_non_finite_input_as_the_reference(bad):
     want = _outcome(_ref_simplex_prox, flat, 0.25, np.array([1e308]))
     assert want[0] is DomainError
     assert _outcome(flat.prox_detailed, 0.25, np.array([1e308])) == want
+    # a finite |A|^2 whose L = mu |A|^2 / s overflows
+    wide = SupAffineFamily(np.array([[9e153, 0.0], [-9e153, 0.0]]), np.zeros(2), 1.0)
+    want = _outcome(_ref_simplex_prox, wide, 0.45, np.zeros(2))
+    assert want[0] is DomainError
+    assert _outcome(wide.prox_detailed, 0.45, np.zeros(2)) == want
