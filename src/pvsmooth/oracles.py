@@ -284,6 +284,7 @@ def enumerated_simplex_prox(a_rows, offsets, sigma, mu, x):
     offsets = _require_array(offsets, "offsets", 1)
     x = _require_array(x, "x", 1)
     n_scen, dim = a_rows.shape
+    mu = float(mu)  # as the family's prox takes it
     s = 1.0 - 2.0 * sigma * mu
     norm = spectral_norm(a_rows)
     lip = mu * (norm * norm) / s

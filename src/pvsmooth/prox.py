@@ -317,6 +317,7 @@ class SupAffineFamily(ProxFunction):
         residual |P(c + v) - c| of that c as its residual.
         """
         self.check_mu(mu)
+        mu = float(mu)  # a numpy mu would take L in its own precision and warn on overflow
         x = self._point(x)
         if not _all_finite(x):
             raise DomainError("the prox argument x must be finite")

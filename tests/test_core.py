@@ -849,6 +849,20 @@ def test_composite_problem_dim_check_probes_h():
     CompositeProblem(ball, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=2)
 
 
+@pytest.mark.parametrize("kind", ["FirstBlockBallPenalty", "ProductBallPenalty",
+                                  "QuadraticLoss", "SmoothSum"])
+def test_composite_problem_dim_check_probes_every_h_kind(kind):
+    # each h is built for R^4 and checked in a problem on R^5
+    ball, loss = BallSpec(np.zeros(2), 1.0), QuadraticLoss(np.ones((3, 4)), np.ones(3))
+    h = {"FirstBlockBallPenalty": pvs.FirstBlockBallPenalty(ball, 10.0, 2),
+         "ProductBallPenalty": pvs.ProductBallPenalty(ball, 10.0, 2),
+         "QuadraticLoss": loss,
+         "SmoothSum": pvs.SmoothSum(loss, pvs.FirstBlockBallPenalty(ball, 1.0, 2))}[kind]
+    with pytest.raises(ContractError, match="disagree on dimension 5"):
+        CompositeProblem(h, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=5)
+    CompositeProblem(h, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=4)
+
+
 def test_smoothed_objective_grad_reductions():
     h = squared_norm_smooth()
     problem = CompositeProblem(h, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=2)

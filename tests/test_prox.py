@@ -636,6 +636,39 @@ def test_sup_affine_prox_rejects_an_overflowing_dual_lipschitz_constant():
     assert y_ref.tolist() == [0.0, 0.0] and violation <= 1e-12
 
 
+@pytest.mark.parametrize("mu_type", [np.float64, np.float32])
+@pytest.mark.parametrize("enumerated", [False, True], ids=["family", "enumeration"])
+def test_sup_affine_prox_takes_a_numpy_mu_in_double(mu_type, enumerated):
+    # a numpy mu (as from a SolverConfig built with a numpy C) formed L in
+    # numpy scalars: float64 warned "overflow encountered in scalar divide"
+    # before the DomainError, which warnings-as-errors turned into a
+    # RuntimeWarning, and float32 took L, gamma and coef in single precision
+    rows, offsets = np.array([[9e153, 0.0], [-9e153, 0.0]]), np.zeros(2)
+
+    def prox(mu):
+        if enumerated:
+            return oracles.enumerated_simplex_prox(rows, offsets, 1.0, mu, np.zeros(2))[0]
+        return SupAffineFamily(rows, offsets, 1.0).prox_detailed(mu, np.zeros(2))[0]
+
+    with pytest.raises(DomainError, match="L = mu \\|A\\|\\^2 / s must be finite"):
+        prox(mu_type(0.45))
+    # where L is finite, a numpy mu gives the floats of the same value as a float
+    rng = np.random.default_rng(5)
+    rows, offsets = rng.uniform(-1.0, 1.0, (4, 2)), rng.uniform(-1.0, 1.0, 4)
+    for mu in (0.05, 0.3, 0.45):
+        assert np.array_equal(prox(mu_type(mu)), prox(float(mu_type(mu))))
+
+
+def test_sup_affine_family_has_no_budget_argument():
+    # the active-set budget is the module constant, with the 200,000 steps
+    # the max_iter argument defaulted to; a survey or a test lowers it there
+    rows, offsets = np.array([[2.0], [-2.0]]), np.zeros(2)
+    assert prox_module._ACTIVE_SET_STEPS == 200_000
+    with pytest.raises(TypeError, match="max_iter"):
+        SupAffineFamily(rows, offsets, 1.0, max_iter=7)
+    assert not hasattr(SupAffineFamily(rows, offsets, 1.0), "max_iter")
+
+
 def test_sup_affine_reused_family_returns_the_fresh_answers():
     rng = np.random.default_rng(22)
     a_rows = rng.uniform(-1.0, 1.0, (10, 3))
