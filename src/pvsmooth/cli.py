@@ -226,12 +226,14 @@ def cmd_solve(args):
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = args.out_dir or "."
+    trace_path = os.path.join(out_dir, cfg["trace_file"])
+    summary_path = os.path.join(out_dir, cfg["summary_file"])
+    if os.path.realpath(trace_path) == os.path.realpath(summary_path):
+        raise ConfigError("trace_file and summary_file name the same file %s" % trace_path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("cannot create %s: %s" % (out_dir, exc)) from exc
-    trace_path = os.path.join(out_dir, cfg["trace_file"])
-    summary_path = os.path.join(out_dir, cfg["summary_file"])
     for path in (trace_path, summary_path):  # fail now, not after the solve
         folder = os.path.dirname(path)
         if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
@@ -457,7 +459,7 @@ def _verify_penalty():
     # 1-d toy: minimize x subject to x in [-1, 1]; stage minimizers are
     # x_k = -1 - 1/lam_k, so all monotonicity relations are checkable.
     h0 = CallableSmooth(lambda x: float(x[0]), lambda x: np.ones(1), 0.0)
-    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector())
+    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=1)
     ball = projections.BallSpec(np.zeros(1), 1.0)
     lambdas = [4.0 * 2**j for j in range(6)]
     sched = PenaltySchedule(

@@ -411,30 +411,29 @@ class CompositeProblem:
         Known finite lower bound on the smoothed objective values, used by
         the stationarity bound diagnostics.  When absent those diagnostics
         fall back to the observed minimum and are flagged as heuristic.
-    dim : int, optional
-        Ambient dimension >= 1, when known; enables an early shape check,
-        which evaluates h, A, V and g once at the zero vector of R^dim.
+    dim : int
+        Ambient dimension >= 1, keyword-only and required.  The shape check
+        evaluates h, A, V and g once at the zero vector of R^dim, and the
+        solver rejects a start that is not of length dim.
     """
 
-    def __init__(self, h, g, a_map, subspace, f_star=None, dim=None):
+    def __init__(self, h, g, a_map, subspace, f_star=None, *, dim):
         self.h = h
         self.g = g
         self.a_map = a_map
         self.subspace = subspace
         self.f_star = _require(f_star, "f_star", -math.inf, math.inf, allow_none=True)
-        self.dim = _require(dim, "dim", 1, math.inf, allow_none=True, integer=True,
-                            ends="[)")
-        if dim is not None:
-            probe = np.zeros(dim)
-            try:
-                out = self.a_map.apply(probe)
-                self.subspace.apply(probe)
-                self.h.value_and_grad(probe)
-                self.g.value(np.asarray(out, dtype=float))
-            except (ValueError, IndexError) as exc:  # re-raise with context
-                raise ContractError(
-                    "problem components disagree on dimension %d: %s" % (dim, exc)
-                ) from exc
+        self.dim = _require(dim, "dim", 1, math.inf, integer=True, ends="[)")
+        probe = np.zeros(dim)
+        try:
+            out = self.a_map.apply(probe)
+            self.subspace.apply(probe)
+            self.h.value_and_grad(probe)
+            self.g.value(np.asarray(out, dtype=float))
+        except (ValueError, IndexError) as exc:  # re-raise with context
+            raise ContractError(
+                "problem components disagree on dimension %d: %s" % (dim, exc)
+            ) from exc
 
     def objective(self, x):
         """The original (unsmoothed) objective h(x) + g(A x)."""

@@ -6,7 +6,7 @@ pieces come from the prox toolkit and the projection module, so the generic
 smoothing solver applies unchanged.  The ball-constrained problems arrive in
 penalized form: the hard constraint x in B is replaced by (lam/2) d(x, B)^2,
 and the builders reject weights at or below the coercivity threshold
-(lam <= 2 sigma for the affine families, lam <= 2 for the quadratic ones).
+lam <= 2.
 """
 
 from __future__ import annotations
@@ -171,16 +171,16 @@ def dispersion_objective(anchors, radius, lam, x):
     return float(0.5 * lam * excess * excess - (d * d).sum(axis=1).min())
 
 
-def build_dro_affine(a_rows, offsets, lam, radius, sigma=1.0, constraint_matrix=None):
-    """Scenario costs <a_i, x> + b_i - sigma |x|^2 with weights on the
+def build_dro_affine(a_rows, offsets, lam, radius, constraint_matrix=None):
+    """Scenario costs <a_i, x> + b_i - |x|^2 with weights on the
     probability simplex, ball-penalized with weight lam (which must exceed
-    2 sigma).
+    2).
 
     The :class:`~pvsmooth.prox.SupAffineFamily` starts each prox's active
     set from the support it last certified.
     """
-    g = SupAffineFamily(a_rows, offsets, sigma)
-    _require(lam, "lam", 2.0 * g.sigma, math.inf)  # lam > 2 sigma: coercive
+    g = SupAffineFamily(a_rows, offsets, 1.0)
+    _require(lam, "lam", 2, math.inf)  # lam > 2: coercive
     dim = g.a_rows.shape[1]
     h = BallPenalty(BallSpec(np.zeros(dim), radius), lam)
     subspace = _kernel_subspace(constraint_matrix)

@@ -133,13 +133,10 @@ def schedule(cfg, problem, k):
 
 def _require_flat(problem, x, what):
     """A start of the wrong shape raises :class:`ContractError` here, before
-    any component sees it: ``x`` must be 1-d, of length ``problem.dim``
-    when the problem knows its dimension."""
-    if x.ndim != 1 or (problem.dim is not None and x.size != problem.dim):
-        raise ContractError(
-            "%s must be a flat vector of length %s, got shape %r"
-            % (what, "n" if problem.dim is None else problem.dim, x.shape)
-        )
+    any component sees it: ``x`` must be 1-d, of length ``problem.dim``."""
+    if x.ndim != 1 or x.size != problem.dim:
+        raise ContractError("%s must be a flat vector of length %d, got shape %r"
+                            % (what, problem.dim, x.shape))
 
 
 def _require_in_subspace(projector, x, what="x"):

@@ -286,7 +286,7 @@ def test_criterion_9_penalty_monotonicity(report):
         lambdas,
         SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=8000, stop_step_norm=1e-8),
     )
-    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector())
+    problem = CompositeProblem(h0, ZeroFunction(), IdentityMap(), IdentityProjector(), dim=1)
     xs, diag = run_penalty(problem, ball, sched, np.zeros(1))
     tol = 1e-6
     q, P, f = diag.penalized_values, diag.penalty_values, diag.objective_values

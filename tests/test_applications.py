@@ -240,9 +240,6 @@ def test_dro_builders_reject_nonpositive_radius():
 
 
 def test_dro_coercivity_guards():
-    a_rows, offsets = random_affine_scenarios(3, 4, 5)
-    with pytest.raises(DomainError):
-        build_dro_affine(a_rows, offsets, 3.0, 1.0, sigma=1.5)
     with pytest.raises(DomainError):
         build_dro_quadratic(np.zeros((2, 3)), 2.0, 1.0)
 

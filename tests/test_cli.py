@@ -474,6 +474,19 @@ def test_solve_to_an_unwritable_path_fails_before_the_solver(tmp_path, capsys, m
     assert not (tmp_path / "sub").exists() and not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("trace_file, summary_file", [("out.txt", "out.txt"),
+                                                      ("./t.csv", "t.csv")])
+def test_solve_to_one_file_for_trace_and_summary_fails_before_the_solver(
+        tmp_path, capsys, trace_file, summary_file):
+    # one path for both would leave only the summary JSON, so nothing is written
+    path = write_config(tmp_path, trace_file=trace_file, summary_file=summary_file)
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", "--config", path, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: trace_file and summary_file name the same file")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_solve_write_failure_is_a_configuration_error(tmp_path, capsys, monkeypatch):
     # e.g. a read-only trace file in a writable directory, which the check
     # before the solve lets through

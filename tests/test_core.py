@@ -409,7 +409,7 @@ _PARAMETERS = {
     "CallableProx rho": (lambda v: CallableProx(abs, abs, rho=v), _NONNEGATIVE),
     "CallableProx lipschitz": (lambda v: CallableProx(abs, abs, lipschitz=v), _NONNEGATIVE),
     "CallableSmooth lip_grad": (lambda v: CallableSmooth(abs, abs, v), _NONNEGATIVE),
-    "CompositeProblem f_star": (lambda v: _problem(f_star=v), _NO_RANGE),
+    "CompositeProblem f_star": (lambda v: _problem(f_star=v, dim=1), _NO_RANGE),
     "CompositeProblem dim": (lambda v: _problem(dim=v), _COUNT),
     "LassoInstance f_star": (_lasso, _NO_RANGE),
     "L1Penalty lam": (prox.L1Penalty, _POSITIVE),
@@ -448,9 +448,6 @@ _PARAMETERS = {
         lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), v, 1.0), (2.0, np.nan, np.inf)),
     "build_dro_affine radius": (
         lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), 10.0, v), (0.0, np.nan)),
-    "build_dro_affine sigma": (
-        lambda v: pvs.build_dro_affine(np.eye(2), np.zeros(2), 10.0, 1.0, sigma=v),
-        _POSITIVE),
     "build_dro_quadratic lam": (lambda v: build_dro_quadratic(np.eye(2), v, 1.0),
                                 (2.0, np.nan, np.inf)),
     "build_dro_quadratic radius": (lambda v: build_dro_quadratic(np.eye(2), 10.0, v),
@@ -796,7 +793,7 @@ def test_well_defined_limits_and_defaults_stay_accepted():
     assert CallableProx(abs, abs, rho=0.0, lipschitz=0.0).mu_max == np.inf
     assert CallableSmooth(abs, abs, 0).lip_grad == 0.0
     SolverConfig(alpha=0.5, C=0.25, max_iter=0, stop_step_norm=np.inf, epsilon=np.inf)
-    assert _problem().f_star is None and _problem(f_star=-3.0, dim=1).dim == 1
+    assert _problem(dim=1).f_star is None and _problem(f_star=-3.0, dim=1).dim == 1
 
 
 def test_identity_map_roundtrip():
@@ -831,6 +828,9 @@ def test_composite_problem_objective_and_dim_check():
     x = np.array([1.0, 2.0])
     assert abs(problem.objective(x) - (h.value(x) + g.value(x))) < 1e-12
 
+    # without dim no start could be checked before the loop
+    with pytest.raises(TypeError, match="dim"):
+        CompositeProblem(h, g, IdentityMap(), IdentityProjector())
     with pytest.raises(ContractError):
         CompositeProblem(h, g, MatrixMap(np.eye(3)), IdentityProjector(), dim=2)
     # g of the wrong size, probed through its value

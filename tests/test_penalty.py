@@ -23,8 +23,8 @@ from pvsmooth.prox import SupAffineFamily
 from pvsmooth.solver import SolverConfig
 
 
-def _problem(h, g, **kwargs):
-    return CompositeProblem(h, g, IdentityMap(), IdentityProjector(), **kwargs)
+def _problem(h, g, dim):
+    return CompositeProblem(h, g, IdentityMap(), IdentityProjector(), dim=dim)
 
 
 def test_penalty_distance_sq_interior():
@@ -99,7 +99,7 @@ def test_run_penalty_feasible_start_is_fixed():
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=1e-10)
     sched = PenaltySchedule((4.0, 8.0, 16.0), cfg)
-    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball, sched, a.copy())
+    sols, diag = run_penalty(_problem(h0, ZeroFunction(), 2), ball, sched, a.copy())
     for x, pen in zip(sols, diag.penalty_values):
         assert np.linalg.norm(x - a) < 1e-8
         assert pen < 1e-12
@@ -111,7 +111,7 @@ def test_run_penalty_linear_objective_toy():
     ball = BallSpec(np.zeros(1), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=8000, stop_step_norm=1e-8)
-    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball,
+    sols, diag = run_penalty(_problem(h0, ZeroFunction(), 1), ball,
                              PenaltySchedule(lambdas, cfg), np.zeros(1))
     tol = 1e-6
     for lam, x in zip(lambdas, sols):
@@ -140,7 +140,7 @@ def test_run_penalty_single_anchor_dispersion():
     ball = BallSpec(np.zeros(3), 1.0)
     lambdas = tuple(4.0 * 2**j for j in range(6))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=2000, stop_step_norm=3e-7)
-    sols, diag = run_penalty(_problem(ZeroSmooth(), g), ball, PenaltySchedule(lambdas, cfg),
+    sols, diag = run_penalty(_problem(ZeroSmooth(), g, 3), ball, PenaltySchedule(lambdas, cfg),
                              np.array([0.5, 0.0, 0.0]))
     lam_last = lambdas[-1]
     assert abs(diag.penalized_values[-1] - (-lam_last / (lam_last - 2.0))) < 1e-3
@@ -158,7 +158,7 @@ def test_run_penalty_stage_failure_carries_progress(monkeypatch):
     ball = BallSpec(np.zeros(2), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0)
     with pytest.raises(StageError) as exc:
-        run_penalty(_problem(ZeroSmooth(), g), ball, PenaltySchedule((4.0, 8.0), cfg),
+        run_penalty(_problem(ZeroSmooth(), g, 2), ball, PenaltySchedule((4.0, 8.0), cfg),
                     np.zeros(2))
     err = exc.value
     assert err.completed == []
@@ -172,14 +172,14 @@ def test_run_penalty_stages_take_the_epsilon_stop():
     h0 = CallableSmooth(lambda x: float(x[0]), lambda x: np.ones(1), 0.0)
     ball = BallSpec(np.zeros(1), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=10.0, max_iter=5, epsilon=1e6)
-    sols, diag = run_penalty(_problem(h0, ZeroFunction()), ball,
+    sols, diag = run_penalty(_problem(h0, ZeroFunction(), 1), ball,
                              PenaltySchedule((4.0, 8.0), cfg), np.zeros(1))
     assert diag.stop_reasons == ["epoch_stationarity"] * 2
     assert diag.stage_iterations == [1, 1]
     tight = PenaltySchedule((4.0, 8.0), SolverConfig(alpha=1.0 / 3.0, C=10.0,
                                                      max_iter=5, epsilon=1e-12))
     with pytest.raises(StageError) as exc:
-        run_penalty(_problem(h0, ZeroFunction()), ball, tight, np.zeros(1))
+        run_penalty(_problem(h0, ZeroFunction(), 1), ball, tight, np.zeros(1))
     assert exc.value.completed == []
     assert exc.value.__cause__.trace.stop_reason == "budget_exhausted"
 
@@ -192,7 +192,7 @@ def test_run_penalty_stages_inherit_the_problem_dimension(length):
     g = SupAffineFamily(rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, 4), 1.0)
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50)
     with pytest.raises(StageError) as exc:
-        run_penalty(_problem(ZeroSmooth(), g, dim=3), BallSpec(np.zeros(3), 1.0),
+        run_penalty(_problem(ZeroSmooth(), g, 3), BallSpec(np.zeros(3), 1.0),
                     PenaltySchedule((4.0, 8.0), cfg), np.zeros(length))
     assert exc.value.completed == []
     assert isinstance(exc.value.__cause__, ContractError)

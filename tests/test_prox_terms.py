@@ -155,7 +155,9 @@ class CountingProx(ProxFunction):
 @pytest.mark.parametrize("name", ["sup_quadratic", "sup_affine_simplex", "l1"])
 def test_smoothed_parts_evaluates_g_once(name):
     g = CountingProx(PROX_TERMS[name]())
-    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector())
+    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector(), dim=DIM)
+    assert g.calls == Counter(value=1)  # the build's shape probe at 0
+    g.calls.clear()
     x = np.linspace(-0.8, 1.1, DIM)
     for calls in range(1, 4):
         problem.smoothed_parts(0.2, x)
@@ -166,7 +168,7 @@ def test_smoothed_parts_evaluates_g_once(name):
 
 def test_sup_quadratic_step_never_calls_value():
     g = PROX_TERMS["sup_quadratic"]()
-    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector())
+    problem = CompositeProblem(ZeroSmooth(), g, IdentityMap(), IdentityProjector(), dim=DIM)
     x = np.linspace(-0.8, 1.1, DIM)
     expected = problem.smoothed_parts(0.2, x)
     g.value = g.alphas = None  # the one-pass prox must not need them

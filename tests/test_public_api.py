@@ -53,6 +53,8 @@ _TEST_FACING = {
     "epoch_iteration_budget": "the paper's worst-case iteration count for the epsilon stop",
     "CallableProx(rho)": "test fake: the weak-convexity modulus of a made-up g",
     "CallableProx(lipschitz)": "test fake: the Lipschitz constant of a made-up g",
+    "LassoInstance(inner_matrix)": ("the one builder input that makes A a MatrixMap: "
+                                    "the paper's g(A x) with A != I"),
     "dykstra_project(tol)": "reference behind verify's Dykstra cross-check, safety code",
     "dykstra_project(max_iter)": "reference behind verify's Dykstra cross-check, safety code",
 }
@@ -89,17 +91,18 @@ def _used_names(path, attributes_only=False):
 
 
 def _passed_parameters(path):
-    """{callee name: [(positional count, keyword names, starred)]} for every
-    call in ``path`` of a Name or an attribute; ``starred`` marks a call with
-    ``*args`` or ``**kwargs``, which may pass any parameter."""
+    """{callee name: [(positional count, keyword names)]} for every call in
+    ``path`` of a Name or an attribute.  Only what a call writes out counts:
+    the positionals before any ``*args`` and the named keywords, so a
+    parameter that only ``*args`` or ``**kwargs`` could carry is not passed."""
     calls = {}
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
             callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-            starred = (any(isinstance(arg, ast.Starred) for arg in node.args)
-                       or any(kw.arg is None for kw in node.keywords))
+            count = next((i for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
             calls.setdefault(callee, []).append(
-                (len(node.args), {kw.arg for kw in node.keywords}, starred))
+                (count, {kw.arg for kw in node.keywords if kw.arg is not None}))
     return calls
 
 
@@ -152,10 +155,9 @@ def test_every_defaulted_parameter_is_passed_by_the_program_or_listed():
                 continue
             key = "%s(%s)" % (name, param.name)
             defaulted.add(key)
-            if not any(starred or param.name in keywords
-                       or (param.kind in positional and index < count)
-                       for count, keywords, starred in calls.get(name, ())):
+            if not any(param.name in keywords or (param.kind in positional and index < count)
+                       for count, keywords in calls.get(name, ())):
                 unpassed.add(key)
-    assert len(defaulted) > 20
+    assert len(defaulted) == 21  # a change that adds or drops an option updates this
     assert not sorted(unpassed - _rows("parameter")), "defaulted parameters only tests pass"
     assert not sorted(_rows("parameter") - unpassed), "stale _TEST_FACING rows"

@@ -123,8 +123,12 @@ def test_schedule_values():
     class ZeroNormMap(LinearMap):
         norm_bound = 0.0
 
+        def apply(self, x):
+            return np.zeros_like(x)
+
     # no smooth term and a map of norm 0 leave no curvature to step by
-    flat = CompositeProblem(ZeroSmooth(), ZeroFunction(), ZeroNormMap(), IdentityProjector())
+    flat = CompositeProblem(ZeroSmooth(), ZeroFunction(), ZeroNormMap(), IdentityProjector(),
+                            dim=2)
     with pytest.raises(DomainError, match="zero curvature"):
         schedule(cfg, flat, 1)
 
@@ -379,7 +383,7 @@ def test_component_numerical_error_is_a_component_error():
     g = CallableProx(lambda y: float(np.abs(y).sum()), prox_fn)
     proj = KernelProjector(np.array([[1.0, 1.0, 1.0]]))
     h = CallableSmooth(lambda x: 0.5 * float(x @ x), lambda x: x, 1.0)
-    prob = CompositeProblem(h, g, IdentityMap(), proj)
+    prob = CompositeProblem(h, g, IdentityMap(), proj, dim=3)
     x1 = proj.apply(np.array([3.0, -1.0, 0.5]))
     cfg = SolverConfig(alpha=1.0 / 3.0, C=0.25, max_iter=50, stop_step_norm=0.0,
                        epsilon=1e-12)
