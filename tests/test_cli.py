@@ -475,7 +475,8 @@ def test_solve_to_an_unwritable_path_fails_before_the_solver(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("trace_file, summary_file", [("out.txt", "out.txt"),
-                                                      ("./t.csv", "t.csv")])
+                                                      ("./t.csv", "t.csv"),
+                                                      ("sub/../t.csv", "t.csv")])
 def test_solve_to_one_file_for_trace_and_summary_fails_before_the_solver(
         tmp_path, capsys, trace_file, summary_file):
     # one path for both would leave only the summary JSON, so nothing is written
@@ -485,6 +486,19 @@ def test_solve_to_one_file_for_trace_and_summary_fails_before_the_solver(
     assert capsys.readouterr().err.startswith(
         "configuration error: trace_file and summary_file name the same file")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_solve_to_a_link_to_the_summary_fails_before_the_solver(tmp_path, capsys):
+    # the two names differ, but the trace file is a link to the summary file
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "s.json").write_text("kept")
+    (out_dir / "t.csv").symlink_to("s.json")
+    path = write_config(tmp_path, trace_file="t.csv", summary_file="s.json")
+    assert cli.main(["solve", "--config", path, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: trace_file and summary_file name the same file")
+    assert (out_dir / "s.json").read_text() == "kept"
 
 
 def test_solve_write_failure_is_a_configuration_error(tmp_path, capsys, monkeypatch):
@@ -552,3 +566,15 @@ def test_gen_writes_the_data_solve_builds_from(tmp_path, shape):
     problem, _ = cli.build_from_config(cfg)
     for built, written in read(problem, data):
         assert np.array_equal(built, written)
+
+
+@pytest.mark.parametrize("shape", sorted(GEN_READS), ids="-".join)
+def test_every_problem_shape_reruns_byte_identical(tmp_path, shape):
+    # each of the five problem shapes solved twice from one seeded config
+    path = write_config(tmp_path, problem=shape[0], formulation=shape[1], n=5, N=4,
+                        seed=3, **{"lambda": 10.0})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["solve", "--config", path, "--out-dir", str(a)]) == 0
+    assert cli.main(["solve", "--config", path, "--out-dir", str(b)]) == 0
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    assert len(read_trace(a / "trace.csv")) > 1

@@ -840,6 +840,15 @@ def test_composite_problem_objective_and_dim_check():
             CompositeProblem(h, wrong, IdentityMap(), IdentityProjector(), dim=3)
 
 
+def test_composite_problem_takes_dim_by_keyword_only():
+    # a sixth positional argument is not read as dim
+    h = squared_norm_smooth()
+    g = prox.SupQuadraticFamily(np.zeros((2, 1)))
+    with pytest.raises(TypeError):
+        CompositeProblem(h, g, IdentityMap(), IdentityProjector(), None, 2)
+    assert CompositeProblem(h, g, IdentityMap(), IdentityProjector(), None, dim=2).dim == 2
+
+
 def test_composite_problem_dim_check_probes_h():
     # a penalty on R^2 in a problem on R^3: built unchecked, the run's first
     # step failed on a bare numpy broadcast ValueError with no partial trace

@@ -26,8 +26,11 @@ from pvsmooth.problems import (
     LassoInstance,
     MaxDispersionInstance,
     build_constrained_lasso,
+    build_dro_affine,
+    build_dro_quadratic,
     build_max_dispersion_direct,
     build_max_dispersion_product,
+    random_affine_scenarios,
     random_anchors,
     random_lasso_data,
     subspace_start,
@@ -213,13 +216,20 @@ def test_nan_start_is_not_in_the_subspace():
             pvs_step(prob, cfg, 1, x)
 
 
-@pytest.mark.parametrize("kind", ["direct", "product", "lasso"])
+@pytest.mark.parametrize("kind", ["direct", "product", "lasso", "dro-affine",
+                                  "dro-quadratic"])
 def test_start_of_the_wrong_shape_is_a_contract_error(kind):
     # a length-29 start on the product problem failed in the projector's
     # reshape (ValueError), a (3, 1) start on the direct problem in the prox
     # (IndexError); both are now caught before the loop
     if kind == "lasso":
         prob = lasso_problem()
+    elif kind == "dro-affine":
+        prob = build_dro_affine(*random_affine_scenarios(3, 10, 47), 10.0, 1.0,
+                                constraint_matrix=np.ones((1, 3)))
+    elif kind == "dro-quadratic":
+        prob = build_dro_quadratic(random_anchors(3, 10, 47), 10.0, 1.0,
+                                   constraint_matrix=np.ones((1, 3)))
     else:
         inst = MaxDispersionInstance(random_anchors(3, 10, 47), radius=1.0, lam=100.0,
                                      constraint_matrix=np.ones((1, 3)))
